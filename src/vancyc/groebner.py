@@ -5,14 +5,21 @@ update step prunes with Buchberger's coprime-lead criterion plus the chain
 criterion in Gebauer-Moeller form.  Every public entry point takes a cap on
 the number of S-pairs reduced; exceeding it raises ResourceLimitExceeded so
 callers can degrade instead of hanging.
+
+Division keeps the terms still to be reduced in a heap ordered by the
+monomial order, so each monomial's order key is computed once, when it
+enters the work set, and the next term to reduce is a heap pop rather than a
+rescan (after Monagan and Pearce, "Sparse polynomial division using a heap",
+JSC 2011).  Lead terms are memoized inside each immutable Polynomial
+(`Polynomial.lead`), so a basis element's lead is found once per order.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
+from operator import add, le, neg, sub
 from typing import Sequence
 
 from .poly import Polynomial, grevlex_key, AmbientMismatchError, PolyError
@@ -63,6 +70,17 @@ class MonomialOrder:
             return grevlex_key(exps)
         return (grevlex_key(exps[: self.front]), grevlex_key(exps[self.front:]))
 
+    def _descending_key(self, exps: Sequence[int]) -> tuple:
+        """key() with every integer negated: ascending order of this key is
+        descending monomial order, as a min-heap needs."""
+        k = self.key(exps)
+        if self.kind == "lex":
+            return tuple(map(neg, k))
+        if self.kind == "degrevlex":
+            return (-k[0], tuple(map(neg, k[1])))
+        (d1, r1), (d2, r2) = k
+        return (-d1, tuple(map(neg, r1)), -d2, tuple(map(neg, r2)))
+
 
 @dataclass(frozen=True)
 class IdealBasis:
@@ -98,45 +116,64 @@ class GroebnerBasis:
 
 
 def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
                        order: MonomialOrder) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: p = sum(q_i * divisors_i) + r, no term of r
-    divisible by any divisor lead monomial."""
+    divisible by any divisor lead monomial.
+
+    The largest remaining term is taken from a heap of (descending order key,
+    monomial) entries.  A monomial gets its one entry when it enters `work`;
+    a coefficient that cancels stays in `work` as zero until its entry is
+    popped, so no monomial is ever queued twice.  Every new monomial is
+    smaller than the one being reduced, so a popped monomial never returns.
+    """
     key = order.key
+    heap_key = order._descending_key
     ambient = p.ambient
+    for d in divisors:
+        if d.ambient != ambient:
+            raise AmbientMismatchError(
+                f"divisor ambient {d.ambient} != dividend ambient {ambient}")
     leads = [d.lead(key) for d in divisors]
-    quotients = [dict() for _ in divisors]
+    quotients: list[dict] = [{} for _ in divisors]
     remainder: dict = {}
     work = dict(p.terms)
-    while work:
-        e = max(work, key=key)
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        e = pop(heap)[1]
         c = work.pop(e)
+        if not c:
+            continue
         for i, (de, dc) in enumerate(leads):
-            if _monomial_divides(de, e):
-                me = tuple(a - b for a, b in zip(e, de))
+            if all(map(le, de, e)):
+                me = tuple(map(sub, e, de))
                 mc = c / dc
-                quotients[i][me] = quotients[i].get(me, Fraction(0)) + mc
+                quotients[i][me] = mc
                 for fe, fc in divisors[i].terms.items():
                     if fe == de:
                         continue
-                    k = tuple(a + b for a, b in zip(me, fe))
-                    s = work.get(k, Fraction(0)) - mc * fc
-                    if s:
-                        work[k] = s
+                    k = tuple(map(add, me, fe))
+                    old = work.get(k)
+                    if old is None:
+                        work[k] = -mc * fc
+                        push(heap, (heap_key(k), k))
                     else:
-                        work.pop(k, None)
+                        work[k] = old - mc * fc
                 break
         else:
-            remainder[e] = remainder.get(e, Fraction(0)) + c
-    return ([Polynomial(ambient, q) for q in quotients],
-            Polynomial(ambient, remainder))
+            remainder[e] = c
+    zero = Polynomial._trusted(ambient, {})  # shared by every empty quotient
+    return ([Polynomial._trusted(ambient, q) if q else zero for q in quotients],
+            Polynomial._trusted(ambient, remainder))
 
 
 def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
@@ -158,8 +195,8 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     fe, fc = f.lead(order.key)
     ge, gc = g.lead(order.key)
     lcm = _monomial_lcm(fe, ge)
-    return (f.monomial_times(tuple(l - a for l, a in zip(lcm, fe)), 1 / fc)
-            - g.monomial_times(tuple(l - a for l, a in zip(lcm, ge)), 1 / gc))
+    return (f.monomial_times(tuple(map(sub, lcm, fe)), 1 / fc)
+            - g.monomial_times(tuple(map(sub, lcm, ge)), 1 / gc))
 
 
 def _update_pairs(pairs: list, G: list[Polynomial],
@@ -168,34 +205,29 @@ def _update_pairs(pairs: list, G: list[Polynomial],
     chain criteria, and drop queued pairs the new lead makes redundant."""
     t = new_index
     lt = leads[t]
-    candidates = {}
-    for i in range(t):
-        candidates[i] = _monomial_lcm(leads[i], lt)
-
-    def divides_strictly(i, j):
-        return _monomial_divides(candidates[i], candidates[j]) and candidates[i] != candidates[j]
-
+    candidates = {i: _monomial_lcm(leads[i], lt) for i in range(t)}
     keep = set(candidates)
     # chain criterion among the new pairs: drop (i,t) when some (j,t) lcm
     # properly divides it, or equal lcms keep the smallest index
     for i in list(keep):
-        for j in candidates:
-            if j == i or j not in keep:
-                continue
-            if divides_strictly(j, i) or (candidates[j] == candidates[i] and j < i):
+        ci = candidates[i]
+        for j, cj in candidates.items():
+            if (j != i and j in keep and all(map(le, cj, ci))
+                    and (cj != ci or j < i)):
                 keep.discard(i)
                 break
     # coprime-lead criterion
     coprime = {i for i in keep
-               if candidates[i] == tuple(a + b for a, b in zip(leads[i], lt))}
+               if candidates[i] == tuple(map(add, leads[i], lt))}
     keep -= coprime
-    # prune old queued pairs whose lcm is divisible by the new lead
+    # prune old queued pairs whose lcm is divisible by the new lead; every
+    # queued index is below t, so candidates holds lcm(lead_i, new lead)
     survivors = []
     for entry in pairs:
         _, _, i, j, lcm = entry
         if (_monomial_divides(lt, lcm)
-                and _monomial_lcm(leads[i], lt) != lcm
-                and _monomial_lcm(leads[j], lt) != lcm):
+                and candidates[i] != lcm
+                and candidates[j] != lcm):
             continue
         survivors.append(entry)
     pairs[:] = survivors

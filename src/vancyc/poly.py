@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -64,7 +65,8 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over Q in a fixed tuple of variables."""
 
-    __slots__ = ("ambient", "terms")
+    # _lead memoizes the last lead() as (key function, (exponents, coefficient))
+    __slots__ = ("ambient", "terms", "_lead")
 
     def __init__(self, ambient: Sequence[str], terms: Mapping[tuple, object] | None = None):
         ambient = tuple(ambient)
@@ -84,6 +86,18 @@ class Polynomial:
                         del clean[exps]
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
+
+    @classmethod
+    def _trusted(cls, ambient: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Wrap terms that are already canonical: an ambient tuple without
+        duplicates, exponent tuples of its length with non-negative ints, and
+        nonzero Fraction coefficients.  The dict is taken over, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ambient", ambient)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_lead", None)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -158,11 +172,20 @@ class Polynomial:
             raise PolyError(f"variable '{var}' not in ambient {self.ambient}") from None
 
     def lead(self, key=grevlex_key) -> tuple[tuple[int, ...], Fraction]:
-        """(exponent tuple, coefficient) of the largest term under `key`."""
+        """(exponent tuple, coefficient) of the largest term under `key`.
+
+        The result is memoized for the last key function asked for, so
+        repeated calls with the same order cost no key evaluations.
+        """
+        cached = self._lead
+        if cached is not None and cached[0] == key:
+            return cached[1]
         if not self.terms:
             raise PolyError("zero polynomial has no lead term")
         exps = max(self.terms, key=key)
-        return exps, self.terms[exps]
+        lead = exps, self.terms[exps]
+        object.__setattr__(self, "_lead", (key, lead))
+        return lead
 
     # ---- equality ------------------------------------------------------
 
@@ -194,12 +217,12 @@ class Polynomial:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return Polynomial(self.ambient, out)
+        return Polynomial._trusted(self.ambient, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ambient, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.ambient, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -234,7 +257,7 @@ class Polynomial:
         c = _as_fraction(value)
         if not c:
             return Polynomial.zero(self.ambient)
-        return Polynomial(self.ambient, {e: k * c for e, k in self.terms.items()})
+        return Polynomial._trusted(self.ambient, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -254,8 +277,12 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.ambient)
         exps = tuple(exps)
-        return Polynomial(self.ambient, {
-            tuple(a + b for a, b in zip(e, exps)): k * c for e, k in self.terms.items()})
+        if len(exps) != len(self.ambient) or any(
+                not isinstance(e, int) or e < 0 for e in exps):
+            raise PolyError(
+                f"bad exponent tuple {exps} for ambient of size {len(self.ambient)}")
+        return Polynomial._trusted(self.ambient, {
+            tuple(map(add, e, exps)): k * c for e, k in self.terms.items()})
 
     # ---- calculus and evaluation ----------------------------------------
 

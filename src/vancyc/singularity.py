@@ -228,7 +228,9 @@ def al_multiplicity_by_counting(n: int, k: int,
         basisless = _kernel_covector(sub, k)
         normals.add(basisless)
     count = len(normals)
-    assert count == comb(n, k - 1), "generic matrix must give the full binomial count"
+    if count != comb(n, k - 1):
+        raise PolyError(f"generic matrix gave {count} hyperplanes, "
+                        f"not the binomial count C({n}, {k - 1}) = {comb(n, k - 1)}")
     return count
 
 

@@ -11,13 +11,15 @@ from vancyc.groebner import (
     MonomialOrder,
     ResourceLimitExceeded,
     buchberger,
+    divmod_polynomials,
     eliminate,
     ideal_membership,
     normal_form,
     quotient_dimension,
     radical_membership,
 )
-from vancyc.poly import Polynomial, format_polynomial, parse_polynomial
+from vancyc.poly import (AmbientMismatchError, Polynomial, format_polynomial,
+                         parse_polynomial)
 
 AMB = ("x", "y", "z")
 
@@ -52,6 +54,42 @@ def test_twisted_cubic_lex_golden():
     gb = buchberger(_ideal("x^2 - y", "x^3 - z"), MonomialOrder.lex())
     got = sorted(format_polynomial(g, compact=True) for g in gb.elements)
     assert got == sorted(["x^2-y", "x*y-z", "-y^2+x*z", "y^3-z^2"])
+
+
+ORDERS = [MonomialOrder.lex(), MonomialOrder.degrevlex(),
+          MonomialOrder.elimination(1), MonomialOrder.elimination(2)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}{o.front}")
+def test_division_identity(order):
+    """p = sum(q_i * d_i) + r, no term of r is divisible by a divisor lead,
+    and no q_i * d_i leads above p."""
+    rng = random.Random(f"division-{order.kind}-{order.front}")
+    for _ in range(25):
+        divisors = [random_polynomial(rng, AMB, max_terms=4, max_exp=2, nonzero=True)
+                    for _ in range(rng.randint(1, 3))]
+        p = random_polynomial(rng, AMB, max_terms=8, max_exp=4)
+        quotients, r = divmod_polynomials(p, divisors, order)
+        assert len(quotients) == len(divisors)
+        total = r
+        for q, d in zip(quotients, divisors):
+            total = total + q * d
+        assert total == p
+        leads = [d.lead(order.key)[0] for d in divisors]
+        for e in r.terms:
+            assert not any(all(a <= b for a, b in zip(de, e)) for de in leads)
+        for q, d in zip(quotients, divisors):
+            if q:
+                assert order.key((q * d).lead(order.key)[0]) <= \
+                    order.key(p.lead(order.key)[0])
+
+
+def test_division_rejects_foreign_divisor():
+    """A divisor over another ambient is an error, not a silent truncation."""
+    p = parse_polynomial("x^2 + y", AMB)
+    other = parse_polynomial("x", ("x", "y"))
+    with pytest.raises(AmbientMismatchError):
+        divmod_polynomials(p, [other], MonomialOrder.lex())
 
 
 def test_normal_form_is_idempotent():

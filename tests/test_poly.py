@@ -59,6 +59,16 @@ def test_integer_scalars_mix_with_polynomials():
     assert Fraction(1, 2) * (x + y) * 2 == x + y
 
 
+def test_monomial_times_rejects_bad_exponents():
+    """The multiplier must be a monomial of the ambient: one non-negative
+    integer exponent per variable."""
+    x, y, z = variables(AMB)
+    assert (x + y).monomial_times((0, 1, 2), 3) == 3 * (x + y) * y * z * z
+    for bad in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (0, 1.0, 0)):
+        with pytest.raises(PolyError):
+            (x * y).monomial_times(bad, 1)
+
+
 def test_parse_format_round_trip_randomized():
     """parse(format(p)) == p for 100 random polynomials, spaced and compact."""
     rng = random.Random(23)

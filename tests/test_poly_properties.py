@@ -1,0 +1,57 @@
+"""Property tests: arithmetic results stay canonical and memoized leads agree
+with a fresh maximum.  Skipped when hypothesis is not installed."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from vancyc.groebner import MonomialOrder  # noqa: E402
+from vancyc.poly import Polynomial, grevlex_key  # noqa: E402
+
+AMB = ("x", "y", "z")
+ORDERS = [MonomialOrder.lex(), MonomialOrder.degrevlex(),
+          MonomialOrder.elimination(1), MonomialOrder.elimination(2)]
+
+exponents = st.tuples(*(st.integers(0, 3) for _ in AMB))
+# zero coefficients are included on purpose: the constructor must drop them
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+polynomials = st.dictionaries(exponents, coefficients, max_size=6).map(
+    lambda terms: Polynomial(AMB, terms))
+scalars = st.one_of(st.integers(-3, 3), coefficients)
+
+
+def _assert_canonical(p: Polynomial):
+    assert p.ambient == AMB
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(AMB)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert Polynomial(p.ambient, p.terms) == p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polynomials, polynomials, scalars, exponents)
+def test_arithmetic_results_are_canonical(a, b, c, m):
+    """+, -, *, negation, scale and monomial_times never leave a zero, a
+    non-Fraction coefficient or a malformed exponent tuple behind."""
+    for result in (a + b, a - b, a * b, -a, a + c, a - c, a.scale(c), a * c,
+                   a.monomial_times(m, c)):
+        _assert_canonical(result)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polynomials, polynomials)
+def test_memoized_lead_matches_fresh_max(a, b):
+    """Asking for leads under alternating orders always gives the maximum
+    under the order asked for, never a lead memoized for another order."""
+    for p in (a, b, a * b, a - b):
+        if not p:
+            continue
+        for order in ORDERS + ORDERS[::-1]:
+            for key in (order.key, grevlex_key):
+                exps = max(p.terms, key=key)
+                assert p.lead(key) == (exps, p.terms[exps])

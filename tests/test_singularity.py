@@ -121,6 +121,16 @@ def test_counting_rejects_non_generic_matrix():
         al_multiplicity_by_counting(3, 2, [[1, 0, 0], [0, 1, 0]])
 
 
+def test_counting_shortfall_raises_poly_error(monkeypatch):
+    """Hyperplanes that collapse raise a PolyError, not an assert that
+    `python -O` would strip."""
+    from vancyc import singularity
+    monkeypatch.setattr(singularity, "_kernel_covector",
+                        lambda sub, k: (Fraction(1),) + (Fraction(0),) * (k - 1))
+    with pytest.raises(PolyError, match="binomial count"):
+        al_multiplicity_by_counting(3, 2, AL_MATRICES[(3, 2)])
+
+
 def test_elimination_budget_propagates():
     """A zero S-pair budget aborts the k = 2 elimination route."""
     with pytest.raises(ResourceLimitExceeded):
