@@ -10,8 +10,7 @@ suite (`vancyc paper-suite`).
 from .germfile import GermFile, GermFileError, load_germ_file, parse_germ_text
 from .groebner import (DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealBasis, MonomialOrder,
                        ResourceLimitExceeded, buchberger, eliminate,
-                       ideal_membership, normal_form, quotient_dimension,
-                       radical_membership)
+                       normal_form, quotient_dimension, radical_membership)
 from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
                         IntersectionLattice, LatticeError, braid_relation_check,
                         cartan_matrix, coxeter_element_order, fold,
@@ -21,12 +20,11 @@ from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
 from .poly import (AmbientMismatchError, PolyError, PolyMatrix, PolyParseError,
                    Polynomial, UnknownVariableError, determinant_fraction_free,
                    exact_divide, format_polynomial, gcd_polynomials, normalized,
-                   parse_polynomial, proportional, rational_rank, resultant,
+                   parse_polynomial, rational_rank, resultant,
                    squarefree_part_bivariate, variables)
 from .report import CheckResult, Report
 from .singularity import (NonGenericMatrixError, NonIsolatedSingularityError,
-                          action_coordinates_germ, al_multiplicity,
-                          al_multiplicity_by_counting, betti_prediction,
+                          action_coordinates_germ, al_multiplicity_by_counting,
                           critical_ideal, discriminant, jacobian, milnor_number,
                           multiplicity_at_origin)
 from .steinberg import (LieAlgebraDatum, SteinbergMap, SubregularSliceReport,
@@ -38,7 +36,6 @@ from .steinberg import (LieAlgebraDatum, SteinbergMap, SubregularSliceReport,
 from .suite import run_paper_suite
 from .symplectic import (MapGerm, PoissonStructure, SymplecticContext,
                          casimir_check, general_bracket, hamiltonian_vector_field,
-                         is_involutive, jacobi_check, poisson_bracket,
-                         pyramidality_probe)
+                         is_involutive, jacobi_check, poisson_bracket)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from math import factorial
+from math import prod
 
 from .germfile import GermFileError, load_germ_file
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
@@ -30,13 +30,9 @@ from .poly import (PolyError, format_polynomial, normalized, parse_polynomial,
                    squarefree_part_bivariate)
 from .report import ASSUMED, FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check
 from .singularity import discriminant, multiplicity_at_origin
-from .steinberg import (casimir_components_check, jacobian_rank_at,
-                        steinberg_discriminant_multiplicity, steinberg_kks,
-                        steinberg_map, subregular_slice_check)
-from .suite import run_paper_suite
+from .suite import (STEINBERG_CHECKS, fold_expectation, invariant_degrees,
+                    run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
-
-import numpy as np
 
 
 def _emit(report: Report, notes: bool) -> int:
@@ -118,29 +114,6 @@ def cmd_discriminant(args) -> int:
 # coxeter
 # ---------------------------------------------------------------------------
 
-def _golden_weyl_order(label: str) -> int:
-    letter, rank = label[0], int(label[1:])
-    if letter == "A":
-        return factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if letter == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {"E6": 51840, "E7": 2903040, "E8": 696729600,
-            "F4": 1152, "G2": 12}[label]
-
-
-def _golden_coxeter_number(label: str) -> int:
-    letter, rank = label[0], int(label[1:])
-    if letter == "A":
-        return rank + 1
-    if letter in ("B", "C"):
-        return 2 * rank
-    if letter == "D":
-        return 2 * (rank - 1)
-    return {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}[label]
-
-
 def cmd_coxeter(args) -> int:
     label = args.type
     if label not in SUPPORTED_TYPES:
@@ -149,20 +122,18 @@ def cmd_coxeter(args) -> int:
         return 2
     datum = CoxeterDatum.for_type(label)
     gens = weyl_generators(datum)
+    degrees = invariant_degrees(label)
     report = Report()
     wanted = ("braid", "order", "coxeter-element") if args.check == "all" \
         else (args.check,)
     if "braid" in wanted:
-        identity = np.eye(datum.rank, dtype=np.int64)
-        involutive = all(np.array_equal(g @ g, identity) for g in gens)
         braid_ok, witness = braid_relation_check(gens, datum.coxeter)
-        report.add(check(f"braid-{label}", True, involutive and braid_ok,
+        report.add(check(f"braid-{label}", True, braid_ok,
                          note=f"failing pair {witness}" if witness else ""))
     if "order" in wanted:
-        report.add(check(f"order-{label}", _golden_weyl_order(label),
-                         group_order_bfs(gens)))
+        report.add(check(f"order-{label}", prod(degrees), group_order_bfs(gens)))
     if "coxeter-element" in wanted:
-        report.add(check(f"coxeter-element-{label}", _golden_coxeter_number(label),
+        report.add(check(f"coxeter-element-{label}", max(degrees),
                          coxeter_element_order(gens)))
     return _emit(report, args.notes)
 
@@ -171,28 +142,15 @@ def cmd_coxeter(args) -> int:
 # fold
 # ---------------------------------------------------------------------------
 
-_FOLD_EXPECTED: dict[tuple[str, str], tuple[str, int, bool]] = {
-    ("A3", "flip"): ("C2", 2, True),
-    ("A5", "flip"): ("C3", 2, True),
-    ("A7", "flip"): ("C4", 2, True),
-    ("D4", "flip"): ("B3", 2, True),
-    ("D4", "triality"): ("G2", 3, True),
-    ("D4", "full"): ("G2", 6, False),
-    ("E6", "flip"): ("F4", 2, True),
-}
-
-
 def cmd_fold(args) -> int:
     label, name = args.source, args.automorphism
     folding = fold(label, standard_automorphisms(label, name))
-    if name == "identity":
-        want_type, want_order, want_abelian = label, 1, True
-    elif (label, name) in _FOLD_EXPECTED:
-        want_type, want_order, want_abelian = _FOLD_EXPECTED[(label, name)]
-    else:
-        want_type, want_order, want_abelian = (folding.folded.label,
-                                               folding.group_order,
-                                               folding.group_abelian)
+    expected = fold_expectation(label, name)
+    if expected is None:
+        print(f"error: no independent expectation for folding {label} by "
+              f"'{name}'", file=sys.stderr)
+        return 2
+    want_type, want_order, want_abelian = expected
     report = Report()
     orbit_note = "orbits " + ";".join(
         "{" + ",".join(str(i) for i in orbit) + "}" for orbit in folding.orbits)
@@ -208,44 +166,17 @@ def cmd_fold(args) -> int:
 # steinberg
 # ---------------------------------------------------------------------------
 
-def _steinberg_points(rank: int):
-    if rank == 1:
-        return ((0, 0), (0, 0)), ((1, 0), (0, -1))
-    return ((1, 0, 0), (0, 1, 0), (0, 0, -2)), ((1, 0, 0), (0, 2, 0), (0, 0, -3))
-
-
 def cmd_steinberg(args) -> int:
     rank = args.rank
     if rank not in (1, 2):
         print("error: --rank must be 1 or 2", file=sys.stderr)
         return 2
-    wanted = ("casimir", "rank", "discriminant", "slice") if args.check == "all" \
-        else (args.check,)
-    if "slice" in wanted and rank != 2:
-        if args.check == "slice":
-            print("error: the slice check needs --rank 2", file=sys.stderr)
-            return 2
-        wanted = tuple(w for w in wanted if w != "slice")
-    report = Report()
-    smap = steinberg_map(rank)
-    if "casimir" in wanted:
-        report.add(check("steinberg-casimir", True,
-                         casimir_components_check(smap, steinberg_kks(rank)),
-                         note=f"{rank} component(s) against the Lie-Poisson bracket"))
-    if "rank" in wanted:
-        subregular, regular = _steinberg_points(rank)
-        report.add(check("steinberg-rank-subregular", rank - 1,
-                         jacobian_rank_at(smap, subregular)))
-        report.add(check("steinberg-rank-regular", rank,
-                         jacobian_rank_at(smap, regular)))
-    if "discriminant" in wanted:
-        report.add(check("steinberg-discriminant", rank,
-                         steinberg_discriminant_multiplicity(rank)))
-    if "slice" in wanted:
-        slice_report = subregular_slice_check()
-        report.add(check("steinberg-slice", True, slice_report.passed,
-                         note=f"c2 block Hessian rank {slice_report.block_hessian_rank}; "
-                              f"differential rank {slice_report.differential_rank}"))
+    if args.check == "slice" and rank != 2:
+        print("error: the slice check needs --rank 2", file=sys.stderr)
+        return 2
+    results, _ = steinberg_results(
+        rank, STEINBERG_CHECKS if args.check == "all" else (args.check,))
+    report = Report(results)
     if args.check == "all":
         report.add(CheckResult("steinberg-t2-hypothesis", ASSUMED,
                                "assumed", "assumed",
@@ -274,6 +205,12 @@ def cmd_paper_suite(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _non_negative_int(text: str) -> int:
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vancyc",
@@ -290,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminant",
                        help="discriminant generators and multiplicity of a germ")
     p.add_argument("file", nargs="?", default=None, help="germ file path")
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_LIMIT,
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_PAIR_LIMIT,
                    help="Groebner S-pair cap (default %(default)s)")
     p.add_argument("--given", metavar="EXPR", default=None,
                    help="skip elimination; reduce EXPR and report its "
@@ -315,16 +252,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steinberg", help="adjoint-quotient checks for sl_2/sl_3")
     p.add_argument("--rank", type=int, default=2, help="1 or 2 (default 2)")
-    p.add_argument("--check",
-                   choices=("casimir", "rank", "discriminant", "slice", "all"),
-                   default="all")
+    p.add_argument("--check", choices=STEINBERG_CHECKS + ("all",), default="all")
     p.add_argument("--notes", action="store_true", help="print NOTE lines")
     p.set_defaults(func=cmd_steinberg)
 
     p = sub.add_parser("paper-suite", help="run the twelve acceptance checks")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_PAIR_LIMIT,
                    help="Groebner S-pair cap for elimination-based checks "
-                        f"(default {DEFAULT_PAIR_LIMIT})")
+                        "(default %(default)s)")
     p.add_argument("--notes", action="store_true", help="print NOTE lines")
     p.set_defaults(func=cmd_paper_suite)
     return parser
@@ -335,13 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GermFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PolyError, LatticeError, FoldingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GermFileError, PolyError, LatticeError, FoldingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitExceeded as exc:

@@ -1,15 +1,13 @@
 """Parser for the line-oriented germ file format.
 
 A germ file declares a polynomial map germ: its variables, an optional
-symplectic pairing of those variables, one component expression per
-``component:`` line, and optional metadata.  ``#`` starts a comment.
+symplectic pairing of those variables, and one component expression per
+``component:`` line.  ``#`` starts a comment.
 
     vars: q1 p1 q2 p2
     symplectic: (q1,p1) (q2,p2)
     component: p1*q1
     component: p2
-    singular_dim: 1
-    assume: simplifiable
 
 Parse errors carry 1-based line and column numbers.
 """
@@ -21,8 +19,6 @@ from dataclasses import dataclass
 
 from .poly import PolyParseError, Polynomial, parse_polynomial
 from .symplectic import MapGerm, SymplecticContext
-
-ASSUME_TOKENS = ("Tn-type", "simplifiable", "calibrated", "pyramidal")
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEY = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_-]*)\s*:")
@@ -40,14 +36,12 @@ class GermFileError(ValueError):
 
 @dataclass(frozen=True)
 class GermFile:
-    """Parsed germ file: variables, optional pairing, components, metadata."""
+    """Parsed germ file: variables, optional pairing, components."""
 
     source_name: str
     variables: tuple[str, ...]
     symplectic_pairs: tuple[tuple[str, str], ...] | None
     components: tuple[Polynomial, ...]
-    singular_dim: int | None
-    assumptions: tuple[str, ...]
 
     def context(self) -> SymplecticContext:
         if self.symplectic_pairs is None:
@@ -94,8 +88,6 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
     variables: tuple[str, ...] | None = None
     pairs: list[tuple[str, str]] | None = None
     components: list[Polynomial] = []
-    singular_dim: int | None = None
-    assumptions: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = _fields(raw, lineno)
         if parts is None:
@@ -154,26 +146,6 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
             except PolyParseError as exc:
                 raise GermFileError(str(exc), lineno,
                                     col + offset + exc.position) from exc
-        elif key == "singular_dim":
-            if singular_dim is not None:
-                raise GermFileError("duplicate singular_dim line", lineno, 1)
-            value = payload.strip()
-            if not re.fullmatch(r"\d+", value):
-                raise GermFileError("singular_dim must be a non-negative integer",
-                                    lineno, col + (payload.index(value) if value else 0))
-            singular_dim = int(value)
-        elif key == "assume":
-            tokens = payload.split()
-            if not tokens:
-                raise GermFileError("assume line declares no tokens", lineno, col)
-            for token in tokens:
-                if token not in ASSUME_TOKENS:
-                    raise GermFileError(
-                        f"unknown assumption {token!r}; expected one of "
-                        f"{', '.join(ASSUME_TOKENS)}",
-                        lineno, col + payload.index(token))
-                if token not in assumptions:
-                    assumptions.append(token)
         else:
             raise GermFileError(f"unknown key {key!r}", lineno, 1)
     if variables is None:
@@ -182,7 +154,7 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
         raise GermFileError("germ file declares no components", 1, 1)
     return GermFile(source_name, variables,
                     tuple(pairs) if pairs is not None else None,
-                    tuple(components), singular_dim, tuple(assumptions))
+                    tuple(components))
 
 
 def load_germ_file(path) -> GermFile:

@@ -308,19 +308,6 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
     return GroebnerBasis(ideal.ambient, order, tuple(reduced), processed)
 
 
-def ideal_membership(p: Polynomial, ideal: IdealBasis,
-                     order: MonomialOrder | None = None,
-                     max_pairs: int = DEFAULT_PAIR_LIMIT) -> bool:
-    """True iff p lies in the ideal (normal form zero against a Groebner basis)."""
-    if p.ambient != ideal.ambient:
-        raise AmbientMismatchError("polynomial/ideal ambient mismatch")
-    order = order or MonomialOrder.degrevlex()
-    gb = buchberger(ideal, order, max_pairs)
-    if not gb.elements:
-        return p.is_zero()
-    return normal_form(p, gb).is_zero()
-
-
 def _fresh_name(base: str, taken) -> str:
     name = base
     while name in taken:

@@ -238,7 +238,12 @@ def weyl_generators(datum: CoxeterDatum) -> list[np.ndarray]:
 
 def braid_relation_check(generators: Sequence[np.ndarray],
                          coxeter: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
-    """Check the alternating products of length m_ij agree for every pair."""
+    """Check each generator is an involution and the alternating products of
+    length m_ij agree for every pair; a generator i that does not square to
+    the identity is reported as the witness (i, i)."""
+    for i, g in enumerate(generators):
+        if not np.array_equal(g @ g, np.eye(*g.shape, dtype=np.int64)):
+            return False, (i, i)
     n = len(generators)
     for i in range(n):
         for j in range(i + 1, n):
@@ -390,17 +395,16 @@ def fold(source: CoxeterDatum | str,
     if order is None:
         raise FoldingError("automorphism group is unexpectedly large")
     abelian = all(np.array_equal(x @ y, y @ x) for x in mats for y in mats)
-    if order == 1:
-        name = "trivial"
-    elif order == 2:
-        name = "Z/2"
-    elif order == 3:
-        name = "Z/3"
-    elif order == 6 and not abelian:
-        name = "S3"
-    else:
-        name = f"order-{order} {'abelian' if abelian else 'nonabelian'}"
-    return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian, name)
+    return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian,
+                        group_name(order, abelian))
+
+
+def group_name(order: int, abelian: bool) -> str:
+    """Name of a diagram-automorphism group from its order and commutativity."""
+    if order == 6 and not abelian:
+        return "S3"
+    return {1: "trivial", 2: "Z/2", 3: "Z/3"}.get(
+        order, f"order-{order} {'abelian' if abelian else 'nonabelian'}")
 
 
 def quotient_rank_check(folding: FoldingDatum) -> bool:

@@ -5,7 +5,7 @@ tuples (one slot per ambient variable) to nonzero coefficients.  The module
 also carries the exact linear algebra used elsewhere in the package:
 fraction-free (Bareiss) determinants of polynomial matrices, Sylvester
 resultants, squarefree parts and gcds of polynomials in at most two
-effective variables, and Gaussian rank/inverse over Q.
+effective variables, and Gauss-Jordan rank/inverse/solve over Q.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ class Polynomial:
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the terms; the lead memo is not state
+        return Polynomial, (self.ambient, self.terms)
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -134,16 +138,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.ambient), Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        return self.constant_term()
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise PolyError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def order_at_origin(self) -> int:
         """Minimal total degree of a term (the multiplicity of 0 as a point of the zero set)."""
@@ -614,13 +608,6 @@ def normalized(p: Polynomial) -> Polynomial:
     return p.scale(1 / c)
 
 
-def proportional(p: Polynomial, q: Polynomial) -> bool:
-    """True iff p = c*q for a nonzero rational c."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return normalized(p) == normalized(q)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial matrices, fraction-free determinants, resultants
 # ---------------------------------------------------------------------------
@@ -657,9 +644,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Polynomial, ...]:
-        return self.entries[i]
 
 
 def determinant_fraction_free(matrix: PolyMatrix) -> Polynomial:
@@ -927,90 +911,65 @@ def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
     return normalized(sq_cont * sq_pp)
 
 
-def is_squarefree(p: Polynomial) -> bool:
-    """True iff gcd(p, dp/dv) is constant for every effective variable v."""
-    for v in p.effective_variables():
-        if not gcd_polynomials(p, p.partial_derivative(v)).is_constant():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
-def rational_rank(rows: Sequence[Sequence[object]]) -> int:
-    """Rank of a rational matrix by Gaussian elimination over Fraction."""
+def rref(rows: Sequence[Sequence[object]],
+         ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot columns).
+
+    Pivots are sought in the first `ncols` columns only (all by default), so
+    an augmented block to their right is carried along without pivoting.
+    """
     m = [[_as_fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = 1 / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
+        for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def rational_rank(rows: Sequence[Sequence[object]]) -> int:
+    """Rank of a rational matrix."""
+    return len(rref(rows)[1])
 
 
 def rational_inverse(rows: Sequence[Sequence[object]]) -> list[list[Fraction]]:
     """Exact inverse of a square rational matrix; raises PolyError if singular."""
     n = len(rows)
-    m = [[_as_fraction(x) for x in row] for row in rows]
-    if any(len(r) != n for r in m):
+    if any(len(r) != n for r in rows):
         raise PolyError("inverse of non-square matrix")
-    aug = [m[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise PolyError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise PolyError("matrix is singular")
+    return [row[n:] for row in m]
 
 
 def rational_solve(a: Sequence[Sequence[object]], b: Sequence[object]) -> list[Fraction]:
     """Solve a x = b exactly; requires a consistent system with unique solution."""
-    m = [[_as_fraction(x) for x in row] + [_as_fraction(bb)]
-         for row, bb in zip(a, b)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if m[r][ncols]:
-            raise PolyError("inconsistent linear system")
-    if rank < ncols:
+    ncols = len(a[0])
+    m, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        raise PolyError("inconsistent linear system")
+    if len(pivots) < ncols:
         raise PolyError("underdetermined linear system")
     sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = m[r][ncols]
+    for row, col in zip(m, pivots):
+        sol[col] = row[ncols]
     return sol

@@ -18,7 +18,7 @@ from typing import Sequence
 from .groebner import (DEFAULT_PAIR_LIMIT, IdealBasis, MonomialOrder,
                        eliminate, quotient_dimension)
 from .poly import (PolyError, PolyMatrix, Polynomial, determinant_fraction_free,
-                   gcd_polynomials, normalized, rational_rank,
+                   gcd_polynomials, normalized, rational_rank, rref,
                    squarefree_part_bivariate, variables)
 from .symplectic import MapGerm, SymplecticContext
 
@@ -147,20 +147,6 @@ def multiplicity_at_origin(d: DiscriminantDescription) -> int:
     return order
 
 
-def betti_prediction(m_sigma: int, m: int, k: int, s: int) -> tuple[int, int]:
-    """Return (n, rank) with n = m - k - s for the middle fibre Betti number.
-
-    The caller asserts the hypotheses under which rank b_{2(n-k)+...} of the
-    special fibre equals m_sigma; this helper only does the arithmetic and
-    the range validation 0 <= s <= m - k.
-    """
-    if not 0 <= s <= m - k:
-        raise PolyError(f"singular dimension s={s} out of range for m={m}, k={k}")
-    if m_sigma < 0:
-        raise PolyError("multiplicity must be non-negative")
-    return (m - k - s, m_sigma)
-
-
 def milnor_number(h: Polynomial,
                   max_pairs: int = DEFAULT_PAIR_LIMIT) -> int:
     """dim_Q of ambient ring / (all first partials of h); isolated case only."""
@@ -236,43 +222,14 @@ def al_multiplicity_by_counting(n: int, k: int,
 
 def _kernel_covector(sub: list[list[Fraction]], k: int) -> tuple[Fraction, ...]:
     """The 1-dimensional left kernel of a k x (k-1) full-rank block, normalized."""
-    cols = len(sub[0]) if sub else 0
-    m = [[sub[i][j] for i in range(k)] for j in range(cols)]  # transpose: (k-1) x k
-    # Gaussian elimination to find the nullspace of the transpose
-    pivots = []
-    row = 0
-    mat = [list(r) for r in m]
-    for col in range(k):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
+    transpose = [[row[j] for row in sub] for j in range(len(sub[0]) if sub else 0)]
+    m, pivots = rref(transpose, k)
     free = [c for c in range(k) if c not in pivots]
     if len(free) != 1:
         raise PolyError("expected a one-dimensional kernel")
-    fc = free[0]
     v = [Fraction(0)] * k
-    v[fc] = Fraction(1)
-    for r, col in enumerate(pivots):
-        v[col] = -mat[r][fc]
+    v[free[0]] = Fraction(1)
+    for row, col in zip(m, pivots):
+        v[col] = -row[free[0]]
     lead = next(x for x in v if x)
     return tuple(x / lead for x in v)
-
-
-def al_multiplicity(n: int, k: int, R: Sequence[Sequence[Fraction]],
-                    max_pairs: int = DEFAULT_PAIR_LIMIT) -> int:
-    """Discriminant multiplicity of R o (p_i q_i): elimination for k = 2,
-    hyperplane counting for larger k.  May raise ResourceLimitExceeded."""
-    if k == 2:
-        germ = action_coordinates_germ(n, k, R)
-        d = discriminant(germ, max_pairs)
-        return multiplicity_at_origin(d)
-    return al_multiplicity_by_counting(n, k, R)

@@ -5,7 +5,9 @@ the model germs, discriminant generators and multiplicities, the binomial
 law for action-coordinate germs, Milnor-number baselines, braid relations
 and Weyl-group orders, reflection and variation properties of root
 lattices, diagram foldings with their automorphism groups, and the
-adjoint-quotient suite for sl_2 and sl_3.
+adjoint-quotient suite for sl_2 and sl_3.  The golden values (invariant
+degrees, fold expectations) and the steinberg-* check builder live here
+too, shared with the `coxeter`, `fold` and `steinberg` subcommands.
 
 Budget semantics: `budget` caps Groebner S-pairs for the elimination-based
 checks (discriminant-basic, discriminant-al6, the k=2 cases of the binomial
@@ -16,22 +18,24 @@ exists and report skipped-budget instead of failing.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded, radical_membership
 from .monodromy import (CoxeterDatum, IntersectionLattice, braid_relation_check,
-                        fold, group_order_bfs, pl_reflection, quotient_rank_check,
-                        standard_automorphisms, variation_matrix, weyl_generators)
+                        fold, group_name, group_order_bfs, pl_reflection,
+                        quotient_rank_check, standard_automorphisms,
+                        variation_matrix, weyl_generators)
 from .poly import Polynomial, format_polynomial, normalized, parse_polynomial, squarefree_part_bivariate
-from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check
+from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
                           al_multiplicity_by_counting, discriminant,
                           milnor_number, multiplicity_at_origin)
-from .steinberg import (casimir_components_check, jacobian_rank_at,
-                        steinberg_discriminant_multiplicity, steinberg_kks,
-                        steinberg_map, subregular_slice_check)
+from .steinberg import (SubregularSliceReport, casimir_components_check,
+                        jacobian_rank_at, steinberg_discriminant_multiplicity,
+                        steinberg_kks, steinberg_map, subregular_slice_check)
 from .symplectic import MapGerm, SymplecticContext, poisson_bracket
 
 # ---------------------------------------------------------------------------
@@ -78,12 +82,55 @@ def _fmt(p: Polynomial) -> str:
     return format_polynomial(p, compact=True)
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        return DEFAULT_PAIR_LIMIT
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    return budget
+# ---------------------------------------------------------------------------
+# Golden values, defined once for the suite and the CLI
+# ---------------------------------------------------------------------------
+
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
+}
+
+
+def invariant_degrees(label: str) -> tuple[int, ...]:
+    """Degrees of the basic invariants of the Weyl group of a type label.
+
+    The group order is their product and the Coxeter number their maximum
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 3.7-3.9); both
+    are independent of the group closure they gate.
+    """
+    letter, rank = label[0], int(label[1:])
+    if letter == "A":
+        return tuple(range(2, rank + 2))
+    if letter in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if letter == "D":
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    return _EXCEPTIONAL_DEGREES[label]
+
+
+# (source, automorphisms) -> (folded type, group order, group abelian)
+_FOLD_EXPECTED = {
+    ("D4", "flip"): ("B3", 2, True),
+    ("D4", "triality"): ("G2", 3, True),
+    ("D4", "full"): ("G2", 6, False),
+    ("E6", "flip"): ("F4", 2, True),
+}
+
+
+def fold_expectation(label: str, name: str) -> tuple[str, int, bool] | None:
+    """Folded type, group order and abelianness of a named folding, or None
+    when no independent value is known.
+
+    The identity fixes every diagram, and the flip folds A_{2k-1} onto C_k
+    (k >= 2); the other foldings are tabled.
+    """
+    letter, rank = label[0], int(label[1:])
+    if name == "identity":
+        return label, 1, True
+    if name == "flip" and letter == "A" and rank >= 3 and rank % 2:
+        return f"C{(rank + 1) // 2}", 2, True
+    return _FOLD_EXPECTED.get((label, name))
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +264,25 @@ def check_braid_relations() -> CheckResult:
     for label in _BRAID_TYPES:
         datum = CoxeterDatum.for_type(label)
         gens = weyl_generators(datum)
-        identity = np.eye(datum.rank, dtype=np.int64)
-        involutive = all(np.array_equal(g @ g, identity) for g in gens)
         braid_ok, witness = braid_relation_check(gens, datum.coxeter)
-        if involutive and braid_ok:
+        if braid_ok:
             good += 1
         else:
-            failing.append(f"{label}{'' if braid_ok else witness}")
+            failing.append(f"{label}{witness}")
     return check("braid-relations", f"{len(_BRAID_TYPES)}/{len(_BRAID_TYPES)}",
                  f"{good}/{len(_BRAID_TYPES)}",
                  note="failing: " + ",".join(failing) if failing else "")
 
 
-_ORDER_GOLDEN = (("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24),
-                 ("D4", 192), ("F4", 1152), ("E6", 51840))
+_ORDER_TYPES = ("A2", "B2", "G2", "A3", "D4", "F4", "E6")
 
 
 def check_weyl_orders() -> CheckResult:
     """BFS enumeration of the reflection groups matches the golden orders."""
-    got = []
-    for label, _want in _ORDER_GOLDEN:
-        datum = CoxeterDatum.for_type(label)
-        got.append(group_order_bfs(weyl_generators(datum)))
-    return check("weyl-orders", [want for _, want in _ORDER_GOLDEN], got,
+    want = [prod(invariant_degrees(label)) for label in _ORDER_TYPES]
+    got = [group_order_bfs(weyl_generators(CoxeterDatum.for_type(label)))
+           for label in _ORDER_TYPES]
+    return check("weyl-orders", want, got,
                  note="level-synchronous closure, cap 10^6 elements")
 
 
@@ -281,15 +324,23 @@ def check_variation_matrix() -> CheckResult:
                  note="diagonals -1; dets " + ",".join(str(d) for d in dets))
 
 
+_SUITE_FOLDS = (("D4", "full"), ("E6", "flip"), ("A3", "flip"))
+
+
+def _fold_summary(label: str, folded: str, order: int, abelian: bool) -> str:
+    # a nonabelian group is spelled out, since its order alone does not name it
+    name = "" if abelian else ":" + group_name(order, abelian)
+    return f"{label}>{folded}:{order}{name}"
+
+
 def check_folding_groups() -> CheckResult:
     """Foldings land on the stated types with the stated symmetry groups."""
-    parts = []
-    d4 = fold("D4", standard_automorphisms("D4", "full"))
-    parts.append(f"D4>{d4.folded.label}:{d4.group_order}:{d4.group_name}")
-    e6 = fold("E6", standard_automorphisms("E6", "flip"))
-    parts.append(f"E6>{e6.folded.label}:{e6.group_order}")
-    a3 = fold("A3", standard_automorphisms("A3", "flip"))
-    parts.append(f"A3>{a3.folded.label}:{a3.group_order}")
+    folds = [fold(label, standard_automorphisms(label, name))
+             for label, name in _SUITE_FOLDS]
+    parts = [_fold_summary(label, f.folded.label, f.group_order, f.group_abelian)
+             for (label, _), f in zip(_SUITE_FOLDS, folds)]
+    expected = [_fold_summary(label, *fold_expectation(label, name))
+                for label, name in _SUITE_FOLDS]
     identity_trivial = True
     for label in ("A3", "D4", "E6"):
         ident = fold(label, standard_automorphisms(label, "identity"))
@@ -297,28 +348,63 @@ def check_folding_groups() -> CheckResult:
             ident.folded.label == label and ident.group_order == 1
             and ident.group_name == "trivial")
     parts.append(f"id:{'trivial' if identity_trivial else 'nontrivial'}")
-    ranks = all(quotient_rank_check(f) for f in (d4, e6, a3))
+    ranks = all(quotient_rank_check(f) for f in folds)
     parts.append(f"rank:{'ok' if ranks else 'bad'}")
-    expected = "D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok"
-    return check("folding-groups", expected, ";".join(parts),
-                 note="abelian flags: D4-full="
-                 + ("abelian" if d4.group_abelian else "nonabelian"))
+    return check("folding-groups", ";".join(expected + ["id:trivial", "rank:ok"]),
+                 ";".join(parts), note="abelian flags: D4-full="
+                 + ("abelian" if folds[0].group_abelian else "nonabelian"))
+
+
+STEINBERG_CHECKS = ("casimir", "rank", "discriminant", "slice")
+
+# (subregular, regular) traceless points of sl_2 and sl_3
+_STEINBERG_POINTS = {
+    1: (((0, 0), (0, 0)), ((1, 0), (0, -1))),
+    2: (((1, 0, 0), (0, 1, 0), (0, 0, -2)), ((1, 0, 0), (0, 2, 0), (0, 0, -3))),
+}
+
+
+def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
+                      ) -> tuple[list[CheckResult], SubregularSliceReport | None]:
+    """The steinberg-* checks of sl_{rank+1} named in `checks`, in the order of
+    STEINBERG_CHECKS, and the slice report; the slice exists for rank 2 only
+    and is None otherwise."""
+    smap = steinberg_map(rank)
+    results = []
+    if "casimir" in checks:
+        results.append(check("steinberg-casimir", True,
+                             casimir_components_check(smap, steinberg_kks(rank)),
+                             note=f"{rank} component(s) against the Lie-Poisson bracket"))
+    if "rank" in checks:
+        subregular, regular = _STEINBERG_POINTS[rank]
+        results.append(check("steinberg-rank-subregular", rank - 1,
+                             jacobian_rank_at(smap, subregular)))
+        results.append(check("steinberg-rank-regular", rank,
+                             jacobian_rank_at(smap, regular)))
+    if "discriminant" in checks:
+        results.append(check("steinberg-discriminant", rank,
+                             steinberg_discriminant_multiplicity(rank)))
+    slice_report = None
+    if "slice" in checks and rank == 2:
+        slice_report = subregular_slice_check()
+        results.append(check(
+            "steinberg-slice", True, slice_report.passed,
+            note=f"c2 block Hessian rank {slice_report.block_hessian_rank}; "
+                 f"differential rank {slice_report.differential_rank}"))
+    return results, slice_report
 
 
 def check_steinberg_suite() -> CheckResult:
     """Rank drops, discriminant multiplicities, Casimirs and the A_1 slice."""
-    s1map = steinberg_map(1)
-    s2map = steinberg_map(2)
-    rank_sub = jacobian_rank_at(s2map, ((1, 0, 0), (0, 1, 0), (0, 0, -2)))
-    rank_reg = jacobian_rank_at(s2map, ((1, 0, 0), (0, 2, 0), (0, 0, -3)))
-    mults = (steinberg_discriminant_multiplicity(1),
-             steinberg_discriminant_multiplicity(2))
-    casimirs = (casimir_components_check(s1map, steinberg_kks(1))
-                and casimir_components_check(s2map, steinberg_kks(2)))
-    slice_report = subregular_slice_check()
-    got = (f"ranks={rank_sub},{rank_reg};mults={mults[0]},{mults[1]};"
-           f"casimirs={'true' if casimirs else 'false'};"
-           f"slice={'true' if slice_report.passed else 'false'}")
+    rank1, _ = steinberg_results(1, ("casimir", "discriminant"))
+    rank2, slice_report = steinberg_results(2)
+    one = {c.name: c.got for c in rank1}
+    two = {c.name: c.got for c in rank2}
+    casimirs = one["steinberg-casimir"] and two["steinberg-casimir"]
+    got = (f"ranks={two['steinberg-rank-subregular']},{two['steinberg-rank-regular']};"
+           f"mults={one['steinberg-discriminant']},{two['steinberg-discriminant']};"
+           f"casimirs={format_value(casimirs)};"
+           f"slice={format_value(two['steinberg-slice'])}")
     return check("steinberg-suite",
                  "ranks=1,2;mults=1,2;casimirs=true;slice=true", got,
                  note="slice quadratic block rank "
@@ -332,16 +418,15 @@ def check_steinberg_suite() -> CheckResult:
 STRETCH_PAIR_LIMIT = 20_000
 
 
-def run_paper_suite(budget: int | None = None) -> Report:
+def run_paper_suite(budget: int = DEFAULT_PAIR_LIMIT) -> Report:
     """Run the twelve acceptance checks; see the module docstring for budgets."""
-    pairs = _resolve_budget(budget)
-    stretch = min(pairs, STRETCH_PAIR_LIMIT)
+    stretch = min(budget, STRETCH_PAIR_LIMIT)
     report = Report()
     report.add(check_involutivity())
-    report.add(check_discriminant_basic(pairs))
-    report.add(check_discriminant_al6(pairs))
-    report.add(check_al_binomial(pairs))
-    report.add(check_henon_heiles(pairs, stretch_pairs=stretch))
+    report.add(check_discriminant_basic(budget))
+    report.add(check_discriminant_al6(budget))
+    report.add(check_al_binomial(budget))
+    report.add(check_henon_heiles(budget, stretch_pairs=stretch))
     report.add(check_milnor_baseline())
     report.add(check_braid_relations())
     report.add(check_weyl_orders())

@@ -11,11 +11,9 @@ Sign conventions, fixed once here and used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .poly import (AmbientMismatchError, PolyError, PolyMatrix, Polynomial,
-                   rational_rank)
+from .poly import AmbientMismatchError, PolyError, PolyMatrix, Polynomial
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,6 @@ class SymplecticContext:
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[str, str]]) -> "SymplecticContext":
         return cls(tuple(q for q, _ in pairs), tuple(p for _, p in pairs))
-
-    @property
-    def n(self) -> int:
-        return len(self.q_names)
 
     def pairs(self) -> list[tuple[str, str]]:
         return list(zip(self.q_names, self.p_names))
@@ -216,42 +210,3 @@ def casimir_check(c: Polynomial, structure: PoissonStructure) -> bool:
         if not general_bracket(c, x, structure).is_zero():
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FibrePointProbe:
-    """Rank of the span of the Hamiltonian fields at one special-fibre point."""
-
-    point: tuple[Fraction, ...]
-    rank: int
-    expected_dim: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.rank == self.expected_dim
-
-
-def pyramidality_probe(germ: MapGerm, points: Sequence[Mapping[str, object]],
-                       expected_dim: int) -> list[FibrePointProbe]:
-    """Evaluate span ranks of the k Hamiltonian fields at special-fibre points.
-
-    Each point must lie on the special fibre (all components vanish there);
-    the result is evidence for or against the expected local stratum
-    dimension, never a proof.
-    """
-    if germ.context is None:
-        raise PolyError("pyramidality probe needs a symplectic context")
-    fields = [hamiltonian_vector_field(c, germ.context) for c in germ.components]
-    reports = []
-    for point in points:
-        for c in germ.components:
-            val = c.evaluate(point)
-            if val:
-                raise PolyError(
-                    f"point is not on the special fibre: component {c} = {val}")
-        rows = [[comp.evaluate(point) for comp in field] for field in fields]
-        reports.append(FibrePointProbe(
-            point=tuple(Fraction(point[v]) for v in germ.ambient),
-            rank=rational_rank(rows),
-            expected_dim=expected_dim))
-    return reports

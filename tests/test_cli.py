@@ -119,6 +119,33 @@ def test_fold_d4_full(capsys):
     ]
 
 
+def test_fold_flip_of_odd_a_uses_the_closed_form(capsys):
+    """A_{2k-1} folds onto C_k by its flip, also outside the table (A9 -> C5)."""
+    code, out, err = run(capsys, "fold", "A9", "flip")
+    assert code == 0
+    assert out[0] == "CHECK fold-type pass expected=C5 got=C5"
+    assert all(" pass " in line for line in out)
+
+
+def test_fold_without_expectation_is_a_usage_error(capsys):
+    """A folding with no independent expected value is refused, not self-checked."""
+    code, out, err = run(capsys, "fold", "A1", "flip")
+    assert code == 2
+    assert out == []
+    assert err == ["error: no independent expectation for folding A1 by 'flip'"]
+
+
+def test_negative_budget_is_a_usage_error(capsys, germs_dir):
+    """Both --budget flags reject negative values through argparse (exit 2)."""
+    for argv in (["paper-suite", "--budget", "-1"],
+                 ["discriminant", str(germs_dir / "basic.germ"), "--budget", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a non-negative integer, got '-1'" in err
+
+
 def test_fold_rejects_non_simply_laced(capsys):
     """Folding a multiply-laced source is an input error."""
     code, out, err = run(capsys, "fold", "B3", "flip")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from vancyc.germfile import (
-    ASSUME_TOKENS,
-    GermFileError,
-    load_germ_file,
-    parse_germ_text,
-)
+from vancyc.germfile import GermFileError, load_germ_file, parse_germ_text
 from vancyc.poly import format_polynomial
 from vancyc.symplectic import is_involutive
 
@@ -17,8 +12,6 @@ vars: q1 p1 q2 p2
 symplectic: (q1,p1) (q2,p2)
 component: p1*q1
 component: p2
-singular_dim: 1
-assume: Tn-type pyramidal
 """
 
 
@@ -29,8 +22,6 @@ def test_parse_good_text():
     assert gf.variables == ("q1", "p1", "q2", "p2")
     assert gf.symplectic_pairs == (("q1", "p1"), ("q2", "p2"))
     assert [format_polynomial(c, compact=True) for c in gf.components] == ["q1*p1", "p2"]
-    assert gf.singular_dim == 1
-    assert gf.assumptions == ("Tn-type", "pyramidal")
     germ = gf.to_map_germ()
     assert germ.context is not None
     ok, _ = is_involutive(germ)
@@ -41,17 +32,7 @@ def test_symplectic_pairing_is_optional():
     """Files without a pairing still load; the germ has no context."""
     gf = parse_germ_text("vars: x y\ncomponent: x*y\n")
     assert gf.symplectic_pairs is None
-    assert gf.singular_dim is None
-    assert gf.assumptions == ()
     assert gf.to_map_germ().context is None
-
-
-def test_assume_tokens_are_closed():
-    """Only the four documented hypothesis tokens are accepted."""
-    assert ASSUME_TOKENS == ("Tn-type", "simplifiable", "calibrated", "pyramidal")
-    for token in ASSUME_TOKENS:
-        gf = parse_germ_text(f"vars: x\ncomponent: x\nassume: {token}\n")
-        assert gf.assumptions == (token,)
 
 
 def test_error_positions_are_one_based():
@@ -61,8 +42,8 @@ def test_error_positions_are_one_based():
         ("vars: q1 q1\ncomponent: q1\n", 1, 10),
         ("vars: q1 p1\ncomponent: q1 + z\n", 2, 17),
         ("vars: q1 p1\ncomponent: q1 + + p1\n", 2, 17),
-        ("vars: q1 p1\nsymplectic: (q1,p1)\nassume: bogus\ncomponent: q1\n", 3, 9),
-        ("vars: q1 p1\nsingular_dim: -1\ncomponent: q1\n", 2, 15),
+        ("vars: q1 p1\nsymplectic: (q1,p1)\nassume: pyramidal\ncomponent: q1\n", 3, 1),
+        ("vars: q1 p1\nsingular_dim: 1\ncomponent: q1\n", 2, 1),
         ("vars: q1 p1\n", 1, 1),
         ("vars: q1 p1\nsymplectic: (q1,z)\ncomponent: q1\n", 2, 13),
         ("vars: q1 p1\nsymplectic: q1 p1\ncomponent: q1\n", 2, 13),

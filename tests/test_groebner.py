@@ -13,7 +13,6 @@ from vancyc.groebner import (
     buchberger,
     divmod_polynomials,
     eliminate,
-    ideal_membership,
     normal_form,
     quotient_dimension,
     radical_membership,
@@ -26,6 +25,10 @@ AMB = ("x", "y", "z")
 
 def _ideal(*texts, amb=AMB):
     return IdealBasis(amb, [parse_polynomial(t, amb) for t in texts])
+
+
+def _member(p, ideal):
+    return normal_form(p, buchberger(ideal, MonomialOrder.degrevlex())).is_zero()
 
 
 def test_generators_reduce_to_zero():
@@ -106,8 +109,8 @@ def test_membership():
     """Combinations are members; a generic outsider is not."""
     ideal = _ideal("x^2 - y", "y^2 - z")
     x, y, z = (Polynomial.variable(AMB, v) for v in AMB)
-    assert ideal_membership((x * x - y) * z + (y * y - z) * x, ideal)
-    assert not ideal_membership(x + y, ideal)
+    assert _member((x * x - y) * z + (y * y - z) * x, ideal)
+    assert not _member(x + y, ideal)
 
 
 def test_pair_limit_raises():
@@ -136,9 +139,9 @@ def test_eliminate_parametrized_curve():
     for g in kept.generators:
         assert "t" not in g.effective_variables()
         lifted = g.extend(amb).reorder(amb)
-        assert ideal_membership(lifted, ideal)
+        assert _member(lifted, ideal)
     cusp = parse_polynomial("x^3 - y^2", ("x", "y"))
-    assert ideal_membership(cusp, kept)
+    assert _member(cusp, kept)
 
 
 def test_quotient_dimension_is_order_independent():

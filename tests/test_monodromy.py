@@ -1,6 +1,7 @@
 """Cartan data, reflection groups, intersection lattices, and diagram folding."""
 
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vancyc.monodromy import (
     variation_matrix,
     weyl_generators,
 )
+from vancyc.suite import invariant_degrees
 
 ORDER_GOLDEN = {
     "A2": 6, "B2": 8, "G2": 12, "A3": 24, "D4": 192, "F4": 1152, "E6": 51840,
@@ -86,6 +88,30 @@ def test_generators_are_involutions_and_braid_relations_hold():
             assert np.array_equal(g @ g, eye)
         ok, witness = braid_relation_check(gens, datum.coxeter)
         assert ok and witness is None
+
+
+def test_braid_check_names_the_failing_generator_or_pair():
+    """A non-involution is witnessed as (i, i), a broken relation as (i, j)."""
+    datum = CoxeterDatum.for_type("A3")
+    gens = weyl_generators(datum)
+    doubled = gens[:1] + [2 * gens[1]] + gens[2:]
+    assert braid_relation_check(doubled, datum.coxeter) == (False, (1, 1))
+    swapped = [gens[0], gens[2], gens[1]]
+    assert braid_relation_check(swapped, datum.coxeter) == (False, (0, 1))
+
+
+def test_invariant_degrees_give_orders_and_coxeter_numbers():
+    """The degree table satisfies rank = #degrees and N = sum(d - 1) = r h / 2,
+    and its products and maxima are the tabled orders and Coxeter numbers."""
+    for label in SUPPORTED_TYPES + ("E7", "E8"):
+        degrees = invariant_degrees(label)
+        rank = CoxeterDatum.for_type(label).rank
+        assert len(degrees) == rank
+        assert 2 * sum(d - 1 for d in degrees) == rank * max(degrees)
+    for label, expected in ORDER_GOLDEN.items():
+        assert prod(invariant_degrees(label)) == expected
+    assert prod(invariant_degrees("E8")) == 696729600
+    assert [max(invariant_degrees(t)) for t in ("A3", "B3", "G2", "E6")] == [4, 6, 6, 12]
 
 
 def test_group_orders_match_goldens():

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic, parsing/printing, and linear algebra over Q."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,14 +18,13 @@ from vancyc.poly import (
     exact_divide,
     format_polynomial,
     gcd_polynomials,
-    is_squarefree,
     normalized,
     parse_polynomial,
-    proportional,
     rational_inverse,
     rational_rank,
     rational_solve,
     resultant,
+    rref,
     squarefree_part_bivariate,
     variables,
 )
@@ -221,11 +222,12 @@ def test_gcd_and_squarefree():
     """PRS gcd and squarefree part behave on small bivariate products."""
     x, y = variables(("x", "y"))
     g = gcd_polynomials((x - y) * (x + y), (x - y) ** 2)
-    assert proportional(g, x - y)
+    assert g == normalized(x - y)
     sf = squarefree_part_bivariate((x - y) ** 2 * (x + y))
-    assert proportional(sf, (x - y) * (x + y))
-    assert is_squarefree(x * x - y)
-    assert not is_squarefree((x - y) ** 2 * (x + y))
+    assert sf == normalized((x - y) * (x + y))
+    for p, squarefree in ((x * x - y, True), ((x - y) ** 2 * (x + y), False)):
+        assert squarefree == all(gcd_polynomials(p, p.partial_derivative(v)).is_constant()
+                                 for v in p.effective_variables())
     assert normalized(-2 * (x - y)).lead()[1] == 1
 
 
@@ -237,8 +239,26 @@ def test_rational_linear_algebra():
     assert inv == [[Fraction(-2), Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]]
     sol = rational_solve([[1, 1], [1, -1]], [3, 1])
     assert sol == [Fraction(2), Fraction(1)]
-    with pytest.raises(PolyError):
+    with pytest.raises(PolyError, match="singular"):
         rational_inverse([[1, 2], [2, 4]])
+    with pytest.raises(PolyError, match="non-square"):
+        rational_inverse([[1, 2]])
+    with pytest.raises(PolyError, match="inconsistent"):
+        rational_solve([[1, 1], [2, 2]], [1, 3])
+    with pytest.raises(PolyError, match="underdetermined"):
+        rational_solve([[1, 1], [2, 2]], [1, 2])
+    with pytest.raises(PolyError, match="rational"):
+        rational_rank([[1.5]])
+
+
+def test_rref_is_reduced_and_respects_the_pivot_block():
+    """Pivot columns carry unit vectors; an augmented block is never pivoted."""
+    m, pivots = rref([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+    assert pivots == [0, 1]
+    assert m == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+    m, pivots = rref([[0, 1], [0, 2]], 1)
+    assert pivots == [] and m == [[0, 1], [0, 2]]
+    assert rref([]) == ([], [])
 
 
 def test_coefficient_extraction():
@@ -248,3 +268,13 @@ def test_coefficient_extraction():
     assert c1.ambient == ("y",)
     assert c1 == Polynomial.variable(("y",), "y")
     assert p.coefficient_in("x", 0) == parse_polynomial("y + 1", ("y",))
+
+
+def test_copy_and_pickle_round_trips():
+    """copy, deepcopy and pickle rebuild an equal polynomial with the same lead."""
+    p = parse_polynomial("x^2*y - 3/2*y + 1", ("x", "y"))
+    p.lead()  # fill the memo, which must not travel with the state
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p
+        assert hash(twin) == hash(p)
+        assert twin.lead() == p.lead()

@@ -1,4 +1,4 @@
-"""Canonical and general Poisson brackets, Hamiltonian fields, fibre probes."""
+"""Canonical and general Poisson brackets and Hamiltonian fields."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
-from vancyc.poly import PolyError, PolyMatrix, Polynomial, parse_polynomial, variables
+from vancyc.poly import PolyError, PolyMatrix, Polynomial, variables
 from vancyc.symplectic import (
     MapGerm,
     PoissonStructure,
@@ -17,7 +17,6 @@ from vancyc.symplectic import (
     is_involutive,
     jacobi_check,
     poisson_bracket,
-    pyramidality_probe,
 )
 
 AMB = ("q1", "p1", "q2", "p2", "q3", "p3")
@@ -160,15 +159,3 @@ def test_is_involutive_witness():
     ok, witness = is_involutive(MapGerm(amb, [q1, q1 * q1], ctx))
     assert ok and witness is None
 
-
-def test_pyramidality_probe_rank_drop():
-    """At (0,0,1,0) on the fibre of (p1 q1, p2) the field span has rank 1."""
-    amb = ("q1", "p1", "q2", "p2")
-    ctx = SymplecticContext.from_pairs([("q1", "p1"), ("q2", "p2")])
-    comps = [parse_polynomial("p1*q1", amb), parse_polynomial("p2", amb)]
-    germ = MapGerm(amb, comps, ctx)
-    probe = pyramidality_probe(germ, [{"q1": 0, "p1": 0, "q2": 1, "p2": 0}], 1)[0]
-    assert probe.rank == 1
-    assert probe.consistent
-    with pytest.raises(PolyError):
-        pyramidality_probe(germ, [{"q1": 0, "p1": 1, "q2": 0, "p2": 1}], 1)
