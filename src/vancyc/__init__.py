@@ -25,17 +25,14 @@ from .poly import (AmbientMismatchError, PolyError, PolyMatrix, PolyParseError,
 from .report import CheckResult, Report
 from .singularity import (NonGenericMatrixError, NonIsolatedSingularityError,
                           action_coordinates_germ, al_multiplicity_by_counting,
-                          critical_ideal, discriminant, jacobian, milnor_number,
-                          multiplicity_at_origin)
-from .steinberg import (LieAlgebraDatum, SteinbergMap, SubregularSliceReport,
-                        casimir_components_check, conjugation_invariance_check,
-                        entry_coordinate_structure, jacobian_rank_at,
-                        kks_structure, sl_structure,
-                        steinberg_discriminant_multiplicity, steinberg_kks,
-                        steinberg_map, subregular_slice_check)
+                          critical_ideal, curve_multiplicity, discriminant, jacobian,
+                          milnor_number, multiplicity_at_origin)
+from .steinberg import (SteinbergMap, SubregularSliceReport, casimir_components_check,
+                        jacobian_rank_at, steinberg_discriminant_multiplicity,
+                        steinberg_kks, steinberg_map, subregular_slice_check)
 from .suite import run_paper_suite
 from .symplectic import (MapGerm, PoissonStructure, SymplecticContext,
-                         casimir_check, general_bracket, hamiltonian_vector_field,
-                         is_involutive, jacobi_check, poisson_bracket)
+                         casimir_check, general_bracket, jacobi_check,
+                         poisson_bracket)
 
 __version__ = "0.1.0"

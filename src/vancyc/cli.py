@@ -29,7 +29,7 @@ from .monodromy import (SUPPORTED_TYPES, CoxeterDatum, FoldingError, LatticeErro
 from .poly import (PolyError, format_polynomial, normalized, parse_polynomial,
                    squarefree_part_bivariate)
 from .report import ASSUMED, FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check
-from .singularity import discriminant, multiplicity_at_origin
+from .singularity import curve_multiplicity, discriminant, multiplicity_at_origin
 from .suite import (STEINBERG_CHECKS, fold_expectation, invariant_degrees,
                     run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
@@ -75,10 +75,10 @@ def _given_multiplicity(expr: str) -> int:
         if m.group(0) not in names:
             names.append(m.group(0))
     given = parse_polynomial(expr, tuple(sorted(names)))
-    reduced = squarefree_part_bivariate(given)
+    mult = curve_multiplicity(given)
+    reduced = normalized(squarefree_part_bivariate(given))
     print(f"given: {format_polynomial(given)}")
-    print(f"reduced: {format_polynomial(normalized(reduced))}")
-    mult = reduced.order_at_origin()
+    print(f"reduced: {format_polynomial(reduced)}")
     print(f"multiplicity: {mult}")
     return 0
 

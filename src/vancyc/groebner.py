@@ -251,23 +251,9 @@ def _minimalize(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
 
 
 def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    out = list(G)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            others = out[:i] + out[i + 1:]
-            if not others:
-                continue
-            r = normal_form(out[i], others, order)
-            if r != out[i]:
-                changed = True
-                if r.is_zero():
-                    out.pop(i)
-                    break
-                _, c = r.lead(order.key)
-                out[i] = r.scale(1 / c)
-    return out
+    """Reduce each element by the others; one pass suffices on a minimal basis
+    of monic elements, since no lead divides another and every lead survives."""
+    return [normal_form(g, G[:i] + G[i + 1:], order) for i, g in enumerate(G)]
 
 
 def buchberger(ideal: IdealBasis, order: MonomialOrder,

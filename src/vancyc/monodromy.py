@@ -162,20 +162,15 @@ def identify_type(cartan: np.ndarray) -> str | None:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Free Z-module with an integer pairing, symmetric (even) or antisymmetric (odd)."""
+    """Free Z-module with a symmetric integer pairing."""
 
     form: np.ndarray
-    parity: int = 0  # 0: symmetric pairing, 1: antisymmetric pairing
 
     def __post_init__(self):
         form = _as_int_matrix(self.form)
         object.__setattr__(self, "form", form)
-        if self.parity not in (0, 1):
-            raise LatticeError("parity must be 0 (even) or 1 (odd)")
-        if self.parity == 0 and not np.array_equal(form, form.T):
-            raise LatticeError("even-parity form must be symmetric")
-        if self.parity == 1 and not np.array_equal(form, -form.T):
-            raise LatticeError("odd-parity form must be antisymmetric")
+        if not np.array_equal(form, form.T):
+            raise LatticeError("intersection form must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -187,21 +182,19 @@ class IntersectionLattice:
         datum = CoxeterDatum.for_type(label)
         if not datum.is_simply_laced():
             raise LatticeError(f"root lattice model needs a simply-laced type, not {label}")
-        return cls(-datum.cartan, 0)
+        return cls(-datum.cartan)
 
 
 def pl_reflection(lattice: IntersectionLattice, i: int) -> np.ndarray:
     """Matrix of a |-> a + (a . delta_i) delta_i in the basis delta_1..delta_r.
 
-    Requires the even-parity convention with (delta_i . delta_i) = -2; in
-    that case the map is an involution preserving the form.
+    Requires (delta_i . delta_i) = -2; the map is then an involution
+    preserving the form.
     """
     s = lattice.form
     r = lattice.rank
     if not 0 <= i < r:
         raise LatticeError(f"reflection index {i} out of range 0..{r - 1}")
-    if lattice.parity != 0:
-        raise LatticeError("reflections for odd-parity lattices are not supported")
     if s[i, i] != -2:
         raise LatticeError(
             f"self-intersection {int(s[i, i])} != -2: reflection formula not applicable")
@@ -213,7 +206,7 @@ def pl_reflection(lattice: IntersectionLattice, i: int) -> np.ndarray:
 def variation_matrix(lattice: IntersectionLattice) -> np.ndarray:
     """Lower-triangular W with W_ii = -1, W_ij = S_ij (i > j); then S = W + W^T."""
     s = lattice.form
-    if lattice.parity != 0 or np.any(np.diag(s) != -2):
+    if np.any(np.diag(s) != -2):
         raise LatticeError("variation matrix needs an even form with diagonal -2")
     r = lattice.rank
     w = np.zeros((r, r), dtype=np.int64)

@@ -5,7 +5,8 @@ tuples (one slot per ambient variable) to nonzero coefficients.  The module
 also carries the exact linear algebra used elsewhere in the package:
 fraction-free (Bareiss) determinants of polynomial matrices, Sylvester
 resultants, squarefree parts and gcds of polynomials in at most two
-effective variables, and Gauss-Jordan rank/inverse/solve over Q.
+effective variables, and Gauss-Jordan elimination (reduced row echelon
+form and rank) over Q.
 """
 
 from __future__ import annotations
@@ -947,29 +948,3 @@ def rref(rows: Sequence[Sequence[object]],
 def rational_rank(rows: Sequence[Sequence[object]]) -> int:
     """Rank of a rational matrix."""
     return len(rref(rows)[1])
-
-
-def rational_inverse(rows: Sequence[Sequence[object]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix; raises PolyError if singular."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise PolyError("inverse of non-square matrix")
-    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                      for i, row in enumerate(rows)], n)
-    if len(pivots) < n:
-        raise PolyError("matrix is singular")
-    return [row[n:] for row in m]
-
-
-def rational_solve(a: Sequence[Sequence[object]], b: Sequence[object]) -> list[Fraction]:
-    """Solve a x = b exactly; requires a consistent system with unique solution."""
-    ncols = len(a[0])
-    m, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)], ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        raise PolyError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise PolyError("underdetermined linear system")
-    sol = [Fraction(0)] * ncols
-    for row, col in zip(m, pivots):
-        sol[col] = row[ncols]
-    return sol

@@ -135,16 +135,27 @@ def discriminant(germ: MapGerm,
     return DiscriminantDescription(germ.k, crit.target_vars, eliminated, reduced, note)
 
 
+def _reduced_multiplicity(reduced: Polynomial) -> int:
+    order = reduced.order_at_origin()
+    if order == 0:
+        raise PolyError("discriminant does not pass through the origin")
+    return order
+
+
+def curve_multiplicity(curve: Polynomial) -> int:
+    """Multiplicity at the origin of a plane curve: the order at the origin
+    of its squarefree part; a curve that misses the origin is an error."""
+    return _reduced_multiplicity(squarefree_part_bivariate(curve))
+
+
 def multiplicity_at_origin(d: DiscriminantDescription) -> int:
-    """Order at the origin of the reduced discriminant curve (k = 2 only)."""
+    """Multiplicity at the origin of the discriminant curve (k = 2 only); its
+    reduced generator already is the squarefree part."""
     if d.k != 2:
         raise PolyError("multiplicity at the origin is implemented for k = 2 only")
     if d.reduced_generator is None:
         raise PolyError("no reduced principal generator available")
-    order = d.reduced_generator.order_at_origin()
-    if order == 0:
-        raise PolyError("discriminant does not pass through the origin")
-    return order
+    return _reduced_multiplicity(d.reduced_generator)
 
 
 def milnor_number(h: Polynomial,

@@ -8,6 +8,13 @@ Characteristic polynomial convention, fixed here:
 
 so the quotient map sends a traceless matrix to the coefficient tuple
 (s_1, ..., s_r); for r = 2 these are (sum of principal 2x2 minors, -det X).
+
+The generic traceless matrix X of `steinberg_map` is the one place that
+fixes the entry coordinates.  The Lie-Poisson bracket on them is read off
+X through matrix commutators, Pi_ab = tr(X [b_a, b_b]) with b_a the trace
+dual of coordinate a, and is audited with `symplectic.jacobi_check`; the
+Casimir check then compares Bareiss determinants against that bracket
+(Kostant, Amer. J. Math. 85, 1963).
 """
 
 from __future__ import annotations
@@ -17,167 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (PolyError, PolyMatrix, Polynomial, determinant_fraction_free,
-                   rational_inverse, rational_rank, rational_solve, resultant,
-                   squarefree_part_bivariate, variables)
-from .symplectic import PoissonStructure, casimir_check
-
-
-# ---------------------------------------------------------------------------
-# Lie algebra data with verified structure constants
-# ---------------------------------------------------------------------------
-
-def _mat_zero(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _mat_unit(n: int, i: int, j: int) -> list[list[Fraction]]:
-    m = _mat_zero(n)
-    m[i][j] = Fraction(1)
-    return m
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-@dataclass(frozen=True)
-class LieAlgebraDatum:
-    """A matrix Lie algebra basis with its expanded structure constants.
-
-    brackets[i][j] holds the coefficients of [b_i, b_j] over the basis.
-    Antisymmetry and the Jacobi identity are verified at construction.
-    """
-
-    labels: tuple[str, ...]
-    coordinate_names: tuple[str, ...]
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def from_basis(cls, labels: Sequence[str],
-                   basis: Sequence[Sequence[Sequence[Fraction]]],
-                   coordinate_names: Sequence[str] | None = None) -> "LieAlgebraDatum":
-        labels = tuple(labels)
-        if coordinate_names is None:
-            coordinate_names = tuple(f"x_{lbl}" for lbl in labels)
-        else:
-            coordinate_names = tuple(coordinate_names)
-        dim = len(labels)
-        if len(basis) != dim or len(coordinate_names) != dim:
-            raise PolyError("labels, coordinates and basis must have equal length")
-        mats = [[[Fraction(x) for x in row] for row in m] for m in basis]
-        flat = [[c for row in m for c in row] for m in mats]
-        columns = list(zip(*flat))  # (n*n) x dim
-        structure = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                target = [c for r in _commutator(mats[i], mats[j]) for c in r]
-                coeffs = rational_solve(columns, target)
-                row.append(tuple(coeffs))
-            structure.append(tuple(row))
-        datum = cls(labels, coordinate_names,
-                    tuple(tuple(tuple(r) for r in m) for m in mats),
-                    tuple(structure))
-        datum._verify()
-        return datum
-
-    def _verify(self):
-        c = self.brackets
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                if any(c[i][j][k] != -c[j][i][k] for k in range(dim)):
-                    raise PolyError(f"structure constants not antisymmetric at ({i},{j})")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    for l in range(dim):
-                        total = Fraction(0)
-                        for m in range(dim):
-                            total += (c[i][j][m] * c[m][k][l]
-                                      + c[j][k][m] * c[m][i][l]
-                                      + c[k][i][m] * c[m][j][l])
-                        if total:
-                            raise PolyError(
-                                f"Jacobi identity fails on basis triple ({i},{j},{k})")
-
-
-def sl_structure(n: int) -> LieAlgebraDatum:
-    """sl_2 in the (h, e, f) basis or sl_3 in the elementary-matrix basis."""
-    if n == 2:
-        h = _mat_sub(_mat_unit(2, 0, 0), _mat_unit(2, 1, 1))
-        e = _mat_unit(2, 0, 1)
-        f = _mat_unit(2, 1, 0)
-        return LieAlgebraDatum.from_basis(("h", "e", "f"), (h, e, f))
-    if n == 3:
-        labels = []
-        mats = []
-        for (i, j) in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)):
-            labels.append(f"E{i + 1}{j + 1}")
-            mats.append(_mat_unit(3, i, j))
-        labels += ["H1", "H2"]
-        mats.append(_mat_sub(_mat_unit(3, 0, 0), _mat_unit(3, 1, 1)))
-        mats.append(_mat_sub(_mat_unit(3, 1, 1), _mat_unit(3, 2, 2)))
-        return LieAlgebraDatum.from_basis(labels, mats)
-    raise PolyError("only sl_2 and sl_3 are constructed here")
-
-
-def _entry_positions(n: int) -> list[tuple[int, int]]:
-    """Row-major free entries of a traceless n x n matrix (last diagonal dropped)."""
-    return [(i, j) for i in range(n) for j in range(n) if not (i == j == n - 1)]
-
-
-def entry_coordinate_structure(n: int) -> LieAlgebraDatum:
-    """sl_n in the basis dual (under the trace form) to the matrix entries.
-
-    The coordinate x_ij then reads off the (i, j) entry of a traceless
-    matrix, and the Lie-Poisson bracket of entry coordinates is
-    {x_ij, x_kl} = delta_il x_kj - delta_kj x_il.
-    """
-    labels = []
-    mats = []
-    for (i, j) in _entry_positions(n):
-        labels.append(f"x{i + 1}{j + 1}")
-        if i == j:
-            m = _mat_unit(n, i, i)
-            for d in range(n):
-                m[d][d] -= Fraction(1, n)
-            mats.append(m)
-        else:
-            mats.append(_mat_unit(n, j, i))
-    return LieAlgebraDatum.from_basis(labels, mats, coordinate_names=labels)
-
-
-def kks_structure(datum: LieAlgebraDatum) -> PoissonStructure:
-    """Lie-Poisson structure: Pi_ij = sum_k c_ij^k x_k over the dual coordinates."""
-    ambient = datum.coordinate_names
-    coords = variables(ambient)
-    rows = []
-    for i in range(datum.dim):
-        row = []
-        for j in range(datum.dim):
-            entry = Polynomial.zero(ambient)
-            for k, coeff in enumerate(datum.brackets[i][j]):
-                if coeff:
-                    entry = entry + coords[k].scale(coeff)
-            row.append(entry)
-        rows.append(row)
-    return PoissonStructure(ambient, PolyMatrix.from_rows(rows))
+                   rational_rank, resultant, squarefree_part_bivariate, variables)
+from .symplectic import PoissonStructure, casimir_check, jacobi_check
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +34,11 @@ def kks_structure(datum: LieAlgebraDatum) -> PoissonStructure:
 
 @dataclass(frozen=True)
 class SteinbergMap:
-    """Characteristic coefficients of a generic traceless (r+1) x (r+1) matrix."""
+    """Characteristic coefficients of a generic traceless (r+1) x (r+1) matrix.
+
+    generic_matrix fixes the entry coordinates: x_ij is its (i, j) entry for
+    every position but the last diagonal one, which is -(x_11 + ... + x_rr).
+    """
 
     rank: int
     ambient: tuple[str, ...]
@@ -199,7 +51,7 @@ def steinberg_map(r: int) -> SteinbergMap:
     if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
     n = r + 1
-    positions = _entry_positions(n)
+    positions = [(i, j) for i in range(n) for j in range(n) if not i == j == n - 1]
     ambient = tuple(f"x{i + 1}{j + 1}" for (i, j) in positions)
     entries = [[None] * n for _ in range(n)]
     for (i, j) in positions:
@@ -227,16 +79,60 @@ def steinberg_map(r: int) -> SteinbergMap:
     return SteinbergMap(r, ambient, generic, comps)
 
 
+def _coordinate_positions(s: SteinbergMap) -> list[tuple[int, int]]:
+    """The (i, j) entry of the generic matrix that each coordinate reads off."""
+    n = s.rank + 1
+    cells = {s.generic_matrix.entry(i, j): (i, j)
+             for i in range(n) for j in range(n)}
+    return [cells[x] for x in variables(s.ambient)]
+
+
+def _commutator(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _trace_pairing(x: PolyMatrix, c) -> Polynomial:
+    """tr(x c) for a polynomial matrix x and a rational matrix c."""
+    n = len(c)
+    out = Polynomial.zero(x.ambient)
+    for i in range(n):
+        for k in range(n):
+            if c[k][i]:
+                out = out + x.entry(i, k).scale(c[k][i])
+    return out
+
+
+def steinberg_kks(s: SteinbergMap) -> PoissonStructure:
+    """Lie-Poisson structure on the entry coordinates of s, audited by Jacobi.
+
+    Under the trace form the coordinate x_ij is dual to b_ij = E_ji off the
+    diagonal and to E_ii - Id/n on it, so Pi_ab = tr(X [b_a, b_b]) for the
+    generic matrix X, that is {x_ij, x_kl} = delta_il x_kj - delta_kj x_il.
+    """
+    n = s.rank + 1
+    duals = []
+    for i, j in _coordinate_positions(s):
+        b = [[Fraction(0)] * n for _ in range(n)]
+        b[j][i] = Fraction(1)
+        if i == j:
+            for d in range(n):
+                b[d][d] -= Fraction(1, n)
+        duals.append(b)
+    rows = [[_trace_pairing(s.generic_matrix, _commutator(a, b)) for b in duals]
+            for a in duals]
+    structure = PoissonStructure(s.ambient, PolyMatrix.from_rows(rows))
+    if not jacobi_check(structure):
+        raise PolyError("Lie-Poisson matrix fails the Jacobi identity")
+    return structure
+
+
 def casimir_components_check(s: SteinbergMap, structure: PoissonStructure) -> bool:
     """Every characteristic coefficient is a Casimir of the Lie-Poisson bracket."""
     if structure.ambient != s.ambient:
         raise PolyError("Poisson structure must live on the map's entry coordinates")
     return all(casimir_check(c, structure) for c in s.components)
-
-
-def steinberg_kks(r: int) -> PoissonStructure:
-    """Lie-Poisson structure on the entry coordinates used by steinberg_map(r)."""
-    return kks_structure(entry_coordinate_structure(r + 1))
 
 
 def steinberg_discriminant_multiplicity(r: int) -> int:
@@ -267,34 +163,10 @@ def jacobian_rank_at(s: SteinbergMap,
         raise PolyError(f"point must be a {n} x {n} matrix")
     if sum(rows[i][i] for i in range(n)):
         raise PolyError("point matrix must be traceless")
-    point = {f"x{i + 1}{j + 1}": rows[i][j] for (i, j) in _entry_positions(n)}
+    point = {v: rows[i][j] for v, (i, j) in zip(s.ambient, _coordinate_positions(s))}
     jac = [[c.partial_derivative(v).evaluate(point) for v in s.ambient]
            for c in s.components]
     return rational_rank(jac)
-
-
-def conjugation_invariance_check(s: SteinbergMap,
-                                 g: Sequence[Sequence[Fraction]]) -> bool:
-    """Components are unchanged by X -> g X g^{-1} for invertible rational g."""
-    n = s.rank + 1
-    gm = [[Fraction(x) for x in row] for row in g]
-    if len(gm) != n or any(len(r) != n for r in gm):
-        raise PolyError(f"conjugating matrix must be {n} x {n}")
-    gi = rational_inverse(gm)
-    conj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = Polynomial.zero(s.ambient)
-            for a in range(n):
-                for b in range(n):
-                    c = gm[i][a] * gi[b][j]
-                    if c:
-                        e = e + s.generic_matrix.entry(a, b).scale(c)
-            row.append(e)
-        conj.append(row)
-    images = {f"x{i + 1}{j + 1}": conj[i][j] for (i, j) in _entry_positions(n)}
-    return all(c.substitute(images) == c for c in s.components)
 
 
 # ---------------------------------------------------------------------------

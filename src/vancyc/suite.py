@@ -28,11 +28,11 @@ from .monodromy import (CoxeterDatum, IntersectionLattice, braid_relation_check,
                         fold, group_name, group_order_bfs, pl_reflection,
                         quotient_rank_check, standard_automorphisms,
                         variation_matrix, weyl_generators)
-from .poly import Polynomial, format_polynomial, normalized, parse_polynomial, squarefree_part_bivariate
+from .poly import Polynomial, format_polynomial, normalized, parse_polynomial
 from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
-                          al_multiplicity_by_counting, discriminant,
-                          milnor_number, multiplicity_at_origin)
+                          al_multiplicity_by_counting, curve_multiplicity,
+                          discriminant, milnor_number, multiplicity_at_origin)
 from .steinberg import (SubregularSliceReport, casimir_components_check,
                         jacobian_rank_at, steinberg_discriminant_multiplicity,
                         steinberg_kks, steinberg_map, subregular_slice_check)
@@ -215,9 +215,7 @@ def check_henon_heiles(budget: int, stretch_pairs: int | None = None) -> CheckRe
     either way and never blocks the check.
     """
     given = henon_heiles_given_discriminant()
-    reduced = squarefree_part_bivariate(given)
-    mult = reduced.order_at_origin()
-    result = check("henon-heiles", "mult=4", f"mult={mult}")
+    result = check("henon-heiles", "mult=4", f"mult={curve_multiplicity(given)}")
     if result.status != PASS:
         return result
     if stretch_pairs is None or stretch_pairs <= 0:
@@ -373,7 +371,7 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
     results = []
     if "casimir" in checks:
         results.append(check("steinberg-casimir", True,
-                             casimir_components_check(smap, steinberg_kks(rank)),
+                             casimir_components_check(smap, steinberg_kks(smap)),
                              note=f"{rank} component(s) against the Lie-Poisson bracket"))
     if "rank" in checks:
         subregular, regular = _STEINBERG_POINTS[rank]

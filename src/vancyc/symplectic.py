@@ -1,11 +1,13 @@
-"""Canonical and general Poisson brackets, involutivity, Hamiltonian fields.
+"""Canonical and general Poisson brackets, the Jacobi audit and Casimirs.
 
-Sign conventions, fixed once here and used everywhere else:
+Sign convention of the canonical bracket, fixed once here and used
+everywhere else:
 
   {f, g} = sum_l  d_{q_l} f * d_{p_l} g  -  d_{p_l} f * d_{q_l} g
 
-  X_H has components  dq_j/dt = d_{p_j} H  and  dp_j/dt = -d_{q_j} H,
-  so X_H(g) = {g, H} and the Hamiltonian field of H = p2 is d/dq2.
+A general (polynomial) bracket is given by its matrix Pi_ij = {x_i, x_j}
+on the ambient coordinates; `jacobi_check` audits such a matrix, and
+`steinberg` builds the Lie-Poisson one of sl_2 and sl_3 with it.
 """
 
 from __future__ import annotations
@@ -114,22 +116,6 @@ class PoissonStructure:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "matrix", matrix)
 
-    @classmethod
-    def canonical(cls, context: SymplecticContext,
-                  ambient: Sequence[str]) -> "PoissonStructure":
-        """The constant structure of the canonical bracket on the given ambient."""
-        ambient = tuple(ambient)
-        context.check_ambient(ambient)
-        n = len(ambient)
-        zero = Polynomial.zero(ambient)
-        one = Polynomial.constant(ambient, 1)
-        rows = [[zero] * n for _ in range(n)]
-        for q, p in context.pairs():
-            i, j = ambient.index(q), ambient.index(p)
-            rows[i][j] = one
-            rows[j][i] = -one
-        return cls(ambient, PolyMatrix.from_rows(rows))
-
 
 def general_bracket(f: Polynomial, g: Polynomial,
                     structure: PoissonStructure) -> Polynomial:
@@ -142,41 +128,13 @@ def general_bracket(f: Polynomial, g: Polynomial,
     out = Polynomial.zero(ambient)
     for i in range(len(ambient)):
         for j in range(i + 1, len(ambient)):
+            if not ((df[i] and dg[j]) or (df[j] and dg[i])):
+                continue
             pij = structure.matrix.entry(i, j)
             if pij.is_zero():
                 continue
             out = out + pij * (df[i] * dg[j] - df[j] * dg[i])
     return out
-
-
-def is_involutive(germ: MapGerm) -> tuple[bool, tuple[int, int, Polynomial] | None]:
-    """Check {f_i, f_j} = 0 for all pairs; witness is 1-based (i, j, bracket)."""
-    if germ.context is None:
-        raise PolyError("involutivity needs a symplectic context")
-    comps = germ.components
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            b = poisson_bracket(comps[i], comps[j], germ.context)
-            if not b.is_zero():
-                return False, (i + 1, j + 1, b)
-    return True, None
-
-
-def hamiltonian_vector_field(h: Polynomial,
-                             context: SymplecticContext) -> tuple[Polynomial, ...]:
-    """Components of X_h aligned with h.ambient (dq_j = d_{p_j}h, dp_j = -d_{q_j}h)."""
-    context.check_ambient(h.ambient)
-    q_to_p = dict(context.pairs())
-    p_to_q = {p: q for q, p in context.pairs()}
-    out = []
-    for v in h.ambient:
-        if v in q_to_p:
-            out.append(h.partial_derivative(q_to_p[v]))
-        elif v in p_to_q:
-            out.append(-h.partial_derivative(p_to_q[v]))
-        else:
-            out.append(Polynomial.zero(h.ambient))
-    return tuple(out)
 
 
 def jacobi_check(structure: PoissonStructure,

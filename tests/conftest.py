@@ -1,11 +1,8 @@
-"""Shared test helpers: fixture paths and a seeded random-polynomial factory."""
+"""Shared test fixtures: the directory of the bundled germ files."""
 
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-
-from vancyc.poly import Polynomial
 
 GERMS = Path(__file__).resolve().parents[1] / "germs"
 
@@ -14,16 +11,3 @@ GERMS = Path(__file__).resolve().parents[1] / "germs"
 def germs_dir():
     """Directory holding the bundled .germ fixture files."""
     return GERMS
-
-
-def random_polynomial(rng, ambient, max_terms=5, max_exp=3, nonzero=False):
-    """A sparse polynomial with small random rational coefficients."""
-    n = len(ambient)
-    while True:
-        terms = {}
-        for _ in range(rng.randint(0, max_terms)):
-            exps = tuple(rng.randint(0, max_exp) for _ in range(n))
-            terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        p = Polynomial(ambient, terms)
-        if p or not nonzero:
-            return p

@@ -49,6 +49,15 @@ def test_discriminant_given_mode(capsys):
                    "multiplicity: 4"]
 
 
+def test_discriminant_given_curve_off_origin(capsys):
+    """A given curve that misses the origin is an error, as on the elimination path."""
+    for curve in ("1", "s1+1"):
+        code, out, err = run(capsys, "discriminant", "--given", curve)
+        assert code == 2
+        assert out == []
+        assert err == ["error: discriminant does not pass through the origin"]
+
+
 def test_discriminant_budget_exhaustion(capsys, germs_dir):
     """A zero S-pair budget exits 3 with the stopped-after diagnostic."""
     code, out, err = run(capsys, "discriminant", str(germs_dir / "basic.germ"),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_polynomial
+from randpoly import random_polynomial
 from vancyc.groebner import (
     DEFAULT_PAIR_LIMIT,
     IdealBasis,

@@ -12,7 +12,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
-from conftest import random_polynomial  # noqa: E402
+from randpoly import random_polynomial  # noqa: E402
 from vancyc.groebner import IdealBasis, MonomialOrder, buchberger  # noqa: E402
 from vancyc.poly import Polynomial  # noqa: E402
 

@@ -173,6 +173,12 @@ def test_root_lattice_rejects_non_simply_laced():
         IntersectionLattice.root_lattice("B2")
 
 
+def test_intersection_form_must_be_symmetric():
+    """A non-symmetric pairing is not an intersection lattice."""
+    with pytest.raises(LatticeError, match="symmetric"):
+        IntersectionLattice(np.array([[-2, 1], [0, -2]]))
+
+
 def test_variation_matrix_properties():
     """W is lower triangular with diagonal -1, S = W + W^T, det W = +-1."""
     for label in ("A2", "A3", "D4"):

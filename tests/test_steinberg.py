@@ -5,69 +5,59 @@ from fractions import Fraction
 
 import pytest
 
-from vancyc.poly import PolyError, parse_polynomial, rational_rank
+from vancyc.poly import PolyError, Polynomial, parse_polynomial, rational_rank, rref
 from vancyc.steinberg import (
-    LieAlgebraDatum,
     casimir_components_check,
-    conjugation_invariance_check,
-    entry_coordinate_structure,
     jacobian_rank_at,
-    kks_structure,
-    sl_structure,
     steinberg_discriminant_multiplicity,
     steinberg_kks,
     steinberg_map,
     subregular_slice_check,
 )
 from vancyc.symplectic import general_bracket, jacobi_check
-from vancyc.poly import Polynomial
 
 
 def _coord(structure, name):
     return Polynomial.variable(structure.ambient, name)
 
 
-def test_sl2_structure_constants():
-    """[h, e] = 2e, [h, f] = -2f, [e, f] = h in the standard basis."""
-    datum = sl_structure(2)
-    assert datum.labels == ("h", "e", "f")
-    assert datum.brackets[0][1] == (Fraction(0), Fraction(2), Fraction(0))
-    assert datum.brackets[0][2] == (Fraction(0), Fraction(0), Fraction(-2))
-    assert datum.brackets[1][2] == (Fraction(1), Fraction(0), Fraction(0))
+def _entry(n, ambient, i, j):
+    """The (i, j) entry (0-based) of a traceless matrix in entry coordinates."""
+    if i == j == n - 1:
+        return parse_polynomial(
+            "-(" + " + ".join(f"x{d}{d}" for d in range(1, n)) + ")", ambient)
+    return Polynomial.variable(ambient, f"x{i + 1}{j + 1}")
 
 
-def test_sl3_structure_is_consistent():
-    """The eight-dimensional structure passes its own antisymmetry/Jacobi audit."""
-    datum = sl_structure(3)
-    assert datum.dim == 8
-    idx = {lbl: i for i, lbl in enumerate(datum.labels)}
-    bracket = datum.brackets[idx["E12"]][idx["E23"]]
-    expected = tuple(Fraction(1) if i == idx["E13"] else Fraction(0)
-                     for i in range(datum.dim))
-    assert bracket == expected
-
-
-def test_structure_audit_rejects_bad_constants():
-    """Tampered structure constants fail the construction-time audit."""
-    datum = sl_structure(2)
-    bad = list(list(list(row) for row in level) for level in datum.brackets)
-    bad[0][1][1] = Fraction(3)
-    with pytest.raises(PolyError):
-        LieAlgebraDatum(datum.labels, datum.coordinate_names,
-                        datum.basis, tuple(tuple(tuple(r) for r in m) for m in bad)
-                        )._verify()
+def test_lie_poisson_matrix_closed_form():
+    """Every entry of the Lie-Poisson matrix is delta_il x_kj - delta_kj x_il,
+    with x_nn read as -(x_11 + ... + x_(n-1)(n-1)), for n = 2 and 3."""
+    for n in (2, 3):
+        structure = steinberg_kks(steinberg_map(n - 1))
+        amb = structure.ambient
+        assert amb == tuple(f"x{i}{j}" for i in range(1, n + 1)
+                            for j in range(1, n + 1) if not i == j == n)
+        cells = [(int(v[1]) - 1, int(v[2]) - 1) for v in amb]
+        for a, (i, j) in enumerate(cells):
+            for b, (k, l) in enumerate(cells):
+                expected = Polynomial.zero(amb)
+                if i == l:
+                    expected = expected + _entry(n, amb, k, j)
+                if k == j:
+                    expected = expected - _entry(n, amb, i, l)
+                assert structure.matrix.entry(a, b) == expected, (amb[a], amb[b])
 
 
 def test_entry_coordinate_brackets():
     """{x_ij, x_kl} = delta_il x_kj - delta_kj x_il on trace-zero entries."""
-    s2 = kks_structure(entry_coordinate_structure(2))
+    s2 = steinberg_kks(steinberg_map(1))
     assert s2.ambient == ("x11", "x12", "x21")
     x11, x12, x21 = (_coord(s2, v) for v in s2.ambient)
     assert general_bracket(x11, x12, s2) == -x12
     assert general_bracket(x11, x21, s2) == x21
     assert general_bracket(x12, x21, s2) == -x11 - x11
 
-    s3 = kks_structure(entry_coordinate_structure(3))
+    s3 = steinberg_kks(steinberg_map(2))
     x12 = _coord(s3, "x12")
     x21 = _coord(s3, "x21")
     x22 = _coord(s3, "x22")
@@ -80,8 +70,8 @@ def test_entry_coordinate_brackets():
 
 def test_kks_structures_satisfy_jacobi():
     """The linear coadjoint brackets pass the coordinate-triple Jacobi check."""
-    assert jacobi_check(kks_structure(entry_coordinate_structure(2)))
-    assert jacobi_check(kks_structure(entry_coordinate_structure(3)))
+    assert jacobi_check(steinberg_kks(steinberg_map(1)))
+    assert jacobi_check(steinberg_kks(steinberg_map(2)))
 
 
 def test_coefficient_map_components():
@@ -116,7 +106,8 @@ def test_coefficient_map_matches_numeric_characteristic_polynomial():
 def test_components_are_casimirs():
     """Both coefficient maps Poisson-commute with every entry coordinate."""
     for r in (1, 2):
-        assert casimir_components_check(steinberg_map(r), steinberg_kks(r))
+        s = steinberg_map(r)
+        assert casimir_components_check(s, steinberg_kks(s))
 
 
 def test_jacobian_ranks():
@@ -143,6 +134,27 @@ def test_jacobian_rank_never_exceeds_rank():
         assert jacobian_rank_at(s, m) <= 2
 
 
+def _conjugate(s, g):
+    """Entry-coordinate images of the generic matrix X under X -> g X g^-1."""
+    n = s.rank + 1
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(g)], n)
+    assert len(pivots) == n
+    gi = [row[n:] for row in m]
+    x = s.generic_matrix
+    images = {}
+    for i in range(n):
+        for j in range(n):
+            e = Polynomial.zero(s.ambient)
+            for a in range(n):
+                for b in range(n):
+                    if g[i][a] * gi[b][j]:
+                        e = e + x.entry(a, b).scale(g[i][a] * gi[b][j])
+            if not i == j == n - 1:
+                images[f"x{i + 1}{j + 1}"] = e
+    return images
+
+
 def test_conjugation_invariance():
     """x -> g x g^{-1} fixes the coefficient polynomials, 10 random g each rank."""
     rng = random.Random(101)
@@ -155,7 +167,9 @@ def test_conjugation_invariance():
                   for _ in range(n)] for _ in range(n)]
             if rational_rank(g) < n:
                 continue
-            assert conjugation_invariance_check(s, g)
+            images = _conjugate(s, g)
+            assert sorted(images) == sorted(s.ambient)
+            assert all(c.substitute(images) == c for c in s.components)
             done += 1
 
 

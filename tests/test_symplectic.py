@@ -1,11 +1,11 @@
-"""Canonical and general Poisson brackets and Hamiltonian fields."""
+"""Canonical and general Poisson brackets, the Jacobi audit and Casimirs."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial
+from randpoly import random_polynomial
 from vancyc.poly import PolyError, PolyMatrix, Polynomial, variables
 from vancyc.symplectic import (
     MapGerm,
@@ -13,8 +13,6 @@ from vancyc.symplectic import (
     SymplecticContext,
     casimir_check,
     general_bracket,
-    hamiltonian_vector_field,
-    is_involutive,
     jacobi_check,
     poisson_bracket,
 )
@@ -25,6 +23,17 @@ CTX = SymplecticContext.from_pairs([("q1", "p1"), ("q2", "p2"), ("q3", "p3")])
 
 def _rand(rng, max_terms=4):
     return random_polynomial(rng, AMB, max_terms=max_terms, max_exp=3)
+
+
+def _canonical_structure():
+    """The constant matrix of the canonical bracket: Pi(q_l, p_l) = 1."""
+    zero = Polynomial.zero(AMB)
+    one = Polynomial.constant(AMB, 1)
+    rows = [[zero] * len(AMB) for _ in AMB]
+    for q, p in CTX.pairs():
+        i, j = AMB.index(q), AMB.index(p)
+        rows[i][j], rows[j][i] = one, -one
+    return PoissonStructure(AMB, PolyMatrix.from_rows(rows))
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -70,31 +79,10 @@ def test_bracket_goldens():
     assert poisson_bracket(f, g, CTX).is_zero()
 
 
-def test_hamiltonian_field_matches_bracket():
-    """Applying X_h to f term-by-term reproduces {f, h}."""
-    rng = random.Random(37)
-    for _ in range(6):
-        f, h = _rand(rng, 3), _rand(rng, 3)
-        field = hamiltonian_vector_field(h, CTX)
-        applied = Polynomial.zero(AMB)
-        for v, comp in zip(AMB, field):
-            applied = applied + f.partial_derivative(v) * comp
-        assert applied == poisson_bracket(f, h, CTX)
-
-
-def test_hamiltonian_field_golden():
-    """X_h for h = p1 q1 is (q1, -p1, 0, ...) in ambient order."""
-    q1, p1 = variables(AMB)[:2]
-    field = hamiltonian_vector_field(p1 * q1, CTX)
-    assert field[0] == q1
-    assert field[1] == -p1
-    assert all(c.is_zero() for c in field[2:])
-
-
 def test_canonical_structure_matches_direct_bracket():
     """The constant-matrix structure reproduces the canonical bracket."""
     rng = random.Random(43)
-    structure = PoissonStructure.canonical(CTX, AMB)
+    structure = _canonical_structure()
     for _ in range(6):
         f, g = _rand(rng, 3), _rand(rng, 3)
         assert general_bracket(f, g, structure) == poisson_bracket(f, g, CTX)
@@ -127,7 +115,7 @@ def test_jacobi_check_counterexample():
 
 def test_casimir_check():
     """Constants are always Casimirs; coordinates are not for the canonical bracket."""
-    structure = PoissonStructure.canonical(CTX, AMB)
+    structure = _canonical_structure()
     assert casimir_check(Polynomial.constant(AMB, 5), structure)
     assert not casimir_check(Polynomial.variable(AMB, "q1"), structure)
     amb = ("x1", "x2")
@@ -145,17 +133,3 @@ def test_map_germ_must_vanish_at_origin():
         MapGerm(amb, [p1 * q1 + one])
     with pytest.raises(PolyError):
         MapGerm(amb, [])
-
-
-def test_is_involutive_witness():
-    """Non-commuting components yield a 1-based witness with the bracket."""
-    amb = ("q1", "p1")
-    ctx = SymplecticContext.from_pairs([("q1", "p1")])
-    q1, p1 = variables(amb)
-    ok, witness = is_involutive(MapGerm(amb, [q1, p1], ctx))
-    assert not ok
-    assert witness[0] == 1 and witness[1] == 2
-    assert witness[2] == Polynomial.constant(amb, 1)
-    ok, witness = is_involutive(MapGerm(amb, [q1, q1 * q1], ctx))
-    assert ok and witness is None
-
