@@ -48,6 +48,27 @@ def test_lie_poisson_matrix_closed_form():
                 assert structure.matrix.entry(a, b) == expected, (amb[a], amb[b])
 
 
+def test_sl2_structure_constants():
+    """[h, e] = 2e, [h, f] = -2f, [e, f] = h in the standard basis, read as
+    the linear functions h = tr(X h) = 2 x11, e = tr(X E12) = x21, f = x12."""
+    s2 = steinberg_kks(steinberg_map(1))
+    x11, x12, x21 = (_coord(s2, v) for v in ("x11", "x12", "x21"))
+    h, e, f = x11 + x11, x21, x12
+    assert general_bracket(h, e, s2) == e + e
+    assert general_bracket(h, f, s2) == -(f + f)
+    assert general_bracket(e, f, s2) == h
+
+
+def test_sl3_structure_is_consistent():
+    """The eight-dimensional structure passes the Jacobi audit and gives
+    [E12, E23] = E13, with E_ab read as the linear function x_ba."""
+    s3 = steinberg_kks(steinberg_map(2))
+    assert len(s3.ambient) == 8
+    assert jacobi_check(s3)
+    assert general_bracket(_coord(s3, "x21"), _coord(s3, "x32"), s3) \
+        == _coord(s3, "x31")
+
+
 def test_entry_coordinate_brackets():
     """{x_ij, x_kl} = delta_il x_kj - delta_kj x_il on trace-zero entries."""
     s2 = steinberg_kks(steinberg_map(1))
