@@ -19,6 +19,8 @@ from vancyc.groebner import (
 )
 from vancyc.poly import (AmbientMismatchError, Polynomial, format_polynomial,
                          parse_polynomial)
+from vancyc.singularity import action_coordinates_germ, critical_ideal
+from vancyc.suite import AL_MATRICES
 
 AMB = ("x", "y", "z")
 
@@ -172,3 +174,38 @@ def test_radical_membership():
     corner = _ideal("x^2*y", "x*y^2", amb=amb)
     assert radical_membership(x * y, corner)
     assert not radical_membership(x, corner)
+
+
+AL6_BLOCK_BASIS = [
+    "s1^2*s2-s1*s2^2", "p3*s1", "q3*s1", "p2*s1-p2*s2", "q2*s1-q2*s2", "p1*s2",
+    "q1*s2", "q3*p3*s2+s1*s2-s2^2", "p2*p3", "q2*p3", "p1*p3", "q1*p3", "p2*q3",
+    "q2*q3", "p1*q3", "q1*q3", "q2*p2+q3*p3-s2", "p1*p2", "q1*p2", "p1*q2",
+    "q1*q2", "q1*p1-q3*p3-s1+s2", "q3*p3^2-p3*s2", "q3^2*p3-q3*s2"]
+
+E7_JACOBIAN_BASIS = [
+    "x+2*z", "y*z^2-4/3*z^3+2*y^2-8*y*z+8*z^2",
+    "y^2*z-5/3*z^3+7*y^2-28*y*z+28*z^2", "y^3-2*z^3+18*y^2-72*y*z+72*z^2",
+    "z^4+z^3+3*y^2-12*y*z+12*z^2"]
+
+
+def _basis_lines(gb):
+    return [format_polynomial(g, compact=True) for g in gb.elements]
+
+
+def test_discriminant_al6_critical_basis_is_pinned():
+    """The block-order basis behind discriminant-al6: its S-pair count and its
+    elements, in the basis's own order."""
+    crit = critical_ideal(action_coordinates_germ(3, 2, AL_MATRICES[(3, 2)]))
+    gb = buchberger(crit.ideal, MonomialOrder.elimination(len(crit.source_vars)))
+    assert gb.pairs_processed == 89
+    assert _basis_lines(gb) == AL6_BLOCK_BASIS
+
+
+def test_milnor_jacobian_basis_is_pinned():
+    """The degrevlex basis of the Jacobian ideal of E_7 after a linear change
+    of coordinates: its S-pair count and its elements, in order."""
+    h = parse_polynomial("(x+y)^3 + (x+y)*(y-z)^3 + (x+2*z)^2", AMB)
+    gb = buchberger(IdealBasis(AMB, [h.partial_derivative(v) for v in AMB]),
+                    MonomialOrder.degrevlex())
+    assert gb.pairs_processed == 7
+    assert _basis_lines(gb) == E7_JACOBIAN_BASIS

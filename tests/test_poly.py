@@ -9,6 +9,7 @@ import pytest
 
 from randpoly import random_polynomial
 from vancyc.poly import (
+    AmbientMismatchError,
     PolyError,
     PolyMatrix,
     PolyParseError,
@@ -209,11 +210,17 @@ def test_resultant_specializes():
 
 
 def test_exact_divide():
-    """Exact division returns the cofactor and rejects non-divisors."""
+    """Exact division returns the cofactor and rejects a non-divisor, the
+    zero divisor and a divisor over another ambient."""
     x, y = variables(("x", "y"))
     assert exact_divide(x * x - y * y, x - y) == x + y
-    with pytest.raises(PolyError):
+    assert exact_divide(Polynomial.zero(("x", "y")), x - y).is_zero()
+    with pytest.raises(PolyError, match="non-exact polynomial division"):
         exact_divide(x * x - y * y, x + Polynomial.constant(("x", "y"), 1))
+    with pytest.raises(PolyError, match="division by zero polynomial"):
+        exact_divide(x * y, Polynomial.zero(("x", "y")))
+    with pytest.raises(AmbientMismatchError):
+        exact_divide(x * y, Polynomial.variable(("x", "y", "z"), "x"))
 
 
 def test_gcd_and_squarefree():
