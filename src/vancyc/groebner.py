@@ -4,14 +4,8 @@ Pair selection uses the normal strategy (smallest lcm degree first) and the
 update step prunes with Buchberger's coprime-lead criterion plus the chain
 criterion in Gebauer-Moeller form.  Every public entry point takes a cap on
 the number of S-pairs reduced; exceeding it raises ResourceLimitExceeded so
-callers can degrade instead of hanging.
-
-Division keeps the terms still to be reduced in a heap ordered by the
-monomial order, so each monomial's order key is computed once, when it
-enters the work set, and the next term to reduce is a heap pop rather than a
-rescan (after Monagan and Pearce, "Sparse polynomial division using a heap",
-JSC 2011).  Lead terms are memoized inside each immutable Polynomial
-(`Polynomial.lead`), so a basis element's lead is found once per order.
+callers can degrade instead of hanging.  Normal forms use the heap
+division of `poly.divmod_polynomials` under the key of a MonomialOrder.
 """
 
 from __future__ import annotations
@@ -19,10 +13,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from operator import add, le, neg, sub
+from operator import add, le, sub
 from typing import Sequence
 
-from .poly import Polynomial, grevlex_key, AmbientMismatchError, PolyError
+from .poly import (AmbientMismatchError, PolyError, Polynomial, divmod_polynomials,
+                   grevlex_key)
 
 DEFAULT_PAIR_LIMIT = 200_000
 
@@ -43,7 +38,9 @@ class MonomialOrder:
 
     Both blocks of the elimination order are compared by degrevlex; a
     monomial is larger whenever its front block is larger, so any basis
-    element whose lead is front-free is entirely front-free.
+    element whose lead is front-free is entirely front-free.  Every key is
+    a flat tuple of ints of one length per ambient, so tuple comparison is
+    the order.
     """
 
     kind: str
@@ -63,23 +60,12 @@ class MonomialOrder:
             raise ValueError("front block size must be >= 0")
         return cls("block", front)
 
-    def key(self, exps: Sequence[int]):
+    def key(self, exps: Sequence[int]) -> tuple[int, ...]:
         if self.kind == "lex":
             return tuple(exps)
         if self.kind == "degrevlex":
             return grevlex_key(exps)
-        return (grevlex_key(exps[: self.front]), grevlex_key(exps[self.front:]))
-
-    def _descending_key(self, exps: Sequence[int]) -> tuple:
-        """key() with every integer negated: ascending order of this key is
-        descending monomial order, as a min-heap needs."""
-        k = self.key(exps)
-        if self.kind == "lex":
-            return tuple(map(neg, k))
-        if self.kind == "degrevlex":
-            return (-k[0], tuple(map(neg, k[1])))
-        (d1, r1), (d2, r2) = k
-        return (-d1, tuple(map(neg, r1)), -d2, tuple(map(neg, r2)))
+        return grevlex_key(exps[: self.front]) + grevlex_key(exps[self.front:])
 
 
 @dataclass(frozen=True)
@@ -123,59 +109,6 @@ def _monomial_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(max, a, b))
 
 
-def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
-                       order: MonomialOrder) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: p = sum(q_i * divisors_i) + r, no term of r
-    divisible by any divisor lead monomial.
-
-    The largest remaining term is taken from a heap of (descending order key,
-    monomial) entries.  A monomial gets its one entry when it enters `work`;
-    a coefficient that cancels stays in `work` as zero until its entry is
-    popped, so no monomial is ever queued twice.  Every new monomial is
-    smaller than the one being reduced, so a popped monomial never returns.
-    """
-    key = order.key
-    heap_key = order._descending_key
-    ambient = p.ambient
-    for d in divisors:
-        if d.ambient != ambient:
-            raise AmbientMismatchError(
-                f"divisor ambient {d.ambient} != dividend ambient {ambient}")
-    leads = [d.lead(key) for d in divisors]
-    quotients: list[dict] = [{} for _ in divisors]
-    remainder: dict = {}
-    work = dict(p.terms)
-    heap = [(heap_key(e), e) for e in work]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        e = pop(heap)[1]
-        c = work.pop(e)
-        if not c:
-            continue
-        for i, (de, dc) in enumerate(leads):
-            if all(map(le, de, e)):
-                me = tuple(map(sub, e, de))
-                mc = c / dc
-                quotients[i][me] = mc
-                for fe, fc in divisors[i].terms.items():
-                    if fe == de:
-                        continue
-                    k = tuple(map(add, me, fe))
-                    old = work.get(k)
-                    if old is None:
-                        work[k] = -mc * fc
-                        push(heap, (heap_key(k), k))
-                    else:
-                        work[k] = old - mc * fc
-                break
-        else:
-            remainder[e] = c
-    zero = Polynomial._trusted(ambient, {})  # shared by every empty quotient
-    return ([Polynomial._trusted(ambient, q) if q else zero for q in quotients],
-            Polynomial._trusted(ambient, remainder))
-
-
 def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
     """Remainder of p modulo a basis (a GroebnerBasis or an explicit list)."""
     if isinstance(basis, GroebnerBasis):
@@ -187,7 +120,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
             raise ValueError("normal_form over a raw list needs an order")
     if not divisors:
         return p
-    _, r = divmod_polynomials(p, divisors, order)
+    _, r = divmod_polynomials(p, divisors, order.key)
     return r
 
 

@@ -7,14 +7,24 @@ fraction-free (Bareiss) determinants of polynomial matrices, Sylvester
 resultants, squarefree parts and gcds of polynomials in at most two
 effective variables, and Gauss-Jordan elimination (reduced row echelon
 form and rank) over Q.
+
+An order key maps an exponent tuple to a flat tuple of ints, so that plain
+tuple comparison is the monomial order.  `divmod_polynomials` is the one
+multivariate division: it keeps the terms still to be reduced in a heap
+ordered by the negated key, so each monomial's key is computed once, when it
+enters the work set, and the next term to reduce is a heap pop rather than a
+rescan (after Monagan and Pearce, "Sparse polynomial division using a heap",
+JSC 2011).  Lead terms are memoized inside each immutable Polynomial
+(`Polynomial.lead`), so a divisor's lead is found once per order.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -50,9 +60,10 @@ class UnsupportedArityError(PolyError):
     """An operation restricted to <= 2 effective variables got more."""
 
 
-def grevlex_key(exponents: Sequence[int]):
-    """Sort key for graded reverse lexicographic order (max = largest monomial)."""
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+def grevlex_key(exponents: Sequence[int]) -> tuple[int, ...]:
+    """Sort key for graded reverse lexicographic order (max = largest
+    monomial): the flat tuple (deg, -e_n, ..., -e_1)."""
+    return (sum(exponents), *map(neg, reversed(exponents)))
 
 
 def _as_fraction(value) -> Fraction:
@@ -570,35 +581,69 @@ def parse_polynomial(text: str, ambient: Sequence[str]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact division and normalization
+# Division and normalization
 # ---------------------------------------------------------------------------
+
+def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
+                       key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division under the order of `key`: p = sum(q_i *
+    divisors_i) + r, no term of r divisible by any divisor lead monomial.
+
+    The largest remaining term is taken from a heap of (negated order key,
+    monomial) entries.  A monomial gets its one entry when it enters `work`;
+    a coefficient that cancels stays in `work` as zero until its entry is
+    popped, so no monomial is ever queued twice.  Every new monomial is
+    smaller than the one being reduced, so a popped monomial never returns.
+    """
+    ambient = p.ambient
+    for d in divisors:
+        if d.ambient != ambient:
+            raise AmbientMismatchError(
+                f"divisor ambient {d.ambient} != dividend ambient {ambient}")
+    leads = [d.lead(key) for d in divisors]
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder: dict = {}
+    work = dict(p.terms)
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        e = pop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
+        for i, (de, dc) in enumerate(leads):
+            if all(map(le, de, e)):
+                me = tuple(map(sub, e, de))
+                mc = c / dc
+                quotients[i][me] = mc
+                for fe, fc in divisors[i].terms.items():
+                    if fe == de:
+                        continue
+                    k = tuple(map(add, me, fe))
+                    old = work.get(k)
+                    if old is None:
+                        work[k] = -mc * fc
+                        push(heap, (tuple(map(neg, key(k))), k))
+                    else:
+                        work[k] = old - mc * fc
+                break
+        else:
+            remainder[e] = c
+    zero = Polynomial._trusted(ambient, {})  # shared by every empty quotient
+    return ([Polynomial._trusted(ambient, q) if q else zero for q in quotients],
+            Polynomial._trusted(ambient, remainder))
+
 
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return p/q when q divides p exactly; raise PolyError otherwise."""
     p._check_ambient(q)
     if q.is_zero():
         raise PolyError("division by zero polynomial")
-    if p.is_zero():
-        return Polynomial.zero(p.ambient)
-    qe, qc = q.lead()
-    rem = dict(p.terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
-    while rem:
-        e = max(rem, key=grevlex_key)
-        c = rem[e]
-        me = tuple(a - b for a, b in zip(e, qe))
-        if any(x < 0 for x in me):
-            raise PolyError("non-exact polynomial division")
-        mc = c / qc
-        quot[me] = quot.get(me, Fraction(0)) + mc
-        for fe, fc in q.terms.items():
-            key = tuple(a + b for a, b in zip(me, fe))
-            s = rem.get(key, Fraction(0)) - mc * fc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Polynomial(p.ambient, quot)
+    (quotient,), remainder = divmod_polynomials(p, [q])
+    if remainder:
+        raise PolyError("non-exact polynomial division")
+    return quotient
 
 
 def normalized(p: Polynomial) -> Polynomial:
@@ -674,12 +719,6 @@ def determinant_fraction_free(matrix: PolyMatrix) -> Polynomial:
     return det if sign == 1 else -det
 
 
-def _coeff_list_desc(p: Polynomial, var: str, ambient_rest) -> list[Polynomial]:
-    """Coefficients of p in var, descending degree, over ambient_rest."""
-    d = p.degree_in(var)
-    return [p.coefficient_in(var, k).extend(ambient_rest) for k in range(d, -1, -1)]
-
-
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     """Sylvester resultant eliminating var; result lives over the remaining variables."""
     p._check_ambient(q)
@@ -687,11 +726,11 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     n = q.degree_in(var)
     if m < 1 or n < 1:
         raise PolyError("resultant needs positive degree in the eliminated variable")
-    rest = tuple(v for v in p.ambient if v != var)
-    a = _coeff_list_desc(p, var, rest)
-    b = _coeff_list_desc(q, var, rest)
+    # coefficients in var by descending degree, over the other variables
+    a = [p.coefficient_in(var, k) for k in range(m, -1, -1)]
+    b = [q.coefficient_in(var, k) for k in range(n, -1, -1)]
     size = m + n
-    zero = Polynomial.zero(rest)
+    zero = Polynomial.zero(a[0].ambient)
     rows = []
     for i in range(n):
         rows.append([zero] * i + a + [zero] * (size - i - len(a)))
@@ -885,31 +924,17 @@ def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
 def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors of p (<= 2 effective variables).
 
-    The result divides p, is squarefree, and is normalized to grevlex lead
+    The result is p divided by the gcd of p and its partial derivatives: over
+    Q that gcd holds every irreducible factor of p with its exponent lowered
+    by exactly one.  The result is squarefree and normalized to grevlex lead
     coefficient 1; it is canonical up to that scalar choice.
     """
     if p.is_zero():
         raise PolyError("squarefree part of the zero polynomial is undefined")
-    xvar, yvar = _effective_frame([p])
-    one = Polynomial.constant(p.ambient, 1)
-    if yvar is None:
-        return one
-    if xvar is None:
-        g = _gcd_univariate(p, p.partial_derivative(yvar), yvar)
-        return normalized(exact_divide(p, g))
-    coeffs = _uv_coeffs(p, yvar)
-    pp_list, cont = _uv_primitive(coeffs, xvar)
-    pp = _uv_assemble(pp_list, yvar)
-    # squarefree part of the univariate content
-    if cont.is_constant():
-        sq_cont = one
-    else:
-        gc = _gcd_univariate(cont, cont.partial_derivative(xvar), xvar)
-        sq_cont = exact_divide(cont, gc)
-    # squarefree part of the primitive part with respect to yvar
-    g = gcd_polynomials(pp, pp.partial_derivative(yvar))
-    sq_pp = exact_divide(pp, g) if not g.is_constant() else pp
-    return normalized(sq_cont * sq_pp)
+    g = p
+    for v in p.effective_variables():
+        g = gcd_polynomials(g, p.partial_derivative(v))
+    return normalized(exact_divide(p, g))
 
 
 # ---------------------------------------------------------------------------

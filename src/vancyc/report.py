@@ -80,9 +80,6 @@ class Report:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "Report"):
-        self.checks.extend(other.checks)
-
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
 

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (PolyError, PolyMatrix, Polynomial, determinant_fraction_free,
-                   rational_rank, resultant, squarefree_part_bivariate, variables)
+                   rational_rank, resultant, variables)
+from .singularity import curve_multiplicity
 from .symplectic import PoissonStructure, casimir_check, jacobi_check
 
 
@@ -136,22 +137,15 @@ def casimir_components_check(s: SteinbergMap, structure: PoissonStructure) -> bo
 
 
 def steinberg_discriminant_multiplicity(r: int) -> int:
-    """Order at 0 of the reduced lam-discriminant of the characteristic polynomial."""
-    if r == 1:
-        ambient = ("s1", "lam")
-        lam = Polynomial.variable(ambient, "lam")
-        s1 = Polynomial.variable(ambient, "s1")
-        p = lam ** 2 + s1
-    elif r == 2:
-        ambient = ("s1", "s2", "lam")
-        lam = Polynomial.variable(ambient, "lam")
-        s1 = Polynomial.variable(ambient, "s1")
-        s2 = Polynomial.variable(ambient, "s2")
-        p = lam ** 3 + s1 * lam + s2
-    else:
+    """Multiplicity at 0 of the lam-discriminant of the characteristic
+    polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r."""
+    if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
-    res = resultant(p, p.partial_derivative("lam"), "lam")
-    return squarefree_part_bivariate(res).order_at_origin()
+    *s, lam = variables([f"s{i}" for i in range(1, r + 1)] + ["lam"])
+    p = lam ** (r + 1)
+    for i, si in enumerate(s, 1):
+        p = p + si * lam ** (r - i)
+    return curve_multiplicity(resultant(p, p.partial_derivative("lam"), "lam"))
 
 
 def jacobian_rank_at(s: SteinbergMap,
@@ -189,30 +183,26 @@ class SubregularSliceReport:
     @property
     def passed(self) -> bool:
         return (self.block_hessian_rank == 3 and self.differential_rank == 1
-                and self.t_column_only and self.a1_at_origin)
+                and self.t_column_only and self.a1_at_origin
+                and self.c3_vanishes_at_t0)
 
 
-def subregular_slice_check() -> SubregularSliceReport:
-    """Exhibit the A_1 (Morse) block transverse to the subregular locus of sl_3."""
+def subregular_slice_check(smap: SteinbergMap) -> SubregularSliceReport:
+    """Exhibit the A_1 (Morse) block transverse to the subregular locus of sl_3.
+
+    c2 and c3 are the components (s_1, s_2) of the rank-2 map `smap` with the
+    slice entries substituted for the entry coordinates.
+    """
+    if smap.rank != 2:
+        raise PolyError("the subregular slice is built in sl_3 (rank 2)")
     ambient = ("t", "y11", "y12", "y21")
     t, y11, y12, y21 = variables(ambient)
     zero = Polynomial.zero(ambient)
-    x = PolyMatrix.from_rows([
-        [t + y11, y12, zero],
-        [y21, t - y11, zero],
-        [zero, zero, (-2) * t],
-    ])
-    lam_ambient = ambient + ("lam",)
-    lam = Polynomial.variable(lam_ambient, "lam")
-    rows = []
-    for i in range(3):
-        rows.append([
-            (lam if i == j else Polynomial.zero(lam_ambient))
-            - x.entry(i, j).extend(lam_ambient)
-            for j in range(3)])
-    char = determinant_fraction_free(PolyMatrix.from_rows(rows))
-    c2 = char.coefficient_in("lam", 1)
-    c3 = char.coefficient_in("lam", 0)
+    x = [[t + y11, y12, zero],
+         [y21, t - y11, zero],
+         [zero, zero, (-2) * t]]
+    on_slice = {v: x[i][j] for v, (i, j) in zip(smap.ambient, _coordinate_positions(smap))}
+    c2, c3 = (c.substitute(on_slice) for c in smap.components)
     block = ("y11", "y12", "y21")
     origin = {v: 0 for v in ambient}
     hess = [[c2.partial_derivative(a).partial_derivative(b).evaluate(origin)

@@ -203,16 +203,16 @@ def check_al_binomial(budget: int) -> CheckResult:
     return CheckResult("arnold-liouville-binomial", status, expected, values, note=note)
 
 
-def check_henon_heiles(budget: int, stretch_pairs: int | None = None) -> CheckResult:
+def check_henon_heiles(stretch_pairs: int | None = None) -> CheckResult:
     """The given reduced discriminant s2 (s2^3 - s1^4) has multiplicity 4.
 
     Stretch (non-blocking): eliminate the critical ideal of the involutive
     pair and test radical membership of the given generator.  The honest
     eliminated discriminant is s2 (27 s1^4 + 16 s2^3) up to scalar -- the
     same line-plus-(3,4)-cusp with the same multiplicity -- so the literal
-    membership test reports false; the given cusp equation only matches
-    after a complex rescaling of s2.  The outcome is recorded in the note
-    either way and never blocks the check.
+    membership test reports false; the given curve matches the eliminated
+    one only after rescaling s2 by the real cube root -(16/27)^(1/3).  The
+    outcome is recorded in the note either way and never blocks the check.
     """
     given = henon_heiles_given_discriminant()
     result = check("henon-heiles", "mult=4", f"mult={curve_multiplicity(given)}")
@@ -233,7 +233,8 @@ def check_henon_heiles(budget: int, stretch_pairs: int | None = None) -> CheckRe
             f"(multiplicity {multiplicity_at_origin(d)}); given generator in its "
             f"radical: {'yes' if member else 'no'}"
             + ("" if member else
-               " (same line-plus-cusp shape; equal after complex rescaling of s2)"))
+               " (same line-plus-cusp shape; equal after rescaling s2 by the real "
+               "cube root -(16/27)^(1/3))"))
     return CheckResult(result.name, result.status, result.expected, result.got,
                        note=note)
 
@@ -384,7 +385,7 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
                              steinberg_discriminant_multiplicity(rank)))
     slice_report = None
     if "slice" in checks and rank == 2:
-        slice_report = subregular_slice_check()
+        slice_report = subregular_slice_check(smap)
         results.append(check(
             "steinberg-slice", True, slice_report.passed,
             note=f"c2 block Hessian rank {slice_report.block_hessian_rank}; "
@@ -424,7 +425,7 @@ def run_paper_suite(budget: int = DEFAULT_PAIR_LIMIT) -> Report:
     report.add(check_discriminant_basic(budget))
     report.add(check_discriminant_al6(budget))
     report.add(check_al_binomial(budget))
-    report.add(check_henon_heiles(budget, stretch_pairs=stretch))
+    report.add(check_henon_heiles(stretch_pairs=stretch))
     report.add(check_milnor_baseline())
     report.add(check_braid_relations())
     report.add(check_weyl_orders())

@@ -13,6 +13,7 @@ on the ambient coordinates; `jacobi_check` audits such a matrix, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .poly import AmbientMismatchError, PolyError, PolyMatrix, Polynomial
@@ -137,17 +138,10 @@ def general_bracket(f: Polynomial, g: Polynomial,
     return out
 
 
-def jacobi_check(structure: PoissonStructure,
-                 triples: Sequence[tuple[int, int, int]] | None = None) -> bool:
-    """Jacobi identity on coordinate triples (all of them when N <= 10)."""
-    n = len(structure.ambient)
-    if triples is None:
-        if n > 10:
-            raise PolyError("explicit triple sample required for more than 10 variables")
-        triples = [(i, j, k) for i in range(n)
-                   for j in range(i + 1, n) for k in range(j + 1, n)]
+def jacobi_check(structure: PoissonStructure) -> bool:
+    """Jacobi identity on every triple of coordinates."""
     coords = [Polynomial.variable(structure.ambient, v) for v in structure.ambient]
-    for i, j, k in triples:
+    for i, j, k in combinations(range(len(coords)), 3):
         total = Polynomial.zero(structure.ambient)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             inner = general_bracket(coords[b], coords[c], structure)

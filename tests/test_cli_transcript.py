@@ -27,7 +27,7 @@ CHECK variation-matrix pass expected=true got=true
 CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok got=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
 CHECK steinberg-suite pass expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=ranks=1,2;mults=1,2;casimirs=true;slice=true
 NOTE arnold-liouville-binomial k=2 cases eliminated; k=3 case counted
-NOTE henon-heiles stretch: eliminated discriminant s1^4*s2+16/27*s2^4 (multiplicity 4); given generator in its radical: no (same line-plus-cusp shape; equal after complex rescaling of s2)
+NOTE henon-heiles stretch: eliminated discriminant s1^4*s2+16/27*s2^4 (multiplicity 4); given generator in its radical: no (same line-plus-cusp shape; equal after rescaling s2 by the real cube root -(16/27)^(1/3))
 NOTE weyl-orders level-synchronous closure, cap 10^6 elements
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1

@@ -61,9 +61,7 @@ def test_report_exit_codes():
     assert r.exit_code() == 0
     assert not r.failed
 
-    other = Report()
-    other.add(skipped)
-    r.extend(other)
+    r.add(skipped)
     assert r.exit_code() == 3
     assert r.budget_exhausted
 

@@ -202,7 +202,7 @@ def test_discriminant_multiplicities():
 
 def test_subregular_slice():
     """The two-parameter slice shows the Morse block transverse to the stratum."""
-    report = subregular_slice_check()
+    report = subregular_slice_check(steinberg_map(2))
     amb = report.slice_ambient
     assert amb == ("t", "y11", "y12", "y21")
     assert report.c2 == parse_polynomial("-3*t^2 - y11^2 - y12*y21", amb)
@@ -213,3 +213,5 @@ def test_subregular_slice():
     assert report.a1_at_origin
     assert report.c3_vanishes_at_t0
     assert report.passed
+    with pytest.raises(PolyError):
+        subregular_slice_check(steinberg_map(1))
