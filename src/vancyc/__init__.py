@@ -16,7 +16,7 @@ from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
                         cartan_matrix, coxeter_element_order, fold,
                         group_order_bfs, identify_type, pl_reflection,
                         quotient_rank_check, standard_automorphisms,
-                        variation_matrix, weyl_generators)
+                        variation_matrix, weyl_generators, weyl_group_order)
 from .poly import (AmbientMismatchError, PolyError, PolyMatrix, PolyParseError,
                    Polynomial, UnknownVariableError, determinant_fraction_free,
                    exact_divide, format_polynomial, gcd_polynomials, normalized,

@@ -24,8 +24,8 @@ from .germfile import GermFileError, load_germ_file
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
 from .monodromy import (SUPPORTED_TYPES, CoxeterDatum, FoldingError, LatticeError,
                         braid_relation_check, coxeter_element_order, fold,
-                        group_order_bfs, quotient_rank_check,
-                        standard_automorphisms, weyl_generators)
+                        quotient_rank_check, standard_automorphisms,
+                        weyl_generators, weyl_group_order)
 from .poly import (PolyError, format_polynomial, normalized, parse_polynomial,
                    squarefree_part_bivariate)
 from .report import ASSUMED, FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check
@@ -131,7 +131,8 @@ def cmd_coxeter(args) -> int:
         report.add(check(f"braid-{label}", True, braid_ok,
                          note=f"failing pair {witness}" if witness else ""))
     if "order" in wanted:
-        report.add(check(f"order-{label}", prod(degrees), group_order_bfs(gens)))
+        report.add(check(f"order-{label}", prod(degrees),
+                         weyl_group_order(datum.cartan)))
     if "coxeter-element" in wanted:
         report.add(check(f"coxeter-element-{label}", max(degrees),
                          coxeter_element_order(gens)))

@@ -9,7 +9,8 @@ symplectic pairing of those variables, and one component expression per
     component: p1*q1
     component: p2
 
-Parse errors carry 1-based line and column numbers.
+Every component must vanish at the origin.  Parse and validation errors
+carry 1-based line and column numbers.
 """
 
 from __future__ import annotations
@@ -142,10 +143,15 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
             expr = payload.strip()
             offset = payload.index(expr) if expr else 0
             try:
-                components.append(parse_polynomial(expr, variables))
+                component = parse_polynomial(expr, variables)
             except PolyParseError as exc:
                 raise GermFileError(str(exc), lineno,
                                     col + offset + exc.position) from exc
+            if component.constant_term():
+                raise GermFileError(
+                    f"component {expr} does not vanish at the origin",
+                    lineno, col + offset)
+            components.append(component)
         else:
             raise GermFileError(f"unknown key {key!r}", lineno, 1)
     if variables is None:

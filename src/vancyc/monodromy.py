@@ -5,10 +5,15 @@ reflection in the i-th vanishing class delta_i of an even lattice with
 self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
 model (S = -Cartan for simply-laced types) these coincide with the Weyl
 generators s_i(e_j) = e_j - C_ji e_i.
+
+Two independent group orders: `group_order_bfs` closes a matrix group element
+by element, and `weyl_group_order` counts a Weyl group by orbit-stabilizer on
+fundamental weights, in plain Python ints, without listing its elements.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -276,6 +281,97 @@ def group_order_bfs(generators: Sequence[np.ndarray],
                     next_frontier.append(prod)
         frontier = next_frontier
     return len(seen)
+
+
+def _generalized_cartan_rows(cartan) -> list[list[int]]:
+    """The matrix as lists of ints; LatticeError unless it is square with
+    diagonal 2, off-diagonal entries <= 0 and a_ij = 0 exactly when a_ji = 0."""
+    try:
+        rows = [[operator.index(x) for x in row] for row in cartan]
+    except TypeError:
+        raise LatticeError("expected a square integer matrix") from None
+    r = len(rows)
+    if any(len(row) != r for row in rows):
+        raise LatticeError("expected a square integer matrix")
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            if a != 2 if i == j else a > 0 or (a == 0) != (rows[j][i] == 0):
+                raise LatticeError(f"not a generalized Cartan matrix at ({i},{j})")
+    return rows
+
+
+def _peripheral_node(rows: list[list[int]]) -> int:
+    """A node with the largest total diagram distance to the nodes it reaches;
+    the lowest index among ties.  In a tree this is a leaf, the end of the
+    longest arm for E_n and D_n."""
+    r = len(rows)
+
+    def total_distance(i: int) -> int:
+        dist = {i: 0}
+        frontier = [i]
+        while frontier:
+            next_frontier = []
+            for a in frontier:
+                for b in range(r):
+                    if rows[a][b] and b not in dist:
+                        dist[b] = dist[a] + 1
+                        next_frontier.append(b)
+            frontier = next_frontier
+        return sum(dist.values())
+
+    return max(range(r), key=total_distance)
+
+
+def _fundamental_orbit_size(rows: list[list[int]], i: int, cap: int) -> int | None:
+    """Size of the orbit of omega_i, in fundamental-weight coordinates; None
+    when it passes `cap` points.
+
+    s_j(lam) = lam - lam_j * alpha_j with alpha_j = row j.  Every orbit point
+    is reached from the dominant omega_i by steps with lam_j > 0 (each lowers
+    the weight), so only those steps are taken.
+    """
+    start = tuple(int(k == i) for k in range(len(rows)))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for lam in frontier:
+            for j, lam_j in enumerate(lam):
+                if lam_j > 0:
+                    mu = tuple(a - lam_j * b for a, b in zip(lam, rows[j]))
+                    if mu not in seen:
+                        if len(seen) >= cap:
+                            return None
+                        seen.add(mu)
+                        next_frontier.append(mu)
+        frontier = next_frontier
+    return len(seen)
+
+
+def weyl_group_order(cartan, cap: int = 10 ** 6) -> int | None:
+    """Order of the Weyl group of a (generalized) Cartan matrix; None once an
+    orbit passes `cap` points, as for an infinite group.
+
+    Orbit-stabilizer on fundamental weights: the stabilizer of omega_i is the
+    parabolic subgroup W_J, J the diagram without node i, so
+    |W| = |W.omega_i| * |W_J|, and the count recurses on the Cartan submatrix
+    of J (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.12 and 5.13;
+    Bourbaki, Lie Groups ch. VI, plates).  Node i is `_peripheral_node`, which
+    keeps the orbits small whatever the node labels: E8 counts 240 roots first
+    instead of up to 483,840 weights from its branch node.  Plain Python ints,
+    so no entry wraps; LatticeError on a matrix that is not a generalized
+    Cartan matrix.
+    """
+    rows = _generalized_cartan_rows(cartan)
+    order = 1
+    while rows:
+        i = _peripheral_node(rows)
+        size = _fundamental_orbit_size(rows, i, cap)
+        if size is None:
+            return None
+        order *= size
+        rows = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != i]
+    return order
 
 
 def coxeter_element_order(generators: Sequence[np.ndarray], cap: int = 10 ** 4) -> int:

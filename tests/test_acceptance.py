@@ -7,8 +7,9 @@ and asserts the recorded status.
 
 import pytest
 
-from vancyc.report import PASS, format_value
-from vancyc.suite import run_paper_suite
+from vancyc import suite as suite_module
+from vancyc.report import FAIL, PASS, format_value
+from vancyc.suite import check_weyl_orders, run_paper_suite
 
 EXPECTED_NAMES = [
     "involutivity",
@@ -83,8 +84,27 @@ def test_acceptance_braid_relations(suite):
 
 
 def test_acceptance_weyl_orders(suite):
-    """Group orders match the classical values up to 51840."""
+    """Group orders match the classical values up to E8's 696729600."""
     _verdict(suite, "weyl-orders")
+
+
+@pytest.mark.parametrize("name, order, shown", [
+    ("group_order_bfs", 1152, "1152/1153"),
+    ("weyl_group_order", 696729600, "696729601"),
+])
+def test_weyl_orders_gate_can_fail(monkeypatch, name, order, shown):
+    """A BFS count off by one on F4, or an orbit-stabilizer count off by one
+    on E8, fails the gate and shows in the got list."""
+    real = getattr(suite_module, name)
+
+    def off_by_one(*args, **kwargs):
+        got = real(*args, **kwargs)
+        return got + 1 if got == order else got
+
+    monkeypatch.setattr(suite_module, name, off_by_one)
+    result = check_weyl_orders()
+    assert result.status == FAIL
+    assert shown in format_value(result.got).split(",")
 
 
 def test_acceptance_picard_lefschetz(suite):

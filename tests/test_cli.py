@@ -80,12 +80,17 @@ def test_missing_germ_file(capsys, germs_dir):
 
 
 def test_bad_germ_file_reports_position(capsys, tmp_path):
-    """Syntax errors in germ files carry line/column in the message."""
+    """Syntax errors and components off the origin carry line/column in the
+    message."""
     bad = tmp_path / "bad.germ"
     bad.write_text("vars: x\ncomponent: x + + 1\n")
     code, out, err = run(capsys, "discriminant", str(bad))
     assert code == 2
     assert "line 2" in err[0]
+    bad.write_text("vars: x\ncomponent: x\ncomponent: 2\n")
+    code, out, err = run(capsys, "discriminant", str(bad))
+    assert code == 2
+    assert err == ["error: line 3, column 12: component 2 does not vanish at the origin"]
 
 
 def test_coxeter_full_run(capsys):

@@ -4,8 +4,8 @@ commands.
 Every CHECK and NOTE line of `paper-suite` (default and zero budget),
 `coxeter` on each supported type, `steinberg` on each rank and check, and
 `fold` on each tabled folding and the identity is compared byte for byte.
-A8 runs only the braid and Coxeter-element checks, because its full group
-closure takes seconds.
+A8 also runs the braid and Coxeter-element checks one at a time, to pin the
+`--check` selection.
 """
 
 import pytest
@@ -21,14 +21,14 @@ CHECK arnold-liouville-binomial pass expected=3,4,6 got=3,4,6
 CHECK henon-heiles pass expected=mult=4 got=mult=4
 CHECK milnor-baseline pass expected=1,2,non-isolated got=1,2,non-isolated
 CHECK braid-relations pass expected=8/8 got=8/8
-CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840 got=6,8,12,24,192,1152,51840
+CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840,2903040,696729600 got=6,8,12,24,192,1152,51840,2903040,696729600
 CHECK picard-lefschetz pass expected=true got=true
 CHECK variation-matrix pass expected=true got=true
 CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok got=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
 CHECK steinberg-suite pass expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=ranks=1,2;mults=1,2;casimirs=true;slice=true
 NOTE arnold-liouville-binomial k=2 cases eliminated; k=3 case counted
 NOTE henon-heiles stretch: eliminated discriminant s1^4*s2+16/27*s2^4 (multiplicity 4); given generator in its radical: no (same line-plus-cusp shape; equal after rescaling s2 by the real cube root -(16/27)^(1/3))
-NOTE weyl-orders level-synchronous closure, cap 10^6 elements
+NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
 NOTE folding-groups abelian flags: D4-full=nonabelian
@@ -42,7 +42,7 @@ CHECK arnold-liouville-binomial skipped-budget expected=3,4,6 got=3,4,6
 CHECK henon-heiles pass expected=mult=4 got=mult=4
 CHECK milnor-baseline pass expected=1,2,non-isolated got=1,2,non-isolated
 CHECK braid-relations pass expected=8/8 got=8/8
-CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840 got=6,8,12,24,192,1152,51840
+CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840,2903040,696729600 got=6,8,12,24,192,1152,51840,2903040,696729600
 CHECK picard-lefschetz pass expected=true got=true
 CHECK variation-matrix pass expected=true got=true
 CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok got=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
@@ -51,7 +51,7 @@ NOTE discriminant-basic elimination stopped after 0 S-pairs
 NOTE discriminant-al6 elimination stopped after 0 S-pairs; hyperplane counting path used instead
 NOTE arnold-liouville-binomial elimination budget exhausted; all cases counted
 NOTE henon-heiles radical-membership stretch skipped (budget)
-NOTE weyl-orders level-synchronous closure, cap 10^6 elements
+NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
 NOTE folding-groups abelian flags: D4-full=nonabelian
@@ -91,6 +91,11 @@ CHECK coxeter-element-A6 pass expected=7 got=7
 CHECK braid-A7 pass expected=true got=true
 CHECK order-A7 pass expected=40320 got=40320
 CHECK coxeter-element-A7 pass expected=8 got=8
+"""),
+    'coxeter A8 --notes': (0, """\
+CHECK braid-A8 pass expected=true got=true
+CHECK order-A8 pass expected=362880 got=362880
+CHECK coxeter-element-A8 pass expected=9 got=9
 """),
     'coxeter A8 --check braid --notes': (0, """\
 CHECK braid-A8 pass expected=true got=true

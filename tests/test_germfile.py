@@ -47,6 +47,7 @@ def test_error_positions_are_one_based():
         ("vars: q1 p1\nsymplectic: (q1,z)\ncomponent: q1\n", 2, 13),
         ("vars: q1 p1\nsymplectic: q1 p1\ncomponent: q1\n", 2, 13),
         ("vars: q1 p1\nbogus_key: 1\ncomponent: q1\n", 2, 1),
+        ("vars: x y\ncomponent: x\ncomponent:  2 + x\n", 3, 13),
     ]
     for text, line, column in cases:
         with pytest.raises(GermFileError) as exc:

@@ -25,6 +25,7 @@ from vancyc.monodromy import (
     standard_automorphisms,
     variation_matrix,
     weyl_generators,
+    weyl_group_order,
 )
 from vancyc.suite import invariant_degrees
 
@@ -125,6 +126,47 @@ def test_group_order_cap_returns_none():
     """An element cap below the group order reports None, not a wrong count."""
     gens = weyl_generators(CoxeterDatum.for_type("A2"))
     assert group_order_bfs(gens, cap=3) is None
+
+
+def test_weyl_group_order_is_the_degree_product():
+    """Orbit-stabilizer gives prod d_i for every supported type and E7, E8,
+    also on seeded node relabellings of the Cartan matrix."""
+    rng = random.Random(5)
+    for label in SUPPORTED_TYPES + ("E7", "E8"):
+        want = prod(invariant_degrees(label))
+        c = cartan_matrix(label).tolist()
+        assert weyl_group_order(c) == want, label
+        for _ in range(3):
+            p = list(range(len(c)))
+            rng.shuffle(p)
+            assert weyl_group_order([[c[i][j] for j in p] for i in p]) == want, (label, p)
+
+
+def test_weyl_group_order_agrees_with_bfs():
+    """The element-by-element closure and orbit-stabilizer agree up to F4."""
+    for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "B4", "F4"):
+        datum = CoxeterDatum.for_type(label)
+        assert weyl_group_order(datum.cartan) == group_order_bfs(weyl_generators(datum))
+
+
+def test_weyl_group_order_cap_and_infinite_groups():
+    """An orbit may have exactly `cap` points; one more gives None.  The affine
+    and hyperbolic rank-2 groups are infinite and always hit the cap; at cap
+    100 the hyperbolic weights already need 138 bits, which int64 would wrap."""
+    a2 = cartan_matrix("A2")
+    assert weyl_group_order(a2, cap=3) == 6
+    assert weyl_group_order(a2, cap=2) is None
+    for cartan in ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]]):
+        assert weyl_group_order(cartan, cap=100) is None
+    assert weyl_group_order([]) == 1
+
+
+def test_weyl_group_order_rejects_bad_matrices():
+    """Non-square and non-Cartan input is a LatticeError, not a wrong order."""
+    for bad in ([[2, -1]], [[2, -1], [-1, 2], [0, 0]], [2, -1], [[2.0]],
+                [[3]], [[2, 1], [1, 2]], [[2, -1], [0, 2]]):
+        with pytest.raises(LatticeError):
+            weyl_group_order(bad)
 
 
 def test_coxeter_element_order_is_order_independent():

@@ -138,12 +138,17 @@ def test_elimination_budget_propagates():
 
 
 def test_milnor_numbers():
-    """Chain singularities x^(a+1) + y^2 have Milnor number a."""
+    """The simple singularities have Milnor number their index: A_k = x^(k+1)
+    + y^2, D_k = x^2*y + y^(k-1), E_6,7,8; stabilising by squares keeps it."""
     amb = ("x", "y")
-    for a in (1, 2, 3, 4):
-        h = parse_polynomial(f"x^{a + 1} + y^2", amb)
-        assert milnor_number(h) == a
-    assert milnor_number(parse_polynomial("x^2 + y^2 + z^2", ("x", "y", "z"))) == 1
+    cases = [(f"x^{k + 1} + y^2", k) for k in range(1, 7)]
+    cases += [(f"x^2*y + y^{k - 1}", k) for k in (4, 5, 6)]
+    cases += [("x^3 + y^4", 6), ("x^3 + x*y^3", 7), ("x^3 + y^5", 8)]
+    for text, mu in cases:
+        assert milnor_number(parse_polynomial(text, amb)) == mu, text
+    xyz = ("x", "y", "z")
+    assert milnor_number(parse_polynomial("x^2 + y^2 + z^2", xyz)) == 1
+    assert milnor_number(parse_polynomial("x^2*y + y^3 + z^2", xyz)) == 4
     with pytest.raises(NonIsolatedSingularityError):
         milnor_number(parse_polynomial("x^2*y^2", amb))
 
