@@ -28,7 +28,7 @@ from .monodromy import (SUPPORTED_TYPES, CoxeterDatum, FoldingError, LatticeErro
                         weyl_generators, weyl_group_order)
 from .poly import (PolyError, format_polynomial, normalized, parse_polynomial,
                    squarefree_part_bivariate)
-from .report import ASSUMED, FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check
+from .report import FAIL, PASS, SKIPPED_BUDGET, Report, check
 from .singularity import curve_multiplicity, discriminant, multiplicity_at_origin
 from .suite import (STEINBERG_CHECKS, fold_expectation, invariant_degrees,
                     run_paper_suite, steinberg_results)
@@ -177,13 +177,7 @@ def cmd_steinberg(args) -> int:
         return 2
     results, _ = steinberg_results(
         rank, STEINBERG_CHECKS if args.check == "all" else (args.check,))
-    report = Report(results)
-    if args.check == "all":
-        report.add(CheckResult("steinberg-t2-hypothesis", ASSUMED,
-                               "assumed", "assumed",
-                               note="simplifiable calibrated T2 behaviour of the "
-                                    "adjoint quotient is assumed, not certified"))
-    return _emit(report, args.notes)
+    return _emit(Report(results), args.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +187,11 @@ def cmd_steinberg(args) -> int:
 def cmd_paper_suite(args) -> int:
     report = run_paper_suite(budget=args.budget)
     code = _emit(report, args.notes)
-    counts = {PASS: 0, FAIL: 0, SKIPPED_BUDGET: 0, ASSUMED: 0}
+    counts = {PASS: 0, FAIL: 0, SKIPPED_BUDGET: 0}
     for c in report.checks:
         counts[c.status] += 1
     print(f"paper-suite: {counts[PASS]} pass, {counts[FAIL]} fail, "
-          f"{counts[SKIPPED_BUDGET]} skipped-budget, "
-          f"{counts[ASSUMED]} assumed-hypothesis", file=sys.stderr)
+          f"{counts[SKIPPED_BUDGET]} skipped-budget", file=sys.stderr)
     return code
 
 

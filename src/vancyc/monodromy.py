@@ -1,14 +1,17 @@
 """Intersection lattices, Picard-Lefschetz reflections, Coxeter groups, folding.
 
-Matrices are numpy int64 arrays; all arithmetic is exact integer work.  The
-reflection in the i-th vanishing class delta_i of an even lattice with
-self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
-model (S = -Cartan for simply-laced types) these coincide with the Weyl
-generators s_i(e_j) = e_j - C_ji e_i.
+Cartan data, lattices and generators are built as numpy int64 arrays.  The
+group work -- closures, braid relations, Coxeter elements, orbit counts --
+takes them (or nested lists) as lists of Python ints, so no product there can
+wrap.  The reflection in the i-th vanishing class delta_i of an even lattice
+with self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the
+root-lattice model (S = -Cartan for simply-laced types) these coincide with
+the Weyl generators s_i(e_j) = e_j - C_ji e_i.
 
 Two independent group orders: `group_order_bfs` closes a matrix group element
-by element, and `weyl_group_order` counts a Weyl group by orbit-stabilizer on
-fundamental weights, in plain Python ints, without listing its elements.
+by element, on interned integer rows, and `weyl_group_order` counts a Weyl
+group by orbit-stabilizer on fundamental weights without listing its
+elements.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -234,50 +238,105 @@ def weyl_generators(datum: CoxeterDatum) -> list[np.ndarray]:
     return gens
 
 
-def braid_relation_check(generators: Sequence[np.ndarray],
-                         coxeter: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
+def _int_rows(matrix) -> list[list[int]]:
+    """A square integer matrix (numpy array or nested lists) as lists of
+    Python ints; LatticeError otherwise."""
+    try:
+        rows = [[operator.index(x) for x in row] for row in matrix]
+    except TypeError:
+        raise LatticeError("expected a square integer matrix") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise LatticeError("expected a square integer matrix")
+    return rows
+
+
+def _int_generators(generators) -> list[list[list[int]]]:
+    """Each generator through `_int_rows`; LatticeError unless all have one size."""
+    mats = [_int_rows(g) for g in generators]
+    if len({len(m) for m in mats}) > 1:
+        raise LatticeError("generators must be square matrices of one common size")
+    return mats
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Exact product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def braid_relation_check(generators: Sequence,
+                         coxeter) -> tuple[bool, tuple[int, int] | None]:
     """Check each generator is an involution and the alternating products of
     length m_ij agree for every pair; a generator i that does not square to
-    the identity is reported as the witness (i, i)."""
-    for i, g in enumerate(generators):
-        if not np.array_equal(g @ g, np.eye(*g.shape, dtype=np.int64)):
+    the identity is reported as the witness (i, i).  Exact in Python ints."""
+    mats = _int_generators(generators)
+    if not mats:
+        return True, None
+    identity = _identity(len(mats[0]))
+    for i, g in enumerate(mats):
+        if _matmul(g, g) != identity:
             return False, (i, i)
-    n = len(generators)
+
+    def alternating(a, b, length):
+        factors = [(a, b)[k % 2] for k in range(length)]
+        return reduce(_matmul, factors) if factors else identity
+
+    n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
-            m = int(coxeter[i, j])
-            left = np.eye(*generators[0].shape, dtype=np.int64)
-            right = left.copy()
-            for k in range(m):
-                left = left @ (generators[i] if k % 2 == 0 else generators[j])
-                right = right @ (generators[j] if k % 2 == 0 else generators[i])
-            if not np.array_equal(left, right):
+            m = int(coxeter[i][j])
+            if alternating(mats[i], mats[j], m) != alternating(mats[j], mats[i], m):
                 return False, (i, j)
     return True, None
 
 
-def group_order_bfs(generators: Sequence[np.ndarray],
-                    cap: int = 10 ** 6) -> int | None:
-    """Order of the matrix group generated; None when the cap is exceeded.
+def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
+    """Order of the matrix group (the monoid, for singular generators)
+    generated; None when it has more than `cap` elements.
 
-    Level-synchronous breadth-first closure, deterministic.
+    Level-synchronous breadth-first closure, deterministic, in Python ints.
+    Every distinct row vector gets an id and an element is the tuple of its
+    row ids.  Row a of m.g is (row a of m).g, so one table per generator,
+    mapping a row id to the id of row.g, turns a product into a lookup per
+    row.  The tables are filled at the start of each level for the rows
+    that exist then, never to closure: an infinite group has infinitely
+    many rows.
     """
-    if not generators:
+    mats = _int_generators(generators)
+    if not mats:
         return 1
-    shape = generators[0].shape
-    identity = np.eye(shape[0], dtype=np.int64)
-    seen = {identity.tobytes()}
+    row_ids: dict[tuple[int, ...], int] = {}
+    rows: list[tuple[int, ...]] = []
+
+    def intern(row: tuple[int, ...]) -> int:
+        rid = row_ids.get(row)
+        if rid is None:
+            rid = row_ids[row] = len(rows)
+            rows.append(row)
+        return rid
+
+    identity = tuple(intern(tuple(row)) for row in _identity(len(mats[0])))
+    tables: list[list[int]] = [[] for _ in mats]
+    seen = {identity}
     frontier = [identity]
     while frontier:
+        known = len(rows)
+        for table, g in zip(tables, mats):
+            for rid in range(len(table), known):
+                table.append(intern(tuple(_matmul([rows[rid]], g)[0])))
+        lookups = [table.__getitem__ for table in tables]
         next_frontier = []
         for m in frontier:
-            for g in generators:
-                prod = m @ g
-                key = prod.tobytes()
-                if key not in seen:
+            for lookup in lookups:
+                prod = tuple(map(lookup, m))
+                if prod not in seen:
                     if len(seen) >= cap:
                         return None
-                    seen.add(key)
+                    seen.add(prod)
                     next_frontier.append(prod)
         frontier = next_frontier
     return len(seen)
@@ -286,13 +345,7 @@ def group_order_bfs(generators: Sequence[np.ndarray],
 def _generalized_cartan_rows(cartan) -> list[list[int]]:
     """The matrix as lists of ints; LatticeError unless it is square with
     diagonal 2, off-diagonal entries <= 0 and a_ij = 0 exactly when a_ji = 0."""
-    try:
-        rows = [[operator.index(x) for x in row] for row in cartan]
-    except TypeError:
-        raise LatticeError("expected a square integer matrix") from None
-    r = len(rows)
-    if any(len(row) != r for row in rows):
-        raise LatticeError("expected a square integer matrix")
+    rows = _int_rows(cartan)
     for i, row in enumerate(rows):
         for j, a in enumerate(row):
             if a != 2 if i == j else a > 0 or (a == 0) != (rows[j][i] == 0):
@@ -374,17 +427,21 @@ def weyl_group_order(cartan, cap: int = 10 ** 6) -> int | None:
     return order
 
 
-def coxeter_element_order(generators: Sequence[np.ndarray], cap: int = 10 ** 4) -> int:
-    """Order of the product of all generators in the listed order."""
-    c = generators[0]
-    for g in generators[1:]:
-        c = c @ g
-    identity = np.eye(c.shape[0], dtype=np.int64)
-    power = c.copy()
+def coxeter_element_order(generators: Sequence, cap: int = 10 ** 4) -> int:
+    """Order of the product of all generators in the listed order, in
+    Python ints; LatticeError once it passes `cap`."""
+    mats = _int_generators(generators)
+    if not mats:
+        return 1
+    c = mats[0]
+    for g in mats[1:]:
+        c = _matmul(c, g)
+    identity = _identity(len(c))
+    power = c
     for k in range(1, cap + 1):
-        if np.array_equal(power, identity):
+        if power == identity:
             return k
-        power = power @ c
+        power = _matmul(power, c)
     raise LatticeError("element order exceeds the iteration cap")
 
 

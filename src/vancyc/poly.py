@@ -24,6 +24,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -487,6 +488,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Cap on the term count one '^' or '*' of a parsed expression may produce,
+# checked on an upper bound before expanding, so a short line cannot stall the
+# parser: (x+y+z)^80 (3,321 terms) took 5 s to expand; the slowest expansion
+# under the cap, (x+y)^499, takes about 0.7 s, mostly in 150-digit binomials.
+MAX_EXPANDED_TERMS = 500
+
+
+def _check_expansion(bound: int, op: str, at: int) -> None:
+    if bound > MAX_EXPANDED_TERMS:
+        raise PolyParseError(
+            f"expanding '{op}' may exceed {MAX_EXPANDED_TERMS} terms", at)
+
+
 class _Parser:
     def __init__(self, tokens, ambient):
         self.tokens = tokens
@@ -530,18 +544,26 @@ class _Parser:
 
     def parse_term(self) -> Polynomial:
         p = self.parse_factor()
-        while self.accept_op("*"):
-            p = p * self.parse_factor()
-        return p
+        while True:
+            at = self.peek()[2]
+            if not self.accept_op("*"):
+                return p
+            q = self.parse_factor()
+            _check_expansion(len(p.terms) * len(q.terms), "*", at)
+            p = p * q
 
     def parse_factor(self) -> Polynomial:
         p = self.parse_base()
+        at = self.peek()[2]
         if self.accept_op("^"):
-            kind, val, at = self.peek()
+            kind, val, at_exp = self.peek()
             if kind != "int":
-                raise PolyParseError("exponent must be a non-negative integer", at)
+                raise PolyParseError("exponent must be a non-negative integer", at_exp)
             self.pos += 1
-            return p ** int(val)
+            n = int(val)
+            # a product of n terms from t has at most C(t + n - 1, n) monomials
+            _check_expansion(comb(len(p.terms) + n - 1, n) if n else 1, "^", at)
+            return p ** n
         return p
 
     def parse_base(self) -> Polynomial:

@@ -4,7 +4,7 @@ Machine-readable form, one line per check, diff-able across runs:
 
     CHECK <name> <status> expected=<value> got=<value>
 
-Statuses: pass, fail, skipped-budget, assumed-hypothesis.  Values never
+Statuses: pass, fail, skipped-budget.  Values never
 contain spaces (polynomials are printed in their compact form).
 """
 
@@ -18,9 +18,8 @@ from .poly import Polynomial, format_polynomial
 PASS = "pass"
 FAIL = "fail"
 SKIPPED_BUDGET = "skipped-budget"
-ASSUMED = "assumed-hypothesis"
 
-_STATUSES = (PASS, FAIL, SKIPPED_BUDGET, ASSUMED)
+_STATUSES = (PASS, FAIL, SKIPPED_BUDGET)
 
 
 def format_value(value) -> str:

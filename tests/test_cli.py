@@ -168,7 +168,7 @@ def test_fold_rejects_non_simply_laced(capsys):
 
 
 def test_steinberg_all_checks(capsys):
-    """Rank 2 runs five checks plus the explicitly assumed hypothesis line."""
+    """Rank 2 runs five checks."""
     code, out, err = run(capsys, "steinberg", "--rank", "2", "--check", "all")
     assert code == 0
     assert out == [
@@ -177,7 +177,6 @@ def test_steinberg_all_checks(capsys):
         "CHECK steinberg-rank-regular pass expected=2 got=2",
         "CHECK steinberg-discriminant pass expected=2 got=2",
         "CHECK steinberg-slice pass expected=true got=true",
-        "CHECK steinberg-t2-hypothesis assumed-hypothesis expected=assumed got=assumed",
     ]
 
 
@@ -203,7 +202,7 @@ def test_paper_suite_passes(capsys):
     assert len(out) == 12
     assert all(line.startswith("CHECK ") for line in out)
     assert all(" pass " in line for line in out)
-    assert err == ["paper-suite: 12 pass, 0 fail, 0 skipped-budget, 0 assumed-hypothesis"]
+    assert err == ["paper-suite: 12 pass, 0 fail, 0 skipped-budget"]
 
 
 def test_paper_suite_is_deterministic(capsys):
@@ -225,7 +224,7 @@ def test_paper_suite_budget_zero(capsys):
     assert skipped == ["discriminant-basic", "discriminant-al6",
                        "arnold-liouville-binomial"]
     assert sum(" pass " in line for line in out) == 9
-    assert err == ["paper-suite: 9 pass, 0 fail, 3 skipped-budget, 0 assumed-hypothesis"]
+    assert err == ["paper-suite: 9 pass, 0 fail, 3 skipped-budget"]
 
 
 def test_paper_suite_notes(capsys):

@@ -160,9 +160,7 @@ CHECK steinberg-casimir pass expected=true got=true
 CHECK steinberg-rank-subregular pass expected=0 got=0
 CHECK steinberg-rank-regular pass expected=1 got=1
 CHECK steinberg-discriminant pass expected=1 got=1
-CHECK steinberg-t2-hypothesis assumed-hypothesis expected=assumed got=assumed
 NOTE steinberg-casimir 1 component(s) against the Lie-Poisson bracket
-NOTE steinberg-t2-hypothesis simplifiable calibrated T2 behaviour of the adjoint quotient is assumed, not certified
 """),
     'steinberg --rank 2 --check casimir --notes': (0, """\
 CHECK steinberg-casimir pass expected=true got=true
@@ -185,10 +183,8 @@ CHECK steinberg-rank-subregular pass expected=1 got=1
 CHECK steinberg-rank-regular pass expected=2 got=2
 CHECK steinberg-discriminant pass expected=2 got=2
 CHECK steinberg-slice pass expected=true got=true
-CHECK steinberg-t2-hypothesis assumed-hypothesis expected=assumed got=assumed
 NOTE steinberg-casimir 2 component(s) against the Lie-Poisson bracket
 NOTE steinberg-slice c2 block Hessian rank 3; differential rank 1
-NOTE steinberg-t2-hypothesis simplifiable calibrated T2 behaviour of the adjoint quotient is assumed, not certified
 """),
     'fold A3 flip --notes': (0, """\
 CHECK fold-type pass expected=C2 got=C2

@@ -123,9 +123,52 @@ def test_group_orders_match_goldens():
 
 
 def test_group_order_cap_returns_none():
-    """An element cap below the group order reports None, not a wrong count."""
+    """An element cap below the group order reports None, not a wrong count;
+    a cap equal to the order still returns it."""
     gens = weyl_generators(CoxeterDatum.for_type("A2"))
     assert group_order_bfs(gens, cap=3) is None
+    for label in ("A2", "F4", "E6"):
+        gens = weyl_generators(CoxeterDatum.for_type(label))
+        order = prod(invariant_degrees(label))
+        assert group_order_bfs(gens, cap=order) == order
+        assert group_order_bfs(gens, cap=order - 1) is None
+
+
+# Reflections of the rank-2 hyperbolic Cartan matrix [[2, -3], [-3, 2]]: an
+# infinite group whose entries grow by a factor of about 6.85 per letter pair.
+HYPERBOLIC = [[[-1, 3], [0, 1]], [[1, 0], [3, -1]]]
+
+
+def test_group_order_bfs_is_exact_past_int64():
+    """Infinite groups hit the cap.  [[1, 2^62], [0, 1]] has infinite order,
+    but its fourth power is the identity modulo 2^64, so a closure in int64
+    would report 4."""
+    assert group_order_bfs(HYPERBOLIC, cap=100) is None
+    assert group_order_bfs([[[1, 2 ** 62], [0, 1]]], cap=100) is None
+    assert group_order_bfs([[[1, 2 ** 62], [0, -1]]]) == 2
+
+
+def test_group_order_bfs_small_cases():
+    """Diagram-automorphism groups as permutation matrices; the monoid of a
+    singular generator; no generators; lists and numpy arrays alike."""
+    for label, name, order in (("A3", "flip", 2), ("E6", "flip", 2),
+                               ("D4", "triality", 3), ("D4", "full", 6)):
+        mats = [permutation_matrix(p) for p in standard_automorphisms(label, name)]
+        assert group_order_bfs(mats) == order
+    assert group_order_bfs([[[0]]]) == 2
+    assert group_order_bfs([np.array([[0]])]) == 2
+    assert group_order_bfs([]) == 1
+    gens = weyl_generators(CoxeterDatum.for_type("B3"))
+    assert group_order_bfs([g.tolist() for g in gens]) == group_order_bfs(gens) == 48
+
+
+def test_group_order_bfs_rejects_bad_generators():
+    """Ragged, non-square, non-integer and mixed-size generators are a
+    LatticeError, not a count."""
+    for bad in ([[[1, 0], [0]]], [[[1, 0]]], [[[1.0]]], [np.eye(2)],
+                [[[1]], [[1, 0], [0, 1]]], [[1, 0]]):
+        with pytest.raises(LatticeError):
+            group_order_bfs(bad)
 
 
 def test_weyl_group_order_is_the_degree_product():
@@ -143,10 +186,21 @@ def test_weyl_group_order_is_the_degree_product():
 
 
 def test_weyl_group_order_agrees_with_bfs():
-    """The element-by-element closure and orbit-stabilizer agree up to F4."""
-    for label in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "B4", "F4"):
-        datum = CoxeterDatum.for_type(label)
-        assert weyl_group_order(datum.cartan) == group_order_bfs(weyl_generators(datum))
+    """The element-by-element closure and orbit-stabilizer agree on every
+    supported type but A8, also on seeded node relabellings."""
+    rng = random.Random(11)
+    for label in SUPPORTED_TYPES:
+        if label == "A8":
+            continue
+        c = cartan_matrix(label).tolist()
+        want = weyl_group_order(c)
+        for k in range(4):
+            p = list(range(len(c)))
+            if k:
+                rng.shuffle(p)
+            relabelled = np.array([[c[i][j] for j in p] for i in p])
+            datum = CoxeterDatum(label, relabelled, coxeter_matrix_from_cartan(relabelled))
+            assert group_order_bfs(weyl_generators(datum)) == want, (label, p)
 
 
 def test_weyl_group_order_cap_and_infinite_groups():
@@ -179,6 +233,21 @@ def test_coxeter_element_order_is_order_independent():
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert coxeter_element_order(shuffled) == expected
+
+
+def test_braid_and_coxeter_element_are_exact():
+    """The hyperbolic pair is two involutions with no braid relation, and its
+    Coxeter element has infinite order.  An int64 product would find
+    (2^63 - 1)^2 = 1 and ([[1, 2^62], [0, 1]])^4 = 1 modulo 2^64."""
+    assert braid_relation_check(HYPERBOLIC, [[1, 3], [3, 1]]) == (False, (0, 1))
+    with pytest.raises(LatticeError, match="cap"):
+        coxeter_element_order(HYPERBOLIC, cap=50)
+    assert braid_relation_check([[[2 ** 63 - 1, 0], [0, 1]]], [[1]]) == (False, (0, 0))
+    with pytest.raises(LatticeError, match="cap"):
+        coxeter_element_order([[[1, 2 ** 62], [0, 1]]], cap=10)
+    assert coxeter_element_order([]) == 1
+    with pytest.raises(LatticeError):
+        braid_relation_check([[[1]], [[1, 0], [0, 1]]], [[1, 2], [2, 1]])
 
 
 def test_root_lattice_and_reflections():

@@ -14,9 +14,9 @@ from vancyc.poly import PolyParseError, parse_polynomial  # noqa: E402
 AMB = ("x", "y", "z")
 
 # Token soup is joined by spaces, so every integer has one digit, and at most
-# 12 tokens nest powers at most as deep as ((x+y)^9)^9, of degree 81: the
-# parser puts no cap on exponents.  For the same reason well-formed
-# expressions raise only atoms to a power, and the raw text has no '^'.
+# 12 tokens nest powers at most as deep as ((x+y)^9)^9, which the parser's
+# expansion cap rejects.  Well-formed expressions raise only atoms to a
+# power and the raw text has no '^', so that every case stays quick.
 TOKENS = ["x", "y", "z", "w", "x1", "0", "1", "2", "9", "3/2", "1/0", "2/x",
           "+", "-", "*", "^", "/", "(", ")", "$", "٣", "\t"]
 token_soup = st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join)

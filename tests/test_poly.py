@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,27 @@ def test_parse_error_positions():
     with pytest.raises(UnknownVariableError) as exc:
         parse_polynomial("x + w", AMB)
     assert exc.value.position == 4
+
+
+def test_parse_caps_the_expanded_size():
+    """An operator whose bound on the expanded term count passes the cap fails
+    at its own position before expanding; sparse powers and products under
+    the cap still expand exactly."""
+    cases = [
+        ("(x+y+z)^80", 7),  # C(82, 80) = 3321 terms
+        ("x + ((x+y)^9)^9", 13),  # C(18, 9): the bound, not the 82 real terms
+        ("(x+y)^24 * (x+y)^20", 9),  # 25 * 21 = 525
+    ]
+    for text, pos in cases:
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match="500 terms") as exc:
+            parse_polynomial(text, AMB)
+        assert time.perf_counter() - start < 0.05, text
+        assert exc.value.position == pos
+    assert len(parse_polynomial("(x+y)^24 * (x+y)^19", AMB).terms) == 44  # bound 500
+    assert len(parse_polynomial("(x+y+z)^12", AMB).terms) == 91
+    assert parse_polynomial("x^100000*y^3", AMB).degree_in("x") == 100000
+    assert len(parse_polynomial("(x+y+z)^4 * (x+y)^9", AMB).terms) == 60  # bound 150
 
 
 def test_derivative_linear_and_leibniz_randomized():
