@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: `bracket` (Poisson bracket of two germ components),
-`discriminant` (critical-value curve of a germ file, or of a given
+`discriminant` (critical-value hypersurface of a germ file, or of a given
 generator), `coxeter` (braid relations, group order, Coxeter element),
 `fold` (diagram folding with its automorphism group), `steinberg`
 (adjoint-quotient checks for sl_2 / sl_3) and `paper-suite` (the twelve
@@ -105,7 +105,7 @@ def cmd_discriminant(args) -> int:
         print(f"note: {d.note}")
     if d.reduced_generator is not None:
         print(f"reduced: {format_polynomial(normalized(d.reduced_generator))}")
-        if d.k == 2:
+        if d.k >= 2:
             print(f"multiplicity: {multiplicity_at_origin(d)}")
     return 0
 

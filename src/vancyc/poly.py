@@ -3,10 +3,10 @@
 Coefficients are `fractions.Fraction`; a polynomial is a dict from exponent
 tuples (one slot per ambient variable) to nonzero coefficients.  The module
 also carries the exact linear algebra used elsewhere in the package:
-fraction-free (Bareiss) determinants of polynomial matrices, Sylvester
-resultants, squarefree parts and gcds of polynomials in at most two
-effective variables, and Gauss-Jordan elimination (reduced row echelon
-form and rank) over Q.
+fraction-free (Bareiss) determinants of polynomial matrices, gcds,
+resultants and squarefree parts in any number of variables from one
+subresultant remainder sequence, and Gauss-Jordan elimination (reduced row
+echelon form and rank) over Q.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
 tuple comparison is the monomial order.  `divmod_polynomials` is the one
@@ -24,7 +24,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -55,10 +55,6 @@ class UnknownVariableError(PolyParseError):
 
 class MissingAssignmentError(PolyError):
     """evaluate() was called without a value for a variable that occurs."""
-
-
-class UnsupportedArityError(PolyError):
-    """An operation restricted to <= 2 effective variables got more."""
 
 
 def grevlex_key(exponents: Sequence[int]) -> tuple[int, ...]:
@@ -256,7 +252,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     del out[key]
-        return Polynomial(self.ambient, out)
+        return Polynomial._trusted(self.ambient, out)
 
     __rmul__ = __mul__
 
@@ -307,7 +303,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     del out[key]
-        return Polynomial(self.ambient, out)
+        return Polynomial._trusted(self.ambient, out)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         vals: list[Fraction | None] = []
@@ -677,7 +673,7 @@ def normalized(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices, fraction-free determinants, resultants
+# Polynomial matrices and fraction-free determinants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -741,210 +737,165 @@ def determinant_fraction_free(matrix: PolyMatrix) -> Polynomial:
     return det if sign == 1 else -det
 
 
-def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Sylvester resultant eliminating var; result lives over the remaining variables."""
+# ---------------------------------------------------------------------------
+# gcd, resultant and squarefree part: one subresultant remainder sequence
+#
+# A polynomial is read as one in a main variable x_i over Q[the others]: a
+# list of coefficients, ascending in x_i, each a Polynomial over the same
+# ambient with exponent 0 in slot i.  Contents are gcds of those
+# coefficients, which involve fewer variables, so the gcd recurses down to
+# constants.
+# ---------------------------------------------------------------------------
+
+def _one(ambient: tuple[str, ...]) -> Polynomial:
+    return Polynomial._trusted(ambient, {(0,) * len(ambient): Fraction(1)})
+
+
+def _coefficients(p: Polynomial, i: int) -> list[Polynomial]:
+    """Ascending coefficients of a nonzero p in ambient slot i."""
+    buckets: list[dict] = [{} for _ in range(max(e[i] for e in p.terms) + 1)]
+    for exps, c in p.terms.items():
+        buckets[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
+    return [Polynomial._trusted(p.ambient, b) for b in buckets]
+
+
+def _assemble(coeffs: Sequence[Polynomial], i: int) -> Polynomial:
+    """Inverse of _coefficients."""
+    out = {}
+    for d, cp in enumerate(coeffs):
+        for exps, c in cp.terms.items():
+            out[exps[:i] + (d,) + exps[i + 1:]] = c
+    return Polynomial._trusted(coeffs[0].ambient, out)
+
+
+def _primitive(coeffs: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
+    """(content, primitive part) of a nonzero coefficient list.
+
+    The content is the gcd of the coefficients times a rational chosen so
+    that the primitive part has coprime integer coefficients.  The
+    remainder sequence then runs on integers, where Fraction arithmetic
+    needs no gcd of large denominators.
+    """
+    content = coeffs[-1]
+    for c in coeffs:
+        if content.is_constant():
+            break
+        content = _gcd(content, c)
+    if content.is_constant():
+        content = _one(content.ambient)
+    else:
+        coeffs = [exact_divide(c, content) for c in coeffs]
+    values = [v for c in coeffs for v in c.terms.values()]
+    scale = Fraction(gcd(*(v.numerator for v in values)),
+                     lcm(*(v.denominator for v in values)))
+    if scale == 1:
+        return content, coeffs
+    return content.scale(scale), [c.scale(1 / scale) for c in coeffs]
+
+
+def _pseudo_remainder(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, for deg a >= deg b >= 1."""
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    unused = len(a) - db  # factors of lc(b) not yet applied
+    while len(r) > db:
+        lr = r.pop()
+        shift = len(r) - db
+        r = [c * lb for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[shift + j] -= lr * c
+        while r and not r[-1]:
+            r.pop()
+        unused -= 1
+    if unused:
+        factor = lb ** unused
+        r = [c * factor for c in r]
+    return r
+
+
+def _subresultant_prs(a: list[Polynomial], b: list[Polynomial]
+                      ) -> tuple[list[Polynomial], list[Polynomial], Polynomial, int]:
+    """Brown's subresultant remainder sequence of coefficient lists with
+    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.1 and 3.3.7).
+
+    Runs until a remainder of degree < 1 and returns (a, b, h, sign): a is
+    the last remainder of positive degree, b the next one (empty when it is
+    zero), h the subresultant scale of a, and sign the product of
+    (-1)^(deg a * deg b) over the steps.  Every division is exact.
+    """
+    g = h = _one(a[0].ambient)
+    sign = 1
+    while True:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        divisor = g * h ** delta
+        a, b = b, [exact_divide(c, divisor) for c in r]
+        g = a[-1]
+        if delta:
+            h = exact_divide(g ** delta, h ** (delta - 1))
+        if len(b) < 2:
+            return a, b, h, sign
+
+
+def _gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """A gcd of p and q, up to a nonzero rational factor.  The main variable
+    is the last one that either polynomial involves."""
+    if not p:
+        return q
+    if not q:
+        return p
+    if p.is_constant() or q.is_constant():
+        return _one(p.ambient)
+    i = next(i for i in reversed(range(len(p.ambient)))
+             if any(e[i] for e in p.terms) or any(e[i] for e in q.terms))
+    content_p, a = _primitive(_coefficients(p, i))
+    content_q, b = _primitive(_coefficients(q, i))
+    content = _gcd(content_p, content_q)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        a, b, _, _ = _subresultant_prs(a, b)
+    if b:  # a nonzero remainder free of x_i: the primitive parts are coprime
+        return content
+    return content * _assemble(_primitive(a)[1], i)
+
+
+def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
+    """gcd of two polynomials in any number of variables, normalized to
+    grevlex lead coefficient 1; zero only when both are zero."""
     p._check_ambient(q)
+    return normalized(_gcd(p, q))
+
+
+def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
+    """Resultant eliminating var: the determinant of the Sylvester matrix,
+    sign and scale included.  The result lives over the remaining variables."""
+    p._check_ambient(q)
+    i = p._index(var)
     m = p.degree_in(var)
     n = q.degree_in(var)
     if m < 1 or n < 1:
         raise PolyError("resultant needs positive degree in the eliminated variable")
-    # coefficients in var by descending degree, over the other variables
-    a = [p.coefficient_in(var, k) for k in range(m, -1, -1)]
-    b = [q.coefficient_in(var, k) for k in range(n, -1, -1)]
-    size = m + n
-    zero = Polynomial.zero(a[0].ambient)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + a + [zero] * (size - i - len(a)))
-    for i in range(m):
-        rows.append([zero] * i + b + [zero] * (size - i - len(b)))
-    return determinant_fraction_free(PolyMatrix.from_rows(rows))
-
-
-# ---------------------------------------------------------------------------
-# gcd and squarefree part in at most two effective variables
-# ---------------------------------------------------------------------------
-
-def _univ_to_list(p: Polynomial, var: str) -> list[Fraction]:
-    """Ascending coefficient list of a polynomial effective only in var."""
-    i = p._index(var)
-    eff = p.effective_variables()
-    if any(v != var for v in eff):
-        raise PolyError("polynomial is not univariate in the requested variable")
-    out = [Fraction(0)] * (max((e[i] for e in p.terms), default=0) + 1)
-    for exps, c in p.terms.items():
-        out[exps[i]] = c
-    return out
-
-
-def _univ_from_list(coeffs: Sequence[Fraction], var: str, ambient) -> Polynomial:
-    ambient = tuple(ambient)
-    i = ambient.index(var)
-    terms = {}
-    for d, c in enumerate(coeffs):
-        if c:
-            e = [0] * len(ambient)
-            e[i] = d
-            terms[tuple(e)] = c
-    return Polynomial(ambient, terms)
-
-
-def _univ_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _univ_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        f = a[-1] / lb
-        for i, c in enumerate(b):
-            a[i + k] -= f * c
-        _univ_trim(a)
-    return a
-
-
-def _univ_gcd_lists(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _univ_trim(list(a)), _univ_trim(list(b))
-    while b:
-        a, b = b, _univ_mod(a, b)
-    if not a:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _gcd_univariate(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    g = _univ_gcd_lists(_univ_to_list(p, var), _univ_to_list(q, var))
-    return _univ_from_list(g, var, p.ambient)
-
-
-def _uv_coeffs(p: Polynomial, yvar: str) -> list[Polynomial]:
-    """p as a list (ascending in yvar) of coefficient polynomials over the full ambient."""
-    i = p._index(yvar)
-    d = p.degree_in(yvar)
-    buckets: list[dict] = [dict() for _ in range(d + 1)]
-    for exps, c in p.terms.items():
-        e = list(exps)
-        k = e[i]
-        e[i] = 0
-        buckets[k][tuple(e)] = c
-    return [Polynomial(p.ambient, b) for b in buckets]
-
-
-def _uv_assemble(coeffs: Sequence[Polynomial], yvar: str) -> Polynomial:
-    if not coeffs:
-        raise PolyError("empty coefficient list")
-    ambient = coeffs[0].ambient
-    i = ambient.index(yvar)
-    out = {}
-    for d, cp in enumerate(coeffs):
-        for exps, c in cp.terms.items():
-            e = list(exps)
-            e[i] += d
-            out[tuple(e)] = c
-    return Polynomial(ambient, out)
-
-
-def _uv_trim(coeffs: list[Polynomial]) -> list[Polynomial]:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _uv_content(coeffs: Sequence[Polynomial], xvar: str | None) -> Polynomial:
-    """gcd of the coefficient polynomials (each constant or univariate in xvar)."""
-    ambient = coeffs[0].ambient
-    nonzero = [c for c in coeffs if not c.is_zero()]
-    if not nonzero:
-        return Polynomial.zero(ambient)
-    if xvar is None or all(c.is_constant() for c in nonzero):
-        return Polynomial.constant(ambient, 1)
-    g = _univ_to_list(nonzero[0], xvar)
-    for c in nonzero[1:]:
-        g = _univ_gcd_lists(g, _univ_to_list(c, xvar))
-        if len(g) == 1:
-            break
-    return _univ_from_list(g, xvar, ambient)
-
-
-def _uv_primitive(coeffs: list[Polynomial], xvar: str | None) -> tuple[list[Polynomial], Polynomial]:
-    cont = _uv_content(coeffs, xvar)
-    if cont.is_constant() and cont.constant_term() == 1:
-        return list(coeffs), cont
-    return [exact_divide(c, cont) for c in coeffs], cont
-
-
-def _uv_pseudo_rem(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
-    """Pseudo-remainder of coefficient lists (ascending); stays polynomial."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while _uv_trim(a) and len(a) - 1 >= db:
-        da = len(a) - 1
-        la = a[-1]
-        shifted = [Polynomial.zero(lb.ambient)] * (da - db) + [c * la for c in b]
-        a = [x * lb for x in a]
-        a = [x - y for x, y in zip(a, shifted)]
-        _uv_trim(a)
-    return a
-
-
-def _effective_frame(ps: Sequence[Polynomial]) -> tuple[str | None, str | None]:
-    """(xvar, yvar) among the union of effective variables; error above two."""
-    seen: list[str] = []
-    ambient = ps[0].ambient
-    for v in ambient:
-        if any(v in p.effective_variables() for p in ps):
-            seen.append(v)
-    if len(seen) > 2:
-        raise UnsupportedArityError(
-            f"operation supports at most 2 effective variables, got {seen}")
-    if len(seen) == 2:
-        return seen[0], seen[1]
-    if len(seen) == 1:
-        return None, seen[0]
-    return None, None
-
-
-def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
-    """gcd of two polynomials with at most two effective variables between them.
-
-    Result is normalized to grevlex lead coefficient 1.
-    """
-    p._check_ambient(q)
-    if p.is_zero():
-        return normalized(q)
-    if q.is_zero():
-        return normalized(p)
-    xvar, yvar = _effective_frame([p, q])
-    if yvar is None:
-        return Polynomial.constant(p.ambient, 1)
-    if xvar is None:
-        return normalized(_gcd_univariate(p, q, yvar))
-    # content/primitive split with respect to the main variable yvar
-    A, contA = _uv_primitive(_uv_coeffs(p, yvar), xvar)
-    B, contB = _uv_primitive(_uv_coeffs(q, yvar), xvar)
-    cont = _gcd_univariate(contA, contB, xvar) if not (
-        contA.is_constant() and contB.is_constant()) else Polynomial.constant(p.ambient, 1)
-    r0, r1 = A, B
-    if len(r0) < len(r1):
-        r0, r1 = r1, r0
-    while _uv_trim(list(r1)):
-        r = _uv_pseudo_rem(r0, r1)
-        r = _uv_trim(r)
-        if r:
-            r, _ = _uv_primitive(r, xvar)
-        r0, r1 = r1, r
-    g, _ = _uv_primitive(list(r0), xvar)
-    return normalized(cont * _uv_assemble(g, yvar))
+    content_p, a = _primitive(_coefficients(p, i))
+    content_q, b = _primitive(_coefficients(q, i))
+    sign = 1
+    if m < n:  # res(q, p) = (-1)^(mn) res(p, q)
+        a, b = b, a
+        sign = (-1) ** (m * n)
+    a, b, h, steps = _subresultant_prs(a, b)
+    if not b:
+        return Polynomial.zero(tuple(v for v in p.ambient if v != var))
+    da = len(a) - 1
+    res = content_p ** n * content_q ** m * exact_divide(b[0] ** da, h ** (da - 1))
+    return res.scale(sign * steps).coefficient_in(var, 0)
 
 
 def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors of p (<= 2 effective variables).
+    """Product of the distinct irreducible factors of p, in any number of
+    variables.  (The name is from an earlier two-variable version; it stays
+    because benchmark spans and callers refer to it.)
 
     The result is p divided by the gcd of p and its partial derivatives: over
     Q that gcd holds every irreducible factor of p with its exponent lowered

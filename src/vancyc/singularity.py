@@ -3,8 +3,9 @@
 The discriminant of a map germ f: (C^m, 0) -> (C^k, 0) is computed as the
 image of its critical locus: adjoin target variables s_1..s_k, generate the
 ideal (f_i - s_i) + (k x k minors of the Jacobian), and eliminate the source
-variables.  For k <= 2 a reduced (squarefree) principal generator is
-extracted, whose order at the origin is the discriminant multiplicity.
+variables.  For every k a reduced (squarefree) generator of the divisorial
+part is extracted, whose order at the origin is the discriminant
+multiplicity.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def critical_ideal(germ: MapGerm) -> CriticalIdeal:
 class DiscriminantDescription:
     """Eliminated critical ideal in the target variables.
 
-    reduced_generator is the squarefree curve equation when k <= 2 and the
-    eliminated ideal has one (for several generators, their gcd is used for
-    the divisorial part and noted).
+    reduced_generator is the squarefree equation of the discriminant
+    hypersurface when the eliminated ideal has one (for several generators,
+    their gcd is used for the divisorial part and noted).
     """
 
     k: int
@@ -120,18 +121,17 @@ def discriminant(germ: MapGerm,
         note = "empty discriminant (critical ideal eliminates to the unit ideal)"
     elif not gens:
         note = "discriminant is the whole target (zero eliminated ideal)"
-    elif germ.k <= 2:
-        if len(gens) == 1:
-            reduced = squarefree_part_bivariate(gens[0])
+    elif len(gens) == 1:
+        reduced = squarefree_part_bivariate(gens[0])
+    else:
+        divisor = gens[0]
+        for g in gens[1:]:
+            divisor = gcd_polynomials(divisor, g)
+        if divisor.is_constant():
+            note = "eliminated ideal has no divisorial part"
         else:
-            divisor = gens[0]
-            for g in gens[1:]:
-                divisor = gcd_polynomials(divisor, g)
-            if divisor.is_constant():
-                note = "eliminated ideal has no divisorial part"
-            else:
-                reduced = squarefree_part_bivariate(divisor)
-                note = f"reduced generator from gcd of {len(gens)} generators"
+            reduced = squarefree_part_bivariate(divisor)
+            note = f"reduced generator from gcd of {len(gens)} generators"
     return DiscriminantDescription(germ.k, crit.target_vars, eliminated, reduced, note)
 
 
@@ -143,16 +143,14 @@ def _reduced_multiplicity(reduced: Polynomial) -> int:
 
 
 def curve_multiplicity(curve: Polynomial) -> int:
-    """Multiplicity at the origin of a plane curve: the order at the origin
-    of its squarefree part; a curve that misses the origin is an error."""
+    """Multiplicity at the origin of a hypersurface: the order at the origin
+    of its squarefree part; one that misses the origin is an error."""
     return _reduced_multiplicity(squarefree_part_bivariate(curve))
 
 
 def multiplicity_at_origin(d: DiscriminantDescription) -> int:
-    """Multiplicity at the origin of the discriminant curve (k = 2 only); its
+    """Multiplicity at the origin of the discriminant, for any k; its
     reduced generator already is the squarefree part."""
-    if d.k != 2:
-        raise PolyError("multiplicity at the origin is implemented for k = 2 only")
     if d.reduced_generator is None:
         raise PolyError("no reduced principal generator available")
     return _reduced_multiplicity(d.reduced_generator)

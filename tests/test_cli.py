@@ -40,6 +40,20 @@ def test_discriminant_file_mode(capsys, germs_dir):
     assert out == ["target: s1 s2", "generator: s1", "reduced: s1", "multiplicity: 1"]
 
 
+def test_discriminant_file_mode_three_components(capsys, tmp_path):
+    """A germ to C^3 reports the multiplicity of its surface: C(4, 2) = 6
+    planes for the (4, 3) action-coordinate germ."""
+    germ = tmp_path / "al8.germ"
+    germ.write_text("vars: q1 p1 q2 p2 q3 p3 q4 p4\n"
+                    "component: p1*q1+p4*q4\n"
+                    "component: p2*q2+p4*q4\n"
+                    "component: p3*q3+p4*q4\n", encoding="utf-8")
+    code, out, err = run(capsys, "discriminant", str(germ))
+    assert code == 0
+    assert out[0] == "target: s1 s2 s3"
+    assert out[-1] == "multiplicity: 6"
+
+
 def test_discriminant_given_mode(capsys):
     """--given reduces the provided curve and reports its origin multiplicity."""
     code, out, err = run(capsys, "discriminant", "--given", "s2*(s2^3-s1^4)")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from randpoly import random_polynomial
+from randpoly import random_polynomial, resultant_pairs
 from vancyc.poly import (
     AmbientMismatchError,
     PolyError,
@@ -229,6 +229,29 @@ def test_resultant_specializes():
         spec = {"y": Polynomial.constant(amb, y0)}
         direct = resultant(p.substitute(spec), q.substitute(spec), "x")
         assert direct.constant_term() == r.evaluate({"x": 0, "y": y0})
+
+
+def _sylvester(p: Polynomial, q: Polynomial, var: str) -> PolyMatrix:
+    """The Sylvester matrix of p and q in var, over the other variables."""
+    a = [p.coefficient_in(var, k) for k in range(p.degree_in(var), -1, -1)]
+    b = [q.coefficient_in(var, k) for k in range(q.degree_in(var), -1, -1)]
+    size = len(a) + len(b) - 2
+    zero = Polynomial.zero(a[0].ambient)
+    rows = [[zero] * i + a + [zero] * (size - i - len(a)) for i in range(len(b) - 1)]
+    rows += [[zero] * i + b + [zero] * (size - i - len(b)) for i in range(len(a) - 1)]
+    return PolyMatrix.from_rows(rows)
+
+
+def test_resultant_is_the_sylvester_determinant():
+    """The resultant equals the Bareiss determinant of the Sylvester matrix,
+    an independent algorithm kept here as the reference.  The seeded pairs
+    have powers up to 2, since the determinant takes seconds at 3; the
+    first pair has odd degrees 1 < 3, where the sign (-1)^(1*3) of
+    swapping the arguments shows."""
+    z = Polynomial.variable(AMB, "z")
+    pairs = [("z", z + 1, z ** 3 + z), *resultant_pairs(top=2)]
+    for var, p, q in pairs:
+        assert resultant(p, q, var) == determinant_fraction_free(_sylvester(p, q, var))
 
 
 def test_exact_divide():

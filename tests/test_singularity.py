@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from vancyc.germfile import load_germ_file
 from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import (
     PolyError,
@@ -98,8 +99,9 @@ def test_multiplicity_invariant_under_linear_target_change():
 
 
 def test_binomial_multiplicity_law():
-    """Multiplicity equals C(n, k-1) for generic matrices, n up to 4, by
-    elimination for k = 2 and by hyperplane counting for every k."""
+    """Multiplicity equals C(n, k-1) for generic matrices, n up to 4, both by
+    elimination and by hyperplane counting, for every k; the (4, 3) case
+    reduces a three-variable discriminant of order C(4, 2) = 6."""
     generic = {
         (2, 2): [[1, 1], [0, 1]],
         (3, 2): AL_MATRICES[(3, 2)],
@@ -109,10 +111,15 @@ def test_binomial_multiplicity_law():
         (4, 4): [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     }
     for (n, k), R in generic.items():
-        if k == 2:
-            d = discriminant(action_coordinates_germ(n, k, R))
-            assert multiplicity_at_origin(d) == comb(n, k - 1)
-        assert al_multiplicity_by_counting(n, k, R) == comb(n, k - 1)
+        d = discriminant(action_coordinates_germ(n, k, R))
+        assert multiplicity_at_origin(d) == al_multiplicity_by_counting(n, k, R) \
+            == comb(n, k - 1)
+
+
+def test_multiplicity_of_one_component_germ(germs_dir):
+    """The k = 1 fold q1^2 has discriminant s1 = 0, of multiplicity 1."""
+    germ = load_germ_file(germs_dir / "fold.germ").to_map_germ()
+    assert multiplicity_at_origin(discriminant(germ)) == 1
 
 
 def test_counting_rejects_non_generic_matrix():
