@@ -1,11 +1,17 @@
 """Buchberger Groebner bases, normal forms, elimination and quotient dimension.
 
-Pair selection uses the normal strategy (smallest lcm degree first) and the
-update step prunes with Buchberger's coprime-lead criterion plus the chain
-criterion in Gebauer-Moeller form.  Every public entry point takes a cap on
-the number of S-pairs reduced; exceeding it raises ResourceLimitExceeded so
-callers can degrade instead of hanging.  Normal forms use the heap
-division of `poly.divmod_polynomials` under the key of a MonomialOrder.
+Pair selection uses the normal strategy (smallest lcm degree first).  When
+an element t joins the basis, the Gebauer-Moeller update prunes four kinds
+of pair: a new pair (i, t) whose lcm repeats that of a new pair with a
+smaller i; a new pair whose lcm another new lcm properly divides; a new pair
+whose two leads are coprime; and a queued old pair (i, j) whose lcm lead_t
+divides, unless that lcm equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t).
+Each lead carries a divisibility mask, so one AND settles most divisibility
+tests, and S-polynomials of the monic elements are built in one pass.
+Every public entry point takes a cap on the number of S-pairs reduced;
+exceeding it raises ResourceLimitExceeded so callers can degrade instead of
+hanging.  Normal forms use the heap division of `poly.divmod_polynomials`
+under the key of a MonomialOrder.
 """
 
 from __future__ import annotations
@@ -105,8 +111,16 @@ def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(le, a, b))
 
 
-def _monomial_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
+def _lead_mask(exps: Sequence[int]) -> int:
+    """Divisibility mask of an exponent tuple, two bits per variable: bit 2v
+    is set when e_v >= 1 and bit 2v+1 when e_v >= 2.  If a divides b then
+    mask(a) & ~mask(b) == 0, so a nonzero result rules division out; and
+    mask(lcm(a, b)) == mask(a) | mask(b), since max keeps both thresholds."""
+    m = 0
+    for v, e in enumerate(exps):
+        if e:
+            m |= (1 if e == 1 else 3) << 2 * v
+    return m
 
 
 def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
@@ -124,60 +138,85 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
     return r
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fe, fc = f.lead(order.key)
-    ge, gc = g.lead(order.key)
-    lcm = _monomial_lcm(fe, ge)
-    return (f.monomial_times(tuple(map(sub, lcm, fe)), 1 / fc)
-            - g.monomial_times(tuple(map(sub, lcm, ge)), 1 / gc))
+def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...],
+           order: MonomialOrder) -> Polynomial:
+    """x^a*f - x^b*g where x^a*lead(f) = x^b*lead(g) = x^lcm.
+
+    f and g must be monic under `order`: the lead terms are skipped as
+    cancelled, and the tails are shifted without any rescaling, into one
+    dict.
+    """
+    fe = f.lead(order.key)[0]
+    ge = g.lead(order.key)[0]
+    a = tuple(map(sub, lcm, fe))
+    b = tuple(map(sub, lcm, ge))
+    out = {tuple(map(add, e, a)): c for e, c in f.terms.items() if e != fe}
+    for e, c in g.terms.items():
+        if e == ge:
+            continue
+        k = tuple(map(add, e, b))
+        old = out.get(k)
+        if old is None:
+            out[k] = -c
+        else:
+            d = old - c
+            if d:
+                out[k] = d
+            else:
+                del out[k]
+    return Polynomial._trusted(f.ambient, out)
 
 
-def _update_pairs(pairs: list, G: list[Polynomial],
-                  leads: list[tuple], new_index: int, order: MonomialOrder):
-    """Gebauer-Moeller update: queue pairs (i, new) pruned by the coprime and
-    chain criteria, and drop queued pairs the new lead makes redundant."""
-    t = new_index
-    lt = leads[t]
-    candidates = {i: _monomial_lcm(leads[i], lt) for i in range(t)}
-    keep = set(candidates)
-    # chain criterion among the new pairs: drop (i,t) when some (j,t) lcm
-    # properly divides it, or equal lcms keep the smallest index
-    for i in list(keep):
-        ci = candidates[i]
-        for j, cj in candidates.items():
-            if (j != i and j in keep and all(map(le, cj, ci))
-                    and (cj != ci or j < i)):
-                keep.discard(i)
-                break
-    # coprime-lead criterion
-    coprime = {i for i in keep
-               if candidates[i] == tuple(map(add, leads[i], lt))}
-    keep -= coprime
-    # prune old queued pairs whose lcm is divisible by the new lead; every
-    # queued index is below t, so candidates holds lcm(lead_i, new lead)
+def _update_pairs(pairs: list, leads: list[tuple], masks: list[int],
+                  order: MonomialOrder):
+    """Gebauer-Moeller update for the newest basis element t.
+
+    Of the pairs (i, t), queue one per distinct lcm(lead_i, lead_t), with the
+    smallest i, and only for lcms that no other such lcm properly divides
+    (chain criterion) and whose two leads share a variable (coprime-lead
+    criterion).  Drop every queued pair (i, j) whose lcm lead_t divides
+    unless it equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t) (chain
+    criterion on old pairs).  A queued pair is (degree, order key, i, j, lcm,
+    lcm mask); no two share (i, j), so the mask never decides heap order.
+    """
+    t = len(leads) - 1
+    lt, mt = leads[t], masks[t]
+    lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
+    first: dict[tuple, int] = {}
+    for i, lcm in enumerate(lcms):
+        first.setdefault(lcm, i)
+    # a proper divisor has lower degree, so walking by degree meets every
+    # minimal lcm before its multiples; a non-minimal divisor of c implies
+    # a minimal one, so testing against the minimal ones suffices
+    minimal: list[tuple] = []
+    new = []
+    for lcm, i in sorted(first.items(), key=lambda item: sum(item[0])):
+        m = masks[i] | mt
+        if not any(not (mm & ~m) and all(map(le, ml, lcm)) for ml, mm in minimal):
+            minimal.append((lcm, m))
+            if masks[i] & mt:  # otherwise the leads are coprime
+                new.append((sum(lcm), order.key(lcm), i, t, lcm, m))
     survivors = []
     for entry in pairs:
-        _, _, i, j, lcm = entry
-        if (_monomial_divides(lt, lcm)
-                and candidates[i] != lcm
-                and candidates[j] != lcm):
+        _, _, i, j, lcm, m = entry
+        if (not (mt & ~m) and all(map(le, lt, lcm))
+                and lcms[i] != lcm and lcms[j] != lcm):
             continue
         survivors.append(entry)
-    pairs[:] = survivors
-    for i in sorted(keep):
-        lcm = candidates[i]
-        pairs.append((sum(lcm), order.key(lcm), i, t, lcm))
+    pairs[:] = survivors + new
     heapq.heapify(pairs)
 
 
-def _minimalize(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    leads = [g.lead(order.key)[0] for g in G]
+def _minimalize(G: list[Polynomial], leads: list[tuple],
+                masks: list[int]) -> list[Polynomial]:
+    """Drop every element whose lead another lead divides; of equal leads
+    the first is kept."""
     keep = []
-    for i, g in enumerate(G):
+    for i, (g, li, mi) in enumerate(zip(G, leads, masks)):
         redundant = any(
-            j != i and _monomial_divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(G)))
+            j != i and not (mj & ~mi) and all(map(le, lj, li))
+            and (lj != li or j < i)
+            for j, (lj, mj) in enumerate(zip(leads, masks)))
         if not redundant:
             keep.append(g)
     return keep
@@ -201,28 +240,32 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
         return GroebnerBasis(ideal.ambient, order, ())
     G: list[Polynomial] = []
     leads: list[tuple] = []
+    masks: list[int] = []
     pairs: list = []
     processed = 0
-    for g in gens:
+
+    def add_element(g: Polynomial):
         G.append(g)
         leads.append(g.lead(order.key)[0])
-        _update_pairs(pairs, G, leads, len(G) - 1, order)
+        masks.append(_lead_mask(leads[-1]))
+        _update_pairs(pairs, leads, masks, order)
+
+    for g in gens:
+        add_element(g)
     while pairs:
         if processed >= max_pairs:
             raise ResourceLimitExceeded(processed, max_pairs)
-        _, _, i, j, _ = heapq.heappop(pairs)
+        _, _, i, j, lcm, _ = heapq.heappop(pairs)
         processed += 1
-        s = _spoly(G[i], G[j], order)
+        s = _spoly(G[i], G[j], lcm, order)
         if s.is_zero():
             continue
         r = normal_form(s, G, order)
         if r.is_zero():
             continue
         _, c = r.lead(order.key)
-        G.append(r.scale(1 / c))
-        leads.append(G[-1].lead(order.key)[0])
-        _update_pairs(pairs, G, leads, len(G) - 1, order)
-    reduced = _interreduce(_minimalize(G, order), order)
+        add_element(r.scale(1 / c))
+    reduced = _interreduce(_minimalize(G, leads, masks), order)
     reduced.sort(key=lambda g: order.key(g.lead(order.key)[0]))
     return GroebnerBasis(ideal.ambient, order, tuple(reduced), processed)
 

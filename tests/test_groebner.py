@@ -1,6 +1,7 @@
 """Buchberger bases, elimination, quotient dimension, and radical membership."""
 
 import random
+from operator import add
 
 import pytest
 
@@ -17,6 +18,7 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
+from vancyc.groebner import _lead_mask, _spoly
 from vancyc.poly import (AmbientMismatchError, Polynomial, format_polynomial,
                          parse_polynomial)
 from vancyc.singularity import action_coordinates_germ, critical_ideal
@@ -201,6 +203,20 @@ def test_discriminant_al6_critical_basis_is_pinned():
     assert _basis_lines(gb) == AL6_BLOCK_BASIS
 
 
+@pytest.mark.parametrize("n, R, pairs, length", [
+    (4, ((1, 1, 1, 0), (0, 1, 2, 1)), 210, 41),
+    (5, ((1, 1, 1, 1, 0), (0, 1, 2, 3, 1)), 403, 62),
+])
+def test_action_coordinate_block_basis_counts_are_pinned(n, R, pairs, length):
+    """S-pair counts and basis lengths of the block-order critical ideals of
+    the (n, 2) action-coordinate germs, so a change to the pair criteria
+    shows up as a count change."""
+    crit = critical_ideal(action_coordinates_germ(n, 2, R))
+    gb = buchberger(crit.ideal, MonomialOrder.elimination(len(crit.source_vars)))
+    assert gb.pairs_processed == pairs
+    assert len(gb.elements) == length
+
+
 def test_milnor_jacobian_basis_is_pinned():
     """The degrevlex basis of the Jacobian ideal of E_7 after a linear change
     of coordinates: its S-pair count and its elements, in order."""
@@ -209,3 +225,59 @@ def test_milnor_jacobian_basis_is_pinned():
                     MonomialOrder.degrevlex())
     assert gb.pairs_processed == 7
     assert _basis_lines(gb) == E7_JACOBIAN_BASIS
+
+
+@pytest.mark.parametrize("order, pairs", [
+    (MonomialOrder.lex(), 8), (MonomialOrder.degrevlex(), 8),
+    (MonomialOrder.elimination(1), 4),
+], ids=lambda o: f"{o.kind}{o.front}" if isinstance(o, MonomialOrder) else None)
+def test_non_monic_generators_match_monic_scalings(order, pairs):
+    """Non-unit and rational lead coefficients give the same reduced basis
+    and the same S-pair count as the generators scaled to be monic.  The
+    count is pinned too: under lex it needs the chain criterion on queued
+    pairs, without which it is 12."""
+    gens = _ideal("3*x^2 - y", "2/5*y^2 - z", "-4*x*z + 2/3*y*z^2 - 1").generators
+    monic = [g.scale(1 / g.lead(order.key)[1]) for g in gens]
+    assert any(g != m for g, m in zip(gens, monic))
+    got = buchberger(IdealBasis(AMB, gens), order)
+    want = buchberger(IdealBasis(AMB, monic), order)
+    assert got.elements == want.elements
+    assert got.pairs_processed == want.pairs_processed == pairs
+
+
+def test_spoly_of_monic_elements():
+    """For monic f and g the S-polynomial is x^a*f - x^b*g with the lead
+    terms cancelled, under every order."""
+    rng = random.Random(29)
+    for order in ORDERS:
+        for _ in range(20):
+            f, g = (random_polynomial(rng, AMB, max_terms=4, max_exp=3, nonzero=True)
+                    for _ in range(2))
+            f, g = (p.scale(1 / p.lead(order.key)[1]) for p in (f, g))
+            fe, ge = f.lead(order.key)[0], g.lead(order.key)[0]
+            lcm = tuple(map(max, fe, ge))
+            want = (f.monomial_times([l - e for l, e in zip(lcm, fe)], 1)
+                    - g.monomial_times([l - e for l, e in zip(lcm, ge)], 1))
+            assert _spoly(f, g, lcm, order) == want
+
+
+def _check_lead_mask(a, b):
+    lcm = tuple(map(max, a, b))
+    assert _lead_mask(lcm) == _lead_mask(a) | _lead_mask(b)
+    if all(x <= y for x, y in zip(a, b)):
+        assert _lead_mask(a) & ~_lead_mask(b) == 0
+
+
+def test_lead_mask_soundness_seeded():
+    """A divisor's mask lies inside the multiple's mask, and the mask of an
+    lcm is the union of the masks, for random exponents in 1-18 variables;
+    half of the pairs are built so that a divides b."""
+    rng = random.Random(31)
+    for _ in range(2000):
+        n = rng.randint(1, 18)
+        a = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n))
+        b = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n))
+        if rng.random() < 0.5:
+            b = tuple(map(add, a, b))
+        _check_lead_mask(a, b)
+        _check_lead_mask(b, a)

@@ -2,6 +2,7 @@
 with a fresh maximum.  Skipped when hypothesis is not installed."""
 
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 
@@ -9,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vancyc.groebner import MonomialOrder  # noqa: E402
+from vancyc.groebner import MonomialOrder, _lead_mask  # noqa: E402
 from vancyc.poly import Polynomial, grevlex_key  # noqa: E402
 
 AMB = ("x", "y", "z")
@@ -55,3 +56,20 @@ def test_memoized_lead_matches_fresh_max(a, b):
             for key in (order.key, grevlex_key):
                 exps = max(p.terms, key=key)
                 assert p.lead(key) == (exps, p.terms[exps])
+
+
+masked_exponents = st.integers(1, 18).flatmap(
+    lambda n: st.tuples(*(st.integers(0, 4) for _ in range(n))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(masked_exponents, st.data())
+def test_lead_mask_soundness(a, data):
+    """a | b implies mask(a) & ~mask(b) == 0, and mask(lcm(a, b)) is
+    mask(a) | mask(b), for exponents in 1-18 variables; b is drawn both
+    freely and as a multiple of a."""
+    free = data.draw(st.tuples(*(st.integers(0, 4) for _ in a)))
+    for b in (free, tuple(map(add, a, free))):
+        assert _lead_mask(tuple(map(max, a, b))) == _lead_mask(a) | _lead_mask(b)
+        if all(map(le, a, b)):
+            assert _lead_mask(a) & ~_lead_mask(b) == 0
