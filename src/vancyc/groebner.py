@@ -11,7 +11,13 @@ tests, and S-polynomials of the monic elements are built in one pass.
 Every public entry point takes a cap on the number of S-pairs reduced;
 exceeding it raises ResourceLimitExceeded so callers can degrade instead of
 hanging.  Normal forms use the heap division of `poly.divmod_polynomials`
-under the key of a MonomialOrder.
+under the key of a MonomialOrder.  A Buchberger run keeps one divisor index
+of its basis (`poly._DivisorIndex`), appending each new element, so each
+normal form finds its reducers with one AND per variable.  The same index
+finds the redundant elements of the final basis, and inter-reduction
+divides each kept element by the index narrowed to the other kept ones.
+`quotient_dimension` counts standard monomials through an index of the
+reduced basis.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from itertools import product
 from operator import add, le, sub
 from typing import Sequence
 
-from .poly import (AmbientMismatchError, PolyError, Polynomial, divmod_polynomials,
-                   grevlex_key)
+from .poly import (AmbientMismatchError, PolyError, Polynomial, _DivisorIndex,
+                   divmod_polynomials, grevlex_key)
 
 DEFAULT_PAIR_LIMIT = 200_000
 
@@ -107,10 +113,6 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0].is_constant()
 
 
-def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(map(le, a, b))
-
-
 def _lead_mask(exps: Sequence[int]) -> int:
     """Divisibility mask of an exponent tuple, two bits per variable: bit 2v
     is set when e_v >= 1 and bit 2v+1 when e_v >= 2.  If a divides b then
@@ -124,12 +126,13 @@ def _lead_mask(exps: Sequence[int]) -> int:
 
 
 def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
-    """Remainder of p modulo a basis (a GroebnerBasis or an explicit list)."""
+    """Remainder of p modulo a basis (a GroebnerBasis, an explicit list, or
+    the divisor index of a Buchberger run, prepared under `order`)."""
     if isinstance(basis, GroebnerBasis):
-        divisors: Sequence[Polynomial] = basis.elements
+        divisors: Sequence[Polynomial] | _DivisorIndex = basis.elements
         order = basis.order
     else:
-        divisors = list(basis)
+        divisors = basis if isinstance(basis, _DivisorIndex) else list(basis)
         if order is None:
             raise ValueError("normal_form over a raw list needs an order")
     if not divisors:
@@ -207,25 +210,31 @@ def _update_pairs(pairs: list, leads: list[tuple], masks: list[int],
     heapq.heapify(pairs)
 
 
-def _minimalize(G: list[Polynomial], leads: list[tuple],
-                masks: list[int]) -> list[Polynomial]:
-    """Drop every element whose lead another lead divides; of equal leads
-    the first is kept."""
-    keep = []
-    for i, (g, li, mi) in enumerate(zip(G, leads, masks)):
-        redundant = any(
-            j != i and not (mj & ~mi) and all(map(le, lj, li))
-            and (lj != li or j < i)
-            for j, (lj, mj) in enumerate(zip(leads, masks)))
-        if not redundant:
-            keep.append(g)
+def _minimalize(index: _DivisorIndex) -> int:
+    """Bitset of the elements whose lead no other lead divides; of equal
+    leads the first is kept."""
+    same: dict[tuple, int] = {}
+    for i, lead in enumerate(index.leads):
+        same[lead] = same.get(lead, 0) | 1 << i
+    keep = 0
+    for lead, ids in same.items():
+        if not index.dividing(lead) & ~ids:
+            keep |= ids & -ids
     return keep
 
 
-def _interreduce(G: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Reduce each element by the others; one pass suffices on a minimal basis
-    of monic elements, since no lead divides another and every lead survives."""
-    return [normal_form(g, G[:i] + G[i + 1:], order) for i, g in enumerate(G)]
+def _interreduce(G: list[Polynomial], index: _DivisorIndex, keep: int,
+                 order: MonomialOrder) -> list[Polynomial]:
+    """Reduce each kept element by the other kept ones, narrowing the
+    index's live set to them; one pass suffices on a minimal basis of monic
+    elements, since no lead divides another and every lead survives."""
+    out = []
+    for i, g in enumerate(G):
+        bit = 1 << i
+        if keep & bit:
+            index.live = keep ^ bit
+            out.append(normal_form(g, index, order))
+    return out
 
 
 def buchberger(ideal: IdealBasis, order: MonomialOrder,
@@ -239,16 +248,16 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
     if not gens:
         return GroebnerBasis(ideal.ambient, order, ())
     G: list[Polynomial] = []
-    leads: list[tuple] = []
+    index = _DivisorIndex(ideal.ambient, order.key)
     masks: list[int] = []
     pairs: list = []
     processed = 0
 
     def add_element(g: Polynomial):
         G.append(g)
-        leads.append(g.lead(order.key)[0])
-        masks.append(_lead_mask(leads[-1]))
-        _update_pairs(pairs, leads, masks, order)
+        index.append(g)
+        masks.append(_lead_mask(index.leads[-1]))
+        _update_pairs(pairs, index.leads, masks, order)
 
     for g in gens:
         add_element(g)
@@ -260,12 +269,12 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
         s = _spoly(G[i], G[j], lcm, order)
         if s.is_zero():
             continue
-        r = normal_form(s, G, order)
+        r = normal_form(s, index, order)
         if r.is_zero():
             continue
         _, c = r.lead(order.key)
         add_element(r.scale(1 / c))
-    reduced = _interreduce(_minimalize(G, leads, masks), order)
+    reduced = _interreduce(G, index, _minimalize(index), order)
     reduced.sort(key=lambda g: order.key(g.lead(order.key)[0]))
     return GroebnerBasis(ideal.ambient, order, tuple(reduced), processed)
 
@@ -327,10 +336,9 @@ def quotient_dimension(ideal: IdealBasis, order: MonomialOrder | None = None,
         return None if ideal.ambient else 1
     if gb.contains_one():
         return 0
-    leads = [g.lead(order.key)[0] for g in gb.elements]
-    n = len(ideal.ambient)
-    bounds = [None] * n
-    for lead in leads:
+    index = _DivisorIndex(ideal.ambient, order.key, gb.elements)
+    bounds = [None] * len(ideal.ambient)
+    for lead in index.leads:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) == 1:
             i = support[0]
@@ -338,8 +346,5 @@ def quotient_dimension(ideal: IdealBasis, order: MonomialOrder | None = None,
                 bounds[i] = lead[i]
     if any(b is None for b in bounds):
         return None
-    count = 0
-    for exps in product(*(range(b) for b in bounds)):
-        if not any(_monomial_divides(lead, exps) for lead in leads):
-            count += 1
-    return count
+    return sum(1 for exps in product(*(range(b) for b in bounds))
+               if not index.dividing(exps))

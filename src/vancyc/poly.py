@@ -16,6 +16,14 @@ enters the work set, and the next term to reduce is a heap pop rather than a
 rescan (after Monagan and Pearce, "Sparse polynomial division using a heap",
 JSC 2011).  Lead terms are memoized inside each immutable Polynomial
 (`Polynomial.lead`), so a divisor's lead is found once per order.
+
+The reducer of each term comes from a divisor index (`_DivisorIndex`): for
+each variable v and exponent k, a bitset (a Python int) of the divisors
+whose lead has e_v <= k.  The AND of one such bitset per variable is the
+set of leads dividing a monomial, and its lowest bit is the first divisor,
+the one a linear scan would pick.  An index is built once per list of
+divisors, or kept across divisions by a caller whose divisor list only
+grows, as a Buchberger run does.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -602,24 +610,88 @@ def parse_polynomial(text: str, ambient: Sequence[str]) -> Polynomial:
 # Division and normalization
 # ---------------------------------------------------------------------------
 
-def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
+class _DivisorIndex:
+    """Divisors prepared once for repeated division under one order key.
+
+    Each divisor's lead (exponents and coefficient) and tail are taken once.
+    For each variable v, `below[v][k]` is the bitset (a Python int, bit i
+    for divisor i) of the divisors whose lead has e_v <= k; a column ends at
+    the largest e_v of any lead, and past its end every divisor qualifies.
+    The leads dividing a monomial e are then the AND over v of
+    `below[v][e_v]`, and the lowest set bit is the first of them in divisor
+    order.  `live` is the bitset of the divisors a division may use: every
+    divisor appended, unless a caller narrows it.
+    """
+
+    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "below", "live")
+
+    def __init__(self, ambient: tuple[str, ...], key,
+                 divisors: Iterable[Polynomial] = ()):
+        self.ambient = ambient
+        self.key = key
+        self.leads: list[tuple[int, ...]] = []
+        self.coeffs: list[Fraction] = []
+        self.tails: list[list[tuple[tuple[int, ...], Fraction]]] = []
+        self.below: list[list[int]] = [[] for _ in ambient]
+        self.live = 0
+        for d in divisors:
+            self.append(d)
+
+    def __bool__(self) -> bool:
+        return bool(self.live)
+
+    def append(self, d: Polynomial) -> None:
+        if d.ambient != self.ambient:
+            raise AmbientMismatchError(
+                f"divisor ambient {d.ambient} != dividend ambient {self.ambient}")
+        de, dc = d.lead(self.key)
+        bit = 1 << len(self.leads)
+        self.leads.append(de)
+        self.coeffs.append(dc)
+        self.tails.append([(fe, fc) for fe, fc in d.terms.items() if fe != de])
+        for col, e in zip(self.below, de):
+            if e >= len(col):
+                # the new entries cover every divisor so far, as past the end
+                col.extend([col[-1] if col else 0] * (e + 1 - len(col)))
+            for k in range(e, len(col)):
+                col[k] |= bit
+        self.live |= bit
+
+    def dividing(self, exps: Sequence[int]) -> int:
+        """Bitset of the live divisors whose lead divides the monomial."""
+        m = self.live
+        for col, k in zip(self.below, exps):
+            if k < len(col):
+                m &= col[k]
+        return m
+
+
+def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorIndex,
                        key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division under the order of `key`: p = sum(q_i *
     divisors_i) + r, no term of r divisible by any divisor lead monomial.
 
-    The largest remaining term is taken from a heap of (negated order key,
+    `divisors` is a list of polynomials or a `_DivisorIndex` prepared under
+    the same key; a list is indexed on entry.  Each term is reduced by the
+    first divisor whose lead divides it, found through the index.  The
+    largest remaining term is taken from a heap of (negated order key,
     monomial) entries.  A monomial gets its one entry when it enters `work`;
     a coefficient that cancels stays in `work` as zero until its entry is
     popped, so no monomial is ever queued twice.  Every new monomial is
     smaller than the one being reduced, so a popped monomial never returns.
     """
     ambient = p.ambient
-    for d in divisors:
-        if d.ambient != ambient:
+    if isinstance(divisors, _DivisorIndex):
+        index = divisors
+        if index.ambient != ambient:
             raise AmbientMismatchError(
-                f"divisor ambient {d.ambient} != dividend ambient {ambient}")
-    leads = [d.lead(key) for d in divisors]
-    quotients: list[dict] = [{} for _ in divisors]
+                f"divisor ambient {index.ambient} != dividend ambient {ambient}")
+        if index.key != key:
+            raise ValueError("divisor index was prepared under another order key")
+    else:
+        index = _DivisorIndex(ambient, key, divisors)
+    leads, coeffs, tails, dividing = index.leads, index.coeffs, index.tails, index.dividing
+    quotients: dict[int, dict] = {}  # only for the divisors used
     remainder: dict = {}
     work = dict(p.terms)
     heap = [(tuple(map(neg, key(e))), e) for e in work]
@@ -630,26 +702,28 @@ def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
         c = work.pop(e)
         if not c:
             continue
-        for i, (de, dc) in enumerate(leads):
-            if all(map(le, de, e)):
-                me = tuple(map(sub, e, de))
-                mc = c / dc
-                quotients[i][me] = mc
-                for fe, fc in divisors[i].terms.items():
-                    if fe == de:
-                        continue
-                    k = tuple(map(add, me, fe))
-                    old = work.get(k)
-                    if old is None:
-                        work[k] = -mc * fc
-                        push(heap, (tuple(map(neg, key(k))), k))
-                    else:
-                        work[k] = old - mc * fc
-                break
-        else:
+        m = dividing(e)
+        if not m:
             remainder[e] = c
+            continue
+        i = (m & -m).bit_length() - 1
+        me = tuple(map(sub, e, leads[i]))
+        mc = c / coeffs[i]
+        q = quotients.get(i)
+        if q is None:
+            q = quotients[i] = {}
+        q[me] = mc
+        for fe, fc in tails[i]:
+            k = tuple(map(add, me, fe))
+            old = work.get(k)
+            if old is None:
+                work[k] = -mc * fc
+                push(heap, (tuple(map(neg, key(k))), k))
+            else:
+                work[k] = old - mc * fc
     zero = Polynomial._trusted(ambient, {})  # shared by every empty quotient
-    return ([Polynomial._trusted(ambient, q) if q else zero for q in quotients],
+    return ([Polynomial._trusted(ambient, quotients[i]) if i in quotients else zero
+             for i in range(len(leads))],
             Polynomial._trusted(ambient, remainder))
 
 

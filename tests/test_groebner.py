@@ -1,6 +1,7 @@
 """Buchberger bases, elimination, quotient dimension, and radical membership."""
 
 import random
+from fractions import Fraction
 from operator import add
 
 import pytest
@@ -18,9 +19,9 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
-from vancyc.groebner import _lead_mask, _spoly
-from vancyc.poly import (AmbientMismatchError, Polynomial, format_polynomial,
-                         parse_polynomial)
+from vancyc.groebner import _lead_mask, _minimalize, _spoly
+from vancyc.poly import (AmbientMismatchError, Polynomial, _DivisorIndex,
+                         format_polynomial, parse_polynomial)
 from vancyc.singularity import action_coordinates_germ, critical_ideal
 from vancyc.suite import AL_MATRICES
 
@@ -97,6 +98,127 @@ def test_division_rejects_foreign_divisor():
     other = parse_polynomial("x", ("x", "y"))
     with pytest.raises(AmbientMismatchError):
         divmod_polynomials(p, [other], MonomialOrder.lex().key)
+
+
+def _scan(leads, e):
+    """Indices of the leads dividing e, by a linear scan."""
+    return [i for i, de in enumerate(leads) if all(a <= b for a, b in zip(de, e))]
+
+
+def _bits(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_divisor_index_matches_linear_scan_seeded():
+    """The index finds the same dividing leads, so the same first divisor,
+    as a linear scan, after every append, in 1-18 variables.  Leads come
+    from a small pool so that duplicates are common, one run in three
+    appends the constant, and exponents grow over the run so that appends
+    raise an exponent past a column's current length."""
+    rng = random.Random(37)
+    for run in range(150):
+        n = rng.randint(1, 18)
+        amb = tuple(f"v{i}" for i in range(n))
+        pool = []
+        for k in range(8):
+            top = 1 + k // 2
+            pool.append(tuple(rng.choice((0, 0, 0, rng.randint(1, top))) for _ in range(n)))
+        if run % 3 == 0:
+            pool.append((0,) * n)
+        index = _DivisorIndex(amb, MonomialOrder.degrevlex().key)
+        leads = []
+        for lead in [rng.choice(pool[:k + 1]) for k in range(len(pool))] + pool:
+            index.append(Polynomial(amb, {lead: rng.choice((1, -2, Fraction(3, 4)))}))
+            leads.append(lead)
+            queries = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(5)]
+            queries += [tuple(map(add, lead, q)) for q in queries[:3]]
+            queries.append(lead)
+            for e in queries:
+                assert _bits(index.dividing(e)) == _scan(leads, e)
+        assert index.leads == leads
+
+
+def test_divisor_index_without_variables():
+    """Over a zero-variable ambient every divisor is a constant and divides
+    the one monomial; division is division of rationals."""
+    key = MonomialOrder.lex().key
+    index = _DivisorIndex((), key)
+    assert not index
+    assert index.dividing(()) == 0
+    index.append(Polynomial.constant((), 3))
+    index.append(Polynomial.constant((), 5))
+    assert index.dividing(()) == 0b11
+    p = Polynomial.constant((), Fraction(7, 2))
+    quotients, r = divmod_polynomials(p, index, key)
+    assert quotients[0] == Polynomial.constant((), Fraction(7, 6))
+    assert not quotients[1] and not r
+
+
+def test_divisor_index_live_set_narrows_division():
+    """Clearing a divisor's bit in `live` removes it from every lookup, and
+    a division then equals the one by the list without that divisor."""
+    order = MonomialOrder.degrevlex()
+    divisors = _ideal("x^2 - y", "x*y - z", "y^2 - x").generators
+    index = _DivisorIndex(AMB, order.key, divisors)
+    p = parse_polynomial("x^3*y + x^2*y^2 - z^2 + x", AMB)
+    for i in range(3):
+        index.live = 0b111 ^ 1 << i
+        assert not index.dividing(divisors[i].lead(order.key)[0]) >> i & 1
+        rest = divisors[:i] + divisors[i + 1:]
+        assert divmod_polynomials(p, index, order.key)[1] == \
+            divmod_polynomials(p, rest, order.key)[1]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}{o.front}")
+def test_division_by_index_equals_division_by_list(order):
+    """A prepared index and the plain list give the same quotients and
+    remainder, term for term and in the same term order; the quotient list
+    has one entry per divisor, and every unused entry is one shared zero."""
+    rng = random.Random(f"index-{order.kind}-{order.front}")
+    for _ in range(25):
+        divisors = [random_polynomial(rng, AMB, max_terms=4, max_exp=2, nonzero=True)
+                    for _ in range(rng.randint(1, 6))]
+        p = random_polynomial(rng, AMB, max_terms=8, max_exp=4)
+        qs_a, r_a = divmod_polynomials(p, divisors, order.key)
+        qs_b, r_b = divmod_polynomials(p, _DivisorIndex(AMB, order.key, divisors),
+                                       order.key)
+        assert len(qs_a) == len(qs_b) == len(divisors)
+        assert [list(q.terms.items()) for q in qs_a] == \
+            [list(q.terms.items()) for q in qs_b]
+        assert list(r_a.terms.items()) == list(r_b.terms.items())
+        for quotients in (qs_a, qs_b):
+            unused = [q for q in quotients if not q]
+            assert all(q is unused[0] for q in unused)
+
+
+def test_division_by_index_rejects_foreign_ambient_and_key():
+    """A dividend over another ambient, a divisor appended over another
+    ambient, and a key other than the index's are errors."""
+    order = MonomialOrder.lex()
+    index = _DivisorIndex(("x", "y"), order.key, [parse_polynomial("x", ("x", "y"))])
+    with pytest.raises(AmbientMismatchError):
+        divmod_polynomials(parse_polynomial("x^2 + y", AMB), index, order.key)
+    with pytest.raises(AmbientMismatchError):
+        index.append(parse_polynomial("x", AMB))
+    with pytest.raises(ValueError):
+        divmod_polynomials(parse_polynomial("x^2", ("x", "y")), index,
+                           MonomialOrder.degrevlex().key)
+
+
+def test_minimalize_keeps_first_of_equal_leads():
+    """Of equal leads the first is kept, and a lead with a proper divisor
+    anywhere in the list is dropped; against the all-pairs rule on seeded
+    leads with many repeats."""
+    rng = random.Random(41)
+    key = MonomialOrder.degrevlex().key
+    for _ in range(200):
+        pool = [tuple(rng.randint(0, 2) for _ in AMB) for _ in range(4)]
+        leads = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        index = _DivisorIndex(AMB, key, [Polynomial(AMB, {e: 1}) for e in leads])
+        want = [i for i, li in enumerate(leads)
+                if not any(j != i and all(a <= b for a, b in zip(lj, li))
+                           and (lj != li or j < i) for j, lj in enumerate(leads))]
+        assert _bits(_minimalize(index)) == want
 
 
 def test_normal_form_is_idempotent():

@@ -11,7 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vancyc.groebner import MonomialOrder, _lead_mask  # noqa: E402
-from vancyc.poly import Polynomial, grevlex_key  # noqa: E402
+from vancyc.poly import Polynomial, _DivisorIndex, grevlex_key  # noqa: E402
 
 AMB = ("x", "y", "z")
 ORDERS = [MonomialOrder.lex(), MonomialOrder.degrevlex(),
@@ -73,3 +73,25 @@ def test_lead_mask_soundness(a, data):
         assert _lead_mask(tuple(map(max, a, b))) == _lead_mask(a) | _lead_mask(b)
         if all(map(le, a, b)):
             assert _lead_mask(a) & ~_lead_mask(b) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 18).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*(st.integers(0, 4) for _ in range(n))), min_size=1, max_size=12),
+    st.lists(st.tuples(*(st.integers(0, 6) for _ in range(n))), max_size=6))))
+def test_divisor_index_first_divisor_matches_scan(case):
+    """After every append, the lowest set bit of the index lookup is the
+    first lead a linear scan finds dividing the monomial, in 0-18
+    variables; the leads may repeat, be constant or raise an exponent past
+    a column's length, and every lead is also queried."""
+    leads, queries = case
+    n = len(leads[0])
+    amb = tuple(f"v{i}" for i in range(n))
+    index = _DivisorIndex(amb, grevlex_key)
+    for k, lead in enumerate(leads):
+        index.append(Polynomial(amb, {lead: 1}))
+        for e in queries + leads:
+            m = index.dividing(e)
+            first = next((i for i, de in enumerate(leads[:k + 1])
+                          if all(map(le, de, e))), None)
+            assert (m & -m).bit_length() - 1 == (-1 if first is None else first)
