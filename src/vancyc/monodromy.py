@@ -1,12 +1,13 @@
 """Intersection lattices, Picard-Lefschetz reflections, Coxeter groups, folding.
 
-Cartan data, lattices and generators are built as numpy int64 arrays.  The
-group work -- closures, braid relations, Coxeter elements, orbit counts --
-takes them (or nested lists) as lists of Python ints, so no product there can
-wrap.  The reflection in the i-th vanishing class delta_i of an even lattice
-with self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the
-root-lattice model (S = -Cartan for simply-laced types) these coincide with
-the Weyl generators s_i(e_j) = e_j - C_ji e_i.
+Every matrix is a list of rows of Python ints: Cartan and Coxeter data,
+intersection forms, reflections, variation matrices and foldings.  Inputs
+(nested lists or integer numpy arrays) go through `_int_rows`, and `_matmul`
+is the one product, so no entry can wrap.  The only numpy array is the return
+value of `cartan_matrix`.  The reflection in the i-th vanishing class delta_i
+of an even lattice with self-intersection -2 is a |-> a + (a . delta_i)
+delta_i; on the root-lattice model (S = -Cartan for simply-laced types) these
+coincide with the Weyl generators s_i(e_j) = e_j - C_ji e_i.
 
 Two independent group orders: `group_order_bfs` closes a matrix group element
 by element, on interned integer rows, and `weyl_group_order` counts a Weyl
@@ -20,6 +21,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +33,6 @@ class LatticeError(ValueError):
 
 class FoldingError(ValueError):
     """The permutations are not diagram automorphisms or the fold is invalid."""
-
-
-def _as_int_matrix(rows) -> np.ndarray:
-    m = np.array(rows, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise LatticeError("expected a square integer matrix")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +52,13 @@ def _chain_edges(r: int) -> list[tuple[int, int]]:
 
 def cartan_matrix(label: str) -> np.ndarray:
     """Cartan matrix of a finite type label like 'A3', 'B2', 'E6', 'G2'."""
+    # An array only because perfbench/workloads.py:relabelled_datum relabels
+    # the result with the fancy index c[perm][:, perm]; the library itself
+    # reads _cartan_rows.
+    return np.array(_cartan_rows(label))
+
+
+def _cartan_rows(label: str) -> list[list[int]]:
     m = _TYPE_RE.match(label)
     if not m:
         raise LatticeError(f"unrecognized type label '{label}'")
@@ -84,62 +86,60 @@ def cartan_matrix(label: str) -> np.ndarray:
         edges = [(0, 1, -1, -3)]
     else:
         raise LatticeError(f"unsupported type label '{label}'")
-    c = 2 * np.eye(rank, dtype=np.int64)
+    c = _identity(rank, 2)
     for i, j, aij, aji in edges:
-        c[i, j] = aij
-        c[j, i] = aji
+        c[i][j] = aij
+        c[j][i] = aji
     return c
 
 
 _BOND_TO_M = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-def coxeter_matrix_from_cartan(cartan: np.ndarray) -> np.ndarray:
+def coxeter_matrix_from_cartan(cartan) -> list[list[int]]:
     """m_ij from the products a_ij * a_ji (0,1,2,3 -> 2,3,4,6)."""
-    c = _as_int_matrix(cartan)
-    r = c.shape[0]
-    m = np.ones((r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            prod = int(c[i, j] * c[j, i])
-            if prod not in _BOND_TO_M:
-                raise LatticeError(f"bond product {prod} at ({i},{j}) is not finite type")
-            m[i, j] = _BOND_TO_M[prod]
+    c = _int_rows(cartan)
+    m = _identity(len(c))
+    for i, j in permutations(range(len(c)), 2):
+        prod = c[i][j] * c[j][i]
+        if prod not in _BOND_TO_M:
+            raise LatticeError(f"bond product {prod} at ({i},{j}) is not finite type")
+        m[i][j] = _BOND_TO_M[prod]
     return m
 
 
 @dataclass(frozen=True)
 class CoxeterDatum:
-    """A type label with its Cartan and Coxeter matrices."""
+    """A type label with its Cartan and Coxeter matrices, as int rows."""
 
     label: str
-    cartan: np.ndarray
-    coxeter: np.ndarray
+    cartan: list[list[int]]
+    coxeter: list[list[int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cartan", _int_rows(self.cartan))
+        object.__setattr__(self, "coxeter", _int_rows(self.coxeter))
 
     @classmethod
     def for_type(cls, label: str) -> "CoxeterDatum":
-        c = cartan_matrix(label)
+        c = _cartan_rows(label)
         return cls(label, c, coxeter_matrix_from_cartan(c))
 
     @property
     def rank(self) -> int:
-        return int(self.cartan.shape[0])
+        return len(self.cartan)
 
     def is_simply_laced(self) -> bool:
-        return bool(np.array_equal(self.cartan, self.cartan.T))
+        return self.cartan == _transpose(self.cartan)
 
 
-def identify_type(cartan: np.ndarray) -> str | None:
+def identify_type(cartan) -> str | None:
     """Match a Cartan matrix against the finite types up to node permutation.
 
     Rank 2 with a double bond reports 'C2' (equal to B2 up to relabeling).
     """
-    from itertools import permutations
-
-    c = _as_int_matrix(cartan)
-    r = c.shape[0]
+    c = _int_rows(cartan)
+    r = len(c)
     candidates: list[str] = [f"A{r}"]
     if r >= 4:
         candidates.append(f"D{r}")
@@ -155,12 +155,11 @@ def identify_type(cartan: np.ndarray) -> str | None:
             candidates.append(f"B{r}")
     for label in candidates:
         try:
-            target = cartan_matrix(label)
+            target = _cartan_rows(label)
         except LatticeError:
             continue
-        for perm in permutations(range(r)):
-            p = list(perm)
-            if np.array_equal(c[np.ix_(p, p)], target):
+        for p in permutations(range(r)):
+            if [[c[i][j] for j in p] for i in p] == target:
                 return label
     return None
 
@@ -171,19 +170,19 @@ def identify_type(cartan: np.ndarray) -> str | None:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Free Z-module with a symmetric integer pairing."""
+    """Free Z-module with a symmetric integer pairing, as int rows."""
 
-    form: np.ndarray
+    form: list[list[int]]
 
     def __post_init__(self):
-        form = _as_int_matrix(self.form)
+        form = _int_rows(self.form)
         object.__setattr__(self, "form", form)
-        if not np.array_equal(form, form.T):
+        if form != _transpose(form):
             raise LatticeError("intersection form must be symmetric")
 
     @property
     def rank(self) -> int:
-        return int(self.form.shape[0])
+        return len(self.form)
 
     @classmethod
     def root_lattice(cls, label: str) -> "IntersectionLattice":
@@ -191,10 +190,10 @@ class IntersectionLattice:
         datum = CoxeterDatum.for_type(label)
         if not datum.is_simply_laced():
             raise LatticeError(f"root lattice model needs a simply-laced type, not {label}")
-        return cls(-datum.cartan)
+        return cls([[-a for a in row] for row in datum.cartan])
 
 
-def pl_reflection(lattice: IntersectionLattice, i: int) -> np.ndarray:
+def pl_reflection(lattice: IntersectionLattice, i: int) -> list[list[int]]:
     """Matrix of a |-> a + (a . delta_i) delta_i in the basis delta_1..delta_r.
 
     Requires (delta_i . delta_i) = -2; the map is then an involution
@@ -204,43 +203,39 @@ def pl_reflection(lattice: IntersectionLattice, i: int) -> np.ndarray:
     r = lattice.rank
     if not 0 <= i < r:
         raise LatticeError(f"reflection index {i} out of range 0..{r - 1}")
-    if s[i, i] != -2:
+    if s[i][i] != -2:
         raise LatticeError(
-            f"self-intersection {int(s[i, i])} != -2: reflection formula not applicable")
-    h = np.eye(r, dtype=np.int64)
-    h[i, :] += s[i, :]
+            f"self-intersection {s[i][i]} != -2: reflection formula not applicable")
+    h = _identity(r)
+    h[i] = [a + b for a, b in zip(h[i], s[i])]
     return h
 
 
-def variation_matrix(lattice: IntersectionLattice) -> np.ndarray:
+def variation_matrix(lattice: IntersectionLattice) -> list[list[int]]:
     """Lower-triangular W with W_ii = -1, W_ij = S_ij (i > j); then S = W + W^T."""
     s = lattice.form
-    if np.any(np.diag(s) != -2):
-        raise LatticeError("variation matrix needs an even form with diagonal -2")
     r = lattice.rank
-    w = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        w[i, i] = -1
-        for j in range(i):
-            w[i, j] = s[i, j]
-    return w
+    if any(s[i][i] != -2 for i in range(r)):
+        raise LatticeError("variation matrix needs an even form with diagonal -2")
+    return [s[i][:i] + [-1] + [0] * (r - i - 1) for i in range(r)]
 
 
-def weyl_generators(datum: CoxeterDatum) -> list[np.ndarray]:
+def weyl_generators(datum: CoxeterDatum) -> list[list[list[int]]]:
     """Reflection representation on the root lattice: s_i(e_j) = e_j - C_ji e_i."""
     c = datum.cartan
     r = datum.rank
     gens = []
     for i in range(r):
-        m = np.eye(r, dtype=np.int64)
-        m[i, :] -= c[:, i]
+        m = _identity(r)
+        m[i] = [a - row[i] for a, row in zip(m[i], c)]
         gens.append(m)
     return gens
 
 
 def _int_rows(matrix) -> list[list[int]]:
-    """A square integer matrix (numpy array or nested lists) as lists of
-    Python ints; LatticeError otherwise."""
+    """A square integer matrix (nested lists or an integer numpy array) as
+    new lists of Python ints, the module's one matrix type; LatticeError
+    otherwise."""
     try:
         rows = [[operator.index(x) for x in row] for row in matrix]
     except TypeError:
@@ -258,8 +253,12 @@ def _int_generators(generators) -> list[list[list[int]]]:
     return mats
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _identity(n: int, diagonal: int = 1) -> list[list[int]]:
+    return [[diagonal if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _transpose(m: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*m)]
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -449,14 +448,14 @@ def coxeter_element_order(generators: Sequence, cap: int = 10 ** 4) -> int:
 # Diagram foldings
 # ---------------------------------------------------------------------------
 
-def _validate_automorphism(cartan: np.ndarray, perm: Sequence[int]) -> tuple[int, ...]:
-    r = cartan.shape[0]
+def _validate_automorphism(cartan: list[list[int]], perm: Sequence[int]) -> tuple[int, ...]:
+    r = len(cartan)
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(r)):
         raise FoldingError(f"{p} is not a permutation of 0..{r - 1}")
     for i in range(r):
         for j in range(r):
-            if cartan[p[i], p[j]] != cartan[i, j]:
+            if cartan[p[i]][p[j]] != cartan[i][j]:
                 raise FoldingError(
                     f"permutation breaks the diagram at edge ({i}, {j})")
     return p
@@ -495,12 +494,9 @@ class FoldingDatum:
     group_name: str
 
 
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    r = len(perm)
-    m = np.zeros((r, r), dtype=np.int64)
-    for i, pi in enumerate(perm):
-        m[pi, i] = 1
-    return m
+def permutation_matrix(perm: Sequence[int]) -> list[list[int]]:
+    """The matrix sending e_i to e_perm[i]."""
+    return [[int(p == a) for p in perm] for a in range(len(perm))]
 
 
 def fold(source: CoxeterDatum | str,
@@ -520,27 +516,27 @@ def fold(source: CoxeterDatum | str,
     for orbit in orbits:
         for i in orbit:
             for j in orbit:
-                if i != j and c[i, j] != 0:
+                if i != j and c[i][j] != 0:
                     raise FoldingError(
                         f"orbit {orbit} contains adjacent nodes {i}, {j}")
     k = len(orbits)
-    folded = np.zeros((k, k), dtype=np.int64)
+    folded = [[0] * k for _ in range(k)]
     for a, oa in enumerate(orbits):
         for b, ob in enumerate(orbits):
-            values = {int(sum(c[i, j] for i in oa)) for j in ob}
+            values = {sum(c[i][j] for i in oa) for j in ob}
             if len(values) != 1:
                 raise FoldingError(
                     f"orbit pairing between {oa} and {ob} is not well-defined")
-            folded[a, b] = values.pop()
+            folded[a][b] = values.pop()
     label = identify_type(folded)
     if label is None:
         raise FoldingError("folded Cartan matrix is not of finite type")
     folded_datum = CoxeterDatum(label, folded, coxeter_matrix_from_cartan(folded))
-    mats = [permutation_matrix(p) for p in perms] or [np.eye(datum.rank, dtype=np.int64)]
+    mats = [permutation_matrix(p) for p in perms] or [_identity(datum.rank)]
     order = group_order_bfs(mats, cap=10 ** 5)
     if order is None:
         raise FoldingError("automorphism group is unexpectedly large")
-    abelian = all(np.array_equal(x @ y, y @ x) for x in mats for y in mats)
+    abelian = all(_matmul(x, y) == _matmul(y, x) for x in mats for y in mats)
     return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian,
                         group_name(order, abelian))
 
@@ -557,10 +553,10 @@ def quotient_rank_check(folding: FoldingDatum) -> bool:
     """Folded rank equals the orbit count and the group preserves S = -Cartan."""
     if folding.folded.rank != len(folding.orbits):
         return False
-    s = -folding.source.cartan
+    s = [[-a for a in row] for row in folding.source.cartan]
     for p in folding.automorphisms:
         mat = permutation_matrix(p)
-        if not np.array_equal(mat.T @ s @ mat, s):
+        if _matmul(_matmul(_transpose(mat), s), mat) != s:
             return False
     return True
 

@@ -32,7 +32,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log2
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -282,19 +282,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def monomial_times(self, exps: Sequence[int], coeff) -> "Polynomial":
-        """Multiply by coeff * x^exps without building an intermediate Polynomial."""
-        c = _as_fraction(coeff)
-        if not c:
-            return Polynomial.zero(self.ambient)
-        exps = tuple(exps)
-        if len(exps) != len(self.ambient) or any(
-                not isinstance(e, int) or e < 0 for e in exps):
-            raise PolyError(
-                f"bad exponent tuple {exps} for ambient of size {len(self.ambient)}")
-        return Polynomial._trusted(self.ambient, {
-            tuple(map(add, e, exps)): k * c for e, k in self.terms.items()})
-
     # ---- calculus and evaluation ----------------------------------------
 
     def partial_derivative(self, var: str) -> "Polynomial":
@@ -492,17 +479,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Cap on the term count one '^' or '*' of a parsed expression may produce,
-# checked on an upper bound before expanding, so a short line cannot stall the
-# parser: (x+y+z)^80 (3,321 terms) took 5 s to expand; the slowest expansion
-# under the cap, (x+y)^499, takes about 0.7 s, mostly in 150-digit binomials.
+# Caps on the term count and on the coefficient bit height that one '^' or
+# '*' of a parsed expression may produce, checked on upper bounds before
+# expanding, so a short line cannot stall the parser: (x+y+z)^80 (3,321 terms)
+# took 5 s to expand, and (x+y)^499 (500 terms, 495-bit binomials) 0.8 s.
+# Under both caps the slowest expansions, (x+y)^256 and (x+y+z)^30, take
+# under 0.2 s.
 MAX_EXPANDED_TERMS = 500
+MAX_COEFFICIENT_BITS = 256
 
 
-def _check_expansion(bound: int, op: str, at: int) -> None:
-    if bound > MAX_EXPANDED_TERMS:
+def _height(p: Polynomial) -> float:
+    """log2(N * D), where D is the lcm of p's denominators and N the sum of
+    |c| * D over its coefficients c.  It bounds the bits of every numerator
+    and denominator of p, and it is subadditive: _height(p * q) is at most
+    _height(p) + _height(q)."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    n = sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values())
+    return log2(n * d) if n else 0.0
+
+
+def _check_expansion(terms: int, bits: float, op: str, at: int) -> None:
+    if terms > MAX_EXPANDED_TERMS:
         raise PolyParseError(
             f"expanding '{op}' may exceed {MAX_EXPANDED_TERMS} terms", at)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(
+            f"expanding '{op}' may exceed {MAX_COEFFICIENT_BITS}-bit coefficients", at)
 
 
 class _Parser:
@@ -553,7 +556,8 @@ class _Parser:
             if not self.accept_op("*"):
                 return p
             q = self.parse_factor()
-            _check_expansion(len(p.terms) * len(q.terms), "*", at)
+            _check_expansion(len(p.terms) * len(q.terms), _height(p) + _height(q),
+                             "*", at)
             p = p * q
 
     def parse_factor(self) -> Polynomial:
@@ -566,7 +570,8 @@ class _Parser:
             self.pos += 1
             n = int(val)
             # a product of n terms from t has at most C(t + n - 1, n) monomials
-            _check_expansion(comb(len(p.terms) + n - 1, n) if n else 1, "^", at)
+            _check_expansion(comb(len(p.terms) + n - 1, n) if n else 1,
+                             n * _height(p), "^", at)
             return p ** n
         return p
 

@@ -5,9 +5,11 @@ the model germs, discriminant generators and multiplicities, the binomial
 law for action-coordinate germs, Milnor-number baselines, braid relations
 and Weyl-group orders, reflection and variation properties of root
 lattices, diagram foldings with their automorphism groups, and the
-adjoint-quotient suite for sl_2 and sl_3.  The golden values (invariant
-degrees, fold expectations) and the steinberg-* check builder live here
-too, shared with the `coxeter`, `fold` and `steinberg` subcommands.
+adjoint-quotient suite for sl_2 and sl_3.  The lattice checks work on the
+Python-int rows that `monodromy` returns, with its one exact product.  The
+golden values (invariant degrees, fold expectations) and the steinberg-*
+check builder live here too, shared with the `coxeter`, `fold` and
+`steinberg` subcommands.
 
 Budget semantics: `budget` caps Groebner S-pairs for the elimination-based
 checks (discriminant-basic, discriminant-al6, the k=2 cases of the binomial
@@ -21,13 +23,12 @@ from __future__ import annotations
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded, radical_membership
-from .monodromy import (CoxeterDatum, IntersectionLattice, braid_relation_check,
-                        fold, group_name, group_order_bfs, pl_reflection,
-                        quotient_rank_check, standard_automorphisms,
-                        variation_matrix, weyl_generators, weyl_group_order)
+from .monodromy import (CoxeterDatum, IntersectionLattice, _identity, _matmul,
+                        _transpose, braid_relation_check, fold, group_name,
+                        group_order_bfs, pl_reflection, quotient_rank_check,
+                        standard_automorphisms, variation_matrix, weyl_generators,
+                        weyl_group_order)
 from .poly import Polynomial, format_polynomial, normalized, parse_polynomial
 from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
@@ -306,13 +307,13 @@ def check_picard_lefschetz() -> CheckResult:
         lattice = IntersectionLattice.root_lattice(label)
         datum = CoxeterDatum.for_type(label)
         gens = weyl_generators(datum)
-        identity = np.eye(lattice.rank, dtype=np.int64)
+        identity = _identity(lattice.rank)
         s = lattice.form
         for i in range(lattice.rank):
             h = pl_reflection(lattice, i)
-            ok = ok and np.array_equal(h.T @ s @ h, s)
-            ok = ok and np.array_equal(h @ h, identity)
-            ok = ok and np.array_equal(h, gens[i])
+            ok = ok and _matmul(_matmul(_transpose(h), s), h) == s
+            ok = ok and _matmul(h, h) == identity
+            ok = ok and h == gens[i]
     return check("picard-lefschetz", True, ok,
                  note="types " + ",".join(_LATTICE_TYPES))
 
@@ -324,12 +325,14 @@ def check_variation_matrix() -> CheckResult:
     for label in _LATTICE_TYPES:
         lattice = IntersectionLattice.root_lattice(label)
         w = variation_matrix(lattice)
-        ok = ok and not np.any(np.triu(w, 1))
-        ok = ok and bool(np.all(np.abs(np.diag(w)) == 1))
-        det = int(np.prod(np.diag(w)))
+        s = lattice.form
+        r = lattice.rank
+        ok = ok and all(w[i][j] == 0 for i in range(r) for j in range(i + 1, r))
+        ok = ok and all(abs(w[i][i]) == 1 for i in range(r))
+        det = prod(w[i][i] for i in range(r))
         dets.append(det)
         ok = ok and det in (-1, 1)
-        ok = ok and np.array_equal(w + w.T, lattice.form)
+        ok = ok and all(w[i][j] + w[j][i] == s[i][j] for i in range(r) for j in range(r))
     return check("variation-matrix", True, ok,
                  note="diagonals -1; dets " + ",".join(str(d) for d in dets))
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -378,8 +378,8 @@ def test_spoly_of_monic_elements():
             f, g = (p.scale(1 / p.lead(order.key)[1]) for p in (f, g))
             fe, ge = f.lead(order.key)[0], g.lead(order.key)[0]
             lcm = tuple(map(max, fe, ge))
-            want = (f.monomial_times([l - e for l, e in zip(lcm, fe)], 1)
-                    - g.monomial_times([l - e for l, e in zip(lcm, ge)], 1))
+            want = (Polynomial(AMB, {tuple(map(sub, lcm, fe)): 1}) * f
+                    - Polynomial(AMB, {tuple(map(sub, lcm, ge)): 1}) * g)
             assert _spoly(f, g, lcm, order) == want
 
 

@@ -1,11 +1,14 @@
 """Cartan data, reflection groups, intersection lattices, and diagram folding."""
 
+import ast
 import random
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vancyc
 from vancyc.monodromy import (
     SUPPORTED_TYPES,
     CoxeterDatum,
@@ -64,9 +67,62 @@ def test_cartan_matrices_are_well_formed():
 def test_coxeter_matrix_from_cartan():
     """Bond products 0,1,2,3 map to orders 2,3,4,6."""
     m = coxeter_matrix_from_cartan(cartan_matrix("B3"))
-    assert m.tolist() == [[1, 3, 2], [3, 1, 4], [2, 4, 1]]
+    assert m == [[1, 3, 2], [3, 1, 4], [2, 4, 1]]
     g = coxeter_matrix_from_cartan(cartan_matrix("G2"))
-    assert g[0, 1] == 6
+    assert g[0][1] == 6
+
+
+def test_coxeter_matrix_bond_product_is_exact():
+    """a_01 * a_10 = 2^64 is not a finite-type bond; an int64 product would
+    wrap it to 0 and report m_01 = 2."""
+    with pytest.raises(LatticeError, match="bond product 18446744073709551616 at"):
+        coxeter_matrix_from_cartan([[2, -2 ** 32], [-2 ** 32, 2]])
+    with pytest.raises(LatticeError, match="bond product 18446744073709551616 at"):
+        coxeter_matrix_from_cartan(np.array([[2, -2 ** 32], [-2 ** 32, 2]]))
+
+
+def _is_int_rows(m) -> bool:
+    return type(m) is list and all(
+        type(row) is list and len(row) == len(m) and all(type(a) is int for a in row)
+        for row in m)
+
+
+def test_matrices_are_python_int_rows():
+    """Stored data and every returned matrix are lists of rows of Python ints,
+    also when the input is a numpy array."""
+    c = cartan_matrix("D4")
+    datum = CoxeterDatum("D4", c, coxeter_matrix_from_cartan(c))
+    assert _is_int_rows(datum.cartan) and _is_int_rows(datum.coxeter)
+    assert datum == CoxeterDatum.for_type("D4")
+    lattice = IntersectionLattice(-c)
+    assert _is_int_rows(lattice.form)
+    assert lattice == IntersectionLattice.root_lattice("D4")
+    mats = [pl_reflection(lattice, 0), variation_matrix(lattice),
+            permutation_matrix((2, 1, 3, 0)), *weyl_generators(datum)]
+    folding = fold("D4", standard_automorphisms("D4", "full"))
+    mats += [folding.folded.cartan, folding.folded.coxeter]
+    assert all(_is_int_rows(m) for m in mats)
+
+
+def _imports_numpy(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_only_monodromy_imports_numpy():
+    """numpy forms only cartan_matrix's return value; no other module of the
+    package imports it."""
+    package = Path(vancyc.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if _imports_numpy(p))
+    assert users == ["monodromy.py"]
 
 
 def test_identify_type_round_trip():
@@ -86,7 +142,7 @@ def test_generators_are_involutions_and_braid_relations_hold():
         gens = weyl_generators(datum)
         eye = np.eye(datum.rank, dtype=np.int64)
         for g in gens:
-            assert np.array_equal(g @ g, eye)
+            assert np.array_equal(np.array(g) @ np.array(g), eye)
         ok, witness = braid_relation_check(gens, datum.coxeter)
         assert ok and witness is None
 
@@ -95,7 +151,7 @@ def test_braid_check_names_the_failing_generator_or_pair():
     """A non-involution is witnessed as (i, i), a broken relation as (i, j)."""
     datum = CoxeterDatum.for_type("A3")
     gens = weyl_generators(datum)
-    doubled = gens[:1] + [2 * gens[1]] + gens[2:]
+    doubled = gens[:1] + [[[2 * a for a in row] for row in gens[1]]] + gens[2:]
     assert braid_relation_check(doubled, datum.coxeter) == (False, (1, 1))
     swapped = [gens[0], gens[2], gens[1]]
     assert braid_relation_check(swapped, datum.coxeter) == (False, (0, 1))
@@ -159,7 +215,7 @@ def test_group_order_bfs_small_cases():
     assert group_order_bfs([np.array([[0]])]) == 2
     assert group_order_bfs([]) == 1
     gens = weyl_generators(CoxeterDatum.for_type("B3"))
-    assert group_order_bfs([g.tolist() for g in gens]) == group_order_bfs(gens) == 48
+    assert group_order_bfs([np.array(g) for g in gens]) == group_order_bfs(gens) == 48
 
 
 def test_group_order_bfs_rejects_bad_generators():
@@ -254,12 +310,12 @@ def test_root_lattice_and_reflections():
     """Simply-laced lattices give involutive reflections preserving the form."""
     for label in ("A2", "A3", "D4"):
         lattice = IntersectionLattice.root_lattice(label)
-        s = lattice.form
+        s = np.array(lattice.form)
         assert np.array_equal(s, s.T)
         assert all(s[i, i] == -2 for i in range(lattice.rank))
         eye = np.eye(lattice.rank, dtype=np.int64)
         for i in range(lattice.rank):
-            h = pl_reflection(lattice, i)
+            h = np.array(pl_reflection(lattice, i))
             for k in range(lattice.rank):
                 for l in range(lattice.rank):
                     expected = (1 if k == l else 0) + (s[i, l] if k == i else 0)
@@ -294,7 +350,7 @@ def test_variation_matrix_properties():
     """W is lower triangular with diagonal -1, S = W + W^T, det W = +-1."""
     for label in ("A2", "A3", "D4"):
         lattice = IntersectionLattice.root_lattice(label)
-        w = variation_matrix(lattice)
+        w = np.array(variation_matrix(lattice))
         r = lattice.rank
         for i in range(r):
             assert w[i, i] == -1
@@ -359,5 +415,5 @@ def test_automorphisms_preserve_cartan_matrix():
                         ("E6", "flip")]:
         c = cartan_matrix(label)
         for perm in standard_automorphisms(label, name):
-            p = permutation_matrix(perm)
+            p = np.array(permutation_matrix(perm))
             assert np.array_equal(p.T @ c @ p, c)

@@ -60,16 +60,6 @@ def test_integer_scalars_mix_with_polynomials():
     assert Fraction(1, 2) * (x + y) * 2 == x + y
 
 
-def test_monomial_times_rejects_bad_exponents():
-    """The multiplier must be a monomial of the ambient: one non-negative
-    integer exponent per variable."""
-    x, y, z = variables(AMB)
-    assert (x + y).monomial_times((0, 1, 2), 3) == 3 * (x + y) * y * z * z
-    for bad in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (0, 1.0, 0)):
-        with pytest.raises(PolyError):
-            (x * y).monomial_times(bad, 1)
-
-
 def test_parse_format_round_trip_randomized():
     """parse(format(p)) == p for 100 random polynomials, spaced and compact."""
     rng = random.Random(23)
@@ -127,6 +117,26 @@ def test_parse_caps_the_expanded_size():
     assert len(parse_polynomial("(x+y+z)^12", AMB).terms) == 91
     assert parse_polynomial("x^100000*y^3", AMB).degree_in("x") == 100000
     assert len(parse_polynomial("(x+y+z)^4 * (x+y)^9", AMB).terms) == 60  # bound 150
+
+
+def test_parse_caps_the_coefficient_height():
+    """An operator whose bound on the coefficient bit height passes the cap
+    fails at its own position before expanding, also under the term cap;
+    a result at the bound still expands exactly."""
+    cases = [
+        ("(x+y)^499", 5),  # 500 terms, but binomials of 495 bits
+        ("(1/3*x + y)^100", 11),  # 100 * log2(4 * 3) bits
+        ("2^200 * 3^100", 6),  # 200 + 158.5 bits
+    ]
+    for text, pos in cases:
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match="256-bit coefficients") as exc:
+            parse_polynomial(text, AMB)
+        assert time.perf_counter() - start < 0.05, text
+        assert exc.value.position == pos
+    x, y, _ = variables(AMB)
+    assert parse_polynomial("2^256", AMB) == Polynomial.constant(AMB, 2 ** 256)
+    assert parse_polynomial("(2*x - 2*y)^64", AMB) == 2 ** 64 * (x - y) ** 64
 
 
 def test_derivative_linear_and_leibniz_randomized():
