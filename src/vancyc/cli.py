@@ -26,10 +26,9 @@ from .monodromy import (SUPPORTED_TYPES, CoxeterDatum, FoldingError, LatticeErro
                         braid_relation_check, coxeter_element_order, fold,
                         quotient_rank_check, standard_automorphisms,
                         weyl_generators, weyl_group_order)
-from .poly import (PolyError, format_polynomial, normalized, parse_polynomial,
-                   squarefree_part_bivariate)
+from .poly import PolyError, format_polynomial, parse_polynomial, squarefree_part_bivariate
 from .report import FAIL, PASS, SKIPPED_BUDGET, Report, check
-from .singularity import curve_multiplicity, discriminant, multiplicity_at_origin
+from .singularity import _reduced_multiplicity, discriminant, multiplicity_at_origin
 from .suite import (STEINBERG_CHECKS, fold_expectation, invariant_degrees,
                     run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
@@ -75,8 +74,8 @@ def _given_multiplicity(expr: str) -> int:
         if m.group(0) not in names:
             names.append(m.group(0))
     given = parse_polynomial(expr, tuple(sorted(names)))
-    mult = curve_multiplicity(given)
-    reduced = normalized(squarefree_part_bivariate(given))
+    reduced = squarefree_part_bivariate(given)
+    mult = _reduced_multiplicity(reduced)
     print(f"given: {format_polynomial(given)}")
     print(f"reduced: {format_polynomial(reduced)}")
     print(f"multiplicity: {mult}")
@@ -104,7 +103,7 @@ def cmd_discriminant(args) -> int:
     if d.note:
         print(f"note: {d.note}")
     if d.reduced_generator is not None:
-        print(f"reduced: {format_polynomial(normalized(d.reduced_generator))}")
+        print(f"reduced: {format_polynomial(d.reduced_generator)}")
         if d.k >= 2:
             print(f"multiplicity: {multiplicity_at_origin(d)}")
     return 0

@@ -4,10 +4,11 @@ Every matrix is a list of rows of Python ints: Cartan and Coxeter data,
 intersection forms, reflections, variation matrices and foldings.  Inputs
 (nested lists or integer numpy arrays) go through `_int_rows`, and `_matmul`
 is the one product, so no entry can wrap.  The only numpy array is the return
-value of `cartan_matrix`.  The reflection in the i-th vanishing class delta_i
-of an even lattice with self-intersection -2 is a |-> a + (a . delta_i)
-delta_i; on the root-lattice model (S = -Cartan for simply-laced types) these
-coincide with the Weyl generators s_i(e_j) = e_j - C_ji e_i.
+value of `cartan_matrix`, the one place that imports numpy.  The reflection
+in the i-th vanishing class delta_i of an even lattice with self-intersection
+-2 is a |-> a + (a . delta_i) delta_i; on the root-lattice model (S = -Cartan
+for simply-laced types) these coincide with the Weyl generators
+s_i(e_j) = e_j - C_ji e_i.
 
 Two independent group orders: `group_order_bfs` closes a matrix group element
 by element, on interned integer rows, and `weyl_group_order` counts a Weyl
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from typing import Sequence
-
-import numpy as np
 
 
 class LatticeError(ValueError):
@@ -50,11 +49,14 @@ def _chain_edges(r: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(r - 1)]
 
 
-def cartan_matrix(label: str) -> np.ndarray:
-    """Cartan matrix of a finite type label like 'A3', 'B2', 'E6', 'G2'."""
+def cartan_matrix(label: str):
+    """Cartan matrix of a finite type label like 'A3', 'B2', 'E6', 'G2', as
+    a numpy int array."""
     # An array only because perfbench/workloads.py:relabelled_datum relabels
     # the result with the fancy index c[perm][:, perm]; the library itself
-    # reads _cartan_rows.
+    # reads _cartan_rows.  numpy is imported here so that importing vancyc
+    # does not load it.
+    import numpy as np
     return np.array(_cartan_rows(label))
 
 
@@ -140,20 +142,7 @@ def identify_type(cartan) -> str | None:
     """
     c = _int_rows(cartan)
     r = len(c)
-    candidates: list[str] = [f"A{r}"]
-    if r >= 4:
-        candidates.append(f"D{r}")
-    if r in (6, 7, 8):
-        candidates.append(f"E{r}")
-    if r == 4:
-        candidates.append("F4")
-    if r == 2:
-        candidates.append("G2")
-    if r >= 2:
-        candidates.append(f"C{r}")
-        if r >= 3:
-            candidates.append(f"B{r}")
-    for label in candidates:
+    for label in (f"{letter}{r}" for letter in "ADEFGCB"):
         try:
             target = _cartan_rows(label)
         except LatticeError:

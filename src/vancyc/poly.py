@@ -993,18 +993,11 @@ def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
 # Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
-def rref(rows: Sequence[Sequence[object]],
-         ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot columns).
-
-    Pivots are sought in the first `ncols` columns only (all by default), so
-    an augmented block to their right is carried along without pivoting.
-    """
+def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot columns)."""
     m = [[_as_fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         rank = len(pivots)
         if rank == len(m):
             break

@@ -96,7 +96,8 @@ class DiscriminantDescription:
 
     reduced_generator is the squarefree equation of the discriminant
     hypersurface when the eliminated ideal has one (for several generators,
-    their gcd is used for the divisorial part and noted).
+    their gcd is used for the divisorial part and noted), normalized to
+    grevlex lead coefficient 1 by `squarefree_part_bivariate`.
     """
 
     k: int
@@ -232,7 +233,7 @@ def al_multiplicity_by_counting(n: int, k: int,
 def _kernel_covector(sub: list[list[Fraction]], k: int) -> tuple[Fraction, ...]:
     """The 1-dimensional left kernel of a k x (k-1) full-rank block, normalized."""
     transpose = [[row[j] for row in sub] for j in range(len(sub[0]) if sub else 0)]
-    m, pivots = rref(transpose, k)
+    m, pivots = rref(transpose)
     free = [c for c in range(k) if c not in pivots]
     if len(free) != 1:
         raise PolyError("expected a one-dimensional kernel")

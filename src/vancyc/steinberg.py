@@ -10,11 +10,12 @@ so the quotient map sends a traceless matrix to the coefficient tuple
 (s_1, ..., s_r); for r = 2 these are (sum of principal 2x2 minors, -det X).
 
 The generic traceless matrix X of `steinberg_map` is the one place that
-fixes the entry coordinates.  The Lie-Poisson bracket on them is read off
-X through matrix commutators, Pi_ab = tr(X [b_a, b_b]) with b_a the trace
-dual of coordinate a, and is audited with `symplectic.jacobi_check`; the
-Casimir check then compares Bareiss determinants against that bracket
-(Kostant, Amer. J. Math. 85, 1963).
+fixes the entry coordinates; `_cells` lists the entry each one names.  The
+Lie-Poisson bracket on them is the closed form
+{x_ij, x_kl} = delta_il X_kj - delta_kj X_il over the entries of X, whose last
+diagonal entry -(x_11 + ... + x_rr) carries the trace-zero constraint, and is
+audited with `symplectic.jacobi_check`; the Casimir check then compares
+Bareiss determinants against that bracket (Kostant, Amer. J. Math. 85, 1963).
 """
 
 from __future__ import annotations
@@ -47,15 +48,21 @@ class SteinbergMap:
     components: tuple[Polynomial, ...]
 
 
+def _cells(n: int) -> list[tuple[int, int]]:
+    """The (i, j) entry that each coordinate of an n x n traceless matrix
+    names, in coordinate order: every entry but the last diagonal one."""
+    return [(i, j) for i in range(n) for j in range(n) if not i == j == n - 1]
+
+
 def steinberg_map(r: int) -> SteinbergMap:
     """Coefficient map (s_1, ..., s_r) for sl_{r+1}, r in {1, 2}."""
     if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
     n = r + 1
-    positions = [(i, j) for i in range(n) for j in range(n) if not i == j == n - 1]
-    ambient = tuple(f"x{i + 1}{j + 1}" for (i, j) in positions)
+    cells = _cells(n)
+    ambient = tuple(f"x{i + 1}{j + 1}" for (i, j) in cells)
     entries = [[None] * n for _ in range(n)]
-    for (i, j) in positions:
+    for (i, j) in cells:
         entries[i][j] = Polynomial.variable(ambient, f"x{i + 1}{j + 1}")
     last = Polynomial.zero(ambient)
     for d in range(n - 1):
@@ -80,49 +87,18 @@ def steinberg_map(r: int) -> SteinbergMap:
     return SteinbergMap(r, ambient, generic, comps)
 
 
-def _coordinate_positions(s: SteinbergMap) -> list[tuple[int, int]]:
-    """The (i, j) entry of the generic matrix that each coordinate reads off."""
-    n = s.rank + 1
-    cells = {s.generic_matrix.entry(i, j): (i, j)
-             for i in range(n) for j in range(n)}
-    return [cells[x] for x in variables(s.ambient)]
-
-
-def _commutator(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-
-
-def _trace_pairing(x: PolyMatrix, c) -> Polynomial:
-    """tr(x c) for a polynomial matrix x and a rational matrix c."""
-    n = len(c)
-    out = Polynomial.zero(x.ambient)
-    for i in range(n):
-        for k in range(n):
-            if c[k][i]:
-                out = out + x.entry(i, k).scale(c[k][i])
-    return out
-
-
 def steinberg_kks(s: SteinbergMap) -> PoissonStructure:
     """Lie-Poisson structure on the entry coordinates of s, audited by Jacobi.
 
-    Under the trace form the coordinate x_ij is dual to b_ij = E_ji off the
-    diagonal and to E_ii - Id/n on it, so Pi_ab = tr(X [b_a, b_b]) for the
-    generic matrix X, that is {x_ij, x_kl} = delta_il x_kj - delta_kj x_il.
+    Under the trace form x_ij is dual to E_ji (less Id/n on the diagonal,
+    which commutes with everything), so {x_ij, x_kl} = tr(X [E_ji, E_lk])
+    = delta_il X_kj - delta_kj X_il for the generic matrix X.
     """
-    n = s.rank + 1
-    duals = []
-    for i, j in _coordinate_positions(s):
-        b = [[Fraction(0)] * n for _ in range(n)]
-        b[j][i] = Fraction(1)
-        if i == j:
-            for d in range(n):
-                b[d][d] -= Fraction(1, n)
-        duals.append(b)
-    rows = [[_trace_pairing(s.generic_matrix, _commutator(a, b)) for b in duals]
-            for a in duals]
+    x = s.generic_matrix
+    zero = Polynomial.zero(s.ambient)
+    cells = _cells(s.rank + 1)
+    rows = [[(x.entry(k, j) if i == l else zero) - (x.entry(i, l) if k == j else zero)
+             for (k, l) in cells] for (i, j) in cells]
     structure = PoissonStructure(s.ambient, PolyMatrix.from_rows(rows))
     if not jacobi_check(structure):
         raise PolyError("Lie-Poisson matrix fails the Jacobi identity")
@@ -157,7 +133,7 @@ def jacobian_rank_at(s: SteinbergMap,
         raise PolyError(f"point must be a {n} x {n} matrix")
     if sum(rows[i][i] for i in range(n)):
         raise PolyError("point matrix must be traceless")
-    point = {v: rows[i][j] for v, (i, j) in zip(s.ambient, _coordinate_positions(s))}
+    point = {v: rows[i][j] for v, (i, j) in zip(s.ambient, _cells(n))}
     jac = [[c.partial_derivative(v).evaluate(point) for v in s.ambient]
            for c in s.components]
     return rational_rank(jac)
@@ -201,7 +177,7 @@ def subregular_slice_check(smap: SteinbergMap) -> SubregularSliceReport:
     x = [[t + y11, y12, zero],
          [y21, t - y11, zero],
          [zero, zero, (-2) * t]]
-    on_slice = {v: x[i][j] for v, (i, j) in zip(smap.ambient, _coordinate_positions(smap))}
+    on_slice = {v: x[i][j] for v, (i, j) in zip(smap.ambient, _cells(3))}
     c2, c3 = (c.substitute(on_slice) for c in smap.components)
     block = ("y11", "y12", "y21")
     origin = {v: 0 for v in ambient}

@@ -29,7 +29,7 @@ from .monodromy import (CoxeterDatum, IntersectionLattice, _identity, _matmul,
                         group_order_bfs, pl_reflection, quotient_rank_check,
                         standard_automorphisms, variation_matrix, weyl_generators,
                         weyl_group_order)
-from .poly import Polynomial, format_polynomial, normalized, parse_polynomial
+from .poly import Polynomial, format_polynomial, parse_polynomial
 from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
                           al_multiplicity_by_counting, curve_multiplicity,
@@ -153,7 +153,7 @@ def check_discriminant_basic(budget: int) -> CheckResult:
     expected = "gen=s1;mult=1"
     try:
         d = discriminant(basic_germ(), max_pairs=budget)
-        got = f"gen={_fmt(normalized(d.reduced_generator))};mult={multiplicity_at_origin(d)}"
+        got = f"gen={_fmt(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
         return check("discriminant-basic", expected, got)
     except ResourceLimitExceeded as exc:
         return CheckResult("discriminant-basic", SKIPPED_BUDGET, expected, None,
@@ -166,7 +166,7 @@ def check_discriminant_al6(budget: int) -> CheckResult:
     R = AL_MATRICES[(3, 2)]
     try:
         d = discriminant(action_coordinates_germ(3, 2, R), max_pairs=budget)
-        got = f"gen={_fmt(normalized(d.reduced_generator))};mult={multiplicity_at_origin(d)}"
+        got = f"gen={_fmt(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
         return check("discriminant-al6", expected, got)
     except ResourceLimitExceeded as exc:
         count = al_multiplicity_by_counting(3, 2, R)
@@ -229,8 +229,7 @@ def check_henon_heiles(stretch_pairs: int | None = None) -> CheckResult:
         return CheckResult(result.name, result.status, result.expected, result.got,
                            note="radical-membership stretch stopped after "
                            f"{exc.pairs_processed} S-pairs")
-    honest = normalized(d.reduced_generator)
-    note = (f"stretch: eliminated discriminant {_fmt(honest)} "
+    note = (f"stretch: eliminated discriminant {_fmt(d.reduced_generator)} "
             f"(multiplicity {multiplicity_at_origin(d)}); given generator in its "
             f"radical: {'yes' if member else 'no'}"
             + ("" if member else

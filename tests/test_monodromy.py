@@ -1,7 +1,10 @@
 """Cartan data, reflection groups, intersection lattices, and diagram folding."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from math import prod
 from pathlib import Path
 
@@ -125,13 +128,35 @@ def test_only_monodromy_imports_numpy():
     assert users == ["monodromy.py"]
 
 
+def test_importing_the_package_loads_no_numpy():
+    """A fresh interpreter imports vancyc and its CLI without loading numpy."""
+    src = str(Path(vancyc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vancyc, vancyc.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_identify_type_round_trip():
-    """Each supported Cartan matrix is recognized up to node permutation."""
-    for label in SUPPORTED_TYPES:
-        expected = "C2" if label == "B2" else label
-        assert identify_type(cartan_matrix(label)) == expected
-    scrambled = cartan_matrix("D4")[np.ix_([3, 1, 0, 2], [3, 1, 0, 2])]
-    assert identify_type(scrambled) == "D4"
+    """Every finite type label of rank 1-8 is recognized after a node
+    permutation; a rank-2 double bond reports 'C2' (B2 up to relabeling)."""
+    rng = random.Random(5)
+    labels = []
+    for r in range(1, 9):
+        for label in (f"{letter}{r}" for letter in "ABCDEFG"):
+            try:
+                c = cartan_matrix(label).tolist()
+            except LatticeError:
+                continue
+            labels.append(label)
+            p = rng.sample(range(r), r)
+            scrambled = [[c[i][j] for j in p] for i in p]
+            expected = "C2" if label == "B2" else label
+            assert identify_type(scrambled) == expected, label
+    assert len(labels) == 8 + 7 + 7 + 5 + 3 + 1 + 1
+    assert set(SUPPORTED_TYPES) <= set(labels)
     assert identify_type(np.array([[2, -1], [-4, 2]])) is None
 
 

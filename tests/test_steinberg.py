@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from vancyc import steinberg
 from vancyc.poly import PolyError, Polynomial, parse_polynomial, rational_rank, rref
 from vancyc.steinberg import (
     casimir_components_check,
@@ -95,6 +96,13 @@ def test_kks_structures_satisfy_jacobi():
     assert jacobi_check(steinberg_kks(steinberg_map(2)))
 
 
+def test_kks_gates_on_the_jacobi_audit(monkeypatch):
+    """A Lie-Poisson matrix the Jacobi audit rejects is an error, not a result."""
+    monkeypatch.setattr(steinberg, "jacobi_check", lambda structure: False)
+    with pytest.raises(PolyError, match="Jacobi"):
+        steinberg_kks(steinberg_map(1))
+
+
 def test_coefficient_map_components():
     """Characteristic coefficients of the generic traceless matrix, both ranks."""
     s1 = steinberg_map(1)
@@ -159,7 +167,7 @@ def _conjugate(s, g):
     """Entry-coordinate images of the generic matrix X under X -> g X g^-1."""
     n = s.rank + 1
     m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                      for i, row in enumerate(g)], n)
+                      for i, row in enumerate(g)])
     assert len(pivots) == n
     gi = [row[n:] for row in m]
     x = s.generic_matrix
