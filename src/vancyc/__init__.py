@@ -17,8 +17,8 @@ from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
                         group_order_bfs, identify_type, pl_reflection,
                         quotient_rank_check, standard_automorphisms,
                         variation_matrix, weyl_generators, weyl_group_order)
-from .poly import (AmbientMismatchError, PolyError, PolyMatrix, PolyParseError,
-                   Polynomial, UnknownVariableError, determinant_fraction_free,
+from .poly import (AmbientMismatchError, PolyError, PolyParseError, Polynomial,
+                   UnknownVariableError, determinant_fraction_free,
                    exact_divide, format_polynomial, gcd_polynomials, normalized,
                    parse_polynomial, rational_rank, resultant,
                    squarefree_part_bivariate, variables)

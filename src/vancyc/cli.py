@@ -5,7 +5,9 @@ Subcommands: `bracket` (Poisson bracket of two germ components),
 generator), `coxeter` (braid relations, group order, Coxeter element),
 `fold` (diagram folding with its automorphism group), `steinberg`
 (adjoint-quotient checks for sl_2 / sl_3) and `paper-suite` (the twelve
-acceptance checks).
+acceptance checks).  `coxeter`, `fold` and `steinberg` print the checks
+that `suite` builds for them, the same ones `paper-suite` summarises;
+`discriminant` takes a germ file or `--given`, never both.
 
 Machine-readable output is line-oriented: `CHECK <name> <status>
 expected=<v> got=<v>`; `--notes` appends one `NOTE <name> <text>` line per
@@ -18,18 +20,14 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from math import prod
 
 from .germfile import GermFileError, load_germ_file
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
-from .monodromy import (SUPPORTED_TYPES, CoxeterDatum, FoldingError, LatticeError,
-                        braid_relation_check, coxeter_element_order, fold,
-                        quotient_rank_check, standard_automorphisms,
-                        weyl_generators, weyl_group_order)
+from .monodromy import SUPPORTED_TYPES, FoldingError, LatticeError
 from .poly import PolyError, format_polynomial, parse_polynomial, squarefree_part_bivariate
-from .report import FAIL, PASS, SKIPPED_BUDGET, Report, check
+from .report import FAIL, PASS, SKIPPED_BUDGET, Report
 from .singularity import _reduced_multiplicity, discriminant, multiplicity_at_origin
-from .suite import (STEINBERG_CHECKS, fold_expectation, invariant_degrees,
+from .suite import (COXETER_CHECKS, STEINBERG_CHECKS, coxeter_results, fold_results,
                     run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
 
@@ -83,11 +81,11 @@ def _given_multiplicity(expr: str) -> int:
 
 
 def cmd_discriminant(args) -> int:
+    if (args.file is None) == (args.given is None):
+        print("error: give either a germ file or --given, not both", file=sys.stderr)
+        return 2
     if args.given is not None:
         return _given_multiplicity(args.given)
-    if args.file is None:
-        print("error: a germ file (or --given) is required", file=sys.stderr)
-        return 2
     germ = load_germ_file(args.file).to_map_germ()
     try:
         d = discriminant(germ, max_pairs=args.budget)
@@ -119,23 +117,8 @@ def cmd_coxeter(args) -> int:
         print(f"error: unsupported type '{label}' (supported: "
               f"{', '.join(SUPPORTED_TYPES)})", file=sys.stderr)
         return 2
-    datum = CoxeterDatum.for_type(label)
-    gens = weyl_generators(datum)
-    degrees = invariant_degrees(label)
-    report = Report()
-    wanted = ("braid", "order", "coxeter-element") if args.check == "all" \
-        else (args.check,)
-    if "braid" in wanted:
-        braid_ok, witness = braid_relation_check(gens, datum.coxeter)
-        report.add(check(f"braid-{label}", True, braid_ok,
-                         note=f"failing pair {witness}" if witness else ""))
-    if "order" in wanted:
-        report.add(check(f"order-{label}", prod(degrees),
-                         weyl_group_order(datum.cartan)))
-    if "coxeter-element" in wanted:
-        report.add(check(f"coxeter-element-{label}", max(degrees),
-                         coxeter_element_order(gens)))
-    return _emit(report, args.notes)
+    checks = COXETER_CHECKS if args.check == "all" else (args.check,)
+    return _emit(Report(coxeter_results(label, checks)), args.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +126,7 @@ def cmd_coxeter(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fold(args) -> int:
-    label, name = args.source, args.automorphism
-    folding = fold(label, standard_automorphisms(label, name))
-    expected = fold_expectation(label, name)
-    if expected is None:
-        print(f"error: no independent expectation for folding {label} by "
-              f"'{name}'", file=sys.stderr)
-        return 2
-    want_type, want_order, want_abelian = expected
-    report = Report()
-    orbit_note = "orbits " + ";".join(
-        "{" + ",".join(str(i) for i in orbit) + "}" for orbit in folding.orbits)
-    report.add(check("fold-type", want_type, folding.folded.label, note=orbit_note))
-    report.add(check("fold-group-order", want_order, folding.group_order,
-                     note=f"group {folding.group_name}"))
-    report.add(check("fold-group-abelian", want_abelian, folding.group_abelian))
-    report.add(check("fold-quotient-rank", True, quotient_rank_check(folding)))
-    return _emit(report, args.notes)
+    return _emit(Report(fold_results(args.source, args.automorphism)), args.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +134,11 @@ def cmd_fold(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_steinberg(args) -> int:
-    rank = args.rank
-    if rank not in (1, 2):
-        print("error: --rank must be 1 or 2", file=sys.stderr)
-        return 2
-    if args.check == "slice" and rank != 2:
+    if args.check == "slice" and args.rank != 2:
         print("error: the slice check needs --rank 2", file=sys.stderr)
         return 2
     results, _ = steinberg_results(
-        rank, STEINBERG_CHECKS if args.check == "all" else (args.check,))
+        args.rank, STEINBERG_CHECKS if args.check == "all" else (args.check,))
     return _emit(Report(results), args.notes)
 
 
@@ -230,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coxeter", help="braid relations, group order, "
                                        "Coxeter element order")
     p.add_argument("type", help="type label, e.g. A3, B2, G2")
-    p.add_argument("--check", choices=("braid", "order", "coxeter-element", "all"),
+    p.add_argument("--check", choices=COXETER_CHECKS + ("all",),
                    default="all")
     p.add_argument("--notes", action="store_true", help="print NOTE lines")
     p.set_defaults(func=cmd_coxeter)

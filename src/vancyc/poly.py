@@ -6,7 +6,8 @@ also carries the exact linear algebra used elsewhere in the package:
 fraction-free (Bareiss) determinants of polynomial matrices, gcds,
 resultants and squarefree parts in any number of variables from one
 subresultant remainder sequence, and Gauss-Jordan elimination (reduced row
-echelon form and rank) over Q.
+echelon form and rank) over Q.  A matrix, of polynomials or of numbers, is
+a list (or tuple) of rows, as everywhere in the package.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
 tuple comparison is the monomial order.  `divmod_polynomials` is the one
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, log2
 from operator import add, neg, sub
@@ -752,51 +752,23 @@ def normalized(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices and fraction-free determinants
+# Fraction-free determinants of polynomial matrices (lists of rows)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Rectangular matrix of polynomials over a shared ambient."""
-
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise PolyError("PolyMatrix must be non-empty")
-        ambient = self.entries[0][0].ambient
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise PolyError("ragged PolyMatrix rows")
-            for e in row:
-                if e.ambient != ambient:
-                    raise AmbientMismatchError("PolyMatrix entries disagree on ambient")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Polynomial]]) -> "PolyMatrix":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
-
-    @property
-    def ambient(self):
-        return self.entries[0][0].ambient
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
-
-def determinant_fraction_free(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant via Bareiss elimination (all divisions exact)."""
-    rows, cols = matrix.shape
-    if rows != cols:
-        raise PolyError(f"determinant of non-square matrix {rows}x{cols}")
-    ambient = matrix.ambient
-    m = [list(r) for r in matrix.entries]
-    n = rows
+def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Exact determinant of a non-empty square matrix of polynomials over one
+    ambient, given as rows, via Bareiss elimination (all divisions exact)."""
+    n = len(matrix)
+    if not n or not matrix[0]:
+        raise PolyError("determinant of an empty matrix")
+    ambient = matrix[0][0].ambient
+    for row in matrix:
+        if len(row) != n:
+            raise PolyError(f"determinant of non-square matrix: a row of "
+                            f"{len(row)} entries in {n} rows")
+        if any(e.ambient != ambient for e in row):
+            raise AmbientMismatchError("matrix entries disagree on ambient")
+    m = [list(r) for r in matrix]
     sign = 1
     prev = Polynomial.constant(ambient, 1)
     for k in range(n - 1):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .groebner import (DEFAULT_PAIR_LIMIT, IdealBasis, MonomialOrder,
                        eliminate, quotient_dimension)
-from .poly import (PolyError, PolyMatrix, Polynomial, determinant_fraction_free,
+from .poly import (PolyError, Polynomial, determinant_fraction_free,
                    gcd_polynomials, normalized, rational_rank, rref,
                    squarefree_part_bivariate, variables)
 from .symplectic import MapGerm, SymplecticContext
@@ -36,11 +36,9 @@ class NonGenericMatrixError(PolyError):
         self.columns = columns
 
 
-def jacobian(germ: MapGerm) -> PolyMatrix:
+def jacobian(germ: MapGerm) -> list[list[Polynomial]]:
     """k x m matrix of partial derivatives, rows by component, columns by variable."""
-    rows = [[c.partial_derivative(v) for v in germ.ambient]
-            for c in germ.components]
-    return PolyMatrix.from_rows(rows)
+    return [[c.partial_derivative(v) for v in germ.ambient] for c in germ.components]
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ def critical_ideal(germ: MapGerm) -> CriticalIdeal:
     jac = jacobian(germ)
     minors: list[Polynomial] = []
     for cols in combinations(range(m), k):
-        sub = PolyMatrix.from_rows(
-            [[jac.entry(i, j) for j in cols] for i in range(k)])
+        sub = [[row[j] for j in cols] for row in jac]
         minors.append(determinant_fraction_free(sub).extend(ambient))
     seen = set()
     for minor in minors:

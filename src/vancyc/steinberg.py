@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import (PolyError, PolyMatrix, Polynomial, determinant_fraction_free,
+from .poly import (PolyError, Polynomial, determinant_fraction_free,
                    rational_rank, resultant, variables)
 from .singularity import curve_multiplicity
 from .symplectic import PoissonStructure, casimir_check, jacobi_check
@@ -38,13 +38,14 @@ from .symplectic import PoissonStructure, casimir_check, jacobi_check
 class SteinbergMap:
     """Characteristic coefficients of a generic traceless (r+1) x (r+1) matrix.
 
-    generic_matrix fixes the entry coordinates: x_ij is its (i, j) entry for
-    every position but the last diagonal one, which is -(x_11 + ... + x_rr).
+    generic_matrix, a tuple of rows, fixes the entry coordinates: x_ij is its
+    (i, j) entry for every position but the last diagonal one, which is
+    -(x_11 + ... + x_rr).
     """
 
     rank: int
     ambient: tuple[str, ...]
-    generic_matrix: PolyMatrix
+    generic_matrix: tuple[tuple[Polynomial, ...], ...]
     components: tuple[Polynomial, ...]
 
 
@@ -68,7 +69,7 @@ def steinberg_map(r: int) -> SteinbergMap:
     for d in range(n - 1):
         last = last - entries[d][d]
     entries[n - 1][n - 1] = last
-    generic = PolyMatrix.from_rows(entries)
+    generic = tuple(tuple(row) for row in entries)
     lam_ambient = ambient + ("lam",)
     lam = Polynomial.variable(lam_ambient, "lam")
     char_rows = []
@@ -80,7 +81,7 @@ def steinberg_map(r: int) -> SteinbergMap:
                 e = e + lam
             row.append(e)
         char_rows.append(row)
-    char = determinant_fraction_free(PolyMatrix.from_rows(char_rows))
+    char = determinant_fraction_free(char_rows)
     if not char.coefficient_in("lam", n - 1).is_zero():
         raise PolyError("generic matrix is not traceless")
     comps = tuple(char.coefficient_in("lam", d) for d in range(n - 2, -1, -1))
@@ -97,9 +98,9 @@ def steinberg_kks(s: SteinbergMap) -> PoissonStructure:
     x = s.generic_matrix
     zero = Polynomial.zero(s.ambient)
     cells = _cells(s.rank + 1)
-    rows = [[(x.entry(k, j) if i == l else zero) - (x.entry(i, l) if k == j else zero)
+    rows = [[(x[k][j] if i == l else zero) - (x[i][l] if k == j else zero)
              for (k, l) in cells] for (i, j) in cells]
-    structure = PoissonStructure(s.ambient, PolyMatrix.from_rows(rows))
+    structure = PoissonStructure(s.ambient, rows)
     if not jacobi_check(structure):
         raise PolyError("Lie-Poisson matrix fails the Jacobi identity")
     return structure

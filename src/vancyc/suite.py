@@ -6,10 +6,13 @@ law for action-coordinate germs, Milnor-number baselines, braid relations
 and Weyl-group orders, reflection and variation properties of root
 lattices, diagram foldings with their automorphism groups, and the
 adjoint-quotient suite for sl_2 and sl_3.  The lattice checks work on the
-Python-int rows that `monodromy` returns, with its one exact product.  The
-golden values (invariant degrees, fold expectations) and the steinberg-*
-check builder live here too, shared with the `coxeter`, `fold` and
-`steinberg` subcommands.
+Python-int rows that `monodromy` returns, with its one exact product.
+
+Each check of the `coxeter`, `fold` and `steinberg` subcommands is built
+once here, by `coxeter_results`, `fold_results` and `steinberg_results`,
+from the golden values tabled beside them (invariant degrees, fold
+expectations).  The subcommands print those results; `braid-relations`,
+`weyl-orders`, `folding-groups` and `steinberg-suite` summarise them.
 
 Budget semantics: `budget` caps Groebner S-pairs for the elimination-based
 checks (discriminant-basic, discriminant-al6, the k=2 cases of the binomial
@@ -24,12 +27,12 @@ from math import prod
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded, radical_membership
-from .monodromy import (CoxeterDatum, IntersectionLattice, _identity, _matmul,
-                        _transpose, braid_relation_check, fold, group_name,
-                        group_order_bfs, pl_reflection, quotient_rank_check,
-                        standard_automorphisms, variation_matrix, weyl_generators,
-                        weyl_group_order)
-from .poly import Polynomial, format_polynomial, parse_polynomial
+from .monodromy import (CoxeterDatum, FoldingError, IntersectionLattice, _identity,
+                        _matmul, _transpose, braid_relation_check,
+                        coxeter_element_order, fold, group_name, group_order_bfs,
+                        pl_reflection, quotient_rank_check, standard_automorphisms,
+                        variation_matrix, weyl_generators, weyl_group_order)
+from .poly import Polynomial, parse_polynomial
 from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
                           al_multiplicity_by_counting, curve_multiplicity,
@@ -77,10 +80,6 @@ def henon_heiles_germ() -> MapGerm:
 def henon_heiles_given_discriminant() -> Polynomial:
     """Reduced discriminant curve of the quartic pair: a line and a (4,3)-cusp."""
     return parse_polynomial("s2*(s2^3-s1^4)", ("s1", "s2"))
-
-
-def _fmt(p: Polynomial) -> str:
-    return format_polynomial(p, compact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +134,58 @@ def fold_expectation(label: str, name: str) -> tuple[str, int, bool] | None:
 
 
 # ---------------------------------------------------------------------------
+# Checks shared by the coxeter and fold subcommands and the suite
+# ---------------------------------------------------------------------------
+
+COXETER_CHECKS = ("braid", "order", "coxeter-element")
+
+
+def coxeter_results(label: str, checks: Sequence[str] = COXETER_CHECKS
+                    ) -> list[CheckResult]:
+    """The braid-, order- and coxeter-element- checks of a type label named in
+    `checks`, in the order of COXETER_CHECKS.  The order and the Coxeter
+    element are compared with the invariant degrees; a braid failure notes
+    its witness pair."""
+    datum = CoxeterDatum.for_type(label)
+    gens = weyl_generators(datum)
+    degrees = invariant_degrees(label)
+    results = []
+    if "braid" in checks:
+        braid_ok, witness = braid_relation_check(gens, datum.coxeter)
+        results.append(check(f"braid-{label}", True, braid_ok,
+                             note=f"failing pair {witness}" if witness else ""))
+    if "order" in checks:
+        results.append(check(f"order-{label}", prod(degrees),
+                             weyl_group_order(datum.cartan)))
+    if "coxeter-element" in checks:
+        results.append(check(f"coxeter-element-{label}", max(degrees),
+                             coxeter_element_order(gens)))
+    return results
+
+
+def fold_results(label: str, name: str) -> list[CheckResult]:
+    """The fold-type, fold-group-order, fold-group-abelian and
+    fold-quotient-rank checks of folding `label` by the named automorphisms.
+
+    FoldingError when the folding is invalid, or when no independent
+    expectation is known, since a folding is never checked against itself.
+    """
+    folding = fold(label, standard_automorphisms(label, name))
+    expected = fold_expectation(label, name)
+    if expected is None:
+        raise FoldingError(
+            f"no independent expectation for folding {label} by '{name}'")
+    want_type, want_order, want_abelian = expected
+    orbit_note = "orbits " + ";".join(
+        "{" + ",".join(str(i) for i in orbit) + "}" for orbit in folding.orbits)
+    return [check("fold-type", want_type, folding.folded.label, note=orbit_note),
+            check("fold-group-order", want_order, folding.group_order,
+                  note=f"group {folding.group_name}"),
+            check("fold-group-abelian", want_abelian, folding.group_abelian),
+            check("fold-quotient-rank", True, quotient_rank_check(folding))]
+
+
+# ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
@@ -144,7 +195,7 @@ def check_involutivity() -> CheckResult:
     for germ in (basic_germ(), henon_heiles_germ()):
         f, g = germ.components
         results.append(poisson_bracket(f, g, germ.context))
-    got = ";".join(_fmt(b) for b in results)
+    got = ";".join(format_value(b) for b in results)
     return check("involutivity", "0;0", got)
 
 
@@ -153,7 +204,7 @@ def check_discriminant_basic(budget: int) -> CheckResult:
     expected = "gen=s1;mult=1"
     try:
         d = discriminant(basic_germ(), max_pairs=budget)
-        got = f"gen={_fmt(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
+        got = f"gen={format_value(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
         return check("discriminant-basic", expected, got)
     except ResourceLimitExceeded as exc:
         return CheckResult("discriminant-basic", SKIPPED_BUDGET, expected, None,
@@ -166,7 +217,7 @@ def check_discriminant_al6(budget: int) -> CheckResult:
     R = AL_MATRICES[(3, 2)]
     try:
         d = discriminant(action_coordinates_germ(3, 2, R), max_pairs=budget)
-        got = f"gen={_fmt(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
+        got = f"gen={format_value(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
         return check("discriminant-al6", expected, got)
     except ResourceLimitExceeded as exc:
         count = al_multiplicity_by_counting(3, 2, R)
@@ -229,7 +280,7 @@ def check_henon_heiles(stretch_pairs: int | None = None) -> CheckResult:
         return CheckResult(result.name, result.status, result.expected, result.got,
                            note="radical-membership stretch stopped after "
                            f"{exc.pairs_processed} S-pairs")
-    note = (f"stretch: eliminated discriminant {_fmt(d.reduced_generator)} "
+    note = (f"stretch: eliminated discriminant {format_value(d.reduced_generator)} "
             f"(multiplicity {multiplicity_at_origin(d)}); given generator in its "
             f"radical: {'yes' if member else 'no'}"
             + ("" if member else
@@ -258,19 +309,11 @@ _BRAID_TYPES = ("A2", "A3", "B2", "B3", "D4", "F4", "G2", "E6")
 
 def check_braid_relations() -> CheckResult:
     """Weyl generators are involutions satisfying all braid relations."""
-    good = 0
-    failing = []
-    for label in _BRAID_TYPES:
-        datum = CoxeterDatum.for_type(label)
-        gens = weyl_generators(datum)
-        braid_ok, witness = braid_relation_check(gens, datum.coxeter)
-        if braid_ok:
-            good += 1
-        else:
-            failing.append(f"{label}{witness}")
-    return check("braid-relations", f"{len(_BRAID_TYPES)}/{len(_BRAID_TYPES)}",
-                 f"{good}/{len(_BRAID_TYPES)}",
-                 note="failing: " + ",".join(failing) if failing else "")
+    results = [r for label in _BRAID_TYPES for r in coxeter_results(label, ("braid",))]
+    failing = [f"{r.name} {r.note}" for r in results if r.status != PASS]
+    return check("braid-relations", f"{len(results)}/{len(results)}",
+                 f"{len(results) - len(failing)}/{len(results)}",
+                 note="failing: " + "; ".join(failing) if failing else "")
 
 
 _ORDER_TYPES = ("A2", "B2", "G2", "A3", "D4", "F4", "E6", "E7", "E8")
@@ -281,17 +324,13 @@ _BFS_TYPES = _ORDER_TYPES[:6]
 def check_weyl_orders() -> CheckResult:
     """Orbit-stabilizer orders match prod d_i, and the BFS closure agrees on
     the small types; a disagreement shows as `order/bfs` in the got list."""
-    want = [prod(invariant_degrees(label)) for label in _ORDER_TYPES]
-    got: list[object] = []
-    for label in _ORDER_TYPES:
-        datum = CoxeterDatum.for_type(label)
-        order = weyl_group_order(datum.cartan)
-        if label in _BFS_TYPES:
-            bfs = group_order_bfs(weyl_generators(datum))
-            if bfs != order:
-                order = f"{format_value(order)}/{format_value(bfs)}"
-        got.append(order)
-    return check("weyl-orders", want, got,
+    results = [r for label in _ORDER_TYPES for r in coxeter_results(label, ("order",))]
+    got: list[object] = [r.got for r in results]
+    for k, label in enumerate(_BFS_TYPES):
+        bfs = group_order_bfs(weyl_generators(CoxeterDatum.for_type(label)))
+        if bfs != got[k]:
+            got[k] = f"{format_value(got[k])}/{format_value(bfs)}"
+    return check("weyl-orders", [r.expected for r in results], got,
                  note="orbit-stabilizer on fundamental weights; BFS closure "
                       f"cross-checks {','.join(_BFS_TYPES)}")
 
@@ -347,24 +386,20 @@ def _fold_summary(label: str, folded: str, order: int, abelian: bool) -> str:
 
 def check_folding_groups() -> CheckResult:
     """Foldings land on the stated types with the stated symmetry groups."""
-    folds = [fold(label, standard_automorphisms(label, name))
-             for label, name in _SUITE_FOLDS]
-    parts = [_fold_summary(label, f.folded.label, f.group_order, f.group_abelian)
-             for (label, _), f in zip(_SUITE_FOLDS, folds)]
-    expected = [_fold_summary(label, *fold_expectation(label, name))
-                for label, name in _SUITE_FOLDS]
-    identity_trivial = True
-    for label in ("A3", "D4", "E6"):
-        ident = fold(label, standard_automorphisms(label, "identity"))
-        identity_trivial = identity_trivial and (
-            ident.folded.label == label and ident.group_order == 1
-            and ident.group_name == "trivial")
+    folds = [fold_results(label, name) for label, name in _SUITE_FOLDS]
+    # fold-type, fold-group-order and fold-group-abelian come first
+    expected = [_fold_summary(label, *(r.expected for r in results[:3]))
+                for (label, _), results in zip(_SUITE_FOLDS, folds)]
+    parts = [_fold_summary(label, *(r.got for r in results[:3]))
+             for (label, _), results in zip(_SUITE_FOLDS, folds)]
+    identity_trivial = all(r.status == PASS for label in ("A3", "D4", "E6")
+                           for r in fold_results(label, "identity")[:3])
     parts.append(f"id:{'trivial' if identity_trivial else 'nontrivial'}")
-    ranks = all(quotient_rank_check(f) for f in folds)
+    ranks = all(results[3].status == PASS for results in folds)
     parts.append(f"rank:{'ok' if ranks else 'bad'}")
     return check("folding-groups", ";".join(expected + ["id:trivial", "rank:ok"]),
                  ";".join(parts), note="abelian flags: D4-full="
-                 + ("abelian" if folds[0].group_abelian else "nonabelian"))
+                 + ("abelian" if folds[0][2].got else "nonabelian"))
 
 
 STEINBERG_CHECKS = ("casimir", "rank", "discriminant", "slice")

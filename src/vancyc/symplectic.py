@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .poly import AmbientMismatchError, PolyError, PolyMatrix, Polynomial
+from .poly import AmbientMismatchError, PolyError, Polynomial
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,25 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """Antisymmetric matrix of polynomial coefficients Pi_ij = {x_i, x_j}."""
+    """Antisymmetric matrix of polynomial coefficients Pi_ij = {x_i, x_j},
+    stored as a tuple of rows."""
 
     ambient: tuple[str, ...]
-    matrix: PolyMatrix
+    matrix: tuple[tuple[Polynomial, ...], ...]
 
-    def __init__(self, ambient, matrix: PolyMatrix):
+    def __init__(self, ambient, matrix: Sequence[Sequence[Polynomial]]):
         ambient = tuple(ambient)
+        matrix = tuple(tuple(row) for row in matrix)
         n = len(ambient)
-        rows, cols = matrix.shape
-        if rows != n or cols != n:
+        if not n:
+            raise PolyError("a Poisson structure needs at least one coordinate")
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise PolyError(f"Poisson matrix must be {n}x{n}")
-        if matrix.ambient != ambient:
+        if any(e.ambient != ambient for row in matrix for e in row):
             raise AmbientMismatchError("Poisson matrix ambient mismatch")
         for i in range(n):
             for j in range(n):
-                if matrix.entry(i, j) != -matrix.entry(j, i):
+                if matrix[i][j] != -matrix[j][i]:
                     raise PolyError(
                         f"Poisson matrix is not antisymmetric at ({i}, {j})")
         object.__setattr__(self, "ambient", ambient)
@@ -131,7 +134,7 @@ def general_bracket(f: Polynomial, g: Polynomial,
         for j in range(i + 1, len(ambient)):
             if not ((df[i] and dg[j]) or (df[j] and dg[i])):
                 continue
-            pij = structure.matrix.entry(i, j)
+            pij = structure.matrix[i][j]
             if pij.is_zero():
                 continue
             out = out + pij * (df[i] * dg[j] - df[j] * dg[i])

@@ -2,7 +2,9 @@
 
 import pytest
 
+from vancyc import suite
 from vancyc.cli import main
+from vancyc.report import FAIL
 
 
 def run(capsys, *argv):
@@ -86,6 +88,15 @@ def test_discriminant_requires_input(capsys):
     assert code == 2
 
 
+def test_discriminant_refuses_file_and_given(capsys, germs_dir):
+    """A germ file and --given together are a usage error: neither is ignored."""
+    code, out, err = run(capsys, "discriminant", str(germs_dir / "basic.germ"),
+                         "--given", "s1")
+    assert code == 2
+    assert out == []
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_missing_germ_file(capsys, germs_dir):
     """Unreadable paths map to exit 2 with an error line."""
     code, out, err = run(capsys, "discriminant", str(germs_dir / "no_such.germ"))
@@ -131,6 +142,45 @@ def test_coxeter_rejects_unsupported_type(capsys):
         code, out, err = run(capsys, "coxeter", label)
         assert code == 2
         assert "unsupported type" in err[0]
+
+
+def test_coxeter_and_weyl_orders_share_the_order_check(capsys, monkeypatch):
+    """A wrong orbit-stabilizer count fails `coxeter --check order` and the
+    suite's weyl-orders gate alike, since both use one check."""
+    real = suite.weyl_group_order
+    monkeypatch.setattr(suite, "weyl_group_order", lambda cartan: real(cartan) + 1)
+    code, out, err = run(capsys, "coxeter", "A3", "--check", "order")
+    assert code == 1
+    assert out == ["CHECK order-A3 fail expected=24 got=25"]
+    assert suite.check_weyl_orders().status == FAIL
+
+
+def test_braid_relations_note_names_failing_types(monkeypatch):
+    """On failure the braid-relations note names each failing type's check
+    and its witness pair."""
+    real = suite.braid_relation_check
+
+    def rank_two_fails(gens, coxeter):
+        return (False, (0, 1)) if len(gens) == 2 else real(gens, coxeter)
+
+    monkeypatch.setattr(suite, "braid_relation_check", rank_two_fails)
+    result = suite.check_braid_relations()
+    assert result.status == FAIL
+    assert result.got == "5/8"
+    assert result.note == ("failing: braid-A2 failing pair (0, 1); "
+                           "braid-B2 failing pair (0, 1); braid-G2 failing pair (0, 1)")
+
+
+def test_fold_and_folding_groups_share_the_rank_check(capsys, monkeypatch):
+    """A failing quotient-rank check fails `fold` and reads rank:bad in the
+    suite's folding-groups gate, since both use one check."""
+    monkeypatch.setattr(suite, "quotient_rank_check", lambda folding: False)
+    code, out, err = run(capsys, "fold", "D4", "full")
+    assert code == 1
+    assert out[-1] == "CHECK fold-quotient-rank fail expected=true got=false"
+    result = suite.check_folding_groups()
+    assert result.status == FAIL
+    assert result.got.split(";")[-2:] == ["id:trivial", "rank:bad"]
 
 
 def test_fold_d4_full(capsys):
@@ -205,6 +255,7 @@ def test_steinberg_usage_errors(capsys):
     """Unsupported ranks and the rank-1 slice request are usage errors."""
     code, _, err = run(capsys, "steinberg", "--rank", "3")
     assert code == 2
+    assert err == ["error: only ranks 1 and 2 are supported"]
     code, _, err = run(capsys, "steinberg", "--rank", "1", "--check", "slice")
     assert code == 2
 

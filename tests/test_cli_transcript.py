@@ -3,7 +3,9 @@ commands.
 
 Every CHECK and NOTE line of `paper-suite` (default and zero budget),
 `coxeter` on each supported type, `steinberg` on each rank and check, and
-`fold` on each tabled folding and the identity is compared byte for byte.
+`fold` on each tabled folding and the identity is compared byte for byte,
+and so are the empty output and exit 2 of an unsupported type, rank or
+folding.
 A8 also runs the braid and Coxeter-element checks one at a time, to pin the
 `--check` selection.
 """
@@ -143,6 +145,7 @@ CHECK braid-G2 pass expected=true got=true
 CHECK order-G2 pass expected=12 got=12
 CHECK coxeter-element-G2 pass expected=6 got=6
 """),
+    'coxeter E7 --notes': (2, ""),
     'steinberg --rank 1 --check casimir --notes': (0, """\
 CHECK steinberg-casimir pass expected=true got=true
 NOTE steinberg-casimir 1 component(s) against the Lie-Poisson bracket
@@ -155,6 +158,7 @@ CHECK steinberg-rank-regular pass expected=1 got=1
 CHECK steinberg-discriminant pass expected=1 got=1
 """),
     'steinberg --rank 1 --check slice --notes': (2, ""),
+    'steinberg --rank 3 --notes': (2, ""),
     'steinberg --rank 1 --check all --notes': (0, """\
 CHECK steinberg-casimir pass expected=true got=true
 CHECK steinberg-rank-subregular pass expected=0 got=0
@@ -282,6 +286,8 @@ CHECK fold-quotient-rank pass expected=true got=true
 NOTE fold-type orbits {0};{1};{2};{3};{4};{5}
 NOTE fold-group-order group trivial
 """),
+    'fold A1 flip --notes': (2, ""),
+    'fold A2 flip --notes': (2, ""),
 }
 
 

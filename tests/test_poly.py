@@ -12,7 +12,6 @@ from randpoly import random_polynomial, resultant_pairs
 from vancyc.poly import (
     AmbientMismatchError,
     PolyError,
-    PolyMatrix,
     PolyParseError,
     Polynomial,
     UnknownVariableError,
@@ -201,16 +200,27 @@ def test_determinant_matches_cofactor_expansion():
         for _ in range(3):
             rows = [[random_polynomial(rng, ("x", "y"), max_terms=2, max_exp=1)
                      for _ in range(n)] for _ in range(n)]
-            m = PolyMatrix.from_rows(rows)
-            assert determinant_fraction_free(m) == cofactor_det(rows)
+            assert determinant_fraction_free(rows) == cofactor_det(rows)
 
 
 def test_determinant_golden():
     """det [[x, y], [1, x]] = x^2 - y."""
     x, y = variables(("x", "y"))
     one = Polynomial.constant(("x", "y"), 1)
-    m = PolyMatrix.from_rows([[x, y], [one, x]])
-    assert determinant_fraction_free(m) == x * x - y
+    assert determinant_fraction_free([[x, y], [one, x]]) == x * x - y
+
+
+def test_determinant_rejects_malformed_matrices():
+    """An empty, ragged or non-square matrix is a PolyError, and entries over
+    different ambients are an AmbientMismatchError."""
+    x, y = variables(("x", "y"))
+    z = Polynomial.variable(("z",), "z")
+    for bad in ([], [[]], [[x, y], [x]], [[x, y]], [[x], [y]]):
+        with pytest.raises(PolyError):
+            determinant_fraction_free(bad)
+    for mixed in ([[x, y], [z, x]], [[z, x], [y, x]]):
+        with pytest.raises(AmbientMismatchError):
+            determinant_fraction_free(mixed)
 
 
 def test_resultant_detects_shared_roots():
@@ -241,7 +251,7 @@ def test_resultant_specializes():
         assert direct.constant_term() == r.evaluate({"x": 0, "y": y0})
 
 
-def _sylvester(p: Polynomial, q: Polynomial, var: str) -> PolyMatrix:
+def _sylvester(p: Polynomial, q: Polynomial, var: str) -> list[list[Polynomial]]:
     """The Sylvester matrix of p and q in var, over the other variables."""
     a = [p.coefficient_in(var, k) for k in range(p.degree_in(var), -1, -1)]
     b = [q.coefficient_in(var, k) for k in range(q.degree_in(var), -1, -1)]
@@ -249,7 +259,7 @@ def _sylvester(p: Polynomial, q: Polynomial, var: str) -> PolyMatrix:
     zero = Polynomial.zero(a[0].ambient)
     rows = [[zero] * i + a + [zero] * (size - i - len(a)) for i in range(len(b) - 1)]
     rows += [[zero] * i + b + [zero] * (size - i - len(b)) for i in range(len(a) - 1)]
-    return PolyMatrix.from_rows(rows)
+    return rows
 
 
 def test_resultant_is_the_sylvester_determinant():

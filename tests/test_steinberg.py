@@ -46,7 +46,7 @@ def test_lie_poisson_matrix_closed_form():
                     expected = expected + _entry(n, amb, k, j)
                 if k == j:
                     expected = expected - _entry(n, amb, i, l)
-                assert structure.matrix.entry(a, b) == expected, (amb[a], amb[b])
+                assert structure.matrix[a][b] == expected, (amb[a], amb[b])
 
 
 def test_sl2_structure_constants():
@@ -178,7 +178,7 @@ def _conjugate(s, g):
             for a in range(n):
                 for b in range(n):
                     if g[i][a] * gi[b][j]:
-                        e = e + x.entry(a, b).scale(g[i][a] * gi[b][j])
+                        e = e + x[a][b].scale(g[i][a] * gi[b][j])
             if not i == j == n - 1:
                 images[f"x{i + 1}{j + 1}"] = e
     return images

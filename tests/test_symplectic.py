@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from randpoly import random_polynomial
-from vancyc.poly import PolyError, PolyMatrix, Polynomial, variables
+from vancyc.poly import AmbientMismatchError, PolyError, Polynomial, variables
 from vancyc.symplectic import (
     MapGerm,
     PoissonStructure,
@@ -33,7 +33,7 @@ def _canonical_structure():
     for q, p in CTX.pairs():
         i, j = AMB.index(q), AMB.index(p)
         rows[i][j], rows[j][i] = one, -one
-    return PoissonStructure(AMB, PolyMatrix.from_rows(rows))
+    return PoissonStructure(AMB, rows)
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -95,7 +95,21 @@ def test_structure_requires_antisymmetry():
     one = Polynomial.constant(amb, 1)
     zero = Polynomial.zero(amb)
     with pytest.raises(PolyError):
-        PoissonStructure(amb, PolyMatrix.from_rows([[zero, one], [one, zero]]))
+        PoissonStructure(amb, [[zero, one], [one, zero]])
+
+
+def test_structure_requires_square_matrix_over_its_ambient():
+    """A matrix of the wrong size, a ragged one, an empty ambient and an entry
+    over another ambient are rejected at construction."""
+    amb = ("x1", "x2")
+    zero = Polynomial.zero(amb)
+    for rows in ([[zero]], [[zero, zero], [zero]], [[zero, zero, zero]] * 3):
+        with pytest.raises(PolyError):
+            PoissonStructure(amb, rows)
+    with pytest.raises(PolyError):
+        PoissonStructure((), [])
+    with pytest.raises(AmbientMismatchError):
+        PoissonStructure(amb, [[zero, Polynomial.zero(("x1",))], [zero, zero]])
 
 
 def test_jacobi_check_counterexample():
@@ -109,7 +123,7 @@ def test_jacobi_check_counterexample():
         [-x1, zero, x1 + x2],
         [zero, -(x1 + x2), zero],
     ]
-    structure = PoissonStructure(amb, PolyMatrix.from_rows(rows))
+    structure = PoissonStructure(amb, rows)
     assert not jacobi_check(structure)
 
 
@@ -120,7 +134,7 @@ def test_casimir_check():
     assert not casimir_check(Polynomial.variable(AMB, "q1"), structure)
     amb = ("x1", "x2")
     zero = Polynomial.zero(amb)
-    trivial = PoissonStructure(amb, PolyMatrix.from_rows([[zero, zero], [zero, zero]]))
+    trivial = PoissonStructure(amb, [[zero, zero], [zero, zero]])
     assert casimir_check(Polynomial.variable(amb, "x1"), trivial)
 
 
