@@ -8,7 +8,7 @@ suite (`vancyc paper-suite`).
 """
 
 from .germfile import GermFile, GermFileError, load_germ_file, parse_germ_text
-from .groebner import (DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealBasis, MonomialOrder,
+from .groebner import (DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealBasis,
                        ResourceLimitExceeded, buchberger, eliminate,
                        normal_form, quotient_dimension, radical_membership)
 from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,

@@ -23,7 +23,7 @@ import sys
 
 from .germfile import GermFileError, load_germ_file
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
-from .monodromy import SUPPORTED_TYPES, FoldingError, LatticeError
+from .monodromy import CoxeterDatum, FoldingError, LatticeError
 from .poly import PolyError, format_polynomial, parse_polynomial, squarefree_part_bivariate
 from .report import FAIL, PASS, SKIPPED_BUDGET, Report
 from .singularity import _reduced_multiplicity, discriminant, multiplicity_at_origin
@@ -111,11 +111,28 @@ def cmd_discriminant(args) -> int:
 # coxeter
 # ---------------------------------------------------------------------------
 
+MAX_COXETER_RANK = 8
+
+
+def _coxeter_types() -> list[str]:
+    """Every label `CoxeterDatum.for_type` builds up to MAX_COXETER_RANK, in
+    its canonical spelling (no leading zero)."""
+    labels = []
+    for label in (f"{t}{r}" for t in "ABCDEFG" for r in range(1, MAX_COXETER_RANK + 1)):
+        try:
+            CoxeterDatum.for_type(label)
+        except LatticeError:
+            continue
+        labels.append(label)
+    return labels
+
+
 def cmd_coxeter(args) -> int:
     label = args.type
-    if label not in SUPPORTED_TYPES:
+    supported = _coxeter_types()
+    if label not in supported:
         print(f"error: unsupported type '{label}' (supported: "
-              f"{', '.join(SUPPORTED_TYPES)})", file=sys.stderr)
+              f"{', '.join(supported)})", file=sys.stderr)
         return 2
     checks = COXETER_CHECKS if args.check == "all" else (args.check,)
     return _emit(Report(coxeter_results(label, checks)), args.notes)

@@ -10,10 +10,12 @@ Each lead carries a divisibility mask, so one AND settles most divisibility
 tests, and S-polynomials of the monic elements are built in one pass.
 Every public entry point takes a cap on the number of S-pairs reduced;
 exceeding it raises ResourceLimitExceeded so callers can degrade instead of
-hanging.  Normal forms use the heap division of `poly.divmod_polynomials`
-under the key of a MonomialOrder.  A Buchberger run keeps one divisor index
-of its basis (`poly._DivisorIndex`), appending each new element, so each
-normal form finds its reducers with one AND per variable.  The same index
+hanging.  A monomial order is its key function: `poly.grevlex_key` for
+degrevlex, `elimination_key(front)` for the block elimination order.
+Normal forms use the heap division of `poly.divmod_polynomials` under that
+key.  A Buchberger run keeps one divisor index of its basis
+(`poly._DivisorIndex`), appending each new element, so each normal form
+finds its reducers with one AND per variable.  The same index
 finds the redundant elements of the final basis, and inter-reduction
 divides each kept element by the index narrowed to the other kept ones.
 `quotient_dimension` counts standard monomials through an index of the
@@ -26,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 from operator import add, le, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .poly import (AmbientMismatchError, PolyError, Polynomial, _DivisorIndex,
                    divmod_polynomials, grevlex_key)
@@ -44,40 +46,17 @@ class ResourceLimitExceeded(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """lex, degrevlex, or a two-block elimination order (front block first).
+def elimination_key(front: int):
+    """Key of the two-block elimination order, front block first.
 
-    Both blocks of the elimination order are compared by degrevlex; a
-    monomial is larger whenever its front block is larger, so any basis
-    element whose lead is front-free is entirely front-free.  Every key is
-    a flat tuple of ints of one length per ambient, so tuple comparison is
-    the order.
+    Both blocks are compared by degrevlex; a monomial is larger whenever its
+    front block is larger, so any basis element whose lead is front-free is
+    entirely front-free.  Keys are flat tuples of one length per ambient,
+    so tuple comparison is the order.
     """
-
-    kind: str
-    front: int = 0
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls("lex")
-
-    @classmethod
-    def degrevlex(cls) -> "MonomialOrder":
-        return cls("degrevlex")
-
-    @classmethod
-    def elimination(cls, front: int) -> "MonomialOrder":
-        if front < 0:
-            raise ValueError("front block size must be >= 0")
-        return cls("block", front)
-
-    def key(self, exps: Sequence[int]) -> tuple[int, ...]:
-        if self.kind == "lex":
-            return tuple(exps)
-        if self.kind == "degrevlex":
-            return grevlex_key(exps)
-        return grevlex_key(exps[: self.front]) + grevlex_key(exps[self.front:])
+    def key(exps: Sequence[int]) -> tuple[int, ...]:
+        return grevlex_key(exps[:front]) + grevlex_key(exps[front:])
+    return key
 
 
 @dataclass(frozen=True)
@@ -105,7 +84,7 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic, inter-reduced, deterministically sorted."""
 
     ambient: tuple[str, ...]
-    order: MonomialOrder
+    key: Callable[[Sequence[int]], tuple[int, ...]]
     elements: tuple[Polynomial, ...]
     pairs_processed: int = 0
 
@@ -125,32 +104,25 @@ def _lead_mask(exps: Sequence[int]) -> int:
     return m
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
-    """Remainder of p modulo a basis (a GroebnerBasis, an explicit list, or
-    the divisor index of a Buchberger run, prepared under `order`)."""
-    if isinstance(basis, GroebnerBasis):
-        divisors: Sequence[Polynomial] | _DivisorIndex = basis.elements
-        order = basis.order
-    else:
-        divisors = basis if isinstance(basis, _DivisorIndex) else list(basis)
-        if order is None:
-            raise ValueError("normal_form over a raw list needs an order")
+def normal_form(p: Polynomial, basis: GroebnerBasis | _DivisorIndex) -> Polynomial:
+    """Remainder of p modulo a GroebnerBasis or the divisor index of a
+    Buchberger run, under the order key each carries."""
+    divisors = basis.elements if isinstance(basis, GroebnerBasis) else basis
     if not divisors:
         return p
-    _, r = divmod_polynomials(p, divisors, order.key)
+    _, r = divmod_polynomials(p, divisors, basis.key)
     return r
 
 
-def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...],
-           order: MonomialOrder) -> Polynomial:
+def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...], key) -> Polynomial:
     """x^a*f - x^b*g where x^a*lead(f) = x^b*lead(g) = x^lcm.
 
-    f and g must be monic under `order`: the lead terms are skipped as
+    f and g must be monic under `key`: the lead terms are skipped as
     cancelled, and the tails are shifted without any rescaling, into one
     dict.
     """
-    fe = f.lead(order.key)[0]
-    ge = g.lead(order.key)[0]
+    fe = f.lead(key)[0]
+    ge = g.lead(key)[0]
     a = tuple(map(sub, lcm, fe))
     b = tuple(map(sub, lcm, ge))
     out = {tuple(map(add, e, a)): c for e, c in f.terms.items() if e != fe}
@@ -170,8 +142,7 @@ def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...],
     return Polynomial._trusted(f.ambient, out)
 
 
-def _update_pairs(pairs: list, leads: list[tuple], masks: list[int],
-                  order: MonomialOrder):
+def _update_pairs(pairs: list, leads: list[tuple], masks: list[int], key):
     """Gebauer-Moeller update for the newest basis element t.
 
     Of the pairs (i, t), queue one per distinct lcm(lead_i, lead_t), with the
@@ -198,7 +169,7 @@ def _update_pairs(pairs: list, leads: list[tuple], masks: list[int],
         if not any(not (mm & ~m) and all(map(le, ml, lcm)) for ml, mm in minimal):
             minimal.append((lcm, m))
             if masks[i] & mt:  # otherwise the leads are coprime
-                new.append((sum(lcm), order.key(lcm), i, t, lcm, m))
+                new.append((sum(lcm), key(lcm), i, t, lcm, m))
     survivors = []
     for entry in pairs:
         _, _, i, j, lcm, m = entry
@@ -223,8 +194,8 @@ def _minimalize(index: _DivisorIndex) -> int:
     return keep
 
 
-def _interreduce(G: list[Polynomial], index: _DivisorIndex, keep: int,
-                 order: MonomialOrder) -> list[Polynomial]:
+def _interreduce(G: list[Polynomial], index: _DivisorIndex,
+                 keep: int) -> list[Polynomial]:
     """Reduce each kept element by the other kept ones, narrowing the
     index's live set to them; one pass suffices on a minimal basis of monic
     elements, since no lead divides another and every lead survives."""
@@ -233,22 +204,22 @@ def _interreduce(G: list[Polynomial], index: _DivisorIndex, keep: int,
         bit = 1 << i
         if keep & bit:
             index.live = keep ^ bit
-            out.append(normal_form(g, index, order))
+            out.append(normal_form(g, index))
     return out
 
 
-def buchberger(ideal: IdealBasis, order: MonomialOrder,
+def buchberger(ideal: IdealBasis, key,
                max_pairs: int = DEFAULT_PAIR_LIMIT) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given order."""
+    """Reduced Groebner basis of the ideal under the order of `key`."""
     gens = []
     for g in ideal.generators:
-        _, c = g.lead(order.key)
+        _, c = g.lead(key)
         gens.append(g.scale(1 / c))
-    gens.sort(key=lambda g: order.key(g.lead(order.key)[0]))
+    gens.sort(key=lambda g: key(g.lead(key)[0]))
     if not gens:
-        return GroebnerBasis(ideal.ambient, order, ())
+        return GroebnerBasis(ideal.ambient, key, ())
     G: list[Polynomial] = []
-    index = _DivisorIndex(ideal.ambient, order.key)
+    index = _DivisorIndex(ideal.ambient, key)
     masks: list[int] = []
     pairs: list = []
     processed = 0
@@ -257,7 +228,7 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
         G.append(g)
         index.append(g)
         masks.append(_lead_mask(index.leads[-1]))
-        _update_pairs(pairs, index.leads, masks, order)
+        _update_pairs(pairs, index.leads, masks, key)
 
     for g in gens:
         add_element(g)
@@ -266,17 +237,17 @@ def buchberger(ideal: IdealBasis, order: MonomialOrder,
             raise ResourceLimitExceeded(processed, max_pairs)
         _, _, i, j, lcm, _ = heapq.heappop(pairs)
         processed += 1
-        s = _spoly(G[i], G[j], lcm, order)
+        s = _spoly(G[i], G[j], lcm, key)
         if s.is_zero():
             continue
-        r = normal_form(s, index, order)
+        r = normal_form(s, index)
         if r.is_zero():
             continue
-        _, c = r.lead(order.key)
+        _, c = r.lead(key)
         add_element(r.scale(1 / c))
-    reduced = _interreduce(G, index, _minimalize(index), order)
-    reduced.sort(key=lambda g: order.key(g.lead(order.key)[0]))
-    return GroebnerBasis(ideal.ambient, order, tuple(reduced), processed)
+    reduced = _interreduce(G, index, _minimalize(index))
+    reduced.sort(key=lambda g: key(g.lead(key)[0]))
+    return GroebnerBasis(ideal.ambient, key, tuple(reduced), processed)
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -298,7 +269,7 @@ def radical_membership(p: Polynomial, ideal: IdealBasis,
     gens = [g.extend(ambient) for g in ideal.generators]
     tp = Polynomial.variable(ambient, t) * p.extend(ambient)
     gens.append(Polynomial.constant(ambient, 1) - tp)
-    gb = buchberger(IdealBasis(ambient, gens), MonomialOrder.degrevlex(), max_pairs)
+    gb = buchberger(IdealBasis(ambient, gens), grevlex_key, max_pairs)
     return gb.contains_one()
 
 
@@ -314,7 +285,7 @@ def eliminate(ideal: IdealBasis, drop: Sequence[str],
     reordered = IdealBasis(
         tuple(front) + kept,
         [g.reorder(tuple(front) + kept) for g in ideal.generators])
-    gb = buchberger(reordered, MonomialOrder.elimination(len(front)), max_pairs)
+    gb = buchberger(reordered, elimination_key(len(front)), max_pairs)
     nfront = len(front)
     out = []
     for g in gb.elements:
@@ -323,21 +294,22 @@ def eliminate(ideal: IdealBasis, drop: Sequence[str],
     return IdealBasis(kept, out)
 
 
-def quotient_dimension(ideal: IdealBasis, order: MonomialOrder | None = None,
+def quotient_dimension(ideal: IdealBasis,
                        max_pairs: int = DEFAULT_PAIR_LIMIT) -> int | None:
-    """Q-dimension of ambient ring / ideal counted by standard monomials.
+    """Q-dimension of ambient ring / ideal counted by the standard monomials
+    of its degrevlex basis; None when the quotient is infinite-dimensional."""
+    return _standard_monomial_count(buchberger(ideal, grevlex_key, max_pairs))
 
-    Returns None when the quotient is infinite-dimensional.  The count is
-    order-independent; the order argument only steers the basis computation.
-    """
-    order = order or MonomialOrder.degrevlex()
-    gb = buchberger(ideal, order, max_pairs)
+
+def _standard_monomial_count(gb: GroebnerBasis) -> int | None:
+    """Number of monomials no lead of the reduced basis divides, or None
+    when some variable has no pure-power lead (the count is infinite)."""
     if not gb.elements:
-        return None if ideal.ambient else 1
+        return None if gb.ambient else 1
     if gb.contains_one():
         return 0
-    index = _DivisorIndex(ideal.ambient, order.key, gb.elements)
-    bounds = [None] * len(ideal.ambient)
+    index = _DivisorIndex(gb.ambient, gb.key, gb.elements)
+    bounds = [None] * len(gb.ambient)
     for lead in index.leads:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) == 1:

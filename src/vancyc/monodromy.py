@@ -40,7 +40,10 @@ class FoldingError(ValueError):
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
-# CLI-facing whitelist; the library constructors accept more ranks.
+# The types whose groups the breadth-first closure can count: the benchmark's
+# `reflection` workload builds its type list from this tuple, and E7 and E8
+# stay out because their groups pass group_order_bfs's 10**6-element cap.
+# `vancyc coxeter` accepts every type up to rank 8, E7 and E8 included.
 SUPPORTED_TYPES = tuple(
     [f"A{r}" for r in range(1, 9)] + ["B2", "B3", "B4", "C3", "D4", "E6", "F4", "G2"])
 

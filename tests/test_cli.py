@@ -137,11 +137,13 @@ def test_coxeter_single_check(capsys):
 
 
 def test_coxeter_rejects_unsupported_type(capsys):
-    """Labels outside the supported list are usage errors."""
-    for label in ("E7", "Z9", "A99"):
+    """Unknown types, ranks past 8 and non-canonical spellings are usage
+    errors; the error line lists the accepted labels, E7 and E8 among them."""
+    for label in ("A9", "Z9", "A99", "A08"):
         code, out, err = run(capsys, "coxeter", label)
-        assert code == 2
-        assert "unsupported type" in err[0]
+        assert (code, out) == (2, [])
+        assert err[0].startswith(f"error: unsupported type '{label}' (supported: A1, ")
+        assert "D8, E6, E7, E8, F4, G2)" in err[0]
 
 
 def test_coxeter_and_weyl_orders_share_the_order_check(capsys, monkeypatch):

@@ -2,7 +2,7 @@
 commands.
 
 Every CHECK and NOTE line of `paper-suite` (default and zero budget),
-`coxeter` on each supported type, `steinberg` on each rank and check, and
+`coxeter` on A1-A8, B2-B4, C3, D4, E6-E8, F4 and G2, `steinberg` on each rank and check, and
 `fold` on each tabled folding and the identity is compared byte for byte,
 and so are the empty output and exit 2 of an unsupported type, rank or
 folding.
@@ -145,7 +145,17 @@ CHECK braid-G2 pass expected=true got=true
 CHECK order-G2 pass expected=12 got=12
 CHECK coxeter-element-G2 pass expected=6 got=6
 """),
-    'coxeter E7 --notes': (2, ""),
+    'coxeter E7 --notes': (0, """\
+CHECK braid-E7 pass expected=true got=true
+CHECK order-E7 pass expected=2903040 got=2903040
+CHECK coxeter-element-E7 pass expected=18 got=18
+"""),
+    'coxeter E8 --notes': (0, """\
+CHECK braid-E8 pass expected=true got=true
+CHECK order-E8 pass expected=696729600 got=696729600
+CHECK coxeter-element-E8 pass expected=30 got=30
+"""),
+    'coxeter A9 --notes': (2, ""),
     'steinberg --rank 1 --check casimir --notes': (0, """\
 CHECK steinberg-casimir pass expected=true got=true
 NOTE steinberg-casimir 1 component(s) against the Lie-Poisson bracket

@@ -9,7 +9,6 @@ import pytest
 from vancyc.germfile import load_germ_file
 from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import (
-    PolyError,
     format_polynomial,
     normalized,
     parse_polynomial,
@@ -128,14 +127,18 @@ def test_counting_rejects_non_generic_matrix():
         al_multiplicity_by_counting(3, 2, [[1, 0, 0], [0, 1, 0]])
 
 
-def test_counting_shortfall_raises_poly_error(monkeypatch):
-    """Hyperplanes that collapse raise a PolyError, not an assert that
-    `python -O` would strip."""
+def test_counting_shortfall_fails_both_checks(monkeypatch, capsys):
+    """Hyperplanes that collapse are counted as found, so the counting path
+    reports a shortfall as a failed check (exit 1), not as an error."""
     from vancyc import singularity
+    from vancyc.cli import main
     monkeypatch.setattr(singularity, "_kernel_covector",
                         lambda sub, k: (Fraction(1),) + (Fraction(0),) * (k - 1))
-    with pytest.raises(PolyError, match="binomial count"):
-        al_multiplicity_by_counting(3, 2, AL_MATRICES[(3, 2)])
+    assert al_multiplicity_by_counting(3, 2, AL_MATRICES[(3, 2)]) == 1
+    assert main(["paper-suite", "--budget", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "CHECK discriminant-al6 fail expected=mult=3 got=mult=1" in out
+    assert "CHECK arnold-liouville-binomial fail expected=3,4,6 got=1,1,1" in out
 
 
 def test_elimination_budget_propagates():
