@@ -1,11 +1,12 @@
 """Buchberger Groebner bases, normal forms, elimination and quotient dimension.
 
 Pair selection uses the normal strategy (smallest lcm degree first).  When
-an element t joins the basis, the Gebauer-Moeller update prunes four kinds
+an element t joins the basis, the Gebauer-Moeller update prunes five kinds
 of pair: a new pair (i, t) whose lcm repeats that of a new pair with a
 smaller i; a new pair whose lcm another new lcm properly divides; a new pair
-whose two leads are coprime; and a queued old pair (i, j) whose lcm lead_t
-divides, unless that lcm equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t).
+whose two leads are coprime; a new pair of two monomials, whose S-polynomial
+is zero; and a queued old pair (i, j) whose lcm lead_t divides, unless that
+lcm equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t).
 Each lead carries a divisibility mask, so one AND settles most divisibility
 tests, and S-polynomials of the monic elements are built in one pass.
 Every public entry point takes a cap on the number of S-pairs reduced;
@@ -142,20 +143,31 @@ def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...], key) -> Polynomia
     return Polynomial._trusted(f.ambient, out)
 
 
-def _update_pairs(pairs: list, leads: list[tuple], masks: list[int], key):
+def _update_pairs(pairs: list, leads: list[tuple], cols: list[list[int]],
+                  masks: list[int], monomial: list[bool], key):
     """Gebauer-Moeller update for the newest basis element t.
 
     Of the pairs (i, t), queue one per distinct lcm(lead_i, lead_t), with the
     smallest i, and only for lcms that no other such lcm properly divides
-    (chain criterion) and whose two leads share a variable (coprime-lead
-    criterion).  Drop every queued pair (i, j) whose lcm lead_t divides
-    unless it equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t) (chain
-    criterion on old pairs).  A queued pair is (degree, order key, i, j, lcm,
-    lcm mask); no two share (i, j), so the mask never decides heap order.
+    (chain criterion), whose two leads share a variable (coprime-lead
+    criterion) and whose two elements are not both monomials (their
+    S-polynomial is zero).  Coprime and monomial pairs still take part in
+    the chain test: each has a standard representation already.  Drop every
+    queued pair (i, j) whose lcm lead_t divides unless it equals
+    lcm(lead_i, lead_t) or lcm(lead_j, lead_t) (chain criterion on old
+    pairs).  The new lcms are built one variable at a time from `cols`,
+    the lead exponents as one list per variable, so a variable absent from
+    lead_t costs no comparison.  A queued pair is (degree, order key, i, j,
+    lcm, lcm mask); no two share (i, j), so the mask never decides heap
+    order.
     """
     t = len(leads) - 1
     lt, mt = leads[t], masks[t]
-    lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
+    if cols:
+        lcms = list(zip(*[col[:t] if not c else [x if x > c else c for x in col[:t]]
+                          for col, c in zip(cols, lt)]))
+    else:  # no variables: every lcm is the empty monomial
+        lcms = [()] * t
     first: dict[tuple, int] = {}
     for i, lcm in enumerate(lcms):
         first.setdefault(lcm, i)
@@ -164,11 +176,13 @@ def _update_pairs(pairs: list, leads: list[tuple], masks: list[int], key):
     # a minimal one, so testing against the minimal ones suffices
     minimal: list[tuple] = []
     new = []
+    mono_t = monomial[t]
     for lcm, i in sorted(first.items(), key=lambda item: sum(item[0])):
         m = masks[i] | mt
         if not any(not (mm & ~m) and all(map(le, ml, lcm)) for ml, mm in minimal):
             minimal.append((lcm, m))
-            if masks[i] & mt:  # otherwise the leads are coprime
+            # otherwise the leads are coprime or both elements are monomials
+            if masks[i] & mt and not (mono_t and monomial[i]):
                 new.append((sum(lcm), key(lcm), i, t, lcm, m))
     survivors = []
     for entry in pairs:
@@ -210,7 +224,12 @@ def _interreduce(G: list[Polynomial], index: _DivisorIndex,
 
 def buchberger(ideal: IdealBasis, key,
                max_pairs: int = DEFAULT_PAIR_LIMIT) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the order of `key`."""
+    """Reduced Groebner basis of the ideal under the order of `key`.
+
+    `max_pairs` caps, and `pairs_processed` counts, only the S-pairs that
+    survive the pair criteria and are taken from the queue; a pruned pair is
+    never queued, so it counts against neither.
+    """
     gens = []
     for g in ideal.generators:
         _, c = g.lead(key)
@@ -220,15 +239,21 @@ def buchberger(ideal: IdealBasis, key,
         return GroebnerBasis(ideal.ambient, key, ())
     G: list[Polynomial] = []
     index = _DivisorIndex(ideal.ambient, key)
+    cols: list[list[int]] = [[] for _ in ideal.ambient]
     masks: list[int] = []
+    monomial: list[bool] = []
     pairs: list = []
     processed = 0
 
     def add_element(g: Polynomial):
         G.append(g)
         index.append(g)
-        masks.append(_lead_mask(index.leads[-1]))
-        _update_pairs(pairs, index.leads, masks, key)
+        lead = index.leads[-1]
+        for col, e in zip(cols, lead):
+            col.append(e)
+        masks.append(_lead_mask(lead))
+        monomial.append(len(g.terms) == 1)
+        _update_pairs(pairs, index.leads, cols, masks, monomial, key)
 
     for g in gens:
         add_element(g)

@@ -1,5 +1,6 @@
 """Buchberger bases, elimination, quotient dimension, and radical membership."""
 
+import heapq
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -21,7 +22,8 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
-from vancyc.groebner import _lead_mask, _minimalize, _spoly, _standard_monomial_count
+from vancyc.groebner import (_lead_mask, _minimalize, _spoly, _standard_monomial_count,
+                             _update_pairs)
 from vancyc.poly import (AmbientMismatchError, Polynomial, _DivisorIndex,
                          format_polynomial, grevlex_key, parse_polynomial)
 from vancyc.singularity import action_coordinates_germ, critical_ideal, milnor_number
@@ -338,13 +340,13 @@ def test_discriminant_al6_critical_basis_is_pinned():
     elements, in the basis's own order."""
     crit = critical_ideal(action_coordinates_germ(3, 2, AL_MATRICES[(3, 2)]))
     gb = buchberger(crit.ideal, elimination_key(len(crit.source_vars)))
-    assert gb.pairs_processed == 89
+    assert gb.pairs_processed == 46
     assert _basis_lines(gb) == AL6_BLOCK_BASIS
 
 
 @pytest.mark.parametrize("n, R, pairs, length", [
-    (4, ((1, 1, 1, 0), (0, 1, 2, 1)), 210, 41),
-    (5, ((1, 1, 1, 1, 0), (0, 1, 2, 3, 1)), 403, 62),
+    (4, ((1, 1, 1, 0), (0, 1, 2, 1)), 99, 41),
+    (5, ((1, 1, 1, 1, 0), (0, 1, 2, 3, 1)), 172, 62),
 ])
 def test_action_coordinate_block_basis_counts_are_pinned(n, R, pairs, length):
     """S-pair counts and basis lengths of the block-order critical ideals of
@@ -417,3 +419,87 @@ def test_lead_mask_soundness_seeded():
             b = tuple(map(add, a, b))
         _check_lead_mask(a, b)
         _check_lead_mask(b, a)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_update(pairs, leads, key):
+    """The Gebauer-Moeller update without the monomial-pair rule, by brute
+    force: lcms by tuple(map(max, ...)), the chain test against every other
+    new lcm, and coprimality read off the exponents.  New pairs are
+    appended by degree, then by i, as `_update_pairs` appends them."""
+    t = len(leads) - 1
+    lt = leads[t]
+    lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
+    new = [(sum(lcm), key(lcm), i, t, lcm, _lead_mask(lcm))
+           for i, lcm in enumerate(lcms)
+           if lcms.index(lcm) == i
+           and not any(other != lcm and _divides(other, lcm) for other in lcms)
+           and any(a and b for a, b in zip(leads[i], lt))]
+    new.sort(key=lambda entry: entry[0])
+    pairs[:] = [(d, k, i, j, lcm, m) for d, k, i, j, lcm, m in pairs
+                if not (_divides(lt, lcm) and lcm not in (lcms[i], lcms[j]))]
+    pairs += new
+    heapq.heapify(pairs)
+
+
+def test_update_pairs_matches_reference_seeded():
+    """After every append, in 0-12 variables, the queue equals the one the
+    brute-force reference update builds: entry for entry when no element
+    is a monomial, and otherwise the reference queue minus exactly the
+    pairs of two monomials.  Leads come from a small pool so that repeated
+    lcms and chain-criterion hits are common."""
+    rng = random.Random(43)
+    keys = list(ORDERS.values())
+    skipped = 0
+    for run in range(300):
+        n = rng.randint(0, 12)
+        key = rng.choice(keys)
+        pool = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(8)]
+        with_monomials = run % 2 == 1
+        leads, cols, masks, monomial = [], [[] for _ in range(n)], [], []
+        ours, ref = [], []
+        for _ in range(rng.randint(2, 16)):
+            lead = rng.choice(pool)
+            leads.append(lead)
+            for col, e in zip(cols, lead):
+                col.append(e)
+            masks.append(_lead_mask(lead))
+            monomial.append(with_monomials and rng.random() < 0.6)
+            _update_pairs(ours, leads, cols, masks, monomial, key)
+            _reference_update(ref, leads, key)
+            if not with_monomials:
+                assert ours == ref
+            else:
+                kept = [e for e in ref if not (monomial[e[2]] and monomial[e[3]])]
+                skipped += len(ref) - len(kept)
+                assert sorted(ours) == sorted(kept)
+    assert skipped
+
+
+def test_buchberger_without_variables():
+    """Over a zero-variable ambient nonzero constants generate the unit
+    ideal; every new lcm is the empty monomial and no pair is queued."""
+    gens = [Polynomial.constant((), c) for c in (3, Fraction(-1, 2), 7)]
+    gb = buchberger(IdealBasis((), gens), grevlex_key)
+    assert gb.elements == (Polynomial.constant((), 1),)
+    assert gb.pairs_processed == 0
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_monomial_ideal_needs_no_pairs(name):
+    """A purely monomial ideal queues no S-pair, and its reduced basis is
+    its minimal monomial generators in key order; seeded monomials with
+    repeats and divisibilities, against the all-pairs minimal set."""
+    key = ORDERS[name]
+    rng = random.Random(f"monomial-{seed_tag(name)}")
+    for _ in range(20):
+        exps = [tuple(rng.randint(0, 3) for _ in AMB) for _ in range(rng.randint(1, 7))]
+        gens = [Polynomial(AMB, {e: rng.choice((1, -3, Fraction(2, 5)))}) for e in exps]
+        gb = buchberger(IdealBasis(AMB, gens), key)
+        minimal = {e for e in exps
+                   if not any(o != e and _divides(o, e) for o in exps)}
+        assert gb.pairs_processed == 0
+        assert gb.elements == tuple(Polynomial(AMB, {e: 1}) for e in sorted(minimal, key=key))

@@ -66,3 +66,24 @@ def test_reduced_basis_matches_sympy(name):
         ours = buchberger(ideal, key).elements
         assert all(g.lead(key)[1] == 1 for g in ours)
         assert set(ours) == _sympy_basis(ideal, name)
+
+
+def _monomial_heavy_ideals(seed: int, count: int):
+    """Three to five monomials and one or two short polynomials: most
+    S-pairs join two monomials, and reductions make new monomials too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = [random_polynomial(rng, AMB, max_terms=1, max_exp=3, nonzero=True)
+                for _ in range(rng.randint(3, 5))]
+        gens += [random_polynomial(rng, AMB, max_terms=3, max_exp=2, nonzero=True)
+                 for _ in range(rng.randint(1, 2))]
+        yield IdealBasis(AMB, gens)
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_monomial_heavy_basis_matches_sympy(name):
+    """Ideals with a large monomial part, whose monomial pairs are never
+    queued, have the same reduced basis as sympy's."""
+    key = ORDERS[name]
+    for ideal in _monomial_heavy_ideals(seed=59 + front(name), count=10):
+        assert set(buchberger(ideal, key).elements) == _sympy_basis(ideal, name)
