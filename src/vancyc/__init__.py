@@ -20,7 +20,7 @@ from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
 from .poly import (AmbientMismatchError, PolyError, PolyParseError, Polynomial,
                    UnknownVariableError, determinant_fraction_free,
                    exact_divide, format_polynomial, gcd_polynomials, normalized,
-                   parse_polynomial, rational_rank, resultant,
+                   parse_polynomial, rational_rank,
                    squarefree_part_bivariate, variables)
 from .report import CheckResult, Report
 from .singularity import (NonGenericMatrixError, NonIsolatedSingularityError,

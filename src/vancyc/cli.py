@@ -47,9 +47,7 @@ def _emit(report: Report, notes: bool) -> int:
 
 def cmd_bracket(args) -> int:
     gf = load_germ_file(args.file)
-    if gf.symplectic_pairs is None:
-        print("error: germ file declares no symplectic pairing", file=sys.stderr)
-        return 2
+    ctx = gf.context()
     k = len(gf.components)
     for idx in (args.i, args.j):
         if not 1 <= idx <= k:
@@ -57,7 +55,7 @@ def cmd_bracket(args) -> int:
                   file=sys.stderr)
             return 2
     bracket = poisson_bracket(gf.components[args.i - 1],
-                              gf.components[args.j - 1], gf.context())
+                              gf.components[args.j - 1], ctx)
     print(format_polynomial(bracket))
     return 0
 

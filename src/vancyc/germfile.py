@@ -47,7 +47,7 @@ class GermFile:
     def context(self) -> SymplecticContext:
         if self.symplectic_pairs is None:
             raise GermFileError(
-                f"{self.source_name} declares no symplectic pairing", 0, 0)
+                f"{self.source_name} declares no symplectic pairing", 1, 1)
         return SymplecticContext.from_pairs(self.symplectic_pairs)
 
     def to_map_germ(self) -> MapGerm:

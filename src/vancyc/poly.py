@@ -3,11 +3,11 @@
 Coefficients are `fractions.Fraction`; a polynomial is a dict from exponent
 tuples (one slot per ambient variable) to nonzero coefficients.  The module
 also carries the exact linear algebra used elsewhere in the package:
-fraction-free (Bareiss) determinants of polynomial matrices, gcds,
-resultants and squarefree parts in any number of variables from one
-subresultant remainder sequence, and Gauss-Jordan elimination (reduced row
-echelon form and rank) over Q.  A matrix, of polynomials or of numbers, is
-a list (or tuple) of rows, as everywhere in the package.
+fraction-free (Bareiss) determinants of polynomial matrices, gcds and
+squarefree parts in any number of variables from one subresultant remainder
+sequence, and Gauss-Jordan elimination (reduced row echelon form and rank)
+over Q.  A matrix, of polynomials or of numbers, is a list (or tuple) of
+rows, as everywhere in the package.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
 tuple comparison is the monomial order.  `divmod_polynomials` is the one
@@ -169,12 +169,6 @@ class Polynomial:
                 if e:
                     used[i] = True
         return tuple(v for v, u in zip(self.ambient, used) if u)
-
-    def degree_in(self, var: str) -> int:
-        i = self._index(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def _index(self, var: str) -> int:
         try:
@@ -789,7 +783,7 @@ def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynom
 
 
 # ---------------------------------------------------------------------------
-# gcd, resultant and squarefree part: one subresultant remainder sequence
+# gcd and squarefree part: one subresultant remainder sequence
 #
 # A polynomial is read as one in a main variable x_i over Q[the others]: a
 # list of coefficients, ascending in x_i, each a Polynomial over the same
@@ -865,21 +859,18 @@ def _pseudo_remainder(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomi
 
 
 def _subresultant_prs(a: list[Polynomial], b: list[Polynomial]
-                      ) -> tuple[list[Polynomial], list[Polynomial], Polynomial, int]:
+                      ) -> tuple[list[Polynomial], list[Polynomial]]:
     """Brown's subresultant remainder sequence of coefficient lists with
-    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.1 and 3.3.7).
+    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.1), which serves the gcd
+    and through it the squarefree part.
 
-    Runs until a remainder of degree < 1 and returns (a, b, h, sign): a is
-    the last remainder of positive degree, b the next one (empty when it is
-    zero), h the subresultant scale of a, and sign the product of
-    (-1)^(deg a * deg b) over the steps.  Every division is exact.
+    Runs until a remainder of degree < 1 and returns (a, b): a is the last
+    remainder of positive degree, b the next one (empty when it is zero).
+    g and h are the scales that make every division exact.
     """
     g = h = _one(a[0].ambient)
-    sign = 1
     while True:
         delta = len(a) - len(b)
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -sign
         r = _pseudo_remainder(a, b)
         divisor = g * h ** delta
         a, b = b, [exact_divide(c, divisor) for c in r]
@@ -887,7 +878,7 @@ def _subresultant_prs(a: list[Polynomial], b: list[Polynomial]
         if delta:
             h = exact_divide(g ** delta, h ** (delta - 1))
         if len(b) < 2:
-            return a, b, h, sign
+            return a, b
 
 
 def _gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -907,7 +898,7 @@ def _gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
     if len(b) > 1:
-        a, b, _, _ = _subresultant_prs(a, b)
+        a, b = _subresultant_prs(a, b)
     if b:  # a nonzero remainder free of x_i: the primitive parts are coprime
         return content
     return content * _assemble(_primitive(a)[1], i)
@@ -918,29 +909,6 @@ def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
     grevlex lead coefficient 1; zero only when both are zero."""
     p._check_ambient(q)
     return normalized(_gcd(p, q))
-
-
-def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Resultant eliminating var: the determinant of the Sylvester matrix,
-    sign and scale included.  The result lives over the remaining variables."""
-    p._check_ambient(q)
-    i = p._index(var)
-    m = p.degree_in(var)
-    n = q.degree_in(var)
-    if m < 1 or n < 1:
-        raise PolyError("resultant needs positive degree in the eliminated variable")
-    content_p, a = _primitive(_coefficients(p, i))
-    content_q, b = _primitive(_coefficients(q, i))
-    sign = 1
-    if m < n:  # res(q, p) = (-1)^(mn) res(p, q)
-        a, b = b, a
-        sign = (-1) ** (m * n)
-    a, b, h, steps = _subresultant_prs(a, b)
-    if not b:
-        return Polynomial.zero(tuple(v for v in p.ambient if v != var))
-    da = len(a) - 1
-    res = content_p ** n * content_q ** m * exact_divide(b[0] ** da, h ** (da - 1))
-    return res.scale(sign * steps).coefficient_in(var, 0)
 
 
 def squarefree_part_bivariate(p: Polynomial) -> Polynomial:

@@ -1,6 +1,6 @@
 """Adjoint quotients of sl_2 and sl_3: characteristic coefficients, the
-Lie-Poisson structure, rank drops at subregular points, and the A_1 block
-in a subregular slice.
+Lie-Poisson structure, rank drops at subregular points, the discriminant of
+the quotient and the A_1 block in a subregular slice.
 
 Characteristic polynomial convention, fixed here:
 
@@ -16,6 +16,12 @@ Lie-Poisson bracket on them is the closed form
 diagonal entry -(x_11 + ... + x_rr) carries the trace-zero constraint, and is
 audited with `symplectic.jacobi_check`; the Casimir check then compares
 Bareiss determinants against that bracket (Kostant, Amer. J. Math. 85, 1963).
+
+The discriminant of the quotient, the (s_1, ..., s_r) whose characteristic
+polynomial has a repeated root, is the discriminant of the miniversal
+unfolding of the A_r singularity lam^(r+1) (Brieskorn, ICM 1970; Slodowy,
+LNM 815, 1980).  That unfolding is a map germ, so its discriminant comes
+from `singularity.discriminant` like every other one.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .poly import (PolyError, Polynomial, determinant_fraction_free,
-                   rational_rank, resultant, variables)
-from .singularity import curve_multiplicity
-from .symplectic import PoissonStructure, casimir_check, jacobi_check
+                   rational_rank, variables)
+from .singularity import discriminant, multiplicity_at_origin
+from .symplectic import MapGerm, PoissonStructure, casimir_check, jacobi_check
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +119,37 @@ def casimir_components_check(s: SteinbergMap, structure: PoissonStructure) -> bo
     return all(casimir_check(c, structure) for c in s.components)
 
 
+def _ar_unfolding(r: int) -> MapGerm:
+    """The miniversal unfolding of the A_r singularity as a map germ
+
+      (lam, u_1, ..., u_(r-1)) -> (u_1, ..., u_(r-1),
+                                   -(lam^(r+1) + u_1 lam^(r-1) + ... + u_(r-1) lam)).
+
+    The fibre over (s_1, ..., s_r) is the set of roots of
+    lam^(r+1) + s_1 lam^(r-1) + ... + s_r, so its critical values are the
+    coefficient tuples with a repeated root.  The source variables are not
+    named s*, which `singularity.discriminant` keeps for the target.
+    """
+    lam, *u = variables(["lam"] + [f"u{i}" for i in range(1, r)])
+    last = lam ** (r + 1)
+    for i, ui in enumerate(u, 1):
+        last = last + ui * lam ** (r - i)
+    return MapGerm(lam.ambient, [*u, -last])
+
+
 def steinberg_discriminant_multiplicity(r: int) -> int:
     """Multiplicity at 0 of the lam-discriminant of the characteristic
-    polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r."""
+    polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r, the discriminant of
+    the A_r unfolding."""
     if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
-    *s, lam = variables([f"s{i}" for i in range(1, r + 1)] + ["lam"])
-    p = lam ** (r + 1)
-    for i, si in enumerate(s, 1):
-        p = p + si * lam ** (r - i)
-    return curve_multiplicity(resultant(p, p.partial_derivative("lam"), "lam"))
+    return multiplicity_at_origin(discriminant(_ar_unfolding(r)))
+
+
+def _jacobian_at(polys: Sequence[Polynomial], names: Sequence[str],
+                 point: dict) -> list[list[Fraction]]:
+    """The partials of each of polys by each of names, evaluated at point."""
+    return [[p.partial_derivative(v).evaluate(point) for v in names] for p in polys]
 
 
 def jacobian_rank_at(s: SteinbergMap,
@@ -135,9 +162,7 @@ def jacobian_rank_at(s: SteinbergMap,
     if sum(rows[i][i] for i in range(n)):
         raise PolyError("point matrix must be traceless")
     point = {v: rows[i][j] for v, (i, j) in zip(s.ambient, _cells(n))}
-    jac = [[c.partial_derivative(v).evaluate(point) for v in s.ambient]
-           for c in s.components]
-    return rational_rank(jac)
+    return rational_rank(_jacobian_at(s.components, s.ambient, point))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +207,10 @@ def subregular_slice_check(smap: SteinbergMap) -> SubregularSliceReport:
     c2, c3 = (c.substitute(on_slice) for c in smap.components)
     block = ("y11", "y12", "y21")
     origin = {v: 0 for v in ambient}
-    hess = [[c2.partial_derivative(a).partial_derivative(b).evaluate(origin)
-             for b in block] for a in block]
-    block_rank = rational_rank(hess)
+    gradient = [c2.partial_derivative(v) for v in block]
+    block_rank = rational_rank(_jacobian_at(gradient, block, origin))
     subregular_point = {"t": Fraction(1), "y11": 0, "y12": 0, "y21": 0}
-    diff = [[c.partial_derivative(v).evaluate(subregular_point) for v in ambient]
-            for c in (c2, c3)]
+    diff = _jacobian_at((c2, c3), ambient, subregular_point)
     diff_rank = rational_rank(diff)
     t_only = all(diff[row][col] == 0
                  for row in range(2) for col in range(1, 4))

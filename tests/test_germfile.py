@@ -28,10 +28,15 @@ def test_parse_good_text():
 
 
 def test_symplectic_pairing_is_optional():
-    """Files without a pairing still load; the germ has no context."""
+    """Files without a pairing still load; the germ has no context, and
+    asking for one is an error placed at line 1, column 1."""
     gf = parse_germ_text("vars: x y\ncomponent: x*y\n")
     assert gf.symplectic_pairs is None
     assert gf.to_map_germ().context is None
+    with pytest.raises(GermFileError) as exc:
+        gf.context()
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    assert str(exc.value) == "line 1, column 1: <germ> declares no symplectic pairing"
 
 
 def test_error_positions_are_one_based():

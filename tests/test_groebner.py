@@ -347,7 +347,7 @@ def test_discriminant_al6_critical_basis_is_pinned():
 @pytest.mark.parametrize("n, R, pairs, length", [
     (4, ((1, 1, 1, 0), (0, 1, 2, 1)), 99, 41),
     (5, ((1, 1, 1, 1, 0), (0, 1, 2, 3, 1)), 172, 62),
-])
+], ids=["n4", "n5"])
 def test_action_coordinate_block_basis_counts_are_pinned(n, R, pairs, length):
     """S-pair counts and basis lengths of the block-order critical ideals of
     the (n, 2) action-coordinate germs, so a change to the pair criteria

@@ -1,4 +1,5 @@
-"""gcd, squarefree part and resultant agree with sympy on seeded inputs.
+"""gcd and squarefree part agree with sympy on seeded inputs, and the
+discriminant of the A_r unfolding with sympy's discriminant.
 
 Inputs are products of small random factors raised to random powers, in one
 to three effective variables of a three-variable ambient, so repeated
@@ -13,9 +14,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from randpoly import factored_pairs, resultant_pairs  # noqa: E402
+from randpoly import factored_pairs  # noqa: E402
 from vancyc.poly import (Polynomial, gcd_polynomials, normalized,  # noqa: E402
-                         resultant, squarefree_part_bivariate)
+                         squarefree_part_bivariate)
+from vancyc.singularity import discriminant, multiplicity_at_origin  # noqa: E402
+from vancyc.steinberg import _ar_unfolding  # noqa: E402
 
 AMB = ("x", "y", "z")
 
@@ -52,14 +55,15 @@ def test_squarefree_part_matches_sympy():
             assert squarefree_part_bivariate(f) == normalized(want)
 
 
-def test_resultant_matches_sympy():
-    """The resultant equals sympy's, sign and scale included."""
-    for var, p, q in resultant_pairs():
-        rest = tuple(v for v in AMB if v != var)
-        m, n = p.degree_in(var), q.degree_in(var)
-        # sympy 1.14 drops the sign (-1)^(mn) of res(p, q) = (-1)^(mn) res(q, p)
-        # when m < n are both odd (it gives 2 for res(z + 1, z^3 + z), whose
-        # Sylvester determinant is -2), so it is asked larger degree first.
-        first, second, sign = (p, q, 1) if m >= n else (q, p, (-1) ** (m * n))
-        want = sympy.resultant(_to_sympy(first), _to_sympy(second), sympy.Symbol(var))
-        assert resultant(p, q, var) == _from_sympy(want, rest).scale(sign)
+def test_ar_unfolding_discriminant_matches_sympy():
+    """For r = 1..4 the reduced discriminant of the A_r unfolding is sympy's
+    discriminant of lam^(r+1) + s1 lam^(r-1) + ... + s_r, scaled to grevlex
+    lead coefficient 1, and it has multiplicity r at the origin."""
+    lam = sympy.Symbol("lam")
+    for r in range(1, 5):
+        s = sympy.symbols(f"s1:{r + 1}")
+        char = lam ** (r + 1) + sum(si * lam ** (r - i) for i, si in enumerate(s, 1))
+        d = discriminant(_ar_unfolding(r))
+        want = _from_sympy(sympy.discriminant(char, lam), d.target_vars)
+        assert d.reduced_generator == normalized(want)
+        assert multiplicity_at_origin(d) == r

@@ -7,6 +7,7 @@ import pytest
 
 from vancyc import steinberg
 from vancyc.poly import PolyError, Polynomial, parse_polynomial, rational_rank, rref
+from vancyc.singularity import discriminant
 from vancyc.steinberg import (
     casimir_components_check,
     jacobian_rank_at,
@@ -203,9 +204,22 @@ def test_conjugation_invariance():
 
 
 def test_discriminant_multiplicities():
-    """Repeated-eigenvalue loci meet the origin with multiplicity 1 and 2."""
+    """Repeated-eigenvalue loci meet the origin with multiplicity 1 and 2;
+    rank 3 is refused."""
     assert steinberg_discriminant_multiplicity(1) == 1
     assert steinberg_discriminant_multiplicity(2) == 2
+    with pytest.raises(PolyError, match="ranks 1 and 2"):
+        steinberg_discriminant_multiplicity(3)
+
+
+def test_sl3_discriminant_is_the_a2_unfolding_discriminant():
+    """Eliminating the A_2 unfolding's critical ideal leaves one generator,
+    the discriminant -4 s1^3 - 27 s2^2 of lam^3 + s1 lam + s2 scaled to lead
+    coefficient 1, which is already squarefree."""
+    d = discriminant(steinberg._ar_unfolding(2))
+    want = parse_polynomial("s1^3 + 27/4*s2^2", ("s1", "s2"))
+    assert d.ideal.generators == (want,)
+    assert d.reduced_generator == want
 
 
 def test_subregular_slice():
