@@ -20,7 +20,9 @@ finds its reducers with one AND per variable.  The same index
 finds the redundant elements of the final basis, and inter-reduction
 divides each kept element by the index narrowed to the other kept ones.
 `quotient_dimension` counts standard monomials through an index of the
-reduced basis.
+reduced basis.  Besides these entry points, `buchberger` serves
+`poly.gcd_polynomials`, which reads lcm(p, q) off the basis of
+(t*p, (1 - t)*q) under `elimination_key(1)`.
 """
 
 from __future__ import annotations

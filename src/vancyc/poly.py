@@ -3,11 +3,11 @@
 Coefficients are `fractions.Fraction`; a polynomial is a dict from exponent
 tuples (one slot per ambient variable) to nonzero coefficients.  The module
 also carries the exact linear algebra used elsewhere in the package:
-fraction-free (Bareiss) determinants of polynomial matrices, gcds and
-squarefree parts in any number of variables from one subresultant remainder
-sequence, and Gauss-Jordan elimination (reduced row echelon form and rank)
-over Q.  A matrix, of polynomials or of numbers, is a list (or tuple) of
-rows, as everywhere in the package.
+fraction-free (Bareiss) determinants of polynomial matrices, gcds (through
+an lcm from the Buchberger algorithm of `groebner`) and squarefree parts in
+any number of variables, and Gauss-Jordan elimination (reduced row echelon
+form and rank) over Q.  A matrix, of polynomials or of numbers, is a list
+(or tuple) of rows, as everywhere in the package.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
 tuple comparison is the monomial order.  `divmod_polynomials` is the one
@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm, log2
+from math import comb, lcm, log2
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -783,132 +783,31 @@ def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynom
 
 
 # ---------------------------------------------------------------------------
-# gcd and squarefree part: one subresultant remainder sequence
-#
-# A polynomial is read as one in a main variable x_i over Q[the others]: a
-# list of coefficients, ascending in x_i, each a Polynomial over the same
-# ambient with exponent 0 in slot i.  Contents are gcds of those
-# coefficients, which involve fewer variables, so the gcd recurses down to
-# constants.
+# gcd and squarefree part
 # ---------------------------------------------------------------------------
-
-def _one(ambient: tuple[str, ...]) -> Polynomial:
-    return Polynomial._trusted(ambient, {(0,) * len(ambient): Fraction(1)})
-
-
-def _coefficients(p: Polynomial, i: int) -> list[Polynomial]:
-    """Ascending coefficients of a nonzero p in ambient slot i."""
-    buckets: list[dict] = [{} for _ in range(max(e[i] for e in p.terms) + 1)]
-    for exps, c in p.terms.items():
-        buckets[exps[i]][exps[:i] + (0,) + exps[i + 1:]] = c
-    return [Polynomial._trusted(p.ambient, b) for b in buckets]
-
-
-def _assemble(coeffs: Sequence[Polynomial], i: int) -> Polynomial:
-    """Inverse of _coefficients."""
-    out = {}
-    for d, cp in enumerate(coeffs):
-        for exps, c in cp.terms.items():
-            out[exps[:i] + (d,) + exps[i + 1:]] = c
-    return Polynomial._trusted(coeffs[0].ambient, out)
-
-
-def _primitive(coeffs: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
-    """(content, primitive part) of a nonzero coefficient list.
-
-    The content is the gcd of the coefficients times a rational chosen so
-    that the primitive part has coprime integer coefficients.  The
-    remainder sequence then runs on integers, where Fraction arithmetic
-    needs no gcd of large denominators.
-    """
-    content = coeffs[-1]
-    for c in coeffs:
-        if content.is_constant():
-            break
-        content = _gcd(content, c)
-    if content.is_constant():
-        content = _one(content.ambient)
-    else:
-        coeffs = [exact_divide(c, content) for c in coeffs]
-    values = [v for c in coeffs for v in c.terms.values()]
-    scale = Fraction(gcd(*(v.numerator for v in values)),
-                     lcm(*(v.denominator for v in values)))
-    if scale == 1:
-        return content, coeffs
-    return content.scale(scale), [c.scale(1 / scale) for c in coeffs]
-
-
-def _pseudo_remainder(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
-    """lc(b)^(deg a - deg b + 1) * a mod b, for deg a >= deg b >= 1."""
-    lb, db = b[-1], len(b) - 1
-    r = list(a)
-    unused = len(a) - db  # factors of lc(b) not yet applied
-    while len(r) > db:
-        lr = r.pop()
-        shift = len(r) - db
-        r = [c * lb for c in r]
-        for j, c in enumerate(b[:-1]):
-            r[shift + j] -= lr * c
-        while r and not r[-1]:
-            r.pop()
-        unused -= 1
-    if unused:
-        factor = lb ** unused
-        r = [c * factor for c in r]
-    return r
-
-
-def _subresultant_prs(a: list[Polynomial], b: list[Polynomial]
-                      ) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Brown's subresultant remainder sequence of coefficient lists with
-    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.1), which serves the gcd
-    and through it the squarefree part.
-
-    Runs until a remainder of degree < 1 and returns (a, b): a is the last
-    remainder of positive degree, b the next one (empty when it is zero).
-    g and h are the scales that make every division exact.
-    """
-    g = h = _one(a[0].ambient)
-    while True:
-        delta = len(a) - len(b)
-        r = _pseudo_remainder(a, b)
-        divisor = g * h ** delta
-        a, b = b, [exact_divide(c, divisor) for c in r]
-        g = a[-1]
-        if delta:
-            h = exact_divide(g ** delta, h ** (delta - 1))
-        if len(b) < 2:
-            return a, b
-
-
-def _gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """A gcd of p and q, up to a nonzero rational factor.  The main variable
-    is the last one that either polynomial involves."""
-    if not p:
-        return q
-    if not q:
-        return p
-    if p.is_constant() or q.is_constant():
-        return _one(p.ambient)
-    i = next(i for i in reversed(range(len(p.ambient)))
-             if any(e[i] for e in p.terms) or any(e[i] for e in q.terms))
-    content_p, a = _primitive(_coefficients(p, i))
-    content_q, b = _primitive(_coefficients(q, i))
-    content = _gcd(content_p, content_q)
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) > 1:
-        a, b = _subresultant_prs(a, b)
-    if b:  # a nonzero remainder free of x_i: the primitive parts are coprime
-        return content
-    return content * _assemble(_primitive(a)[1], i)
-
 
 def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
     """gcd of two polynomials in any number of variables, normalized to
-    grevlex lead coefficient 1; zero only when both are zero."""
+    grevlex lead coefficient 1; zero only when both are zero.
+
+    For nonconstant p and q it is p*q / lcm(p, q), and the lcm generates
+    the ideal (t*p, (1 - t)*q) intersected with Q[x] for a fresh variable t
+    (Cox, Little and O'Shea, 4.3).  `groebner.buchberger` finds it under
+    the default S-pair cap and raises `ResourceLimitExceeded` past the cap.
+    """
     p._check_ambient(q)
-    return normalized(_gcd(p, q))
+    if not p or not q:
+        return normalized(p + q)
+    if p.is_constant() or q.is_constant():
+        return Polynomial.constant(p.ambient, 1)
+    # groebner imports this module, so it is imported here, at call time
+    from .groebner import IdealBasis, _fresh_name, buchberger, elimination_key
+    ambient = (_fresh_name("t", p.ambient),) + p.ambient
+    t = Polynomial.variable(ambient, ambient[0])
+    gens = [t * p.extend(ambient), (1 - t) * q.extend(ambient)]
+    basis = buchberger(IdealBasis(ambient, gens), elimination_key(1))
+    (multiple,) = [g for g in basis.elements if not any(e[0] for e in g.terms)]
+    return normalized(exact_divide(p, exact_divide(multiple.restrict(p.ambient), q)))
 
 
 def squarefree_part_bivariate(p: Polynomial) -> Polynomial:

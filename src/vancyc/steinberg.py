@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .groebner import DEFAULT_PAIR_LIMIT
 from .poly import (PolyError, Polynomial, determinant_fraction_free,
                    rational_rank, variables)
 from .singularity import discriminant, multiplicity_at_origin
@@ -137,13 +138,14 @@ def _ar_unfolding(r: int) -> MapGerm:
     return MapGerm(lam.ambient, [*u, -last])
 
 
-def steinberg_discriminant_multiplicity(r: int) -> int:
+def steinberg_discriminant_multiplicity(r: int,
+                                        max_pairs: int = DEFAULT_PAIR_LIMIT) -> int:
     """Multiplicity at 0 of the lam-discriminant of the characteristic
     polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r, the discriminant of
-    the A_r unfolding."""
+    the A_r unfolding; its elimination runs under `max_pairs` S-pairs."""
     if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
-    return multiplicity_at_origin(discriminant(_ar_unfolding(r)))
+    return multiplicity_at_origin(discriminant(_ar_unfolding(r), max_pairs=max_pairs))
 
 
 def _jacobian_at(polys: Sequence[Polynomial], names: Sequence[str],

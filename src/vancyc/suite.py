@@ -16,9 +16,9 @@ expectations).  The subcommands print those results; `braid-relations`,
 
 Budget semantics: `budget` caps Groebner S-pairs for the elimination-based
 checks (discriminant-basic, discriminant-al6, the k=2 cases of the binomial
-law, and the non-blocking radical-membership stretch).  When a budget runs
-out, those checks fall back to the hyperplane-counting path where one
-exists and report skipped-budget instead of failing.
+law, steinberg-suite and the non-blocking radical-membership stretch).  When
+a budget runs out, those checks fall back to the hyperplane-counting path
+where one exists and report skipped-budget instead of failing.
 """
 
 from __future__ import annotations
@@ -411,11 +411,12 @@ _STEINBERG_POINTS = {
 }
 
 
-def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
+def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS,
+                      max_pairs: int = DEFAULT_PAIR_LIMIT
                       ) -> tuple[list[CheckResult], SubregularSliceReport | None]:
     """The steinberg-* checks of sl_{rank+1} named in `checks`, in the order of
-    STEINBERG_CHECKS, and the slice report; the slice exists for rank 2 only
-    and is None otherwise."""
+    STEINBERG_CHECKS, and the slice report (rank 2 only, None otherwise); the
+    discriminant's elimination runs under `max_pairs` S-pairs."""
     smap = steinberg_map(rank)
     results = []
     if "casimir" in checks:
@@ -430,7 +431,7 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
                              jacobian_rank_at(smap, regular)))
     if "discriminant" in checks:
         results.append(check("steinberg-discriminant", rank,
-                             steinberg_discriminant_multiplicity(rank)))
+                             steinberg_discriminant_multiplicity(rank, max_pairs)))
     slice_report = None
     if "slice" in checks and rank == 2:
         slice_report = subregular_slice_check(smap)
@@ -441,10 +442,15 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS
     return results, slice_report
 
 
-def check_steinberg_suite() -> CheckResult:
+def check_steinberg_suite(budget: int) -> CheckResult:
     """Rank drops, discriminant multiplicities, Casimirs and the A_1 slice."""
-    rank1, _ = steinberg_results(1, ("casimir", "discriminant"))
-    rank2, slice_report = steinberg_results(2)
+    expected = "ranks=1,2;mults=1,2;casimirs=true;slice=true"
+    try:
+        rank1, _ = steinberg_results(1, ("casimir", "discriminant"), budget)
+        rank2, slice_report = steinberg_results(2, max_pairs=budget)
+    except ResourceLimitExceeded as exc:
+        return CheckResult("steinberg-suite", SKIPPED_BUDGET, expected, None,
+                           note=f"elimination stopped after {exc.pairs_processed} S-pairs")
     one = {c.name: c.got for c in rank1}
     two = {c.name: c.got for c in rank2}
     casimirs = one["steinberg-casimir"] and two["steinberg-casimir"]
@@ -452,10 +458,8 @@ def check_steinberg_suite() -> CheckResult:
            f"mults={one['steinberg-discriminant']},{two['steinberg-discriminant']};"
            f"casimirs={format_value(casimirs)};"
            f"slice={format_value(two['steinberg-slice'])}")
-    return check("steinberg-suite",
-                 "ranks=1,2;mults=1,2;casimirs=true;slice=true", got,
-                 note="slice quadratic block rank "
-                 f"{slice_report.block_hessian_rank}")
+    return check("steinberg-suite", expected, got,
+                 note=f"slice quadratic block rank {slice_report.block_hessian_rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,5 +484,5 @@ def run_paper_suite(budget: int = DEFAULT_PAIR_LIMIT) -> Report:
     report.add(check_picard_lefschetz())
     report.add(check_variation_matrix())
     report.add(check_folding_groups())
-    report.add(check_steinberg_suite())
+    report.add(check_steinberg_suite(budget))
     return report

@@ -289,9 +289,9 @@ def test_paper_suite_budget_zero(capsys):
     assert len(out) == 12
     skipped = [line.split()[1] for line in out if " skipped-budget " in line]
     assert skipped == ["discriminant-basic", "discriminant-al6",
-                       "arnold-liouville-binomial"]
-    assert sum(" pass " in line for line in out) == 9
-    assert err == ["paper-suite: 9 pass, 0 fail, 3 skipped-budget"]
+                       "arnold-liouville-binomial", "steinberg-suite"]
+    assert sum(" pass " in line for line in out) == 8
+    assert err == ["paper-suite: 8 pass, 0 fail, 4 skipped-budget"]
 
 
 def test_paper_suite_notes(capsys):

@@ -48,7 +48,7 @@ CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840,2903040,696729600 got=6
 CHECK picard-lefschetz pass expected=true got=true
 CHECK variation-matrix pass expected=true got=true
 CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok got=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
-CHECK steinberg-suite pass expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=ranks=1,2;mults=1,2;casimirs=true;slice=true
+CHECK steinberg-suite skipped-budget expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=none
 NOTE discriminant-basic elimination stopped after 0 S-pairs
 NOTE discriminant-al6 elimination stopped after 0 S-pairs; hyperplane counting path used instead
 NOTE arnold-liouville-binomial elimination budget exhausted; all cases counted
@@ -57,7 +57,7 @@ NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-chec
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
 NOTE folding-groups abelian flags: D4-full=nonabelian
-NOTE steinberg-suite slice quadratic block rank 3
+NOTE steinberg-suite elimination stopped after 0 S-pairs
 """),
     'coxeter A1 --notes': (0, """\
 CHECK braid-A1 pass expected=true got=true

@@ -237,7 +237,9 @@ def test_exact_divide():
 
 
 def test_gcd_and_squarefree():
-    """PRS gcd and squarefree part behave on small bivariate products."""
+    """gcd and squarefree part behave on small bivariate products; the gcd
+    picks a fresh name for its elimination variable and answers zero and
+    constant arguments directly."""
     x, y = variables(("x", "y"))
     g = gcd_polynomials((x - y) * (x + y), (x - y) ** 2)
     assert g == normalized(x - y)
@@ -247,6 +249,13 @@ def test_gcd_and_squarefree():
         assert squarefree == all(gcd_polynomials(p, p.partial_derivative(v)).is_constant()
                                  for v in p.effective_variables())
     assert normalized(-2 * (x - y)).lead()[1] == 1
+    t, t_, x = variables(("t", "t_", "x"))
+    assert gcd_polynomials((t - t_) * (t + x), (t - t_) ** 2 * x) == t - t_
+    zero = Polynomial.zero(t.ambient)
+    assert gcd_polynomials(zero, zero) == zero
+    assert gcd_polynomials(zero, -2 * t * x) == t * x
+    assert gcd_polynomials(Polynomial.constant(t.ambient, 3), t) == \
+        Polynomial.constant(t.ambient, 1)
 
 
 def test_rational_linear_algebra():

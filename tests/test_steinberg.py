@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vancyc import steinberg
+from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import PolyError, Polynomial, parse_polynomial, rational_rank, rref
 from vancyc.singularity import discriminant
 from vancyc.steinberg import (
@@ -210,6 +211,13 @@ def test_discriminant_multiplicities():
     assert steinberg_discriminant_multiplicity(2) == 2
     with pytest.raises(PolyError, match="ranks 1 and 2"):
         steinberg_discriminant_multiplicity(3)
+
+
+def test_discriminant_multiplicity_runs_under_the_pair_budget():
+    """The elimination behind the multiplicity stops at its S-pair cap."""
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        steinberg_discriminant_multiplicity(2, max_pairs=0)
+    assert exc.value.pairs_processed == 0
 
 
 def test_sl3_discriminant_is_the_a2_unfolding_discriminant():
