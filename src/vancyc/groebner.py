@@ -33,10 +33,8 @@ from itertools import product
 from operator import add, le, sub
 from typing import Callable, Sequence
 
-from .poly import (AmbientMismatchError, PolyError, Polynomial, _DivisorIndex,
-                   divmod_polynomials, grevlex_key)
-
-DEFAULT_PAIR_LIMIT = 200_000
+from .poly import (DEFAULT_PAIR_LIMIT, AmbientMismatchError, PolyError, Polynomial,
+                   _DivisorIndex, divmod_polynomials, grevlex_key)
 
 
 class ResourceLimitExceeded(RuntimeError):

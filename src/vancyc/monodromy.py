@@ -11,9 +11,9 @@ for simply-laced types) these coincide with the Weyl generators
 s_i(e_j) = e_j - C_ji e_i.
 
 Two independent group orders: `group_order_bfs` closes a matrix group element
-by element, on interned integer rows, and `weyl_group_order` counts a Weyl
-group by orbit-stabilizer on fundamental weights without listing its
-elements.
+by element, each element a byte string of interned column ids, and
+`weyl_group_order` counts a Weyl group by orbit-stabilizer on fundamental
+weights without listing its elements.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ class FoldingError(ValueError):
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
 # The types whose groups the breadth-first closure can count: the benchmark's
-# `reflection` workload builds its type list from this tuple, and E7 and E8
-# stay out because their groups pass group_order_bfs's 10**6-element cap.
-# `vancyc coxeter` accepts every type up to rank 8, E7 and E8 included.
+# `reflection` workload builds its type list from this tuple.  Their roots,
+# the columns of their elements, fit group_order_bfs's 256 column ids (E6
+# has 72); E7 and E8 (126 and 240 roots) stay out because their groups pass
+# its 10**6-element cap.  `vancyc coxeter` accepts every type up to rank 8,
+# E7 and E8 included.
 SUPPORTED_TYPES = tuple(
     [f"A{r}" for r in range(1, 9)] + ["B2", "B3", "B4", "C3", "D4", "E6", "F4", "G2"])
 
@@ -285,45 +287,53 @@ def braid_relation_check(generators: Sequence,
     return True, None
 
 
+_COLUMN_IDS = 256  # one byte per column id
+
+
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
     """Order of the matrix group (the monoid, for singular generators)
-    generated; None when it has more than `cap` elements.
+    generated; None when it has more than `cap` elements or when its
+    elements have more than 256 distinct columns between them.
 
     Level-synchronous breadth-first closure, deterministic, in Python ints.
-    Every distinct row vector gets an id and an element is the tuple of its
-    row ids.  Row a of m.g is (row a of m).g, so one table per generator,
-    mapping a row id to the id of row.g, turns a product into a lookup per
-    row.  The tables are filled at the start of each level for the rows
-    that exist then, never to closure: an infinite group has infinitely
-    many rows.
+    Every distinct column vector gets a one-byte id and an element is the
+    byte string of its column ids.  Column a of g.m is g.(column a of m), so
+    one 256-byte table per generator, mapping a column id to the id of
+    g.column, turns a product into one `bytes.translate`.  The tables are
+    filled at the start of each level for the columns that exist then,
+    never to closure: an infinite group has infinitely many columns, so it
+    always passes the column budget.  Every column interned is a column of
+    some element, so a group whose elements have at most 256 distinct
+    columns (the roots, in the reflection representation of `weyl_generators`
+    of every finite type up to rank 8) never meets that budget.
     """
     mats = _int_generators(generators)
     if not mats:
         return 1
-    row_ids: dict[tuple[int, ...], int] = {}
-    rows: list[tuple[int, ...]] = []
+    n = len(mats[0])
+    if n > _COLUMN_IDS:
+        return None
+    col_ids: dict[tuple[int, ...], int] = {}
 
-    def intern(row: tuple[int, ...]) -> int:
-        rid = row_ids.get(row)
-        if rid is None:
-            rid = row_ids[row] = len(rows)
-            rows.append(row)
-        return rid
+    def intern(col: tuple[int, ...]) -> int:
+        return col_ids.setdefault(col, len(col_ids))
 
-    identity = tuple(intern(tuple(row)) for row in _identity(len(mats[0])))
+    identity = bytes(map(intern, map(tuple, _identity(n))))
     tables: list[list[int]] = [[] for _ in mats]
     seen = {identity}
     frontier = [identity]
     while frontier:
-        known = len(rows)
+        # the columns interned since the last fill, as the columns of one matrix
+        fresh = list(zip(*list(col_ids)[len(tables[0]):]))
         for table, g in zip(tables, mats):
-            for rid in range(len(table), known):
-                table.append(intern(tuple(_matmul([rows[rid]], g)[0])))
-        lookups = [table.__getitem__ for table in tables]
+            table.extend(map(intern, zip(*_matmul(g, fresh))))
+        if len(col_ids) > _COLUMN_IDS:
+            return None
+        translations = [bytes(table).ljust(_COLUMN_IDS, b"\0") for table in tables]
         next_frontier = []
         for m in frontier:
-            for lookup in lookups:
-                prod = tuple(map(lookup, m))
+            for table in translations:
+                prod = m.translate(table)
                 if prod not in seen:
                     if len(seen) >= cap:
                         return None

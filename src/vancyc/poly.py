@@ -37,6 +37,12 @@ from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 
+# The default cap on the S-pairs of one Buchberger run.  It lives here, not
+# in groebner, because the gcd below takes it as a default and groebner
+# imports this module; groebner re-exports it.
+DEFAULT_PAIR_LIMIT = 200_000
+
+
 class PolyError(ValueError):
     """Base class for polynomial-layer errors."""
 
@@ -786,14 +792,15 @@ def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynom
 # gcd and squarefree part
 # ---------------------------------------------------------------------------
 
-def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
+def gcd_polynomials(p: Polynomial, q: Polynomial,
+                    max_pairs: int = DEFAULT_PAIR_LIMIT) -> Polynomial:
     """gcd of two polynomials in any number of variables, normalized to
     grevlex lead coefficient 1; zero only when both are zero.
 
     For nonconstant p and q it is p*q / lcm(p, q), and the lcm generates
     the ideal (t*p, (1 - t)*q) intersected with Q[x] for a fresh variable t
     (Cox, Little and O'Shea, 4.3).  `groebner.buchberger` finds it under
-    the default S-pair cap and raises `ResourceLimitExceeded` past the cap.
+    `max_pairs` S-pairs and raises `ResourceLimitExceeded` past the cap.
     """
     p._check_ambient(q)
     if not p or not q:
@@ -805,12 +812,13 @@ def gcd_polynomials(p: Polynomial, q: Polynomial) -> Polynomial:
     ambient = (_fresh_name("t", p.ambient),) + p.ambient
     t = Polynomial.variable(ambient, ambient[0])
     gens = [t * p.extend(ambient), (1 - t) * q.extend(ambient)]
-    basis = buchberger(IdealBasis(ambient, gens), elimination_key(1))
+    basis = buchberger(IdealBasis(ambient, gens), elimination_key(1), max_pairs)
     (multiple,) = [g for g in basis.elements if not any(e[0] for e in g.terms)]
     return normalized(exact_divide(p, exact_divide(multiple.restrict(p.ambient), q)))
 
 
-def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
+def squarefree_part_bivariate(p: Polynomial,
+                              max_pairs: int = DEFAULT_PAIR_LIMIT) -> Polynomial:
     """Product of the distinct irreducible factors of p, in any number of
     variables.  (The name is from an earlier two-variable version; it stays
     because benchmark spans and callers refer to it.)
@@ -818,13 +826,15 @@ def squarefree_part_bivariate(p: Polynomial) -> Polynomial:
     The result is p divided by the gcd of p and its partial derivatives: over
     Q that gcd holds every irreducible factor of p with its exponent lowered
     by exactly one.  The result is squarefree and normalized to grevlex lead
-    coefficient 1; it is canonical up to that scalar choice.
+    coefficient 1; it is canonical up to that scalar choice.  Each of its
+    gcds runs under its own cap of `max_pairs` S-pairs; the cap is per
+    Buchberger run, not a total.
     """
     if p.is_zero():
         raise PolyError("squarefree part of the zero polynomial is undefined")
     g = p
     for v in p.effective_variables():
-        g = gcd_polynomials(g, p.partial_derivative(v))
+        g = gcd_polynomials(g, p.partial_derivative(v), max_pairs)
     return normalized(exact_divide(p, g))
 
 

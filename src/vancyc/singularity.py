@@ -107,7 +107,13 @@ class DiscriminantDescription:
 
 def discriminant(germ: MapGerm,
                  max_pairs: int = DEFAULT_PAIR_LIMIT) -> DiscriminantDescription:
-    """Eliminate the source variables from the critical ideal."""
+    """Eliminate the source variables from the critical ideal.
+
+    `max_pairs` caps each Buchberger run of the call on its own: the
+    elimination, and each gcd behind the reduced generator (the gcd of
+    several eliminated generators and those of its squarefree part).  It
+    is a cap per run, not a total over the call.
+    """
     crit = critical_ideal(germ)
     eliminated = eliminate(crit.ideal, crit.source_vars, max_pairs)
     gens = eliminated.generators
@@ -118,15 +124,15 @@ def discriminant(germ: MapGerm,
     elif not gens:
         note = "discriminant is the whole target (zero eliminated ideal)"
     elif len(gens) == 1:
-        reduced = squarefree_part_bivariate(gens[0])
+        reduced = squarefree_part_bivariate(gens[0], max_pairs)
     else:
         divisor = gens[0]
         for g in gens[1:]:
-            divisor = gcd_polynomials(divisor, g)
+            divisor = gcd_polynomials(divisor, g, max_pairs)
         if divisor.is_constant():
             note = "eliminated ideal has no divisorial part"
         else:
-            reduced = squarefree_part_bivariate(divisor)
+            reduced = squarefree_part_bivariate(divisor, max_pairs)
             note = f"reduced generator from gcd of {len(gens)} generators"
     return DiscriminantDescription(germ.k, crit.target_vars, eliminated, reduced, note)
 

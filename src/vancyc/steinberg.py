@@ -142,7 +142,9 @@ def steinberg_discriminant_multiplicity(r: int,
                                         max_pairs: int = DEFAULT_PAIR_LIMIT) -> int:
     """Multiplicity at 0 of the lam-discriminant of the characteristic
     polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r, the discriminant of
-    the A_r unfolding; its elimination runs under `max_pairs` S-pairs."""
+    the A_r unfolding; each Buchberger run of `discriminant` (the
+    elimination and the gcds of the squarefree part) is capped at
+    `max_pairs` S-pairs."""
     if r not in (1, 2):
         raise PolyError("only ranks 1 and 2 are supported")
     return multiplicity_at_origin(discriminant(_ar_unfolding(r), max_pairs=max_pairs))

@@ -14,10 +14,11 @@ from the golden values tabled beside them (invariant degrees, fold
 expectations).  The subcommands print those results; `braid-relations`,
 `weyl-orders`, `folding-groups` and `steinberg-suite` summarise them.
 
-Budget semantics: `budget` caps Groebner S-pairs for the elimination-based
-checks (discriminant-basic, discriminant-al6, the k=2 cases of the binomial
-law, steinberg-suite and the non-blocking radical-membership stretch).  When
-a budget runs out, those checks fall back to the hyperplane-counting path
+Budget semantics: `budget` caps the Groebner S-pairs of each Buchberger run
+(an elimination or a gcd) of the elimination-based checks
+(discriminant-basic, discriminant-al6, the k=2 cases of the binomial law,
+steinberg-suite and the non-blocking radical-membership stretch).  When a
+budget runs out, those checks fall back to the hyperplane-counting path
 where one exists and report skipped-budget instead of failing.
 """
 
@@ -416,7 +417,7 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS,
                       ) -> tuple[list[CheckResult], SubregularSliceReport | None]:
     """The steinberg-* checks of sl_{rank+1} named in `checks`, in the order of
     STEINBERG_CHECKS, and the slice report (rank 2 only, None otherwise); the
-    discriminant's elimination runs under `max_pairs` S-pairs."""
+    discriminant's elimination and gcds each run under `max_pairs` S-pairs."""
     smap = steinberg_map(rank)
     results = []
     if "casimir" in checks:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from math import prod
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -221,10 +222,11 @@ HYPERBOLIC = [[[-1, 3], [0, 1]], [[1, 0], [3, -1]]]
 
 
 def test_group_order_bfs_is_exact_past_int64():
-    """Infinite groups hit the cap.  [[1, 2^62], [0, 1]] has infinite order,
-    but its fourth power is the identity modulo 2^64, so a closure in int64
-    would report 4."""
+    """Infinite groups hit the cap, or at the default cap the 256-column
+    budget.  [[1, 2^62], [0, 1]] has infinite order, but its fourth power is
+    the identity modulo 2^64, so a closure in int64 would report 4."""
     assert group_order_bfs(HYPERBOLIC, cap=100) is None
+    assert group_order_bfs(HYPERBOLIC) is None
     assert group_order_bfs([[[1, 2 ** 62], [0, 1]]], cap=100) is None
     assert group_order_bfs([[[1, 2 ** 62], [0, -1]]]) == 2
 
@@ -250,6 +252,97 @@ def test_group_order_bfs_rejects_bad_generators():
                 [[[1]], [[1, 0], [0, 1]]], [[1, 0]]):
         with pytest.raises(LatticeError):
             group_order_bfs(bad)
+
+
+def _row_closure_order(mats, cap):
+    """Reference closure on tuples of interned row ids, with no column
+    budget: group_order_bfs must agree with it whenever the elements have
+    at most 256 distinct columns."""
+    row_ids = {}
+    rows = []
+
+    def intern(row):
+        if row not in row_ids:
+            row_ids[row] = len(rows)
+            rows.append(row)
+        return row_ids[row]
+
+    n = len(mats[0])
+    identity = tuple(intern(tuple(int(i == j) for j in range(n))) for i in range(n))
+    tables = [[] for _ in mats]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        known = len(rows)
+        for table, g in zip(tables, mats):
+            cols = list(zip(*g))
+            for rid in range(len(table), known):
+                row = rows[rid]
+                table.append(intern(tuple(sum(map(mul, row, col)) for col in cols)))
+        lookups = [table.__getitem__ for table in tables]
+        next_frontier = []
+        for m in frontier:
+            for lookup in lookups:
+                prod = tuple(map(lookup, m))
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        return None
+                    seen.add(prod)
+                    next_frontier.append(prod)
+        frontier = next_frontier
+    return len(seen)
+
+
+def test_group_order_bfs_agrees_with_the_row_closure():
+    """Column byte strings and row-id tuples give the same value on every
+    supported type but A8, under seeded relabellings, at cap = |W| and
+    cap = |W| - 1; likewise on the folding groups and the monoid of [[0]]."""
+    rng = random.Random(19)
+    for label in SUPPORTED_TYPES:
+        if label == "A8":
+            continue
+        order = prod(invariant_degrees(label))
+        c = cartan_matrix(label).tolist()
+        for _ in range(3):
+            p = rng.sample(range(len(c)), len(c))
+            relabelled = [[c[i][j] for j in p] for i in p]
+            gens = weyl_generators(
+                CoxeterDatum(label, relabelled, coxeter_matrix_from_cartan(relabelled)))
+            for cap in (order, order - 1):
+                want = _row_closure_order(gens, cap)
+                assert want == (order if cap == order else None)
+                assert group_order_bfs(gens, cap=cap) == want, (label, p, cap)
+    for label, name in (("A3", "flip"), ("A5", "flip"), ("E6", "flip"),
+                        ("D4", "triality"), ("D4", "full"), ("A2", "identity")):
+        mats = [permutation_matrix(p) for p in standard_automorphisms(label, name)]
+        order = _row_closure_order(mats, 10 ** 6)
+        for cap in (order, order - 1):
+            assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap)
+    for cap in (2, 1):
+        assert group_order_bfs([[[0]]], cap=cap) == _row_closure_order([[[0]]], cap)
+
+
+def test_group_order_bfs_of_transposed_generators():
+    """The transposes generate a group of the same order (w -> w^T reverses
+    products); their columns are the orbits of the fundamental weights, which
+    for E6 number 27 + 27 + 72 + 216 + 216 + 720, past the column budget."""
+    for label in SUPPORTED_TYPES:
+        if label in ("A8", "E6"):
+            continue
+        gens = weyl_generators(CoxeterDatum.for_type(label))
+        transposed = [[list(col) for col in zip(*g)] for g in gens]
+        assert group_order_bfs(transposed) == group_order_bfs(gens), label
+    e6 = weyl_generators(CoxeterDatum.for_type("E6"))
+    assert group_order_bfs([[list(col) for col in zip(*g)] for g in e6]) is None
+
+
+def test_group_order_bfs_column_budget():
+    """256 distinct columns fit one byte each; a 257th ends the closure with
+    None, as the element cap does, and so does a generator of size 257."""
+    for n, want in ((256, 256), (257, None)):
+        cycle = permutation_matrix([(i + 1) % n for i in range(n)])
+        assert group_order_bfs([cycle]) == want
+    assert group_order_bfs([permutation_matrix(range(257))]) is None
 
 
 def test_weyl_group_order_is_the_degree_product():

@@ -172,3 +172,26 @@ def test_critical_ideal_shape():
     assert crit.ambient == germ.ambient + ("s1", "s2")
     jac = jacobian(germ)
     assert len(jac) == 2 and all(len(row) == 4 for row in jac)
+
+
+def test_discriminant_pair_cap_reaches_every_buchberger_run(monkeypatch, germs_dir):
+    """A caller's S-pair cap reaches the elimination and each gcd of the
+    squarefree part: every Buchberger run gets the cap, not the default."""
+    import vancyc.groebner as groebner
+    from vancyc.steinberg import steinberg_discriminant_multiplicity
+
+    runs = []
+    buchberger = groebner.buchberger
+
+    def recording(ideal, key, max_pairs=groebner.DEFAULT_PAIR_LIMIT):
+        runs.append((ideal.ambient[0], max_pairs))
+        return buchberger(ideal, key, max_pairs)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    germ = load_germ_file(germs_dir / "al6.germ").to_map_germ()
+    assert multiplicity_at_origin(discriminant(germ, max_pairs=1000)) == 3
+    # the elimination, then one gcd (front variable t) per target variable
+    assert runs == [("q1", 1000), ("t", 1000), ("t", 1000)]
+    runs.clear()
+    assert steinberg_discriminant_multiplicity(2, max_pairs=5) == 2
+    assert runs == [("lam", 5), ("t", 5)]
