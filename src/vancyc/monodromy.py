@@ -299,8 +299,9 @@ def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
     Every distinct column vector gets a one-byte id and an element is the
     byte string of its column ids.  Column a of g.m is g.(column a of m), so
     one 256-byte table per generator, mapping a column id to the id of
-    g.column, turns a product into one `bytes.translate`.  The tables are
-    filled at the start of each level for the columns that exist then,
+    g.column, turns a product into one `bytes.translate`.  Each table starts
+    as its generator's own columns, the images of the unit columns, and is
+    extended at the start of each level for the columns that exist then,
     never to closure: an infinite group has infinitely many columns, so it
     always passes the column budget.  Every column interned is a column of
     some element, so a group whose elements have at most 256 distinct
@@ -319,7 +320,8 @@ def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
         return col_ids.setdefault(col, len(col_ids))
 
     identity = bytes(map(intern, map(tuple, _identity(n))))
-    tables: list[list[int]] = [[] for _ in mats]
+    # g maps the unit columns to its own columns
+    tables = [list(map(intern, zip(*g))) for g in mats]
     seen = {identity}
     frontier = [identity]
     while frontier:

@@ -256,7 +256,7 @@ def check_al_binomial(budget: int) -> CheckResult:
     return CheckResult("arnold-liouville-binomial", status, expected, values, note=note)
 
 
-def check_henon_heiles(stretch_pairs: int | None = None) -> CheckResult:
+def check_henon_heiles(stretch_pairs: int) -> CheckResult:
     """The given reduced discriminant s2 (s2^3 - s1^4) has multiplicity 4.
 
     Stretch (non-blocking): eliminate the critical ideal of the involutive
@@ -271,7 +271,7 @@ def check_henon_heiles(stretch_pairs: int | None = None) -> CheckResult:
     result = check("henon-heiles", "mult=4", f"mult={curve_multiplicity(given)}")
     if result.status != PASS:
         return result
-    if stretch_pairs is None or stretch_pairs <= 0:
+    if stretch_pairs <= 0:
         return CheckResult(result.name, result.status, result.expected, result.got,
                            note="radical-membership stretch skipped (budget)")
     try:

@@ -7,9 +7,11 @@ import pytest
 
 from vancyc import steinberg
 from vancyc.groebner import ResourceLimitExceeded
-from vancyc.poly import PolyError, Polynomial, parse_polynomial, rational_rank, rref
+from vancyc.poly import (PolyError, Polynomial, determinant_fraction_free,
+                         parse_polynomial, rational_rank, rref)
 from vancyc.singularity import discriminant
 from vancyc.steinberg import (
+    SteinbergMap,
     casimir_components_check,
     jacobian_rank_at,
     steinberg_discriminant_multiplicity,
@@ -17,7 +19,7 @@ from vancyc.steinberg import (
     steinberg_map,
     subregular_slice_check,
 )
-from vancyc.symplectic import general_bracket, jacobi_check
+from vancyc.symplectic import PoissonStructure, general_bracket, jacobi_check
 
 
 def _coord(structure, name):
@@ -103,6 +105,42 @@ def test_kks_gates_on_the_jacobi_audit(monkeypatch):
     monkeypatch.setattr(steinberg, "jacobi_check", lambda structure: False)
     with pytest.raises(PolyError, match="Jacobi"):
         steinberg_kks(steinberg_map(1))
+
+
+def test_jacobi_audit_catches_one_flipped_pair():
+    """Flipping the sign of any one nonzero pair Pi_ab = -Pi_ba of the sl_3
+    Lie-Poisson matrix breaks the Jacobi identity, and the audit sees it."""
+    s3 = steinberg_kks(steinberg_map(2))
+    n = len(s3.ambient)
+    flipped = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            if s3.matrix[a][b]:
+                rows = [list(row) for row in s3.matrix]
+                rows[a][b], rows[b][a] = -rows[a][b], -rows[b][a]
+                assert not jacobi_check(PoissonStructure(s3.ambient, rows)), (a, b)
+                flipped += 1
+    assert flipped == 17
+
+
+def test_sl4_lie_poisson_structure_passes_its_audit():
+    """The closed form on the 15 entry coordinates of sl_4 passes the Jacobi
+    audit, and the characteristic coefficients are its Casimirs; the map is
+    built here because `steinberg_map` stops at rank 2."""
+    n = 4
+    cells = [(i, j) for i in range(n) for j in range(n) if not i == j == n - 1]
+    amb = tuple(f"x{i + 1}{j + 1}" for i, j in cells)
+    x = [[_entry(n, amb, i, j) for j in range(n)] for i in range(n)]
+    lam_amb = amb + ("lam",)
+    lam = Polynomial.variable(lam_amb, "lam")
+    char = determinant_fraction_free(
+        [[(lam if i == j else 0) - x[i][j].extend(lam_amb) for j in range(n)]
+         for i in range(n)])
+    comps = tuple(char.coefficient_in("lam", d) for d in range(n - 2, -1, -1))
+    s = SteinbergMap(n - 1, amb, tuple(map(tuple, x)), comps)
+    structure = steinberg_kks(s)
+    assert len(structure.ambient) == 15
+    assert casimir_components_check(s, structure)
 
 
 def test_coefficient_map_components():

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from randpoly import random_polynomial
 from vancyc.poly import AmbientMismatchError, PolyError, Polynomial, variables
+from vancyc.steinberg import steinberg_kks, steinberg_map
 from vancyc.symplectic import (
     MapGerm,
     PoissonStructure,
@@ -147,3 +149,124 @@ def test_map_germ_must_vanish_at_origin():
         MapGerm(amb, [p1 * q1 + one])
     with pytest.raises(PolyError):
         MapGerm(amb, [])
+
+
+# ---------------------------------------------------------------------------
+# The contraction against the coordinate formulas it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_bracket(f, g, structure):
+    """{f, g} = sum_{i<j} Pi_ij (d_i f d_j g - d_j f d_i g)."""
+    amb = structure.ambient
+    df = [f.partial_derivative(v) for v in amb]
+    dg = [g.partial_derivative(v) for v in amb]
+    out = Polynomial.zero(amb)
+    for i, j in combinations(range(len(amb)), 2):
+        out = out + structure.matrix[i][j] * (df[i] * dg[j] - df[j] * dg[i])
+    return out
+
+
+def _reference_jacobi(structure):
+    """{x_a, {x_b, x_c}} summed cyclically, by double coordinate brackets."""
+    coords = variables(structure.ambient)
+    for i, j, k in combinations(range(len(coords)), 3):
+        total = Polynomial.zero(structure.ambient)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = _reference_bracket(coords[b], coords[c], structure)
+            total = total + _reference_bracket(coords[a], inner, structure)
+        if total:
+            return False
+    return True
+
+
+def _reference_casimir(c, structure):
+    """{c, x_i} = 0 for every coordinate x_i."""
+    return all(not _reference_bracket(c, x, structure)
+               for x in variables(structure.ambient))
+
+
+X4 = ("x1", "x2", "x3", "x4")
+
+
+def _form(rng, degree, terms=3):
+    """A random form of the given degree on X4 with small integer coefficients."""
+    out = Polynomial.zero(X4)
+    for _ in range(terms):
+        exps = [0] * len(X4)
+        for _ in range(degree):
+            exps[rng.randrange(len(X4))] += 1
+        out = out + Polynomial(X4, {tuple(exps): rng.randint(-3, 3)})
+    return out
+
+
+def _antisymmetric(entries):
+    """The structure with Pi_ij = entries[i, j] for i < j."""
+    zero = Polynomial.zero(X4)
+    rows = [[zero] * len(X4) for _ in X4]
+    for (i, j), e in entries.items():
+        rows[i][j], rows[j][i] = e, -e
+    return PoissonStructure(X4, rows)
+
+
+def _random_structure(rng):
+    """Linear and quadratic entries drawn independently; Jacobi usually fails."""
+    return _antisymmetric({(i, j): _form(rng, rng.choice((1, 2)))
+                           for i, j in combinations(range(len(X4)), 2)
+                           if rng.random() < 0.7})
+
+
+def _nambu_structure(rng):
+    """Pi_ij = f eps_ijk d_k h on x1..x3 with x4 a parameter: a Poisson
+    structure for any f and h, with h a Casimir.  f is linear or constant and
+    h quadratic, so the entries are quadratic or linear."""
+    f = _form(rng, rng.choice((0, 1)))
+    h = _form(rng, 2, terms=4)
+    dh = [h.partial_derivative(v) for v in X4[:3]]
+    return _antisymmetric({(0, 1): f * dh[2], (1, 2): f * dh[0],
+                           (0, 2): -(f * dh[1])}), h
+
+
+def _assert_matches_reference(structure, rng, casimirs=()):
+    amb = structure.ambient
+    assert jacobi_check(structure) == _reference_jacobi(structure)
+    for _ in range(3):
+        f = random_polynomial(rng, amb, max_terms=3, max_exp=2)
+        g = random_polynomial(rng, amb, max_terms=3, max_exp=2)
+        assert general_bracket(f, g, structure) == _reference_bracket(f, g, structure)
+    for c in (*casimirs, Polynomial.constant(amb, 3), *variables(amb),
+              random_polynomial(rng, amb, max_terms=3, max_exp=2)):
+        assert casimir_check(c, structure) == _reference_casimir(c, structure)
+
+
+def test_flow_matches_the_coordinate_formulas_on_random_structures():
+    """The bracket, the Jacobi audit and the Casimir test agree with the
+    sum over i < j, the double coordinate brackets and {c, x_i} on seeded
+    structures that satisfy Jacobi and on ones that break it."""
+    rng = random.Random(61)
+    broken = 0
+    for _ in range(6):
+        structure = _random_structure(rng)
+        _assert_matches_reference(structure, rng)
+        broken += not jacobi_check(structure)
+    assert broken
+    for _ in range(6):
+        structure, h = _nambu_structure(rng)
+        assert jacobi_check(structure)
+        assert casimir_check(h, structure)
+        _assert_matches_reference(structure, rng, casimirs=(h,))
+
+
+def test_flow_matches_the_coordinate_formulas_on_named_structures():
+    """The same agreement on the canonical, sl_2 and sl_3 structures, with
+    the characteristic coefficients as Casimirs."""
+    rng = random.Random(67)
+    _assert_matches_reference(_canonical_structure(), rng)
+    for r in (1, 2):
+        s = steinberg_map(r)
+        _assert_matches_reference(steinberg_kks(s), rng, casimirs=s.components)
+
+
+def test_casimir_check_rejects_a_foreign_ambient():
+    """A polynomial over another ambient is an error, not a verdict."""
+    with pytest.raises(AmbientMismatchError):
+        casimir_check(Polynomial.variable(("q1", "p1"), "q1"), _canonical_structure())
