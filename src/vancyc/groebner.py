@@ -8,17 +8,22 @@ whose two leads are coprime; a new pair of two monomials, whose S-polynomial
 is zero; and a queued old pair (i, j) whose lcm lead_t divides, unless that
 lcm equals lcm(lead_i, lead_t) or lcm(lead_j, lead_t).
 Each lead carries a divisibility mask, so one AND settles most divisibility
-tests, and S-polynomials of the monic elements are built in one pass.
-Every public entry point takes a cap on the number of S-pairs reduced;
-exceeding it raises ResourceLimitExceeded so callers can degrade instead of
-hanging.  A monomial order is its key function: `poly.grevlex_key` for
-degrevlex, `elimination_key(front)` for the block elimination order.
-Normal forms use the heap division of `poly.divmod_polynomials` under that
-key.  A Buchberger run keeps one divisor index of its basis
-(`poly._DivisorIndex`), appending each new element, so each normal form
-finds its reducers with one AND per variable.  The same index
-finds the redundant elements of the final basis, and inter-reduction
-divides each kept element by the index narrowed to the other kept ones.
+tests.  Every public entry point takes a cap on the number of S-pairs
+reduced; exceeding it raises ResourceLimitExceeded so callers can degrade
+instead of hanging.  A monomial order is its key function:
+`poly.grevlex_key` for degrevlex, `elimination_key(front)` for the block
+elimination order.
+
+A Buchberger run keeps one divisor index of its basis (`poly._DivisorIndex`),
+appending each new element, so each normal form finds its reducers with
+one AND per variable.  The index holds each element once, as a primitive
+integer polynomial with a positive lead coefficient, and the run works on
+those integer forms: each S-polynomial is built from two of them in one
+pass, with int coefficients, and `normal_form` reduces it with the
+fraction-free heap division of `poly._reduce`.  A nonzero remainder joins
+the index, which takes its content out.  The same index finds the
+redundant elements of the final basis, and inter-reduction divides each
+kept element by the index narrowed to the other kept ones.
 `quotient_dimension` counts standard monomials through an index of the
 reduced basis.  Besides these entry points, `buchberger` serves
 `poly.gcd_polynomials`, which reads lcm(p, q) off the basis of
@@ -29,12 +34,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add, le, sub
 from typing import Callable, Sequence
 
 from .poly import (DEFAULT_PAIR_LIMIT, AmbientMismatchError, PolyError, Polynomial,
-                   _DivisorIndex, divmod_polynomials, grevlex_key)
+                   _DivisorIndex, _over, _reduce, grevlex_key)
+# not called here: perfbench/tracer.py times division under this module's name
+from .poly import divmod_polynomials  # noqa: F401
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -107,40 +116,42 @@ def _lead_mask(exps: Sequence[int]) -> int:
 
 def normal_form(p: Polynomial, basis: GroebnerBasis | _DivisorIndex) -> Polynomial:
     """Remainder of p modulo a GroebnerBasis or the divisor index of a
-    Buchberger run, under the order key each carries."""
-    divisors = basis.elements if isinstance(basis, GroebnerBasis) else basis
-    if not divisors:
-        return p
-    _, r = divmod_polynomials(p, divisors, basis.key)
-    return r
+    Buchberger run, under the order key each carries.  p may have int
+    coefficients, as the S-polynomials of `buchberger` do; the reduction
+    runs on integers (`poly._reduce`), and only the remainder is turned
+    into exact Fractions."""
+    index = (basis if isinstance(basis, _DivisorIndex)
+             else _DivisorIndex(p.ambient, basis.key, basis.elements))
+    remainder, den = _reduce(p, index)
+    return _over(p.ambient, remainder, den)
 
 
-def _spoly(f: Polynomial, g: Polynomial, lcm: tuple[int, ...], key) -> Polynomial:
-    """x^a*f - x^b*g where x^a*lead(f) = x^b*lead(g) = x^lcm.
-
-    f and g must be monic under `key`: the lead terms are skipped as
-    cancelled, and the tails are shifted without any rescaling, into one
-    dict.
+def _spoly(index: _DivisorIndex, i: int, j: int, lcm: tuple[int, ...]) -> Polynomial:
+    """(b/d)*x^u*g_i - (a/d)*x^v*g_j for the integer forms g_i and g_j of
+    the index, with leads a*x^l_i and b*x^l_j, d = gcd(a, b) and
+    x^u*x^l_i = x^v*x^l_j = x^lcm: a positive integer multiple of the
+    S-polynomial of the monic elements, with int coefficients.  The lead
+    terms are skipped as cancelled, and the tails are shifted and scaled
+    into one dict.
     """
-    fe = f.lead(key)[0]
-    ge = g.lead(key)[0]
-    a = tuple(map(sub, lcm, fe))
-    b = tuple(map(sub, lcm, ge))
-    out = {tuple(map(add, e, a)): c for e, c in f.terms.items() if e != fe}
-    for e, c in g.terms.items():
-        if e == ge:
-            continue
-        k = tuple(map(add, e, b))
+    a, b = index.coeffs[i], index.coeffs[j]
+    d = gcd(a, b)
+    fi, fj = b // d, a // d
+    u = tuple(map(sub, lcm, index.leads[i]))
+    v = tuple(map(sub, lcm, index.leads[j]))
+    out = {tuple(map(add, e, u)): fi * c for e, c in index.tails[i]}
+    for e, c in index.tails[j]:
+        k = tuple(map(add, e, v))
         old = out.get(k)
         if old is None:
-            out[k] = -c
+            out[k] = -fj * c
         else:
-            d = old - c
+            d = old - fj * c
             if d:
                 out[k] = d
             else:
                 del out[k]
-    return Polynomial._trusted(f.ambient, out)
+    return Polynomial._trusted(index.ambient, out)
 
 
 def _update_pairs(pairs: list, leads: list[tuple], cols: list[list[int]],
@@ -208,17 +219,19 @@ def _minimalize(index: _DivisorIndex) -> int:
     return keep
 
 
-def _interreduce(G: list[Polynomial], index: _DivisorIndex,
-                 keep: int) -> list[Polynomial]:
+def _interreduce(index: _DivisorIndex, keep: int) -> list[Polynomial]:
     """Reduce each kept element by the other kept ones, narrowing the
-    index's live set to them; one pass suffices on a minimal basis of monic
-    elements, since no lead divides another and every lead survives."""
+    index's live set to them, and make it monic; one pass suffices on a
+    minimal basis, since no lead divides another and every lead survives."""
     out = []
-    for i, g in enumerate(G):
+    for i, (lead, a, tail) in enumerate(zip(index.leads, index.coeffs, index.tails)):
         bit = 1 << i
         if keep & bit:
             index.live = keep ^ bit
-            out.append(normal_form(g, index))
+            terms = dict(tail)
+            terms[lead] = a
+            r = normal_form(Polynomial._trusted(index.ambient, terms), index)
+            out.append(r if a == 1 else r.scale(Fraction(1, a)))
     return out
 
 
@@ -228,16 +241,15 @@ def buchberger(ideal: IdealBasis, key,
 
     `max_pairs` caps, and `pairs_processed` counts, only the S-pairs that
     survive the pair criteria and are taken from the queue; a pruned pair is
-    never queued, so it counts against neither.
+    never queued, so it counts against neither.  The run holds each element
+    once, as the primitive integer form of its divisor index, and its
+    S-polynomials have int coefficients; Fractions appear only in the
+    generators, in each remainder as `normal_form` returns it, and in the
+    monic reduced basis.
     """
-    gens = []
-    for g in ideal.generators:
-        _, c = g.lead(key)
-        gens.append(g.scale(1 / c))
-    gens.sort(key=lambda g: key(g.lead(key)[0]))
+    gens = sorted(ideal.generators, key=lambda g: key(g.lead(key)[0]))
     if not gens:
         return GroebnerBasis(ideal.ambient, key, ())
-    G: list[Polynomial] = []
     index = _DivisorIndex(ideal.ambient, key)
     cols: list[list[int]] = [[] for _ in ideal.ambient]
     masks: list[int] = []
@@ -246,13 +258,12 @@ def buchberger(ideal: IdealBasis, key,
     processed = 0
 
     def add_element(g: Polynomial):
-        G.append(g)
         index.append(g)
         lead = index.leads[-1]
         for col, e in zip(cols, lead):
             col.append(e)
         masks.append(_lead_mask(lead))
-        monomial.append(len(g.terms) == 1)
+        monomial.append(not index.tails[-1])
         _update_pairs(pairs, index.leads, cols, masks, monomial, key)
 
     for g in gens:
@@ -262,15 +273,13 @@ def buchberger(ideal: IdealBasis, key,
             raise ResourceLimitExceeded(processed, max_pairs)
         _, _, i, j, lcm, _ = heapq.heappop(pairs)
         processed += 1
-        s = _spoly(G[i], G[j], lcm, key)
+        s = _spoly(index, i, j, lcm)
         if s.is_zero():
             continue
         r = normal_form(s, index)
-        if r.is_zero():
-            continue
-        _, c = r.lead(key)
-        add_element(r.scale(1 / c))
-    reduced = _interreduce(G, index, _minimalize(index))
+        if not r.is_zero():
+            add_element(r)
+    reduced = _interreduce(index, _minimalize(index))
     reduced.sort(key=lambda g: key(g.lead(key)[0]))
     return GroebnerBasis(ideal.ambient, key, tuple(reduced), processed)
 

@@ -10,13 +10,22 @@ form and rank) over Q.  A matrix, of polynomials or of numbers, is a list
 (or tuple) of rows, as everywhere in the package.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
-tuple comparison is the monomial order.  `divmod_polynomials` is the one
-multivariate division: it keeps the terms still to be reduced in a heap
-ordered by the negated key, so each monomial's key is computed once, when it
-enters the work set, and the next term to reduce is a heap pop rather than a
-rescan (after Monagan and Pearce, "Sparse polynomial division using a heap",
-JSC 2011).  Lead terms are memoized inside each immutable Polynomial
+tuple comparison is the monomial order.  `_reduce` is the one multivariate
+division loop, and `divmod_polynomials` and `groebner.normal_form` both run
+it.  It keeps the terms still to be reduced in a heap ordered by the
+negated key, so each monomial's key is computed once, when it enters the
+work set, and the next term to reduce is a heap pop rather than a rescan
+(after Monagan and Pearce, "Sparse polynomial division using a heap", JSC
+2011).  Lead terms are memoized inside each immutable Polynomial
 (`Polynomial.lead`), so a divisor's lead is found once per order.
+
+The loop runs on Python ints, not Fractions.  The dividend's denominators
+are cleared once, and each divisor is held as a primitive integer
+polynomial with a positive lead coefficient a.  When a does not divide the
+coefficient c of the term being reduced, the work, the remainder and the
+quotients are scaled by a / gcd(a, c), as Bareiss's fraction-free
+elimination scales its rows, so every step stays exact.  Only the results
+become Fractions again.
 
 The reducer of each term comes from a divisor index (`_DivisorIndex`): for
 each variable v and exponent k, a bitset (a Python int) of the divisors
@@ -32,7 +41,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from math import comb, lcm, log2
+from math import comb, gcd, lcm, log2
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -115,7 +124,10 @@ class Polynomial:
     def _trusted(cls, ambient: tuple[str, ...], terms: dict) -> "Polynomial":
         """Wrap terms that are already canonical: an ambient tuple without
         duplicates, exponent tuples of its length with non-negative ints, and
-        nonzero Fraction coefficients.  The dict is taken over, not copied."""
+        nonzero Fraction coefficients.  The dict is taken over, not copied.
+        A Buchberger run also wraps nonzero int coefficients, for the
+        integer forms it hands to `groebner.normal_form`; no such
+        Polynomial leaves the run."""
         p = object.__new__(cls)
         object.__setattr__(p, "ambient", ambient)
         object.__setattr__(p, "terms", terms)
@@ -292,12 +304,9 @@ class Polynomial:
                 e = list(exps)
                 k = e[i]
                 e[i] = k - 1
-                key = tuple(e)
-                s = out.get(key, Fraction(0)) + c * k
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                # e -> e - 1_i is injective on exponents with e_i >= 1, and
+                # c * e_i is nonzero, so no two terms meet and none cancels
+                out[tuple(e)] = c * k
         return Polynomial._trusted(self.ambient, out)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
@@ -618,25 +627,30 @@ def parse_polynomial(text: str, ambient: Sequence[str]) -> Polynomial:
 class _DivisorIndex:
     """Divisors prepared once for repeated division under one order key.
 
-    Each divisor's lead (exponents and coefficient) and tail are taken once.
-    For each variable v, `below[v][k]` is the bitset (a Python int, bit i
-    for divisor i) of the divisors whose lead has e_v <= k; a column ends at
-    the largest e_v of any lead, and past its end every divisor qualifies.
-    The leads dividing a monomial e are then the AND over v of
-    `below[v][e_v]`, and the lowest set bit is the first of them in divisor
-    order.  `live` is the bitset of the divisors a division may use: every
-    divisor appended, unless a caller narrows it.
+    Each divisor d is held as a primitive integer polynomial g, with
+    d = factor * g: g has integer coefficients whose gcd is 1 and a
+    positive lead coefficient, and `factors` keeps the Fraction factor.
+    g's lead exponents, lead coefficient and tail (a list of (exponents,
+    int) pairs) are taken once.  For each variable v, `below[v][k]` is the
+    bitset (a Python int, bit i for divisor i) of the divisors whose lead
+    has e_v <= k; a column ends at the largest e_v of any lead, and past its
+    end every divisor qualifies.  The leads dividing a monomial e are then
+    the AND over v of `below[v][e_v]`, and the lowest set bit is the first
+    of them in divisor order.  `live` is the bitset of the divisors a
+    division may use: every divisor appended, unless a caller narrows it.
     """
 
-    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "below", "live")
+    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "factors", "below",
+                 "live")
 
     def __init__(self, ambient: tuple[str, ...], key,
                  divisors: Iterable[Polynomial] = ()):
         self.ambient = ambient
         self.key = key
         self.leads: list[tuple[int, ...]] = []
-        self.coeffs: list[Fraction] = []
-        self.tails: list[list[tuple[tuple[int, ...], Fraction]]] = []
+        self.coeffs: list[int] = []
+        self.tails: list[list[tuple[tuple[int, ...], int]]] = []
+        self.factors: list[Fraction] = []
         self.below: list[list[int]] = [[] for _ in ambient]
         self.live = 0
         for d in divisors:
@@ -646,14 +660,20 @@ class _DivisorIndex:
         return bool(self.live)
 
     def append(self, d: Polynomial) -> None:
+        """Index a nonzero divisor, taking its content out once."""
         if d.ambient != self.ambient:
             raise AmbientMismatchError(
                 f"divisor ambient {d.ambient} != dividend ambient {self.ambient}")
         de, dc = d.lead(self.key)
+        ints, den = _clear_denominators(d.terms)
+        content = gcd(*ints.values())
+        if dc < 0:
+            content = -content
         bit = 1 << len(self.leads)
         self.leads.append(de)
-        self.coeffs.append(dc)
-        self.tails.append([(fe, fc) for fe, fc in d.terms.items() if fe != de])
+        self.coeffs.append(ints.pop(de) // content)
+        self.tails.append([(fe, fc // content) for fe, fc in ints.items()])
+        self.factors.append(Fraction(content, den))
         for col, e in zip(self.below, de):
             if e >= len(col):
                 # the new entries cover every divisor so far, as past the end
@@ -671,34 +691,37 @@ class _DivisorIndex:
         return m
 
 
-def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorIndex,
-                       key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division under the order of `key`: p = sum(q_i *
-    divisors_i) + r, no term of r divisible by any divisor lead monomial.
+def _clear_denominators(terms: Mapping[tuple, Fraction | int]) -> tuple[dict, int]:
+    """(D * terms as a dict of ints, D) for D the lcm of the denominators."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
-    `divisors` is a list of polynomials or a `_DivisorIndex` prepared under
-    the same key; a list is indexed on entry.  Each term is reduced by the
-    first divisor whose lead divides it, found through the index.  The
-    largest remaining term is taken from a heap of (negated order key,
-    monomial) entries.  A monomial gets its one entry when it enters `work`;
-    a coefficient that cancels stays in `work` as zero until its entry is
+
+def _reduce(p: Polynomial, index: _DivisorIndex,
+            quotients: dict[int, dict] | None = None) -> tuple[dict, int]:
+    """Fraction-free heap division of p by the integer forms g_i of the index.
+
+    Returns (R, D): D * p = sum(Q_i * g_i) + R with integer Q_i and R, and no
+    term of R divisible by a live lead.  When `quotients` is a dict, Q_i is
+    filled in as its entry i, for the divisors used only.  p's denominators
+    are cleared first.  Each term c * x^e is reduced by the first divisor
+    whose lead a * x^l divides it, found through the index: when a divides
+    c the multiplier is c / a; otherwise the work, R and every Q_i are first
+    scaled by a / gcd(a, c), D with them, and the multiplier is
+    c / gcd(a, c) (after Bareiss's fraction-free elimination).  The largest
+    remaining term is taken from a heap of (negated order key, monomial)
+    entries.  A monomial gets its one entry when it enters `work`; a
+    coefficient that cancels stays in `work` as zero until its entry is
     popped, so no monomial is ever queued twice.  Every new monomial is
     smaller than the one being reduced, so a popped monomial never returns.
     """
-    ambient = p.ambient
-    if isinstance(divisors, _DivisorIndex):
-        index = divisors
-        if index.ambient != ambient:
-            raise AmbientMismatchError(
-                f"divisor ambient {index.ambient} != dividend ambient {ambient}")
-        if index.key != key:
-            raise ValueError("divisor index was prepared under another order key")
-    else:
-        index = _DivisorIndex(ambient, key, divisors)
+    if index.ambient != p.ambient:
+        raise AmbientMismatchError(
+            f"divisor ambient {index.ambient} != dividend ambient {p.ambient}")
+    key = index.key
     leads, coeffs, tails, dividing = index.leads, index.coeffs, index.tails, index.dividing
-    quotients: dict[int, dict] = {}  # only for the divisors used
+    work, den = _clear_denominators(p.terms)
     remainder: dict = {}
-    work = dict(p.terms)
     heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -712,12 +735,22 @@ def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorI
             remainder[e] = c
             continue
         i = (m & -m).bit_length() - 1
+        a = coeffs[i]
+        mc, rest = divmod(c, a)
+        if rest:
+            g = gcd(a, c)
+            s = a // g
+            mc = c // g
+            den *= s
+            for scaled in (work, remainder, *(quotients.values() if quotients else ())):
+                for k in scaled:
+                    scaled[k] *= s
         me = tuple(map(sub, e, leads[i]))
-        mc = c / coeffs[i]
-        q = quotients.get(i)
-        if q is None:
-            q = quotients[i] = {}
-        q[me] = mc
+        if quotients is not None:
+            q = quotients.get(i)
+            if q is None:
+                q = quotients[i] = {}
+            q[me] = mc
         for fe, fc in tails[i]:
             k = tuple(map(add, me, fe))
             old = work.get(k)
@@ -726,10 +759,39 @@ def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorI
                 push(heap, (tuple(map(neg, key(k))), k))
             else:
                 work[k] = old - mc * fc
-    zero = Polynomial._trusted(ambient, {})  # shared by every empty quotient
-    return ([Polynomial._trusted(ambient, quotients[i]) if i in quotients else zero
-             for i in range(len(leads))],
-            Polynomial._trusted(ambient, remainder))
+    return remainder, den
+
+
+def _over(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Polynomial:
+    """The Polynomial with coefficients c / divisor for the int coefficients
+    c of `terms`, each an exact Fraction, in the same term order."""
+    num, den = divisor.denominator, divisor.numerator
+    return Polynomial._trusted(ambient, {e: Fraction(c * num, den) for e, c in terms.items()})
+
+
+def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorIndex,
+                       key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division under the order of `key`: p = sum(q_i *
+    divisors_i) + r, no term of r divisible by any divisor lead monomial.
+
+    `divisors` is a list of polynomials or a `_DivisorIndex` prepared under
+    the same key; a list is indexed on entry.  Each term is reduced by the
+    first divisor whose lead divides it, so the result is that of the
+    division over Q; the work runs on integers in `_reduce`, and only the
+    quotients and the remainder are turned back into exact Fractions.
+    """
+    if isinstance(divisors, _DivisorIndex):
+        index = divisors
+        if index.key != key:
+            raise ValueError("divisor index was prepared under another order key")
+    else:
+        index = _DivisorIndex(p.ambient, key, divisors)
+    quotients: dict[int, dict] = {}
+    remainder, den = _reduce(p, index, quotients)
+    zero = Polynomial._trusted(p.ambient, {})  # shared by every empty quotient
+    return ([_over(p.ambient, quotients[i], index.factors[i] * den) if i in quotients
+             else zero for i in range(len(index.leads))],
+            _over(p.ambient, remainder, den))
 
 
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -770,7 +832,6 @@ def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynom
             raise AmbientMismatchError("matrix entries disagree on ambient")
     m = [list(r) for r in matrix]
     sign = 1
-    prev = Polynomial.constant(ambient, 1)
     for k in range(n - 1):
         if m[k][k].is_zero():
             pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
@@ -781,7 +842,8 @@ def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynom
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
+                # the Bareiss divisor of step 0 is 1
+                m[i][j] = exact_divide(num, prev) if k else num
             m[i][k] = Polynomial.zero(ambient)
         prev = m[k][k]
     det = m[n - 1][n - 1]
