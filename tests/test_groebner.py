@@ -9,6 +9,7 @@ from operator import add, sub
 import pytest
 
 from orders import ORDERS, lex, seed_tag
+from packing import check_packed_kernel, reference_pack
 from randpoly import random_polynomial
 from vancyc import groebner
 from vancyc.groebner import (
@@ -23,7 +24,7 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
-from vancyc.groebner import (_lead_mask, _minimalize, _spoly, _standard_monomial_count,
+from vancyc.groebner import (_minimalize, _pack_newest, _spoly, _standard_monomial_count,
                              _update_pairs)
 from vancyc.poly import (AmbientMismatchError, Polynomial, _DivisorIndex,
                          format_polynomial, grevlex_key, parse_polynomial)
@@ -543,84 +544,144 @@ def test_spoly_of_integer_forms():
             assert got == want.scale(math.lcm(*index.coeffs))
 
 
-def _check_lead_mask(a, b):
-    lcm = tuple(map(max, a, b))
-    assert _lead_mask(lcm) == _lead_mask(a) | _lead_mask(b)
-    if all(x <= y for x, y in zip(a, b)):
-        assert _lead_mask(a) & ~_lead_mask(b) == 0
-
-
-def test_lead_mask_soundness_seeded():
-    """A divisor's mask lies inside the multiple's mask, and the mask of an
-    lcm is the union of the masks, for random exponents in 1-18 variables;
-    half of the pairs are built so that a divides b."""
+def test_packed_kernel_matches_tuple_arithmetic_seeded():
+    """Packed lcms, the guard divisibility test, the coprimality test and
+    the order of proper divisors agree with tuple arithmetic, in 0-18
+    variables at widths 1-10 with exponents up to 2**(width - 1) - 1; half
+    of the pairs are built so that a divides b."""
     rng = random.Random(31)
     for _ in range(2000):
-        n = rng.randint(1, 18)
-        a = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n))
-        b = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n))
+        n = rng.randint(0, 18)
+        width = rng.randint(1, 10)
+        top = (1 << width - 1) - 1
+        a, b = (tuple(rng.choice((0, 0, min(1, top), top, rng.randint(0, top)))
+                      for _ in range(n))
+                for _ in range(2))
         if rng.random() < 0.5:
-            b = tuple(map(add, a, b))
-        _check_lead_mask(a, b)
-        _check_lead_mask(b, a)
+            b = tuple(x + rng.randint(0, top - x) for x in a)
+        check_packed_kernel(a, b, width)
+        check_packed_kernel(b, a, width)
 
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reference_update(pairs, leads, key):
+def _reference_update(pairs, leads, key, width):
     """The Gebauer-Moeller update without the monomial-pair rule, by brute
     force: lcms by tuple(map(max, ...)), the chain test against every other
     new lcm, and coprimality read off the exponents.  New pairs are
-    appended by degree, then by i, as `_update_pairs` appends them."""
+    appended by degree, then by i, as `_update_pairs` appends them; every
+    entry ends in its lcm packed at `width`, so queued pairs are packed
+    again when the width grows."""
     t = len(leads) - 1
     lt = leads[t]
     lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
-    new = [(sum(lcm), key(lcm), i, t, lcm, _lead_mask(lcm))
+    new = [(sum(lcm), key(lcm), i, t, lcm, reference_pack(lcm, width))
            for i, lcm in enumerate(lcms)
            if lcms.index(lcm) == i
            and not any(other != lcm and _divides(other, lcm) for other in lcms)
            and any(a and b for a, b in zip(leads[i], lt))]
     new.sort(key=lambda entry: entry[0])
-    pairs[:] = [(d, k, i, j, lcm, m) for d, k, i, j, lcm, m in pairs
+    pairs[:] = [(d, k, i, j, lcm, reference_pack(lcm, width)) for d, k, i, j, lcm, _ in pairs
                 if not (_divides(lt, lcm) and lcm not in (lcms[i], lcms[j]))]
     pairs += new
     heapq.heapify(pairs)
 
 
 def test_update_pairs_matches_reference_seeded():
-    """After every append, in 0-12 variables, the queue equals the one the
-    brute-force reference update builds: entry for entry when no element
-    is a monomial, and otherwise the reference queue minus exactly the
-    pairs of two monomials.  Leads come from a small pool so that repeated
-    lcms and chain-criterion hits are common."""
+    """After every append, in 0-18 variables (18 is the ambient of
+    `al-n8`), the queue equals the one the brute-force reference update
+    builds: entry for entry when no element is a monomial, and otherwise
+    the reference queue minus exactly the pairs of two monomials.  Leads
+    come from a small pool so that repeated lcms and chain-criterion hits
+    are common.  In half of the runs the later leads raise the pool's
+    exponent 3 to 127, then 128, then 300, so the width grows mid-run, up
+    to three times, and queued pairs are packed again."""
     rng = random.Random(43)
     keys = list(ORDERS.values())
-    skipped = 0
+    skipped = repacked = 0
     for run in range(300):
-        n = rng.randint(0, 12)
+        n = rng.randint(0, 18)
         key = rng.choice(keys)
         pool = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(8)]
         with_monomials = run % 2 == 1
-        leads, cols, masks, monomial = [], [[] for _ in range(n)], [], []
+        crossing = run % 4 >= 2
+        size = rng.randint(2, 16)
+        leads, packed, monomial, width = [], [], [], 1
         ours, ref = [], []
-        for _ in range(rng.randint(2, 16)):
+        for step in range(size):
             lead = rng.choice(pool)
+            if crossing and 2 * step >= size:
+                big = (127, 128, 300)[3 * (2 * step - size) // size]
+                lead = tuple(big if e == 3 else e for e in lead)
             leads.append(lead)
-            for col, e in zip(cols, lead):
-                col.append(e)
-            masks.append(_lead_mask(lead))
+            queued, old_width = len(ours), width
+            width = _pack_newest(ours, leads, packed, width)
+            repacked += queued > 0 and width > old_width
+            assert max((e for lead in leads for e in lead), default=0) < 1 << width - 1
+            assert packed == [reference_pack(e, width) for e in leads]
             monomial.append(with_monomials and rng.random() < 0.6)
-            _update_pairs(ours, leads, cols, masks, monomial, key)
-            _reference_update(ref, leads, key)
+            _update_pairs(ours, leads, packed, monomial, key, width)
+            _reference_update(ref, leads, key, width)
             if not with_monomials:
                 assert ours == ref
             else:
                 kept = [e for e in ref if not (monomial[e[2]] and monomial[e[3]])]
                 skipped += len(ref) - len(kept)
                 assert sorted(ours) == sorted(kept)
-    assert skipped
+    assert skipped and repacked
+
+
+# Reduced bases and S-pair counts of ideals whose leads outgrow the packing
+# width during the run, as computed before the pair update was packed.
+LARGE_EXPONENT_BASES = {
+    ('x - y', 'y^300 - 1'): {
+        'lex0': (0, ['y^300-1', 'x-y']),
+        'degrevlex0': (0, ['x-y', 'y^300-1']),
+        'block1': (0, ['y^300-1', 'x-y']),
+        'block2': (0, ['x-y', 'y^300-1']),
+    },
+    ('x^2*y - z', 'y^130 - x', 'z^3 - x*y'): {
+        'lex0': (6, ['z^653-z', '-z^6+y*z', 'y^131-z^3', '-y^130+x']),
+        'degrevlex0': (296, ['z^3-x*y', 'x^2*y-z', 'x^3*z^2-x^2', 'y^93*z-x^93', 'x*y^94-x^92',
+                             'x^95-y^92*z^2', 'y^130-x']),
+        'block1': (4, ['z^6-y*z', 'y^131-z^3', 'y^130*z^3-z', '-y^130+x']),
+        'block2': (12, ['z^653-z', '-z^6+y*z', '-z^651+x*z', '-z^3+x*y', '-z^648+x^2', 'y^130-x']),
+    },
+    ('x^127 - y', 'y^2 - z^129', 'x*z - 1'): {
+        'lex0': (258, ['z^383-1', '-z^256+y', '-z^382+x']),
+        'degrevlex0': (133, ['x*z-1', 'y^3-z^2', 'x^64-y*z^63', 'y*z^64-x^63', 'z^66-x^63*y^2']),
+        'block1': (257, ['y^3-z^2', 'y*z^127-1', 'z^129-y^2', '-y*z^126+x']),
+        'block2': (258, ['z^383-1', '-z^256+y', '-z^382+x']),
+    },
+    ('x^200*y^3 - z', 'x^5 - y^140'): {
+        'lex0': (1, ['y^5603-z', '-y^140+x^5']),
+        'degrevlex0': (2, ['y^140-x^5', 'x^200*y^3-z', 'x^205-y^137*z']),
+        'block1': (1, ['y^5603-z', '-y^140+x^5']),
+        'block2': (2, ['y^140-x^5', 'x^200*y^3-z', 'x^205-y^137*z']),
+    },
+}
+
+
+def test_large_exponent_bases_are_pinned(monkeypatch):
+    """Under all four orders, the reduced bases and `pairs_processed` of
+    ideals with exponents 127-300 are the pinned ones, and some runs widen
+    the packing while pairs are queued."""
+    repacks = []
+
+    def pack_newest(pairs, leads, packed, width):
+        new_width = _pack_newest(pairs, leads, packed, width)
+        if new_width > width and pairs:
+            repacks.append(new_width)
+        return new_width
+
+    monkeypatch.setattr(groebner, "_pack_newest", pack_newest)
+    for gens, by_order in LARGE_EXPONENT_BASES.items():
+        for name, (pairs, basis) in by_order.items():
+            gb = buchberger(_ideal(*gens), ORDERS[name])
+            assert (gb.pairs_processed, _basis_lines(gb)) == (pairs, basis), (gens, name)
+    assert repacks
 
 
 def test_buchberger_without_variables():

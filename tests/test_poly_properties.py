@@ -2,7 +2,7 @@
 with a fresh maximum.  Skipped when hypothesis is not installed."""
 
 from fractions import Fraction
-from operator import add, le
+from operator import le
 
 import pytest
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from orders import ORDERS  # noqa: E402
-from vancyc.groebner import _lead_mask  # noqa: E402
+from packing import check_packed_kernel  # noqa: E402
 from vancyc.poly import Polynomial, _DivisorIndex, grevlex_key  # noqa: E402
 
 AMB = ("x", "y", "z")
@@ -57,21 +57,18 @@ def test_memoized_lead_matches_fresh_max(a, b):
                 assert p.lead(key) == (exps, p.terms[exps])
 
 
-masked_exponents = st.integers(1, 18).flatmap(
-    lambda n: st.tuples(*(st.integers(0, 4) for _ in range(n))))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(masked_exponents, st.data())
-def test_lead_mask_soundness(a, data):
-    """a | b implies mask(a) & ~mask(b) == 0, and mask(lcm(a, b)) is
-    mask(a) | mask(b), for exponents in 1-18 variables; b is drawn both
-    freely and as a multiple of a."""
-    free = data.draw(st.tuples(*(st.integers(0, 4) for _ in a)))
-    for b in (free, tuple(map(add, a, free))):
-        assert _lead_mask(tuple(map(max, a, b))) == _lead_mask(a) | _lead_mask(b)
-        if all(map(le, a, b)):
-            assert _lead_mask(a) & ~_lead_mask(b) == 0
+@given(st.integers(0, 18), st.integers(1, 10), st.data())
+def test_packed_kernel_matches_tuple_arithmetic(n, width, data):
+    """Packed lcms, the guard divisibility test, the coprimality test and
+    the order of proper divisors agree with tuple arithmetic, in 0-18
+    variables at widths 1-10 with exponents up to 2**(width - 1) - 1; b is
+    drawn both freely and as a multiple of a."""
+    exponents = st.tuples(*(st.integers(0, (1 << width - 1) - 1) for _ in range(n)))
+    a, free = data.draw(exponents), data.draw(exponents)
+    for b in (free, tuple(map(max, a, free))):
+        check_packed_kernel(a, b, width)
+        check_packed_kernel(b, a, width)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
