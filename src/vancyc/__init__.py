@@ -25,8 +25,8 @@ from .poly import (AmbientMismatchError, PolyError, PolyParseError, Polynomial,
 from .report import CheckResult, Report
 from .singularity import (NonGenericMatrixError, NonIsolatedSingularityError,
                           action_coordinates_germ, al_multiplicity_by_counting,
-                          critical_ideal, curve_multiplicity, discriminant, jacobian,
-                          milnor_number, multiplicity_at_origin)
+                          critical_ideal, discriminant, jacobian, milnor_number,
+                          multiplicity_at_origin)
 from .steinberg import (SteinbergMap, SubregularSliceReport, casimir_components_check,
                         jacobian_rank_at, steinberg_discriminant_multiplicity,
                         steinberg_kks, steinberg_map, subregular_slice_check)

@@ -144,12 +144,6 @@ def _reduced_multiplicity(reduced: Polynomial) -> int:
     return order
 
 
-def curve_multiplicity(curve: Polynomial) -> int:
-    """Multiplicity at the origin of a hypersurface: the order at the origin
-    of its squarefree part; one that misses the origin is an error."""
-    return _reduced_multiplicity(squarefree_part_bivariate(curve))
-
-
 def multiplicity_at_origin(d: DiscriminantDescription) -> int:
     """Multiplicity at the origin of the discriminant, for any k; its
     reduced generator already is the squarefree part."""

@@ -7,9 +7,12 @@ and asserts the recorded status.
 
 import pytest
 
+from vancyc import groebner
 from vancyc import suite as suite_module
+from vancyc.groebner import DEFAULT_PAIR_LIMIT
 from vancyc.report import FAIL, PASS, format_value
-from vancyc.suite import check_weyl_orders, run_paper_suite
+from vancyc.suite import (basic_germ, check_henon_heiles, check_weyl_orders,
+                          run_paper_suite)
 
 EXPECTED_NAMES = [
     "involutivity",
@@ -69,8 +72,46 @@ def test_acceptance_arnold_liouville_binomial(suite):
 
 
 def test_acceptance_henon_heiles(suite):
-    """The cubic-potential pair's reduced discriminant has multiplicity 4."""
+    """The cubic-potential pair's discriminant, eliminated from its critical
+    ideal, has multiplicity 4."""
     _verdict(suite, "henon-heiles")
+
+
+def test_henon_heiles_gate_reads_the_eliminated_discriminant(monkeypatch):
+    """With the basic germ in place of the quartic pair, the eliminated
+    discriminant is a line and the gate fails with mult=1."""
+    monkeypatch.setattr(suite_module, "henon_heiles_germ", basic_germ)
+    result = check_henon_heiles(DEFAULT_PAIR_LIMIT)
+    assert result.status == FAIL
+    assert format_value(result.got) == "mult=1"
+
+
+def test_budget_reaches_every_elimination(monkeypatch):
+    """Every Buchberger run of the battery gets the suite's budget, except
+    the three Jacobian bases of milnor-baseline, which keep the default."""
+    runs = []
+    in_milnor = False
+    buchberger = groebner.buchberger
+    milnor = suite_module.check_milnor_baseline
+
+    def recording(ideal, key, max_pairs=DEFAULT_PAIR_LIMIT):
+        runs.append((in_milnor, max_pairs))
+        return buchberger(ideal, key, max_pairs)
+
+    def spanned_milnor():
+        nonlocal in_milnor
+        in_milnor = True
+        try:
+            return milnor()
+        finally:
+            in_milnor = False
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(suite_module, "check_milnor_baseline", spanned_milnor)
+    run_paper_suite(budget=3)
+    outside = [pairs for inside, pairs in runs if not inside]
+    assert outside and set(outside) == {3}
+    assert [pairs for inside, pairs in runs if inside] == [DEFAULT_PAIR_LIMIT] * 3
 
 
 def test_acceptance_milnor_baseline(suite):

@@ -289,9 +289,9 @@ def test_paper_suite_budget_zero(capsys):
     assert len(out) == 12
     skipped = [line.split()[1] for line in out if " skipped-budget " in line]
     assert skipped == ["discriminant-basic", "discriminant-al6",
-                       "arnold-liouville-binomial", "steinberg-suite"]
-    assert sum(" pass " in line for line in out) == 8
-    assert err == ["paper-suite: 8 pass, 0 fail, 4 skipped-budget"]
+                       "arnold-liouville-binomial", "henon-heiles", "steinberg-suite"]
+    assert sum(" pass " in line for line in out) == 7
+    assert err == ["paper-suite: 7 pass, 0 fail, 5 skipped-budget"]
 
 
 def test_paper_suite_notes(capsys):

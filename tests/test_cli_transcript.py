@@ -29,7 +29,7 @@ CHECK variation-matrix pass expected=true got=true
 CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok got=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
 CHECK steinberg-suite pass expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=ranks=1,2;mults=1,2;casimirs=true;slice=true
 NOTE arnold-liouville-binomial k=2 cases eliminated; k=3 case counted
-NOTE henon-heiles stretch: eliminated discriminant s1^4*s2+16/27*s2^4 (multiplicity 4); given generator in its radical: no (same line-plus-cusp shape; equal after rescaling s2 by the real cube root -(16/27)^(1/3))
+NOTE henon-heiles eliminated discriminant s1^4*s2+16/27*s2^4; the literature prints the same line-plus-cusp curve as s2*(s2^3-s1^4)
 NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
@@ -41,7 +41,7 @@ CHECK involutivity pass expected=0;0 got=0;0
 CHECK discriminant-basic skipped-budget expected=gen=s1;mult=1 got=none
 CHECK discriminant-al6 skipped-budget expected=mult=3 got=mult=3
 CHECK arnold-liouville-binomial skipped-budget expected=3,4,6 got=3,4,6
-CHECK henon-heiles pass expected=mult=4 got=mult=4
+CHECK henon-heiles skipped-budget expected=mult=4 got=none
 CHECK milnor-baseline pass expected=1,2,non-isolated got=1,2,non-isolated
 CHECK braid-relations pass expected=8/8 got=8/8
 CHECK weyl-orders pass expected=6,8,12,24,192,1152,51840,2903040,696729600 got=6,8,12,24,192,1152,51840,2903040,696729600
@@ -52,7 +52,7 @@ CHECK steinberg-suite skipped-budget expected=ranks=1,2;mults=1,2;casimirs=true;
 NOTE discriminant-basic elimination stopped after 0 S-pairs
 NOTE discriminant-al6 elimination stopped after 0 S-pairs; hyperplane counting path used instead
 NOTE arnold-liouville-binomial elimination budget exhausted; all cases counted
-NOTE henon-heiles radical-membership stretch skipped (budget)
+NOTE henon-heiles elimination stopped after 0 S-pairs
 NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
