@@ -32,7 +32,6 @@ from .steinberg import (SteinbergMap, SubregularSliceReport, casimir_components_
                         steinberg_kks, steinberg_map, subregular_slice_check)
 from .suite import run_paper_suite
 from .symplectic import (MapGerm, PoissonStructure, SymplecticContext,
-                         casimir_check, general_bracket, jacobi_check,
-                         poisson_bracket)
+                         casimir_check, jacobi_check, poisson_bracket)
 
 __version__ = "0.1.0"

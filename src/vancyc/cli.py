@@ -64,13 +64,13 @@ def cmd_bracket(args) -> int:
 # discriminant
 # ---------------------------------------------------------------------------
 
-def _given_multiplicity(expr: str) -> int:
+def _given_multiplicity(expr: str, budget: int) -> int:
     names: list[str] = []
     for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", expr):
         if m.group(0) not in names:
             names.append(m.group(0))
     given = parse_polynomial(expr, tuple(sorted(names)))
-    reduced = squarefree_part_bivariate(given)
+    reduced = squarefree_part_bivariate(given, budget)
     mult = _reduced_multiplicity(reduced)
     print(f"given: {format_polynomial(given)}")
     print(f"reduced: {format_polynomial(reduced)}")
@@ -83,19 +83,11 @@ def cmd_discriminant(args) -> int:
         print("error: give either a germ file or --given, not both", file=sys.stderr)
         return 2
     if args.given is not None:
-        return _given_multiplicity(args.given)
-    germ = load_germ_file(args.file).to_map_germ()
-    try:
-        d = discriminant(germ, max_pairs=args.budget)
-    except ResourceLimitExceeded as exc:
-        print(f"budget-exhausted: stopped after {exc.pairs_processed} S-pairs "
-              f"(limit {exc.limit})")
-        return 3
+        return _given_multiplicity(args.given, args.budget)
+    d = discriminant(load_germ_file(args.file).to_map_germ(), max_pairs=args.budget)
     print(f"target: {' '.join(d.target_vars)}")
     for g in d.ideal.generators:
         print(f"generator: {format_polynomial(g)}")
-    if not d.ideal.generators:
-        print("generator: 0 (discriminant fills the target)")
     if d.note:
         print(f"note: {d.note}")
     if d.reduced_generator is not None:

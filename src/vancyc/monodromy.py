@@ -152,10 +152,27 @@ def identify_type(cartan) -> str | None:
             target = _cartan_rows(label)
         except LatticeError:
             continue
-        for p in permutations(range(r)):
-            if [[c[i][j] for j in p] for i in p] == target:
-                return label
+        if _match_nodes(c, target, []):
+            return label
     return None
+
+
+def _match_nodes(c: list[list[int]], target: list[list[int]], p: list[int]) -> bool:
+    """Extend p, where node m of target is node p[m] of c, one node at a
+    time, backtracking at the first entry that disagrees; True once every
+    node is matched."""
+    k = len(p)
+    if k == len(c):
+        return True
+    for i in range(len(c)):
+        if i not in p and c[i][i] == target[k][k] and all(
+                c[i][pm] == target[k][m] and c[pm][i] == target[m][k]
+                for m, pm in enumerate(p)):
+            p.append(i)
+            if _match_nodes(c, target, p):
+                return True
+            p.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +525,11 @@ def fold(source: CoxeterDatum | str,
     """Fold a simply-laced diagram by the group its automorphisms generate.
 
     Folded Cartan entry for orbits O, O': sum over i in O of C[i, j] for any
-    fixed j in O' (the orbit-sum coroot pairing); independence of j is
-    checked, and orbits containing adjacent nodes are rejected.
+    fixed j in O' (the orbit-sum coroot pairing), and orbits containing
+    adjacent nodes are rejected.  The sum does not depend on j: the orbits
+    are those of the group the validated automorphisms generate, and each
+    element g of it fixes C and maps O onto itself, so the sum at g(j) is
+    the sum at j.
     """
     datum = CoxeterDatum.for_type(source) if isinstance(source, str) else source
     if not datum.is_simply_laced():
@@ -527,11 +547,7 @@ def fold(source: CoxeterDatum | str,
     folded = [[0] * k for _ in range(k)]
     for a, oa in enumerate(orbits):
         for b, ob in enumerate(orbits):
-            values = {sum(c[i][j] for i in oa) for j in ob}
-            if len(values) != 1:
-                raise FoldingError(
-                    f"orbit pairing between {oa} and {ob} is not well-defined")
-            folded[a][b] = values.pop()
+            folded[a][b] = sum(c[i][ob[0]] for i in oa)
     label = identify_type(folded)
     if label is None:
         raise FoldingError("folded Cartan matrix is not of finite type")

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, IdealBasis, eliminate, quotient_dimension
 from .poly import (PolyError, Polynomial, determinant_fraction_free,
-                   gcd_polynomials, normalized, rational_rank, rref,
+                   gcd_polynomials, normalized, rational_rank,
                    squarefree_part_bivariate, variables)
 from .symplectic import MapGerm, SymplecticContext
 
@@ -121,8 +122,6 @@ def discriminant(germ: MapGerm,
     note = ""
     if any(g.is_constant() for g in gens):
         note = "empty discriminant (critical ideal eliminates to the unit ideal)"
-    elif not gens:
-        note = "discriminant is the whole target (zero eliminated ideal)"
     elif len(gens) == 1:
         reduced = squarefree_part_bivariate(gens[0], max_pairs)
     else:
@@ -205,33 +204,16 @@ def action_coordinates_germ(n: int, k: int,
 
 def al_multiplicity_by_counting(n: int, k: int,
                                 R: Sequence[Sequence[Fraction]]) -> int:
-    """Count the distinct hyperplane images of the (k-1)-column subspaces.
+    """The number C(n, k-1) of hyperplanes spanned by the (k-1)-column
+    subsets of a generic R.
 
     The critical values of R o (p_i q_i) sweep the spans of the (k-1)-column
-    subsets of R; for generic R these are C(n, k-1) distinct hyperplanes
-    through 0, and the reduced discriminant has that multiplicity.  The
-    count is returned as found, so callers compare it with the binomial.
+    subsets of R, and the reduced discriminant is the union of the distinct
+    spans.  `_check_generic` makes each span a hyperplane, and makes them
+    distinct: for n >= k, two subsets with the same span would put at least
+    k columns of rank k-1 into it, a rank-deficient k-column set that the
+    check refuses; for n < k there is at most one subset.  So the count is
+    the binomial by construction, not an independent value.
     """
-    rows = _check_generic(R, n, k)
-    normals = set()
-    for cols in combinations(range(n), k - 1):
-        sub = [[rows[i][j] for j in cols] for i in range(k)]
-        # normal covector: kernel of the transposed k x (k-1) block
-        basisless = _kernel_covector(sub, k)
-        normals.add(basisless)
-    return len(normals)
-
-
-def _kernel_covector(sub: list[list[Fraction]], k: int) -> tuple[Fraction, ...]:
-    """The 1-dimensional left kernel of a k x (k-1) full-rank block, normalized."""
-    transpose = [[row[j] for row in sub] for j in range(len(sub[0]) if sub else 0)]
-    m, pivots = rref(transpose)
-    free = [c for c in range(k) if c not in pivots]
-    if len(free) != 1:
-        raise PolyError("expected a one-dimensional kernel")
-    v = [Fraction(0)] * k
-    v[free[0]] = Fraction(1)
-    for row, col in zip(m, pivots):
-        v[col] = -row[free[0]]
-    lead = next(x for x in v if x)
-    return tuple(x / lead for x in v)
+    _check_generic(R, n, k)
+    return comb(n, k - 1)

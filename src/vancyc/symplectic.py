@@ -1,4 +1,4 @@
-"""Canonical and general Poisson brackets, the Jacobi audit and Casimirs.
+"""The canonical bracket, Poisson structures, the Jacobi audit and Casimirs.
 
 Sign convention of the canonical bracket, fixed once here and used
 everywhere else:
@@ -7,10 +7,10 @@ everywhere else:
 
 A general (polynomial) bracket is given by its matrix Pi_ij = {x_i, x_j}
 on the ambient coordinates.  One contraction, {x_i, g} = sum_j Pi_ij d_j g,
-gives the bracket {f, g} = sum_i d_i f {x_i, g}, the Jacobi audit
-{x_i, Pi_jk} + {x_j, Pi_ki} + {x_k, Pi_ij} = 0 (the coordinate form of
-[Pi, Pi] = 0; Weinstein, J. Diff. Geom. 18, 1983) and the Casimir test,
-every {x_i, c} zero; `steinberg` audits the Lie-Poisson matrix with them.
+gives the Jacobi audit {x_i, Pi_jk} + {x_j, Pi_ki} + {x_k, Pi_ij} = 0 (the
+coordinate form of [Pi, Pi] = 0; Weinstein, J. Diff. Geom. 18, 1983) and
+the Casimir test, every {x_i, c} zero; `steinberg` audits the Lie-Poisson
+matrix with them.
 """
 
 from __future__ import annotations
@@ -134,18 +134,6 @@ def _flow(g: Polynomial, structure: PoissonStructure) -> list[Polynomial]:
     zero = Polynomial.zero(ambient)
     return [sum((row[j] * d for j, d in dg if row[j]), zero)
             for row in structure.matrix]
-
-
-def general_bracket(f: Polynomial, g: Polynomial,
-                    structure: PoissonStructure) -> Polynomial:
-    """{f, g} = sum_ij Pi_ij d_i f d_j g = sum_i d_i f {x_i, g}."""
-    if f.ambient != structure.ambient:
-        raise AmbientMismatchError("bracket arguments must match the structure ambient")
-    out = Polynomial.zero(structure.ambient)
-    for v, h in zip(structure.ambient, _flow(g, structure)):
-        if h:
-            out = out + f.partial_derivative(v) * h
-    return out
 
 
 def jacobi_check(structure: PoissonStructure) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from vancyc import groebner
 from vancyc import suite as suite_module
 from vancyc.groebner import DEFAULT_PAIR_LIMIT
-from vancyc.report import FAIL, PASS, format_value
+from vancyc.report import FAIL, PASS, SKIPPED_BUDGET, format_value
 from vancyc.suite import (basic_germ, check_henon_heiles, check_weyl_orders,
                           run_paper_suite)
 
@@ -87,31 +87,30 @@ def test_henon_heiles_gate_reads_the_eliminated_discriminant(monkeypatch):
 
 
 def test_budget_reaches_every_elimination(monkeypatch):
-    """Every Buchberger run of the battery gets the suite's budget, except
-    the three Jacobian bases of milnor-baseline, which keep the default."""
+    """Every Buchberger run of the battery, the Jacobian bases of
+    milnor-baseline included, gets the suite's budget."""
     runs = []
-    in_milnor = False
     buchberger = groebner.buchberger
-    milnor = suite_module.check_milnor_baseline
 
     def recording(ideal, key, max_pairs=DEFAULT_PAIR_LIMIT):
-        runs.append((in_milnor, max_pairs))
+        runs.append(max_pairs)
         return buchberger(ideal, key, max_pairs)
 
-    def spanned_milnor():
-        nonlocal in_milnor
-        in_milnor = True
-        try:
-            return milnor()
-        finally:
-            in_milnor = False
-
     monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(suite_module, "check_milnor_baseline", spanned_milnor)
     run_paper_suite(budget=3)
-    outside = [pairs for inside, pairs in runs if not inside]
-    assert outside and set(outside) == {3}
-    assert [pairs for inside, pairs in runs if inside] == [DEFAULT_PAIR_LIMIT] * 3
+    assert runs and set(runs) == {3}
+
+
+def test_milnor_baseline_skips_on_a_spent_budget(monkeypatch):
+    """A Jacobian basis that runs out of S-pairs skips the check and names
+    the basis, not an elimination."""
+    def spent(h, max_pairs):
+        raise groebner.ResourceLimitExceeded(0, max_pairs)
+
+    monkeypatch.setattr(suite_module, "milnor_number", spent)
+    result = suite_module.check_milnor_baseline(0)
+    assert result.status == SKIPPED_BUDGET
+    assert result.note == "Jacobian basis stopped after 0 S-pairs"
 
 
 def test_acceptance_milnor_baseline(suite):

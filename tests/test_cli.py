@@ -74,12 +74,34 @@ def test_discriminant_given_curve_off_origin(capsys):
         assert err == ["error: discriminant does not pass through the origin"]
 
 
+def test_discriminant_without_divisorial_part(capsys, tmp_path):
+    """(x z, y z) eliminates to the origin alone: its generators and the note,
+    with no reduced generator and no multiplicity."""
+    germ = tmp_path / "point.germ"
+    germ.write_text("vars: x y z\ncomponent: x*z\ncomponent: y*z\n", encoding="utf-8")
+    code, out, err = run(capsys, "discriminant", str(germ))
+    assert code == 0
+    assert out == ["target: s1 s2", "generator: s2", "generator: s1",
+                   "note: eliminated ideal has no divisorial part"]
+
+
 def test_discriminant_budget_exhaustion(capsys, germs_dir):
-    """A zero S-pair budget exits 3 with the stopped-after diagnostic."""
+    """A zero S-pair budget exits 3 with the stopped-after diagnostic on
+    stderr, as every command reports a spent budget."""
     code, out, err = run(capsys, "discriminant", str(germs_dir / "basic.germ"),
                          "--budget", "0")
     assert code == 3
-    assert out == ["budget-exhausted: stopped after 0 S-pairs (limit 0)"]
+    assert out == []
+    assert err == ["budget-exhausted: stopped after 0 S-pairs (limit 0)"]
+
+
+def test_discriminant_given_budget_exhaustion(capsys):
+    """--budget caps the squarefree part of a given curve too."""
+    code, out, err = run(capsys, "discriminant", "--given", "s2*(s2^3-s1^4)",
+                         "--budget", "0")
+    assert code == 3
+    assert out == []
+    assert err == ["budget-exhausted: stopped after 0 S-pairs (limit 0)"]
 
 
 def test_discriminant_requires_input(capsys):

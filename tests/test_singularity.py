@@ -1,7 +1,7 @@
 """Discriminants, multiplicities, Milnor numbers, and the binomial count law."""
 
 import random
-from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,9 +9,11 @@ import pytest
 from vancyc.germfile import load_germ_file
 from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import (
+    PolyError,
     format_polynomial,
     normalized,
     parse_polynomial,
+    rational_rank,
     squarefree_part_bivariate,
 )
 from vancyc.singularity import (
@@ -27,6 +29,7 @@ from vancyc.singularity import (
 )
 from vancyc.groebner import radical_membership
 from vancyc.suite import AL_MATRICES, basic_germ, henon_heiles_germ
+from vancyc.symplectic import MapGerm
 
 
 def test_discriminant_of_basic_germ():
@@ -127,18 +130,48 @@ def test_counting_rejects_non_generic_matrix():
         al_multiplicity_by_counting(3, 2, [[1, 0, 0], [0, 1, 0]])
 
 
-def test_counting_shortfall_fails_both_checks(monkeypatch, capsys):
-    """Hyperplanes that collapse are counted as found, so the counting path
-    reports a shortfall as a failed check (exit 1), not as an error."""
-    from vancyc import singularity
-    from vancyc.cli import main
-    monkeypatch.setattr(singularity, "_kernel_covector",
-                        lambda sub, k: (Fraction(1),) + (Fraction(0),) * (k - 1))
-    assert al_multiplicity_by_counting(3, 2, AL_MATRICES[(3, 2)]) == 1
-    assert main(["paper-suite", "--budget", "0"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert "CHECK discriminant-al6 fail expected=mult=3 got=mult=1" in out
-    assert "CHECK arnold-liouville-binomial fail expected=3,4,6 got=1,1,1" in out
+def test_generic_matrices_span_distinct_hyperplanes():
+    """The argument behind the count: on seeded random matrices that pass the
+    genericity test, no two (k-1)-column subsets span the same hyperplane."""
+    rng = random.Random(71)
+    checked = 0
+    while checked < 20:
+        n, k = rng.choice(((3, 2), (4, 2), (4, 3), (5, 3), (5, 4)))
+        R = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        try:
+            count = al_multiplicity_by_counting(n, k, R)
+        except NonGenericMatrixError:
+            continue
+        for a, b in combinations(combinations(range(n), k - 1), 2):
+            cols = sorted(set(a) | set(b))
+            assert rational_rank([[row[j] for j in cols] for row in R]) == k, (R, a, b)
+        assert count == comb(n, k - 1)
+        checked += 1
+
+
+def _products_germ(texts):
+    xyz = ("x", "y", "z")
+    return MapGerm(xyz, [parse_polynomial(t, xyz) for t in texts])
+
+
+def test_discriminant_without_divisorial_part():
+    """(x z, y z) eliminates to (s2, s1): the origin alone, no reduced
+    generator, so no multiplicity."""
+    d = discriminant(_products_germ(("x*z", "y*z")))
+    assert [format_polynomial(g) for g in d.ideal.generators] == ["s2", "s1"]
+    assert d.reduced_generator is None
+    assert d.note == "eliminated ideal has no divisorial part"
+    with pytest.raises(PolyError):
+        multiplicity_at_origin(d)
+
+
+def test_discriminant_reduced_from_the_gcd():
+    """(x^2, x y z) eliminates to (s2^2, s1 s2), whose gcd s2 is reduced."""
+    d = discriminant(_products_germ(("x^2", "x*y*z")))
+    assert [format_polynomial(g) for g in d.ideal.generators] == ["s2^2", "s1*s2"]
+    assert format_polynomial(d.reduced_generator) == "s2"
+    assert d.note == "reduced generator from gcd of 2 generators"
+    assert multiplicity_at_origin(d) == 1
 
 
 def test_elimination_budget_propagates():
