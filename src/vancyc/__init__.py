@@ -31,7 +31,7 @@ from .steinberg import (SteinbergMap, SubregularSliceReport, casimir_components_
                         jacobian_rank_at, steinberg_discriminant_multiplicity,
                         steinberg_kks, steinberg_map, subregular_slice_check)
 from .suite import run_paper_suite
-from .symplectic import (MapGerm, PoissonStructure, SymplecticContext,
-                         casimir_check, jacobi_check, poisson_bracket)
+from .symplectic import (MapGerm, PoissonStructure, casimir_check, jacobi_check,
+                         poisson_bracket)
 
 __version__ = "0.1.0"

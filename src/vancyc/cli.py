@@ -47,7 +47,7 @@ def _emit(report: Report, notes: bool) -> int:
 
 def cmd_bracket(args) -> int:
     gf = load_germ_file(args.file)
-    ctx = gf.context()
+    structure = gf.context()
     k = len(gf.components)
     for idx in (args.i, args.j):
         if not 1 <= idx <= k:
@@ -55,7 +55,7 @@ def cmd_bracket(args) -> int:
                   file=sys.stderr)
             return 2
     bracket = poisson_bracket(gf.components[args.i - 1],
-                              gf.components[args.j - 1], ctx)
+                              gf.components[args.j - 1], structure)
     print(format_polynomial(bracket))
     return 0
 

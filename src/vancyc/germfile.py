@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .poly import PolyParseError, Polynomial, parse_polynomial
-from .symplectic import MapGerm, SymplecticContext
+from .symplectic import MapGerm, PoissonStructure
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEY = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_-]*)\s*:")
@@ -44,15 +44,16 @@ class GermFile:
     symplectic_pairs: tuple[tuple[str, str], ...] | None
     components: tuple[Polynomial, ...]
 
-    def context(self) -> SymplecticContext:
+    def context(self) -> PoissonStructure:
+        """The canonical Poisson structure of the declared pairing, the
+        bracket `vancyc bracket` takes; an error if the file has none."""
         if self.symplectic_pairs is None:
             raise GermFileError(
                 f"{self.source_name} declares no symplectic pairing", 1, 1)
-        return SymplecticContext.from_pairs(self.symplectic_pairs)
+        return PoissonStructure.from_pairs(self.variables, self.symplectic_pairs)
 
     def to_map_germ(self) -> MapGerm:
-        ctx = self.context() if self.symplectic_pairs is not None else None
-        return MapGerm(self.variables, self.components, ctx)
+        return MapGerm(self.variables, self.components)
 
 
 def _fields(line: str, lineno: int) -> tuple[str, str, int] | None:

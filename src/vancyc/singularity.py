@@ -20,7 +20,7 @@ from .groebner import DEFAULT_PAIR_LIMIT, IdealBasis, eliminate, quotient_dimens
 from .poly import (PolyError, Polynomial, determinant_fraction_free,
                    gcd_polynomials, normalized, rational_rank,
                    squarefree_part_bivariate, variables)
-from .symplectic import MapGerm, SymplecticContext
+from .symplectic import MapGerm
 
 
 class NonIsolatedSingularityError(PolyError):
@@ -186,7 +186,8 @@ def _check_generic(R: Sequence[Sequence[Fraction]], n: int, k: int):
 
 def action_coordinates_germ(n: int, k: int,
                             R: Sequence[Sequence[Fraction]]) -> MapGerm:
-    """The germ R o (p_1 q_1, ..., p_n q_n) on C^{2n} with its symplectic context."""
+    """The germ R o (p_1 q_1, ..., p_n q_n) on C^{2n} = (q1, p1, ..., qn, pn),
+    whose components commute under the canonical pairing (q_i, p_i)."""
     rows = _check_generic(R, n, k)
     ambient = tuple(x for i in range(1, n + 1) for x in (f"q{i}", f"p{i}"))
     gen = variables(ambient)
@@ -197,9 +198,7 @@ def action_coordinates_germ(n: int, k: int,
         for j in range(n):
             c = c + products[j].scale(rows[i][j])
         comps.append(c)
-    ctx = SymplecticContext.from_pairs(
-        [(f"q{i}", f"p{i}") for i in range(1, n + 1)])
-    return MapGerm(ambient, comps, ctx)
+    return MapGerm(ambient, comps)
 
 
 def al_multiplicity_by_counting(n: int, k: int,

@@ -42,7 +42,7 @@ from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
 from .steinberg import (SubregularSliceReport, casimir_components_check,
                         jacobian_rank_at, steinberg_discriminant_multiplicity,
                         steinberg_kks, steinberg_map, subregular_slice_check)
-from .symplectic import MapGerm, SymplecticContext, poisson_bracket
+from .symplectic import MapGerm, PoissonStructure, poisson_bracket
 
 # ---------------------------------------------------------------------------
 # The worked-example germs, defined once for the suite, the CLI fixtures and
@@ -61,9 +61,8 @@ AL_MATRICES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {
 
 def basic_germ() -> MapGerm:
     """(p1 q1, p2): the simplest involutive germ with a smooth discriminant line."""
-    ctx = SymplecticContext.from_pairs(_C4_PAIRS)
     comps = (parse_polynomial("p1*q1", _C4), parse_polynomial("p2", _C4))
-    return MapGerm(_C4, comps, ctx)
+    return MapGerm(_C4, comps)
 
 
 def henon_heiles_germ() -> MapGerm:
@@ -73,10 +72,9 @@ def henon_heiles_germ() -> MapGerm:
     bracket convention used here; the commonly printed sign variant
     q1^4 - 4 q1^2 q2^2 + 4 p1 (q1 p2 - q2 p1) does not commute with H1.
     """
-    ctx = SymplecticContext.from_pairs(_C4_PAIRS)
     h1 = parse_polynomial("p1^2+p2^2-4*q2^3-2*q1^2*q2", _C4)
     h2 = parse_polynomial("q1^4+4*q1^2*q2^2-4*p1*(q1*p2-q2*p1)", _C4)
-    return MapGerm(_C4, (h1, h2), ctx)
+    return MapGerm(_C4, (h1, h2))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +186,9 @@ def fold_results(label: str, name: str) -> list[CheckResult]:
 
 def check_involutivity() -> CheckResult:
     """Both model germs have Poisson-commuting components."""
-    results = []
-    for germ in (basic_germ(), henon_heiles_germ()):
-        f, g = germ.components
-        results.append(poisson_bracket(f, g, germ.context))
+    structure = PoissonStructure.from_pairs(_C4, _C4_PAIRS)
+    results = [poisson_bracket(*germ.components, structure)
+               for germ in (basic_germ(), henon_heiles_germ())]
     got = ";".join(format_value(b) for b in results)
     return check("involutivity", "0;0", got)
 
@@ -226,7 +223,7 @@ def check_discriminant_al6(budget: int) -> CheckResult:
                            f"mult={al_multiplicity_by_counting(3, 2, R)}",
                            note=("elimination stopped after "
                                  f"{exc.pairs_processed} S-pairs; "
-                                 "hyperplane counting path used instead"))
+                                 "mult is C(3,1) by construction"))
 
 
 def check_al_binomial(budget: int) -> CheckResult:
@@ -251,8 +248,8 @@ def check_al_binomial(budget: int) -> CheckResult:
         status = SKIPPED_BUDGET
     else:
         status = PASS
-    note = "k=2 cases eliminated; k=3 case counted" if not exhausted else \
-        "elimination budget exhausted; all cases counted"
+    note = "k=2 cases eliminated; k=3 value is C(4,2) by construction" if not exhausted \
+        else "elimination budget exhausted; every value is C(n,k-1) by construction"
     return CheckResult("arnold-liouville-binomial", status, expected, values, note=note)
 
 

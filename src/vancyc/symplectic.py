@@ -1,16 +1,16 @@
-"""The canonical bracket, Poisson structures, the Jacobi audit and Casimirs.
+"""Poisson structures, their one bracket, the Jacobi audit and Casimirs.
 
-Sign convention of the canonical bracket, fixed once here and used
-everywhere else:
+A Poisson bracket is given by its matrix Pi_ij = {x_i, x_j} on the ambient
+coordinates, and every bracket is
 
-  {f, g} = sum_l  d_{q_l} f * d_{p_l} g  -  d_{p_l} f * d_{q_l} g
+  {f, g} = sum_ij Pi_ij d_i f d_j g.
 
-A general (polynomial) bracket is given by its matrix Pi_ij = {x_i, x_j}
-on the ambient coordinates.  One contraction, {x_i, g} = sum_j Pi_ij d_j g,
-gives the Jacobi audit {x_i, Pi_jk} + {x_j, Pi_ki} + {x_k, Pi_ij} = 0 (the
-coordinate form of [Pi, Pi] = 0; Weinstein, J. Diff. Geom. 18, 1983) and
-the Casimir test, every {x_i, c} zero; `steinberg` audits the Lie-Poisson
-matrix with them.
+The canonical structure of a pairing (q_l, p_l) has Pi(q_l, p_l) = 1, so
+{f, g} = sum_l d_{q_l} f d_{p_l} g - d_{p_l} f d_{q_l} g; `steinberg` builds
+the Lie-Poisson matrix.  One contraction, {x_i, g} = sum_j Pi_ij d_j g,
+gives the bracket, the Jacobi audit {x_i, Pi_jk} + {x_j, Pi_ki} +
+{x_k, Pi_ij} = 0 (the coordinate form of [Pi, Pi] = 0; Weinstein, J. Diff.
+Geom. 18, 1983) and the Casimir test, every {x_i, c} zero.
 """
 
 from __future__ import annotations
@@ -23,42 +23,15 @@ from .poly import AmbientMismatchError, PolyError, Polynomial
 
 
 @dataclass(frozen=True)
-class SymplecticContext:
-    """Conjugate variable pairs (q_l, p_l) spanning the ambient C^{2n}."""
-
-    q_names: tuple[str, ...]
-    p_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.q_names) != len(self.p_names):
-            raise PolyError("q and p lists must have equal length")
-        seen = self.q_names + self.p_names
-        if len(set(seen)) != len(seen):
-            raise PolyError("symplectic pairing reuses a variable")
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[str, str]]) -> "SymplecticContext":
-        return cls(tuple(q for q, _ in pairs), tuple(p for _, p in pairs))
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.q_names, self.p_names))
-
-    def check_ambient(self, ambient: Sequence[str]):
-        missing = (set(self.q_names) | set(self.p_names)) - set(ambient)
-        if missing:
-            raise AmbientMismatchError(
-                f"ambient is missing symplectic variables {sorted(missing)}")
-
-
-@dataclass(frozen=True)
 class MapGerm:
-    """A polynomial map germ (C^m, 0) -> (C^k, 0); components vanish at 0."""
+    """A polynomial map germ (C^m, 0) -> (C^k, 0); components vanish at 0.
+    The bracket its components are tested under is a `PoissonStructure`
+    passed beside it, not part of the germ."""
 
     ambient: tuple[str, ...]
     components: tuple[Polynomial, ...]
-    context: SymplecticContext | None = None
 
-    def __init__(self, ambient, components, context=None):
+    def __init__(self, ambient, components):
         ambient = tuple(ambient)
         components = tuple(components)
         if not components:
@@ -69,11 +42,8 @@ class MapGerm:
             if c.constant_term():
                 raise PolyError(
                     f"component {c} does not vanish at the origin")
-        if context is not None:
-            context.check_ambient(ambient)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "context", context)
 
     @property
     def k(self) -> int:
@@ -82,19 +52,6 @@ class MapGerm:
     @property
     def m(self) -> int:
         return len(self.ambient)
-
-
-def poisson_bracket(f: Polynomial, g: Polynomial,
-                    context: SymplecticContext) -> Polynomial:
-    """Canonical bracket of two polynomials over the same ambient."""
-    if f.ambient != g.ambient:
-        raise AmbientMismatchError("bracket arguments disagree on ambient")
-    context.check_ambient(f.ambient)
-    out = Polynomial.zero(f.ambient)
-    for q, p in context.pairs():
-        out = out + (f.partial_derivative(q) * g.partial_derivative(p)
-                     - f.partial_derivative(p) * g.partial_derivative(q))
-    return out
 
 
 @dataclass(frozen=True)
@@ -123,6 +80,28 @@ class PoissonStructure:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def from_pairs(cls, ambient: Sequence[str],
+                   pairs: Sequence[tuple[str, str]]) -> "PoissonStructure":
+        """The canonical structure of conjugate pairs (q_l, p_l):
+        Pi(q_l, p_l) = 1, Pi(p_l, q_l) = -1, every other entry zero, so an
+        unpaired variable is a Casimir."""
+        ambient = tuple(ambient)
+        names = [x for pair in pairs for x in pair]
+        if len(set(names)) != len(names):
+            raise PolyError("symplectic pairing reuses a variable")
+        missing = set(names) - set(ambient)
+        if missing:
+            raise AmbientMismatchError(
+                f"ambient is missing symplectic variables {sorted(missing)}")
+        zero = Polynomial.zero(ambient)
+        one = Polynomial.constant(ambient, 1)
+        rows = [[zero] * len(ambient) for _ in ambient]
+        for q, p in pairs:
+            i, j = ambient.index(q), ambient.index(p)
+            rows[i][j], rows[j][i] = one, -one
+        return cls(ambient, rows)
+
 
 def _flow(g: Polynomial, structure: PoissonStructure) -> list[Polynomial]:
     """[{x_i, g} for each coordinate x_i], each sum_j Pi_ij d_j g over the
@@ -134,6 +113,16 @@ def _flow(g: Polynomial, structure: PoissonStructure) -> list[Polynomial]:
     zero = Polynomial.zero(ambient)
     return [sum((row[j] * d for j, d in dg if row[j]), zero)
             for row in structure.matrix]
+
+
+def poisson_bracket(f: Polynomial, g: Polynomial,
+                    structure: PoissonStructure) -> Polynomial:
+    """{f, g} = sum_i d_i f {x_i, g} for two polynomials over the
+    structure's ambient."""
+    if f.ambient != g.ambient:
+        raise AmbientMismatchError("bracket arguments disagree on ambient")
+    pairs = zip(map(f.partial_derivative, f.ambient), _flow(g, structure))
+    return sum((df * h for df, h in pairs if df and h), Polynomial.zero(f.ambient))
 
 
 def jacobi_check(structure: PoissonStructure) -> bool:

@@ -35,6 +35,32 @@ def test_bracket_requires_symplectic_block(capsys, germs_dir):
     assert "no symplectic pairing" in err[0]
 
 
+# stdout of `bracket FILE i j` for every ordered pair of components of each
+# bundled germ file with a pairing; only {q1, p1} is nonzero
+BRACKET_PINS = {
+    "al6.germ": {(1, 1): "0", (1, 2): "0", (2, 1): "0", (2, 2): "0"},
+    "basic.germ": {(1, 1): "0", (1, 2): "0", (2, 1): "0", (2, 2): "0"},
+    "canonical_pair.germ": {(1, 1): "0", (1, 2): "1", (2, 1): "-1", (2, 2): "0"},
+    "henon_heiles.germ": {(1, 1): "0", (1, 2): "0", (2, 1): "0", (2, 2): "0"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_PINS))
+def test_bracket_pins(capsys, germs_dir, name):
+    """The bracket of every ordered pair of components, exit 0, no stderr."""
+    for (i, j), want in BRACKET_PINS[name].items():
+        code, out, err = run(capsys, "bracket", str(germs_dir / name), str(i), str(j))
+        assert (code, out, err) == (0, [want], []), (name, i, j)
+
+
+def test_bracket_pin_without_a_pairing(capsys, germs_dir):
+    """fold.germ declares no pairing: exit 2 and one positioned error line."""
+    path = germs_dir / "fold.germ"
+    code, out, err = run(capsys, "bracket", str(path), "1", "1")
+    assert (code, out) == (2, [])
+    assert err == [f"error: line 1, column 1: {path} declares no symplectic pairing"]
+
+
 def test_discriminant_file_mode(capsys, germs_dir):
     """Full elimination output: target, generators, reduced form, multiplicity."""
     code, out, err = run(capsys, "discriminant", str(germs_dir / "basic.germ"))

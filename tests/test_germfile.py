@@ -22,17 +22,14 @@ def test_parse_good_text():
     assert gf.variables == ("q1", "p1", "q2", "p2")
     assert gf.symplectic_pairs == (("q1", "p1"), ("q2", "p2"))
     assert [format_polynomial(c, compact=True) for c in gf.components] == ["q1*p1", "p2"]
-    germ = gf.to_map_germ()
-    assert germ.context is not None
-    assert poisson_bracket(*germ.components, germ.context).is_zero()
+    assert poisson_bracket(*gf.components, gf.context()).is_zero()
 
 
 def test_symplectic_pairing_is_optional():
-    """Files without a pairing still load; the germ has no context, and
-    asking for one is an error placed at line 1, column 1."""
+    """Files without a pairing still load, and asking for their Poisson
+    structure is an error placed at line 1, column 1."""
     gf = parse_germ_text("vars: x y\ncomponent: x*y\n")
     assert gf.symplectic_pairs is None
-    assert gf.to_map_germ().context is None
     with pytest.raises(GermFileError) as exc:
         gf.context()
     assert (exc.value.line, exc.value.column) == (1, 1)
@@ -82,11 +79,11 @@ def test_load_bundled_fixtures(germs_dir):
 def test_bundled_pairs_commute(germs_dir):
     """The integrable fixtures really are pairwise in involution."""
     for name in ("basic.germ", "henon_heiles.germ", "al6.germ"):
-        germ = load_germ_file(germs_dir / name).to_map_germ()
-        comps = germ.components
+        gf = load_germ_file(germs_dir / name)
+        comps, structure = gf.components, gf.context()
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
-                bracket = poisson_bracket(comps[i], comps[j], germ.context)
+                bracket = poisson_bracket(comps[i], comps[j], structure)
                 assert bracket.is_zero(), (name, i + 1, j + 1, bracket)
 
 

@@ -1,4 +1,4 @@
-"""The canonical bracket, Poisson structures, the Jacobi audit and Casimirs."""
+"""Poisson structures, the bracket, the Jacobi audit and Casimirs."""
 
 import random
 from fractions import Fraction
@@ -13,14 +13,14 @@ from vancyc.steinberg import steinberg_kks, steinberg_map
 from vancyc.symplectic import (
     MapGerm,
     PoissonStructure,
-    SymplecticContext,
     casimir_check,
     jacobi_check,
     poisson_bracket,
 )
 
 AMB = ("q1", "p1", "q2", "p2", "q3", "p3")
-CTX = SymplecticContext.from_pairs([("q1", "p1"), ("q2", "p2"), ("q3", "p3")])
+PAIRS = (("q1", "p1"), ("q2", "p2"), ("q3", "p3"))
+CANONICAL = PoissonStructure.from_pairs(AMB, PAIRS)
 
 
 def _rand(rng, max_terms=4):
@@ -28,11 +28,11 @@ def _rand(rng, max_terms=4):
 
 
 def _canonical_structure():
-    """The constant matrix of the canonical bracket: Pi(q_l, p_l) = 1."""
+    """The constant matrix of the canonical bracket, by hand: Pi(q_l, p_l) = 1."""
     zero = Polynomial.zero(AMB)
     one = Polynomial.constant(AMB, 1)
     rows = [[zero] * len(AMB) for _ in AMB]
-    for q, p in CTX.pairs():
+    for q, p in PAIRS:
         i, j = AMB.index(q), AMB.index(p)
         rows[i][j], rows[j][i] = one, -one
     return PoissonStructure(AMB, rows)
@@ -44,9 +44,9 @@ def test_bracket_antisymmetry_and_bilinearity():
     for _ in range(8):
         f, g, h = _rand(rng), _rand(rng), _rand(rng)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        assert poisson_bracket(f, g, CTX) == -poisson_bracket(g, f, CTX)
-        assert (poisson_bracket(f.scale(c) + g, h, CTX)
-                == poisson_bracket(f, h, CTX).scale(c) + poisson_bracket(g, h, CTX))
+        assert poisson_bracket(f, g, CANONICAL) == -poisson_bracket(g, f, CANONICAL)
+        assert (poisson_bracket(f.scale(c) + g, h, CANONICAL)
+                == poisson_bracket(f, h, CANONICAL).scale(c) + poisson_bracket(g, h, CANONICAL))
 
 
 def test_bracket_leibniz():
@@ -54,8 +54,8 @@ def test_bracket_leibniz():
     rng = random.Random(9)
     for _ in range(6):
         f, g, h = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
-        assert (poisson_bracket(f * g, h, CTX)
-                == f * poisson_bracket(g, h, CTX) + g * poisson_bracket(f, h, CTX))
+        assert (poisson_bracket(f * g, h, CANONICAL)
+                == f * poisson_bracket(g, h, CANONICAL) + g * poisson_bracket(f, h, CANONICAL))
 
 
 def test_bracket_jacobi_randomized():
@@ -63,9 +63,9 @@ def test_bracket_jacobi_randomized():
     rng = random.Random(29)
     for _ in range(5):
         f, g, h = _rand(rng, 3), _rand(rng, 3), _rand(rng, 3)
-        total = (poisson_bracket(f, poisson_bracket(g, h, CTX), CTX)
-                 + poisson_bracket(g, poisson_bracket(h, f, CTX), CTX)
-                 + poisson_bracket(h, poisson_bracket(f, g, CTX), CTX))
+        total = (poisson_bracket(f, poisson_bracket(g, h, CANONICAL), CANONICAL)
+                 + poisson_bracket(g, poisson_bracket(h, f, CANONICAL), CANONICAL)
+                 + poisson_bracket(h, poisson_bracket(f, g, CANONICAL), CANONICAL))
         assert total.is_zero()
 
 
@@ -73,12 +73,12 @@ def test_bracket_goldens():
     """{q_i, p_j} = delta_ij and disjoint pairs commute."""
     q1, p1, q2, p2, q3, p3 = variables(AMB)
     one = Polynomial.constant(AMB, 1)
-    assert poisson_bracket(q1, p1, CTX) == one
-    assert poisson_bracket(q1, p2, CTX).is_zero()
-    assert poisson_bracket(q1, q2, CTX).is_zero()
+    assert poisson_bracket(q1, p1, CANONICAL) == one
+    assert poisson_bracket(q1, p2, CANONICAL).is_zero()
+    assert poisson_bracket(q1, q2, CANONICAL).is_zero()
     f = q1 * q1 * p1
     g = q2 * p2 * p2 + q3
-    assert poisson_bracket(f, g, CTX).is_zero()
+    assert poisson_bracket(f, g, CANONICAL).is_zero()
 
 
 def test_canonical_structure_matches_direct_bracket():
@@ -87,8 +87,53 @@ def test_canonical_structure_matches_direct_bracket():
     structure = _canonical_structure()
     for _ in range(6):
         f, g = _rand(rng, 3), _rand(rng, 3)
-        assert reference_bracket(f, g, structure) == poisson_bracket(f, g, CTX)
+        assert reference_bracket(f, g, structure) == poisson_bracket(f, g, CANONICAL)
     assert jacobi_check(structure)
+
+
+def test_from_pairs_builds_the_canonical_matrix():
+    """from_pairs equals the hand-built matrix; an unpaired variable gets a
+    zero row and column; a reused variable and a pair outside the ambient
+    are refused."""
+    assert CANONICAL == _canonical_structure()
+    amb = ("q1", "p1", "z")
+    structure = PoissonStructure.from_pairs(amb, [("q1", "p1")])
+    one = Polynomial.constant(amb, 1)
+    assert structure.matrix[0][1] == one and structure.matrix[1][0] == -one
+    assert not any(structure.matrix[2]) and not any(row[2] for row in structure.matrix)
+    assert casimir_check(Polynomial.variable(amb, "z"), structure)
+    with pytest.raises(PolyError, match="reuses a variable"):
+        PoissonStructure.from_pairs(amb, [("q1", "p1"), ("p1", "z")])
+    with pytest.raises(PolyError, match="reuses a variable"):
+        PoissonStructure.from_pairs(amb, [("q1", "q1")])
+    with pytest.raises(AmbientMismatchError, match=r"\['w'\]"):
+        PoissonStructure.from_pairs(amb, [("q1", "p1"), ("z", "w")])
+
+
+def test_bracket_on_the_lie_poisson_structure():
+    """On sl_3's Lie-Poisson structure the bracket is the coordinate formula
+    on seeded polynomials, and every characteristic coefficient brackets to
+    zero with every coordinate."""
+    s = steinberg_map(2)
+    structure = steinberg_kks(s)
+    rng = random.Random(71)
+    for _ in range(6):
+        f, g = (random_polynomial(rng, s.ambient, max_terms=3, max_exp=2)
+                for _ in range(2))
+        assert poisson_bracket(f, g, structure) == reference_bracket(f, g, structure)
+    for x in variables(s.ambient):
+        for c in s.components:
+            assert poisson_bracket(x, c, structure).is_zero()
+
+
+def test_bracket_rejects_a_foreign_ambient():
+    """Arguments over different ambients, or over one the structure does not
+    share, are errors."""
+    q1 = Polynomial.variable(("q1", "p1"), "q1")
+    with pytest.raises(AmbientMismatchError):
+        poisson_bracket(q1, Polynomial.variable(AMB, "q1"), CANONICAL)
+    with pytest.raises(AmbientMismatchError):
+        poisson_bracket(q1, q1, CANONICAL)
 
 
 def test_structure_requires_antisymmetry():
