@@ -336,8 +336,8 @@ def radical_membership(p: Polynomial, ideal: IdealBasis,
         return True
     t = _fresh_name("t", ideal.ambient)
     ambient = ideal.ambient + (t,)
-    gens = [g.extend(ambient) for g in ideal.generators]
-    tp = Polynomial.variable(ambient, t) * p.extend(ambient)
+    gens = [g.over(ambient) for g in ideal.generators]
+    tp = Polynomial.variable(ambient, t) * p.over(ambient)
     gens.append(Polynomial.constant(ambient, 1) - tp)
     gb = buchberger(IdealBasis(ambient, gens), grevlex_key, max_pairs)
     return gb.contains_one()
@@ -354,13 +354,13 @@ def eliminate(ideal: IdealBasis, drop: Sequence[str],
     kept = tuple(v for v in ideal.ambient if v not in drop_set)
     reordered = IdealBasis(
         tuple(front) + kept,
-        [g.reorder(tuple(front) + kept) for g in ideal.generators])
+        [g.over(tuple(front) + kept) for g in ideal.generators])
     gb = buchberger(reordered, elimination_key(len(front)), max_pairs)
     nfront = len(front)
     out = []
     for g in gb.elements:
         if all(all(e == 0 for e in exps[:nfront]) for exps in g.terms):
-            out.append(g.restrict(kept))
+            out.append(g.over(kept))
     return IdealBasis(kept, out)
 
 

@@ -31,9 +31,12 @@ The reducer of each term comes from a divisor index (`_DivisorIndex`): for
 each variable v and exponent k, a bitset (a Python int) of the divisors
 whose lead has e_v <= k.  The AND of one such bitset per variable is the
 set of leads dividing a monomial, and its lowest bit is the first divisor,
-the one a linear scan would pick.  An index is built once per list of
-divisors, or kept across divisions by a caller whose divisor list only
-grows, as a Buchberger run does.
+the one a linear scan would pick.  `divmod_polynomials` takes a list of
+divisors and indexes it on entry; a Buchberger run keeps one index across
+its normal forms and appends to it as its basis grows.
+
+`Polynomial.over` is the one change of ambient: it reorders, adds and
+drops variables, and refuses to drop one in use.
 """
 
 from __future__ import annotations
@@ -357,40 +360,22 @@ class Polynomial:
 
     # ---- ambient surgery -------------------------------------------------
 
-    def extend(self, new_ambient: Sequence[str]) -> "Polynomial":
-        """Re-express over a larger ambient that contains the current one."""
-        new_ambient = tuple(new_ambient)
-        pos = []
-        for v in self.ambient:
-            if v not in new_ambient:
-                raise PolyError(f"extend target is missing variable '{v}'")
-            pos.append(new_ambient.index(v))
-        out = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(new_ambient)
-            for p, k in zip(pos, exps):
-                e[p] = k
-            out[tuple(e)] = c
-        return Polynomial(new_ambient, out)
-
-    def restrict(self, new_ambient: Sequence[str]) -> "Polynomial":
-        """Re-express over a sub-ambient; dropped variables must be absent."""
-        new_ambient = tuple(new_ambient)
-        eff = set(self.effective_variables())
-        missing = eff - set(new_ambient)
+    def over(self, ambient: Sequence[str]) -> "Polynomial":
+        """Re-express over another ambient that holds every variable in use:
+        the order may change, new variables get exponent 0, and unused
+        ones may be dropped."""
+        ambient = tuple(ambient)
+        if len(set(ambient)) != len(ambient):
+            raise PolyError(f"duplicate variable in ambient {ambient}")
+        missing = set(self.effective_variables()) - set(ambient)
         if missing:
-            raise PolyError(f"cannot drop variables still in use: {sorted(missing)}")
-        pos = [self.ambient.index(v) for v in new_ambient]
-        out = {}
-        for exps, c in self.terms.items():
-            out[tuple(exps[p] for p in pos)] = c
-        return Polynomial(new_ambient, out)
-
-    def reorder(self, new_ambient: Sequence[str]) -> "Polynomial":
-        """Same variables, new order."""
-        if set(new_ambient) != set(self.ambient):
-            raise PolyError("reorder must use exactly the same variables")
-        return self.restrict(new_ambient)
+            raise PolyError(f"ambient {ambient} lacks variables in use: {sorted(missing)}")
+        # a new variable reads slot n, the 0 padded onto each exponent tuple;
+        # every used variable keeps its exponent, so no two terms meet
+        n = len(self.ambient)
+        pos = [self.ambient.index(v) if v in self.ambient else n for v in ambient]
+        return Polynomial._trusted(ambient, {tuple(map((e + (0,)).__getitem__, pos)): c
+                                             for e, c in self.terms.items()})
 
     def coefficient_in(self, var: str, degree: int) -> "Polynomial":
         """Coefficient of var**degree, as a polynomial with var removed."""
@@ -627,9 +612,9 @@ def parse_polynomial(text: str, ambient: Sequence[str]) -> Polynomial:
 class _DivisorIndex:
     """Divisors prepared once for repeated division under one order key.
 
-    Each divisor d is held as a primitive integer polynomial g, with
-    d = factor * g: g has integer coefficients whose gcd is 1 and a
-    positive lead coefficient, and `factors` keeps the Fraction factor.
+    Each divisor d is held as a primitive integer polynomial g, a rational
+    multiple of d with integer coefficients whose gcd is 1 and a positive
+    lead coefficient; d is g times the ratio of their lead coefficients.
     g's lead exponents, lead coefficient and tail (a list of (exponents,
     int) pairs) are taken once.  For each variable v, `below[v][k]` is the
     bitset (a Python int, bit i for divisor i) of the divisors whose lead
@@ -640,8 +625,7 @@ class _DivisorIndex:
     division may use: every divisor appended, unless a caller narrows it.
     """
 
-    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "factors", "below",
-                 "live")
+    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "below", "live")
 
     def __init__(self, ambient: tuple[str, ...], key,
                  divisors: Iterable[Polynomial] = ()):
@@ -650,7 +634,6 @@ class _DivisorIndex:
         self.leads: list[tuple[int, ...]] = []
         self.coeffs: list[int] = []
         self.tails: list[list[tuple[tuple[int, ...], int]]] = []
-        self.factors: list[Fraction] = []
         self.below: list[list[int]] = [[] for _ in ambient]
         self.live = 0
         for d in divisors:
@@ -665,7 +648,7 @@ class _DivisorIndex:
             raise AmbientMismatchError(
                 f"divisor ambient {d.ambient} != dividend ambient {self.ambient}")
         de, dc = d.lead(self.key)
-        ints, den = _clear_denominators(d.terms)
+        ints, _ = _clear_denominators(d.terms)
         content = gcd(*ints.values())
         if dc < 0:
             content = -content
@@ -673,7 +656,6 @@ class _DivisorIndex:
         self.leads.append(de)
         self.coeffs.append(ints.pop(de) // content)
         self.tails.append([(fe, fc // content) for fe, fc in ints.items()])
-        self.factors.append(Fraction(content, den))
         for col, e in zip(self.below, de):
             if e >= len(col):
                 # the new entries cover every divisor so far, as past the end
@@ -769,28 +751,25 @@ def _over(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Pol
     return Polynomial._trusted(ambient, {e: Fraction(c * num, den) for e, c in terms.items()})
 
 
-def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial] | _DivisorIndex,
+def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
                        key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division under the order of `key`: p = sum(q_i *
     divisors_i) + r, no term of r divisible by any divisor lead monomial.
 
-    `divisors` is a list of polynomials or a `_DivisorIndex` prepared under
-    the same key; a list is indexed on entry.  Each term is reduced by the
-    first divisor whose lead divides it, so the result is that of the
-    division over Q; the work runs on integers in `_reduce`, and only the
-    quotients and the remainder are turned back into exact Fractions.
+    The divisors are indexed on entry.  Each term is reduced by the first
+    divisor whose lead divides it, so the result is that of the division
+    over Q; the work runs on integers in `_reduce`, against the primitive
+    integer form g_i of each divisor, and only the quotients and the
+    remainder are turned back into exact Fractions.  The integer quotient
+    of g_i becomes that of divisors_i through the ratio of their lead
+    coefficients.
     """
-    if isinstance(divisors, _DivisorIndex):
-        index = divisors
-        if index.key != key:
-            raise ValueError("divisor index was prepared under another order key")
-    else:
-        index = _DivisorIndex(p.ambient, key, divisors)
+    index = _DivisorIndex(p.ambient, key, divisors)
     quotients: dict[int, dict] = {}
     remainder, den = _reduce(p, index, quotients)
     zero = Polynomial._trusted(p.ambient, {})  # shared by every empty quotient
-    return ([_over(p.ambient, quotients[i], index.factors[i] * den) if i in quotients
-             else zero for i in range(len(index.leads))],
+    return ([_over(p.ambient, quotients[i], divisors[i].lead(key)[1] / index.coeffs[i] * den)
+             if i in quotients else zero for i in range(len(divisors))],
             _over(p.ambient, remainder, den))
 
 
@@ -873,10 +852,10 @@ def gcd_polynomials(p: Polynomial, q: Polynomial,
     from .groebner import IdealBasis, _fresh_name, buchberger, elimination_key
     ambient = (_fresh_name("t", p.ambient),) + p.ambient
     t = Polynomial.variable(ambient, ambient[0])
-    gens = [t * p.extend(ambient), (1 - t) * q.extend(ambient)]
+    gens = [t * p.over(ambient), (1 - t) * q.over(ambient)]
     basis = buchberger(IdealBasis(ambient, gens), elimination_key(1), max_pairs)
     (multiple,) = [g for g in basis.elements if not any(e[0] for e in g.terms)]
-    return normalized(exact_divide(p, exact_divide(multiple.restrict(p.ambient), q)))
+    return normalized(exact_divide(p, exact_divide(multiple.over(p.ambient), q)))
 
 
 def squarefree_part_bivariate(p: Polynomial,

@@ -68,12 +68,12 @@ def critical_ideal(germ: MapGerm) -> CriticalIdeal:
     ambient = germ.ambient + svars
     gens: list[Polynomial] = []
     for comp, s in zip(germ.components, svars):
-        gens.append(comp.extend(ambient) - Polynomial.variable(ambient, s))
+        gens.append(comp.over(ambient) - Polynomial.variable(ambient, s))
     jac = jacobian(germ)
     minors: list[Polynomial] = []
     for cols in combinations(range(m), k):
         sub = [[row[j] for j in cols] for row in jac]
-        minors.append(determinant_fraction_free(sub).extend(ambient))
+        minors.append(determinant_fraction_free(sub).over(ambient))
     seen = set()
     for minor in minors:
         if minor.is_zero():

@@ -83,7 +83,7 @@ def steinberg_map(r: int) -> SteinbergMap:
     for i in range(n):
         row = []
         for j in range(n):
-            e = -entries[i][j].extend(lam_ambient)
+            e = -entries[i][j].over(lam_ambient)
             if i == j:
                 e = e + lam
             row.append(e)
@@ -113,9 +113,8 @@ def steinberg_kks(s: SteinbergMap) -> PoissonStructure:
 
 
 def casimir_components_check(s: SteinbergMap, structure: PoissonStructure) -> bool:
-    """Every characteristic coefficient is a Casimir of the Lie-Poisson bracket."""
-    if structure.ambient != s.ambient:
-        raise PolyError("Poisson structure must live on the map's entry coordinates")
+    """Every characteristic coefficient is a Casimir of the Lie-Poisson
+    bracket; a structure over other coordinates raises AmbientMismatchError."""
     return all(casimir_check(c, structure) for c in s.components)
 
 
@@ -143,9 +142,9 @@ def steinberg_discriminant_multiplicity(r: int,
     polynomial lam^(r+1) + s_1 lam^(r-1) + ... + s_r, the discriminant of
     the A_r unfolding; each Buchberger run of `discriminant` (the
     elimination and the gcds of the squarefree part) is capped at
-    `max_pairs` S-pairs."""
-    if r not in (1, 2):
-        raise PolyError("only ranks 1 and 2 are supported")
+    `max_pairs` S-pairs.  Any rank r >= 1 is accepted."""
+    if r < 1:
+        raise PolyError("rank must be at least 1")
     return multiplicity_at_origin(discriminant(_ar_unfolding(r), max_pairs=max_pairs))
 
 

@@ -25,6 +25,7 @@ independent value.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 from typing import Sequence
 
@@ -342,7 +343,9 @@ def check_picard_lefschetz() -> CheckResult:
 
 
 def check_variation_matrix() -> CheckResult:
-    """W is triangular with -1 diagonal, det +-1, and S = W + W^T."""
+    """W is triangular with -1 diagonal, det +-1, S = W + W^T, and the
+    monodromy T_1...T_r of the Picard-Lefschetz reflections is -W^(-T) W,
+    checked without an inverse as W^T T_1...T_r = -W."""
     ok = True
     dets = []
     for label in _LATTICE_TYPES:
@@ -356,6 +359,8 @@ def check_variation_matrix() -> CheckResult:
         dets.append(det)
         ok = ok and det in (-1, 1)
         ok = ok and all(w[i][j] + w[j][i] == s[i][j] for i in range(r) for j in range(r))
+        monodromy = reduce(_matmul, (pl_reflection(lattice, i) for i in range(r)))
+        ok = ok and _matmul(_transpose(w), monodromy) == [[-x for x in row] for row in w]
     return check("variation-matrix", True, ok,
                  note="diagonals -1; dets " + ",".join(str(d) for d in dets))
 

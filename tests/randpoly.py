@@ -30,7 +30,7 @@ FRAMES = (("y",), ("z",), ("x", "y"), ("x", "z"), ("y", "z"), XYZ)
 def _factor(rng, frame):
     """A random non-constant factor in the frame's variables."""
     while True:
-        f = random_polynomial(rng, frame, max_terms=3, max_exp=2).extend(XYZ)
+        f = random_polynomial(rng, frame, max_terms=3, max_exp=2).over(XYZ)
         if not f.is_constant():
             return f
 

@@ -11,8 +11,8 @@ from vancyc import groebner
 from vancyc import suite as suite_module
 from vancyc.groebner import DEFAULT_PAIR_LIMIT
 from vancyc.report import FAIL, PASS, SKIPPED_BUDGET, format_value
-from vancyc.suite import (basic_germ, check_henon_heiles, check_weyl_orders,
-                          run_paper_suite)
+from vancyc.suite import (basic_germ, check_henon_heiles, check_variation_matrix,
+                          check_weyl_orders, run_paper_suite)
 
 EXPECTED_NAMES = [
     "involutivity",
@@ -153,8 +153,22 @@ def test_acceptance_picard_lefschetz(suite):
 
 
 def test_acceptance_variation_matrix(suite):
-    """Unipotent-triangular variation matrices with S = W + W^T."""
+    """Unipotent-triangular variation matrices with S = W + W^T, and the
+    monodromy of the reflections is -W^(-T) W."""
     _verdict(suite, "variation-matrix")
+
+
+def test_variation_gate_reads_the_reflections(monkeypatch):
+    """The gate multiplies the Picard-Lefschetz reflections: with each
+    replaced by its transpose, W^T T_1...T_r = -W fails and so does the
+    check."""
+    real = suite_module.pl_reflection
+
+    def transposed(lattice, i):
+        return [list(col) for col in zip(*real(lattice, i))]
+
+    monkeypatch.setattr(suite_module, "pl_reflection", transposed)
+    assert check_variation_matrix().status == FAIL
 
 
 def test_acceptance_folding_groups(suite):

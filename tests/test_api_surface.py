@@ -1,11 +1,12 @@
 """Every public name has a reader in the package.
 
 Each public module-level function, class and upper-case constant of
-`src/vancyc` must be read, as a name or as an attribute, by some module of
-the package other than `__init__`, so exporting a name does not count as
-using it.  The allowlist holds the names that only the benchmark still
-reads, each with the `perfbench/workloads.py` line that pins it; once that
-line goes, so does the entry.
+`src/vancyc`, and each public method and property of its classes, must be
+read, as a name or as an attribute, by some module of the package other
+than `__init__`, so exporting a name does not count as using it.  The
+allowlist holds the names that only the benchmark still reads, each with
+the `perfbench/workloads.py` line that pins it; once that line goes, so
+does the entry.
 """
 
 import ast
@@ -21,6 +22,7 @@ BENCHMARK_PINS = {
     "cartan_matrix": "c = monodromy.cartan_matrix(label)",
     "SUPPORTED_TYPES":
         'REFLECTION_TYPES = tuple(t for t in monodromy.SUPPORTED_TYPES if t != "A8")',
+    "is_empty": "if d.is_empty():",
 }
 
 
@@ -30,13 +32,17 @@ def _modules():
 
 
 def _public() -> set[str]:
-    """Module-level functions and classes not named with a leading
-    underscore, and module-level constants named in upper case."""
+    """Module-level functions and classes, and the methods and properties
+    of those classes, not named with a leading underscore, and module-level
+    constants named in upper case."""
     names = set()
     for tree in _modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    names.update(f.name for f in node.body
+                                 if isinstance(f, ast.FunctionDef))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(t.id for t in targets

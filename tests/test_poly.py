@@ -283,6 +283,23 @@ def test_coefficient_extraction():
     assert p.coefficient_in("x", 0) == parse_polynomial("y + 1", ("y",))
 
 
+def test_over_reorders_extends_and_restricts():
+    """over() keeps every term while it reorders the variables, adds a new
+    one and drops an unused one, and the way back gives p again; it refuses
+    an ambient that lacks a variable in use, and a duplicated ambient."""
+    p = parse_polynomial("3*x^2*z - x*z^3 - z + 1/2", AMB)
+    q = p.over(("z", "w", "x"))
+    assert q.ambient == ("z", "w", "x")
+    assert q == parse_polynomial("3*x^2*z - x*z^3 - z + 1/2", ("z", "w", "x"))
+    assert sorted(q.terms) == [(0, 0, 0), (1, 0, 0), (1, 0, 2), (3, 0, 1)]
+    assert all(type(c) is Fraction for c in q.terms.values())
+    assert q.over(AMB) == p
+    with pytest.raises(PolyError, match="lacks variables in use"):
+        p.over(("x", "y", "w"))
+    with pytest.raises(PolyError, match="duplicate"):
+        p.over(("x", "z", "x"))
+
+
 def test_copy_and_pickle_round_trips():
     """copy, deepcopy and pickle rebuild an equal polynomial with the same lead."""
     p = parse_polynomial("x^2*y - 3/2*y + 1", ("x", "y"))

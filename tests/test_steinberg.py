@@ -8,8 +8,8 @@ import pytest
 from brackets import reference_bracket
 from vancyc import steinberg
 from vancyc.groebner import ResourceLimitExceeded
-from vancyc.poly import (PolyError, Polynomial, determinant_fraction_free,
-                         parse_polynomial, rational_rank, rref)
+from vancyc.poly import (AmbientMismatchError, PolyError, Polynomial,
+                         determinant_fraction_free, parse_polynomial, rational_rank, rref)
 from vancyc.singularity import discriminant
 from vancyc.steinberg import (
     SteinbergMap,
@@ -135,7 +135,7 @@ def test_sl4_lie_poisson_structure_passes_its_audit():
     lam_amb = amb + ("lam",)
     lam = Polynomial.variable(lam_amb, "lam")
     char = determinant_fraction_free(
-        [[(lam if i == j else 0) - x[i][j].extend(lam_amb) for j in range(n)]
+        [[(lam if i == j else 0) - x[i][j].over(lam_amb) for j in range(n)]
          for i in range(n)])
     comps = tuple(char.coefficient_in("lam", d) for d in range(n - 2, -1, -1))
     s = SteinbergMap(n - 1, amb, tuple(map(tuple, x)), comps)
@@ -178,6 +178,14 @@ def test_components_are_casimirs():
     for r in (1, 2):
         s = steinberg_map(r)
         assert casimir_components_check(s, steinberg_kks(s))
+
+
+def test_casimir_check_refuses_a_foreign_structure():
+    """A structure over other coordinates than the map's entries is refused
+    with the bracket's own ambient error."""
+    s1, s2 = steinberg_map(1), steinberg_map(2)
+    with pytest.raises(AmbientMismatchError):
+        casimir_components_check(s1, steinberg_kks(s2))
 
 
 def test_jacobian_ranks():
@@ -244,12 +252,12 @@ def test_conjugation_invariance():
 
 
 def test_discriminant_multiplicities():
-    """Repeated-eigenvalue loci meet the origin with multiplicity 1 and 2;
-    rank 3 is refused."""
-    assert steinberg_discriminant_multiplicity(1) == 1
-    assert steinberg_discriminant_multiplicity(2) == 2
-    with pytest.raises(PolyError, match="ranks 1 and 2"):
-        steinberg_discriminant_multiplicity(3)
+    """Repeated-eigenvalue loci of lam^(r+1) + ... meet the origin with
+    multiplicity r for r = 1..4; rank 0 is refused."""
+    for r in range(1, 5):
+        assert steinberg_discriminant_multiplicity(r) == r
+    with pytest.raises(PolyError, match="at least 1"):
+        steinberg_discriminant_multiplicity(0)
 
 
 def test_discriminant_multiplicity_runs_under_the_pair_budget():
