@@ -25,12 +25,17 @@ those integer forms: each S-polynomial is built from two of them in one
 pass, with int coefficients, and `normal_form` reduces it with the
 fraction-free heap division of `poly._reduce`.  A nonzero remainder joins
 the index, which takes its content out.  The same index finds the
-redundant elements of the final basis, and inter-reduction divides each
-kept element by the index narrowed to the other kept ones.
-`quotient_dimension` counts standard monomials through an index of the
-reduced basis.  Besides these entry points, `buchberger` serves
-`poly.gcd_polynomials`, which reads lcm(p, q) off the basis of
-(t*p, (1 - t)*q) under `elimination_key(1)`.
+minimal elements of the final basis, whose leads are the leads of the
+reduced basis, and the `GroebnerBasis` a run returns keeps both.  It
+inter-reduces only where it is read: its `elements`, the reduced basis,
+are built on first read, and each divides a minimal element by the index
+narrowed to the other minimal ones.  `quotient_dimension` reads only the
+leads (Macaulay's basis theorem) and counts standard monomials through the
+run's own index, so a Milnor number reduces no basis element.  `eliminate`
+reduces only the elements free of the eliminated block, which form the
+reduced basis of the elimination ideal.  Besides these entry points,
+`buchberger` serves `poly.gcd_polynomials`, which reads lcm(p, q) off the
+basis of (t*p, (1 - t)*q) under `elimination_key(1)`, the same way.
 """
 
 from __future__ import annotations
@@ -38,13 +43,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd
 from operator import add, itemgetter, sub
 from typing import Callable, Sequence
 
 from .poly import (DEFAULT_PAIR_LIMIT, AmbientMismatchError, PolyError, Polynomial,
-                   _DivisorIndex, _over, _reduce, grevlex_key)
+                   _DivisorIndex, _divided, _reduce, grevlex_key)
 # not called here: perfbench/tracer.py times division under this module's name
 from .poly import divmod_polynomials  # noqa: F401
 
@@ -92,17 +97,73 @@ class IdealBasis:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, inter-reduced, deterministically sorted."""
+    """Groebner basis of one Buchberger run, reduced only where it is read.
 
-    ambient: tuple[str, ...]
-    key: Callable[[Sequence[int]], tuple[int, ...]]
-    elements: tuple[Polynomial, ...]
-    pairs_processed: int = 0
+    It keeps the run's divisor index and `_minimalize`'s bitset of the
+    elements whose leads are minimal.  `leads` are those leads in key order,
+    which are the leads of the reduced basis.  `elements` is the reduced
+    basis, monic, inter-reduced and sorted by key; it is built on first read
+    and memoized.  `free_of(front)` is the part of it whose leads are free
+    of the first `front` variables, and reduces only that part.  Two bases
+    are equal when their ambients, keys, reduced elements and pair counts
+    are.
+    """
+
+    __slots__ = ("ambient", "key", "pairs_processed", "_index", "_minimal", "_elements")
+
+    def __init__(self, ambient: tuple[str, ...], key: Callable[[Sequence[int]], tuple[int, ...]],
+                 index: _DivisorIndex, keep: int, pairs_processed: int = 0):
+        minimal = [i for i in range(len(index.leads)) if keep >> i & 1]
+        minimal.sort(key=lambda i: key(index.leads[i]))
+        for name, value in (("ambient", ambient), ("key", key),
+                            ("pairs_processed", pairs_processed), ("_index", index),
+                            ("_minimal", minimal), ("_elements", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GroebnerBasis is immutable")
+
+    @property
+    def leads(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._index.leads[i] for i in self._minimal)
+
+    @property
+    def elements(self) -> tuple[Polynomial, ...]:
+        if self._elements is None:
+            object.__setattr__(self, "_elements",
+                               tuple(_interreduce(self._index, self._minimal, self._minimal)))
+        return self._elements
+
+    def free_of(self, front: int) -> tuple[Polynomial, ...]:
+        """The reduced elements whose leads are free of the first `front`
+        variables, in key order.  Under `elimination_key(front)` they are
+        the elements free of those variables, the reduced basis of the
+        ideal's intersection with the subring of the others (Cox, Little
+        and O'Shea, 3.1)."""
+        leads = self._index.leads
+        free = [not any(leads[i][:front]) for i in self._minimal]
+        if self._elements is not None:
+            return tuple(compress(self._elements, free))
+        return tuple(_interreduce(self._index, self._minimal,
+                                  list(compress(self._minimal, free))))
 
     def contains_one(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant()
+        leads = self.leads
+        return len(leads) == 1 and not any(leads[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return ((self.ambient, self.key, self.elements, self.pairs_processed)
+                == (other.ambient, other.key, other.elements, other.pairs_processed))
+
+    def __hash__(self):
+        return hash((self.ambient, self.key, self.elements, self.pairs_processed))
+
+    def __repr__(self) -> str:
+        return (f"GroebnerBasis(ambient={self.ambient!r}, key={self.key!r}, "
+                f"elements={self.elements!r}, pairs_processed={self.pairs_processed!r})")
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis | _DivisorIndex) -> Polynomial:
@@ -114,7 +175,7 @@ def normal_form(p: Polynomial, basis: GroebnerBasis | _DivisorIndex) -> Polynomi
     index = (basis if isinstance(basis, _DivisorIndex)
              else _DivisorIndex(p.ambient, basis.key, basis.elements))
     remainder, den = _reduce(p, index)
-    return _over(p.ambient, remainder, den)
+    return _divided(p.ambient, remainder, den)
 
 
 def _spoly(index: _DivisorIndex, i: int, j: int, lcm: tuple[int, ...]) -> Polynomial:
@@ -257,19 +318,22 @@ def _minimalize(index: _DivisorIndex) -> int:
     return keep
 
 
-def _interreduce(index: _DivisorIndex, keep: int) -> list[Polynomial]:
-    """Reduce each kept element by the other kept ones, narrowing the
-    index's live set to them, and make it monic; one pass suffices on a
-    minimal basis, since no lead divides another and every lead survives."""
+def _interreduce(index: _DivisorIndex, minimal: list[int], ids: list[int]) -> list[Polynomial]:
+    """Reduce each element of `ids` by the other elements of `minimal` and
+    make it monic, in the order of `ids`; one pass suffices on a minimal
+    basis, since no lead divides another and every lead survives.  The
+    index's live set is narrowed for each division and restored at the
+    end."""
+    live, keep = index.live, sum(1 << i for i in minimal)
     out = []
-    for i, (lead, a, tail) in enumerate(zip(index.leads, index.coeffs, index.tails)):
-        bit = 1 << i
-        if keep & bit:
-            index.live = keep ^ bit
-            terms = dict(tail)
-            terms[lead] = a
-            r = normal_form(Polynomial._trusted(index.ambient, terms), index)
-            out.append(r if a == 1 else r.scale(Fraction(1, a)))
+    for i in ids:
+        index.live = keep ^ 1 << i
+        a = index.coeffs[i]
+        terms = dict(index.tails[i])
+        terms[index.leads[i]] = a
+        r = normal_form(Polynomial._trusted(index.ambient, terms), index)
+        out.append(r if a == 1 else r.scale(Fraction(1, a)))
+    index.live = live
     return out
 
 
@@ -286,8 +350,6 @@ def buchberger(ideal: IdealBasis, key,
     monic reduced basis.
     """
     gens = sorted(ideal.generators, key=lambda g: key(g.lead(key)[0]))
-    if not gens:
-        return GroebnerBasis(ideal.ambient, key, ())
     index = _DivisorIndex(ideal.ambient, key)
     packed: list[int] = []
     width = 1
@@ -315,9 +377,7 @@ def buchberger(ideal: IdealBasis, key,
         r = normal_form(s, index)
         if not r.is_zero():
             add_element(r)
-    reduced = _interreduce(index, _minimalize(index))
-    reduced.sort(key=lambda g: key(g.lead(key)[0]))
-    return GroebnerBasis(ideal.ambient, key, tuple(reduced), processed)
+    return GroebnerBasis(ideal.ambient, key, index, _minimalize(index), processed)
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -356,12 +416,7 @@ def eliminate(ideal: IdealBasis, drop: Sequence[str],
         tuple(front) + kept,
         [g.over(tuple(front) + kept) for g in ideal.generators])
     gb = buchberger(reordered, elimination_key(len(front)), max_pairs)
-    nfront = len(front)
-    out = []
-    for g in gb.elements:
-        if all(all(e == 0 for e in exps[:nfront]) for exps in g.terms):
-            out.append(g.over(kept))
-    return IdealBasis(kept, out)
+    return IdealBasis(kept, [g.over(kept) for g in gb.free_of(len(front))])
 
 
 def quotient_dimension(ideal: IdealBasis,
@@ -372,15 +427,18 @@ def quotient_dimension(ideal: IdealBasis,
 
 
 def _standard_monomial_count(gb: GroebnerBasis) -> int | None:
-    """Number of monomials no lead of the reduced basis divides, or None
-    when some variable has no pure-power lead (the count is infinite)."""
-    if not gb.elements:
+    """Number of monomials no lead of the basis divides, or None when some
+    variable has no pure-power lead (the count is infinite).  Only the
+    leads are read (Macaulay's basis theorem; Cox, Little and O'Shea, 5.3),
+    and the monomials are tested through the run's own divisor index, whose
+    live leads all have a minimal lead among their divisors."""
+    leads = gb.leads
+    if not leads:
         return None if gb.ambient else 1
     if gb.contains_one():
         return 0
-    index = _DivisorIndex(gb.ambient, gb.key, gb.elements)
     bounds = [None] * len(gb.ambient)
-    for lead in index.leads:
+    for lead in leads:
         support = [i for i, e in enumerate(lead) if e]
         if len(support) == 1:
             i = support[0]
@@ -388,5 +446,6 @@ def _standard_monomial_count(gb: GroebnerBasis) -> int | None:
                 bounds[i] = lead[i]
     if any(b is None for b in bounds):
         return None
+    dividing = gb._index.dividing
     return sum(1 for exps in product(*(range(b) for b in bounds))
-               if not index.dividing(exps))
+               if not dividing(exps))

@@ -744,7 +744,7 @@ def _reduce(p: Polynomial, index: _DivisorIndex,
     return remainder, den
 
 
-def _over(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Polynomial:
+def _divided(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Polynomial:
     """The Polynomial with coefficients c / divisor for the int coefficients
     c of `terms`, each an exact Fraction, in the same term order."""
     num, den = divisor.denominator, divisor.numerator
@@ -768,9 +768,9 @@ def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
     quotients: dict[int, dict] = {}
     remainder, den = _reduce(p, index, quotients)
     zero = Polynomial._trusted(p.ambient, {})  # shared by every empty quotient
-    return ([_over(p.ambient, quotients[i], divisors[i].lead(key)[1] / index.coeffs[i] * den)
+    return ([_divided(p.ambient, quotients[i], divisors[i].lead(key)[1] / index.coeffs[i] * den)
              if i in quotients else zero for i in range(len(divisors))],
-            _over(p.ambient, remainder, den))
+            _divided(p.ambient, remainder, den))
 
 
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -854,7 +854,7 @@ def gcd_polynomials(p: Polynomial, q: Polynomial,
     t = Polynomial.variable(ambient, ambient[0])
     gens = [t * p.over(ambient), (1 - t) * q.over(ambient)]
     basis = buchberger(IdealBasis(ambient, gens), elimination_key(1), max_pairs)
-    (multiple,) = [g for g in basis.elements if not any(e[0] for e in g.terms)]
+    (multiple,) = basis.free_of(1)
     return normalized(exact_divide(p, exact_divide(multiple.over(p.ambient), q)))
 
 

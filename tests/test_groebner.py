@@ -8,7 +8,7 @@ from operator import add, sub
 
 import pytest
 
-from orders import ORDERS, lex, seed_tag
+from orders import ORDERS, front, lex, seed_tag
 from packing import check_packed_kernel, reference_pack
 from randpoly import random_polynomial
 from vancyc import groebner
@@ -326,9 +326,12 @@ def test_buchberger_reduces_through_normal_form(monkeypatch):
     time, so a wrapper rebound there (as perfbench/tracer.py rebinds its
     counter) sees every S-pair reduction and every inter-reduction, and the
     basis does not change.  No S-polynomial of this ideal is zero before
-    reduction, so there is one call per S-pair and one per element."""
+    reduction, so there is one call per S-pair and one per element.  The
+    reduced elements are built on first read, so `want`'s are read before
+    the wrapper goes in and `got`'s under it."""
     ideal = _ideal("x^2 + 2*y*z - 3", "y^2 - x*z + 1/2", "3*z^2 - x*y")
     want = buchberger(ideal, grevlex_key)
+    want.elements
     calls = []
     real = groebner.normal_form
 
@@ -338,6 +341,7 @@ def test_buchberger_reduces_through_normal_form(monkeypatch):
 
     monkeypatch.setattr(groebner, "normal_form", counted)
     got = buchberger(ideal, grevlex_key)
+    got.elements
     assert got == want
     assert len(calls) == got.pairs_processed + len(got.elements) == 8 + 6
 
@@ -445,6 +449,75 @@ def test_quotient_dimension_is_order_independent():
 def test_quotient_dimension_infinite_is_none():
     """A positive-dimensional quotient reports None instead of a count."""
     assert quotient_dimension(_ideal("x*y", amb=("x", "y"))) is None
+
+
+def test_quotient_dimension_reads_only_the_leads(monkeypatch):
+    """A quotient dimension, and so a Milnor number, reduces each S-polynomial
+    that is not zero before reduction and nothing else: no basis element is
+    inter-reduced, since the count reads only the leads."""
+    calls, spolys = [], []
+    real_nf, real_spoly = groebner.normal_form, groebner._spoly
+
+    def counted(p, basis):
+        calls.append(p)
+        return real_nf(p, basis)
+
+    def recorded(*args):
+        s = real_spoly(*args)
+        spolys.append(s)
+        return s
+
+    monkeypatch.setattr(groebner, "normal_form", counted)
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    assert quotient_dimension(_ideal("x^2 + 2*y*z - 3", "y^2 - x*z + 1/2",
+                                     "3*z^2 - x*y")) == 8
+    assert len(calls) == len(spolys) == 8
+    for text, mu in [("x^3 + y^4", 6), ("(x+y)^3 + (x+y)*(y-z)^3 + (x+2*z)^2", 7)]:
+        calls.clear()
+        spolys.clear()
+        assert milnor_number(parse_polynomial(text, AMB if "z" in text else ("x", "y"))) == mu
+        assert len(calls) == sum(1 for s in spolys if s)
+
+
+@pytest.mark.parametrize("name", ["block1", "block2"])
+def test_free_of_is_the_front_free_part_of_the_reduced_basis(name):
+    """Under a block order, `free_of(front)` equals the elements of the
+    reduced basis that are free of the front block, whether it is read
+    before or after `elements`: the reduced basis of the elimination ideal
+    is unique, so reducing only its part gives the same polynomials.  The
+    divisor index's live set survives both reads.  Seeded ideals."""
+    key, f = ORDERS[name], front(name)
+    rng = random.Random(f"free-of-{seed_tag(name)}")
+    parts = set()
+    for _ in range(30):
+        ideal = IdealBasis(AMB, [random_polynomial(rng, AMB, max_terms=3, max_exp=2,
+                                                   nonzero=True)
+                                 for _ in range(rng.randint(2, 3))])
+        lazy, eager = buchberger(ideal, key), buchberger(ideal, key)
+        live = lazy._index.live
+        first = lazy.free_of(f)
+        assert lazy._index.live == live
+        want = tuple(g for g in eager.elements
+                     if not any(any(e[:f]) for e in g.terms))
+        assert first == want == eager.free_of(f) == lazy.free_of(f)
+        assert lazy.elements == eager.elements
+        assert lazy._index.live == live
+        parts.add(len(want))
+    assert {0, 1} <= parts
+
+
+def test_contains_one_reads_the_leads():
+    """`contains_one`, read from the leads before the basis is reduced,
+    agrees with the reduced basis, on a unit and on a non-unit ideal; the
+    leads are those of the reduced elements, in order."""
+    unit = buchberger(_ideal("x*y - 1", "x", "y^2 + z"), grevlex_key)
+    assert unit.contains_one()
+    assert unit.leads == ((0, 0, 0),)
+    assert unit.elements == (Polynomial.constant(AMB, 1),)
+    proper = buchberger(_ideal("x^2 - y", "x^3 - z"), lex)
+    assert not proper.contains_one()
+    assert proper.leads == tuple(g.lead(lex)[0] for g in proper.elements)
+    assert len(proper.elements) == 4
 
 
 def test_radical_membership():
