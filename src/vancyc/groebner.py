@@ -41,9 +41,10 @@ basis of (t*p, (1 - t)*q) under `elimination_key(1)`, the same way.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from functools import cached_property
+from itertools import product
 from math import gcd
 from operator import add, itemgetter, sub
 from typing import Callable, Sequence
@@ -97,43 +98,32 @@ class IdealBasis:
         object.__setattr__(self, "generators", tuple(gens))
 
 
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """Groebner basis of one Buchberger run, reduced only where it is read.
 
-    It keeps the run's divisor index and `_minimalize`'s bitset of the
-    elements whose leads are minimal.  `leads` are those leads in key order,
-    which are the leads of the reduced basis.  `elements` is the reduced
-    basis, monic, inter-reduced and sorted by key; it is built on first read
-    and memoized.  `free_of(front)` is the part of it whose leads are free
-    of the first `front` variables, and reduces only that part.  Two bases
-    are equal when their ambients, keys, reduced elements and pair counts
-    are.
+    It keeps the run's divisor index and the indices of its minimal
+    elements (`_minimalize`) in key order.  `leads` are their leads, which
+    are the leads of the reduced basis.  `free_of(front)` reduces only the
+    minimal elements whose leads are free of the first `front` variables;
+    `elements`, the whole reduced basis, monic, inter-reduced and sorted by
+    key, is `free_of(0)`, built on first read and memoized.  Two bases are
+    equal when their ambients, keys, reduced elements and pair counts are.
     """
 
-    __slots__ = ("ambient", "key", "pairs_processed", "_index", "_minimal", "_elements")
-
-    def __init__(self, ambient: tuple[str, ...], key: Callable[[Sequence[int]], tuple[int, ...]],
-                 index: _DivisorIndex, keep: int, pairs_processed: int = 0):
-        minimal = [i for i in range(len(index.leads)) if keep >> i & 1]
-        minimal.sort(key=lambda i: key(index.leads[i]))
-        for name, value in (("ambient", ambient), ("key", key),
-                            ("pairs_processed", pairs_processed), ("_index", index),
-                            ("_minimal", minimal), ("_elements", None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GroebnerBasis is immutable")
+    ambient: tuple[str, ...]
+    key: Callable[[Sequence[int]], tuple[int, ...]]
+    _index: _DivisorIndex = field(repr=False)
+    _minimal: list[int] = field(repr=False)
+    pairs_processed: int = 0
 
     @property
     def leads(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self._index.leads[i] for i in self._minimal)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Polynomial, ...]:
-        if self._elements is None:
-            object.__setattr__(self, "_elements",
-                               tuple(_interreduce(self._index, self._minimal, self._minimal)))
-        return self._elements
+        return self.free_of(0)
 
     def free_of(self, front: int) -> tuple[Polynomial, ...]:
         """The reduced elements whose leads are free of the first `front`
@@ -142,11 +132,8 @@ class GroebnerBasis:
         ideal's intersection with the subring of the others (Cox, Little
         and O'Shea, 3.1)."""
         leads = self._index.leads
-        free = [not any(leads[i][:front]) for i in self._minimal]
-        if self._elements is not None:
-            return tuple(compress(self._elements, free))
-        return tuple(_interreduce(self._index, self._minimal,
-                                  list(compress(self._minimal, free))))
+        ids = [i for i in self._minimal if not any(leads[i][:front])]
+        return tuple(_interreduce(self._index, self._minimal, ids))
 
     def contains_one(self) -> bool:
         leads = self.leads
@@ -377,7 +364,10 @@ def buchberger(ideal: IdealBasis, key,
         r = normal_form(s, index)
         if not r.is_zero():
             add_element(r)
-    return GroebnerBasis(ideal.ambient, key, index, _minimalize(index), processed)
+    keep = _minimalize(index)
+    minimal = sorted((i for i in range(len(index.leads)) if keep >> i & 1),
+                     key=lambda i: key(index.leads[i]))
+    return GroebnerBasis(ideal.ambient, key, index, minimal, processed)
 
 
 def _fresh_name(base: str, taken) -> str:

@@ -1,7 +1,9 @@
 """Buchberger bases, elimination, quotient dimension, and radical membership."""
 
+import copy
 import heapq
 import math
+import pickle
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -485,7 +487,7 @@ def test_free_of_is_the_front_free_part_of_the_reduced_basis(name):
     reduced basis that are free of the front block, whether it is read
     before or after `elements`: the reduced basis of the elimination ideal
     is unique, so reducing only its part gives the same polynomials.  The
-    divisor index's live set survives both reads.  Seeded ideals."""
+    divisor index's live set survives every read.  Seeded ideals."""
     key, f = ORDERS[name], front(name)
     rng = random.Random(f"free-of-{seed_tag(name)}")
     parts = set()
@@ -518,6 +520,20 @@ def test_contains_one_reads_the_leads():
     assert not proper.contains_one()
     assert proper.leads == tuple(g.lead(lex)[0] for g in proper.elements)
     assert len(proper.elements) == 4
+
+
+def test_copy_and_pickle_round_trips():
+    """copy, deepcopy and pickle rebuild an equal basis with the same leads
+    and the same eliminated part, before and after `elements` is read."""
+    gb = buchberger(_ideal("x^2 + 2*y*z - 3", "y^2 - x*z + 1/2", "3*z^2 - x*y"),
+                    grevlex_key)
+    for _ in range(2):
+        for twin in (copy.copy(gb), copy.deepcopy(gb), pickle.loads(pickle.dumps(gb))):
+            assert twin.leads == gb.leads
+            assert twin.free_of(1) == gb.free_of(1)
+            assert twin == gb
+            assert hash(twin) == hash(gb)
+        gb.elements
 
 
 def test_radical_membership():
