@@ -19,8 +19,8 @@ from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
                         variation_matrix, weyl_generators, weyl_group_order)
 from .poly import (AmbientMismatchError, PolyError, PolyParseError, Polynomial,
                    UnknownVariableError, determinant_fraction_free,
-                   exact_divide, format_polynomial, gcd_polynomials, normalized,
-                   parse_polynomial, rational_rank,
+                   exact_divide, format_polynomial, gcd_polynomials,
+                   maximal_minors, normalized, parse_polynomial, rational_rank,
                    squarefree_part_bivariate, variables)
 from .report import CheckResult, Report
 from .singularity import (NonGenericMatrixError, NonIsolatedSingularityError,

@@ -56,8 +56,8 @@ class GermFile:
         return MapGerm(self.variables, self.components)
 
 
-def _fields(line: str, lineno: int) -> tuple[str, str, int] | None:
-    """Split a raw line into (key, payload, payload 1-based start column)."""
+def _fields(line: str, lineno: int) -> tuple[str, int, str, int] | None:
+    """Split a raw line into (key, its column, payload, its column), 1-based."""
     stripped = line.split("#", 1)[0]
     if not stripped.strip():
         return None
@@ -65,7 +65,7 @@ def _fields(line: str, lineno: int) -> tuple[str, str, int] | None:
     if not m:
         col = len(stripped) - len(stripped.lstrip()) + 1
         raise GermFileError("expected '<key>: <payload>'", lineno, col)
-    return m.group(1), stripped[m.end():], m.end() + 1
+    return m.group(1), m.start(1) + 1, stripped[m.end():], m.end() + 1
 
 
 def _names(payload: str, lineno: int, base_col: int) -> list[tuple[str, int]]:
@@ -94,10 +94,10 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
         parts = _fields(raw, lineno)
         if parts is None:
             continue
-        key, payload, col = parts
+        key, key_col, payload, col = parts
         if key == "vars":
             if variables is not None:
-                raise GermFileError("duplicate vars line", lineno, 1)
+                raise GermFileError("duplicate vars line", lineno, key_col)
             names = _names(payload, lineno, col)
             if not names:
                 raise GermFileError("vars line declares no variables", lineno, col)
@@ -110,9 +110,9 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
             variables = tuple(name for name, _ in names)
         elif key == "symplectic":
             if variables is None:
-                raise GermFileError("symplectic line must follow vars", lineno, 1)
+                raise GermFileError("symplectic line must follow vars", lineno, key_col)
             if pairs is not None:
-                raise GermFileError("duplicate symplectic line", lineno, 1)
+                raise GermFileError("duplicate symplectic line", lineno, key_col)
             pairs = []
             used = set()
             pos = 0
@@ -140,7 +140,7 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
                                     lineno, col)
         elif key == "component":
             if variables is None:
-                raise GermFileError("component line must follow vars", lineno, 1)
+                raise GermFileError("component line must follow vars", lineno, key_col)
             expr = payload.strip()
             offset = payload.index(expr) if expr else 0
             try:
@@ -154,7 +154,7 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
                     lineno, col + offset)
             components.append(component)
         else:
-            raise GermFileError(f"unknown key {key!r}", lineno, 1)
+            raise GermFileError(f"unknown key {key!r}", lineno, key_col)
     if variables is None:
         raise GermFileError("missing vars line", 1, 1)
     if not components:

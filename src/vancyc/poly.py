@@ -2,11 +2,12 @@
 
 Coefficients are `fractions.Fraction`; a polynomial is a dict from exponent
 tuples (one slot per ambient variable) to nonzero coefficients.  The module
-also carries the exact linear algebra used elsewhere in the package:
-fraction-free (Bareiss) determinants of polynomial matrices, gcds (through
-an lcm from the Buchberger algorithm of `groebner`) and squarefree parts in
-any number of variables, and Gauss-Jordan elimination (reduced row echelon
-form and rank) over Q.  A matrix, of polynomials or of numbers, is a list
+also carries the exact linear algebra used elsewhere in the package: the
+maximal minors of a polynomial matrix (one Laplace expansion over column
+subsets, with no division) and so its determinant, gcds (through an lcm
+from the Buchberger algorithm of `groebner`) and squarefree parts in any
+number of variables, and Gauss-Jordan elimination (reduced row echelon form
+and rank) over Q.  A matrix, of polynomials or of numbers, is a list
 (or tuple) of rows, as everywhere in the package.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
@@ -44,6 +45,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, lcm, log2
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -481,6 +483,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # under 0.2 s.
 MAX_EXPANDED_TERMS = 500
 MAX_COEFFICIENT_BITS = 256
+# Cap on nested parentheses: each costs the parser four stack frames, and
+# about 250 overflowed Python's default stack.
+MAX_NESTING = 100
 
 
 def _height(p: Polynomial) -> float:
@@ -506,6 +511,7 @@ class _Parser:
     def __init__(self, tokens, ambient):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.ambient = tuple(ambient)
 
     def peek(self):
@@ -589,8 +595,12 @@ class _Parser:
                 raise UnknownVariableError(val, at)
             return Polynomial.variable(self.ambient, val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"more than {MAX_NESTING} nested parentheses", at)
+            self.depth += 1
             p = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise PolyParseError(f"unexpected token '{val}'" if val else "unexpected end of input", at)
 
@@ -793,40 +803,47 @@ def normalized(p: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free determinants of polynomial matrices (lists of rows)
+# Maximal minors and determinants of polynomial matrices (lists of rows)
 # ---------------------------------------------------------------------------
+
+def maximal_minors(rows: Sequence[Sequence[Polynomial]]) -> list[Polynomial]:
+    """Every k x k minor of a k x m matrix of polynomials over one ambient,
+    1 <= k <= m, in `itertools.combinations(range(m), k)` order, from one
+    Laplace expansion with no division: after r rows, `partial` maps each
+    r-column bitmask to its nonzero minor on those rows, and the next row
+    adds a column j outside a mask with sign (-1)^(mask bits above j)."""
+    k, m = len(rows), len(rows[0]) if rows else 0
+    if not m:
+        raise PolyError("minors of an empty matrix")
+    ambient = rows[0][0].ambient
+    for row in rows:
+        if len(row) != m:
+            raise PolyError(f"ragged matrix: rows of {m} and of {len(row)} entries")
+        if any(e.ambient != ambient for e in row):
+            raise AmbientMismatchError("matrix entries disagree on ambient")
+    if k > m:
+        raise PolyError(f"no {k} x {k} minors in a matrix of {m} columns")
+    partial = {0: Polynomial.constant(ambient, 1)}
+    for row in rows:
+        grown: dict[int, Polynomial] = {}
+        for mask, minor in partial.items():
+            for j, entry in enumerate(row):
+                if entry and not mask >> j & 1:
+                    term = -minor * entry if (mask >> j).bit_count() & 1 else minor * entry
+                    wider = mask | 1 << j
+                    grown[wider] = grown[wider] + term if wider in grown else term
+        partial = {mask: minor for mask, minor in grown.items() if minor}
+    zero = Polynomial.zero(ambient)
+    return [partial.get(sum(1 << j for j in cols), zero) for cols in combinations(range(m), k)]
+
 
 def determinant_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a non-empty square matrix of polynomials over one
-    ambient, given as rows, via Bareiss elimination (all divisions exact)."""
-    n = len(matrix)
-    if not n or not matrix[0]:
-        raise PolyError("determinant of an empty matrix")
-    ambient = matrix[0][0].ambient
-    for row in matrix:
-        if len(row) != n:
-            raise PolyError(f"determinant of non-square matrix: a row of "
-                            f"{len(row)} entries in {n} rows")
-        if any(e.ambient != ambient for e in row):
-            raise AmbientMismatchError("matrix entries disagree on ambient")
-    m = [list(r) for r in matrix]
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return Polynomial.zero(ambient)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                # the Bareiss divisor of step 0 is 1
-                m[i][j] = exact_divide(num, prev) if k else num
-            m[i][k] = Polynomial.zero(ambient)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    ambient, given as rows: its one maximal minor."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise PolyError(f"determinant of a non-square matrix of {len(matrix)} rows")
+    (det,) = maximal_minors(matrix)
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from math import comb
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, IdealBasis, eliminate, quotient_dimension
-from .poly import (PolyError, Polynomial, determinant_fraction_free,
-                   gcd_polynomials, normalized, rational_rank,
-                   squarefree_part_bivariate, variables)
+from .poly import (PolyError, Polynomial, gcd_polynomials, maximal_minors,
+                   normalized, rational_rank, squarefree_part_bivariate,
+                   variables)
 from .symplectic import MapGerm
 
 
@@ -40,16 +40,6 @@ def jacobian(germ: MapGerm) -> list[list[Polynomial]]:
     return [[c.partial_derivative(v) for v in germ.ambient] for c in germ.components]
 
 
-@dataclass(frozen=True)
-class CriticalIdeal:
-    """Fibre equations f_i - s_i together with the k x k Jacobian minors."""
-
-    ambient: tuple[str, ...]          # source variables then target variables
-    source_vars: tuple[str, ...]
-    target_vars: tuple[str, ...]
-    ideal: IdealBasis
-
-
 def _target_names(k: int, taken: Sequence[str]) -> tuple[str, ...]:
     names = tuple(f"s{i + 1}" for i in range(k))
     clash = set(names) & set(taken)
@@ -59,31 +49,24 @@ def _target_names(k: int, taken: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def critical_ideal(germ: MapGerm) -> CriticalIdeal:
-    """The ideal cutting out the critical locus inside source x target space."""
-    k, m = germ.k, germ.m
-    if k > m:
+def critical_ideal(germ: MapGerm) -> IdealBasis:
+    """The ideal of the critical locus over the source variables then
+    s1..sk: the fibre equations f_i - s_i, then the nonzero k x k Jacobian
+    minors in column-subset order, less scalar multiples of earlier ones."""
+    k = germ.k
+    if k > germ.m:
         raise PolyError("map germ has more components than source variables")
     svars = _target_names(k, germ.ambient)
     ambient = germ.ambient + svars
-    gens: list[Polynomial] = []
-    for comp, s in zip(germ.components, svars):
-        gens.append(comp.over(ambient) - Polynomial.variable(ambient, s))
-    jac = jacobian(germ)
-    minors: list[Polynomial] = []
-    for cols in combinations(range(m), k):
-        sub = [[row[j] for j in cols] for row in jac]
-        minors.append(determinant_fraction_free(sub).over(ambient))
+    gens = [comp.over(ambient) - Polynomial.variable(ambient, s)
+            for comp, s in zip(germ.components, svars)]
     seen = set()
-    for minor in minors:
-        if minor.is_zero():
-            continue
+    for minor in maximal_minors(jacobian(germ)):
         key = normalized(minor)
-        if key in seen:
-            continue
-        seen.add(key)
-        gens.append(minor)
-    return CriticalIdeal(ambient, germ.ambient, svars, IdealBasis(ambient, gens))
+        if minor and key not in seen:
+            seen.add(key)
+            gens.append(minor.over(ambient))
+    return IdealBasis(ambient, gens)
 
 
 @dataclass(frozen=True)
@@ -115,8 +98,7 @@ def discriminant(germ: MapGerm,
     several eliminated generators and those of its squarefree part).  It
     is a cap per run, not a total over the call.
     """
-    crit = critical_ideal(germ)
-    eliminated = eliminate(crit.ideal, crit.source_vars, max_pairs)
+    eliminated = eliminate(critical_ideal(germ), germ.ambient, max_pairs)
     gens = eliminated.generators
     reduced = None
     note = ""
@@ -133,7 +115,7 @@ def discriminant(germ: MapGerm,
         else:
             reduced = squarefree_part_bivariate(divisor, max_pairs)
             note = f"reduced generator from gcd of {len(gens)} generators"
-    return DiscriminantDescription(germ.k, crit.target_vars, eliminated, reduced, note)
+    return DiscriminantDescription(germ.k, eliminated.ambient, eliminated, reduced, note)
 
 
 def _reduced_multiplicity(reduced: Polynomial) -> int:

@@ -14,8 +14,8 @@ fixes the entry coordinates; `_cells` lists the entry each one names.  The
 Lie-Poisson bracket on them is the closed form
 {x_ij, x_kl} = delta_il X_kj - delta_kj X_il over the entries of X, whose last
 diagonal entry -(x_11 + ... + x_rr) carries the trace-zero constraint, and is
-audited with `symplectic.jacobi_check`; the Casimir check then compares
-Bareiss determinants against that bracket (Kostant, Amer. J. Math. 85, 1963).
+audited with `symplectic.jacobi_check`; the Casimir check then tests the
+characteristic coefficients against that bracket (Kostant, Amer. J. Math. 85, 1963).
 
 The discriminant of the quotient, the (s_1, ..., s_r) whose characteristic
 polynomial has a repeated root, is the discriminant of the miniversal

@@ -4,6 +4,7 @@ import pytest
 
 from vancyc import suite
 from vancyc.cli import main
+from vancyc.poly import MAX_NESTING
 from vancyc.report import FAIL
 
 
@@ -164,6 +165,22 @@ def test_bad_germ_file_reports_position(capsys, tmp_path):
     code, out, err = run(capsys, "discriminant", str(bad))
     assert code == 2
     assert err == ["error: line 3, column 12: component 2 does not vanish at the origin"]
+
+
+def test_deep_parentheses_are_a_positioned_error(capsys, tmp_path):
+    """Parentheses nested past the parser's cap are an input error (exit 2)
+    with its position, in a germ file and in --given, not a traceback."""
+    deep = "(" * 300 + "x" + ")" * 300
+    bad = tmp_path / "deep.germ"
+    bad.write_text(f"vars: x\ncomponent: {deep}\n", encoding="utf-8")
+    code, out, err = run(capsys, "discriminant", str(bad))
+    assert code == 2
+    assert err == [f"error: line 2, column {12 + MAX_NESTING}: more than "
+                   f"{MAX_NESTING} nested parentheses (at position {MAX_NESTING})"]
+    code, out, err = run(capsys, "discriminant", "--given", deep.replace("x", "s1"))
+    assert code == 2
+    assert err == [f"error: more than {MAX_NESTING} nested parentheses "
+                   f"(at position {MAX_NESTING})"]
 
 
 def test_coxeter_full_run(capsys):

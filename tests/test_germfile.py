@@ -50,6 +50,11 @@ def test_error_positions_are_one_based():
         ("vars: q1 p1\nsymplectic: q1 p1\ncomponent: q1\n", 2, 13),
         ("vars: q1 p1\nbogus_key: 1\ncomponent: q1\n", 2, 1),
         ("vars: x y\ncomponent: x\ncomponent:  2 + x\n", 3, 13),
+        ("  foo: x\n", 1, 3),
+        ("vars: x\n   vars: x\ncomponent: x\n", 2, 4),
+        ("vars: x y\nsymplectic: (x,y)\n\tsymplectic: (x,y)\ncomponent: x\n", 3, 2),
+        (" component: x\nvars: x\n", 1, 2),
+        ("  symplectic: (x,y)\nvars: x y\n", 1, 3),
     ]
     for text, line, column in cases:
         with pytest.raises(GermFileError) as exc:

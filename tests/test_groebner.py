@@ -567,8 +567,8 @@ def _basis_lines(gb):
 def test_discriminant_al6_critical_basis_is_pinned():
     """The block-order basis behind discriminant-al6: its S-pair count and its
     elements, in the basis's own order."""
-    crit = critical_ideal(action_coordinates_germ(3, 2, AL_MATRICES[(3, 2)]))
-    gb = buchberger(crit.ideal, elimination_key(len(crit.source_vars)))
+    gb = buchberger(critical_ideal(action_coordinates_germ(3, 2, AL_MATRICES[(3, 2)])),
+                    elimination_key(6))
     assert gb.pairs_processed == 46
     assert _basis_lines(gb) == AL6_BLOCK_BASIS
 
@@ -576,13 +576,15 @@ def test_discriminant_al6_critical_basis_is_pinned():
 @pytest.mark.parametrize("n, R, pairs, length", [
     (4, ((1, 1, 1, 0), (0, 1, 2, 1)), 99, 41),
     (5, ((1, 1, 1, 1, 0), (0, 1, 2, 3, 1)), 172, 62),
-], ids=["n4", "n5"])
+    (4, AL_MATRICES[(4, 3)], 426, 95),
+], ids=["n4", "n5", "n4-k3"])
 def test_action_coordinate_block_basis_counts_are_pinned(n, R, pairs, length):
     """S-pair counts and basis lengths of the block-order critical ideals of
-    the (n, 2) action-coordinate germs, so a change to the pair criteria
-    shows up as a count change."""
-    crit = critical_ideal(action_coordinates_germ(n, 2, R))
-    gb = buchberger(crit.ideal, elimination_key(len(crit.source_vars)))
+    the (n, k) action-coordinate germs (k the rows of R), so a change to the
+    pair criteria or to the generators shows up as a count change; (4, 3)
+    is the one germ whose critical ideal holds 3 x 3 minors."""
+    gb = buchberger(critical_ideal(action_coordinates_germ(n, len(R), R)),
+                    elimination_key(2 * n))
     assert gb.pairs_processed == pairs
     assert len(gb.elements) == length
 

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from minors import cofactor_det, cofactor_minors
 from randpoly import random_polynomial
 from vancyc.poly import (
+    MAX_NESTING,
     AmbientMismatchError,
     PolyError,
     PolyParseError,
@@ -19,6 +21,7 @@ from vancyc.poly import (
     exact_divide,
     format_polynomial,
     gcd_polynomials,
+    maximal_minors,
     normalized,
     parse_polynomial,
     rational_rank,
@@ -117,6 +120,19 @@ def test_parse_caps_the_expanded_size():
     assert len(parse_polynomial("(x+y+z)^4 * (x+y)^9", AMB).terms) == 60  # bound 150
 
 
+def test_parse_caps_the_nesting_depth():
+    """MAX_NESTING nested parentheses parse; one level more is refused at
+    the offending '(' instead of overflowing the stack."""
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, AMB) == Polynomial.variable(AMB, "x")
+    with pytest.raises(PolyParseError, match="nested parentheses") as exc:
+        parse_polynomial("y + (" + deep + ")", AMB)
+    assert exc.value.position == 4 + MAX_NESTING
+    with pytest.raises(PolyParseError) as exc:
+        parse_polynomial("(" * 1000 + "x" + ")" * 1000, AMB)
+    assert exc.value.position == MAX_NESTING
+
+
 def test_parse_caps_the_coefficient_height():
     """An operator whose bound on the coefficient bit height passes the cap
     fails at its own position before expanding, also under the term cap;
@@ -182,18 +198,6 @@ def test_order_at_origin_is_additive():
 
 def test_determinant_matches_cofactor_expansion():
     """Fraction-free determinant equals naive cofactor expansion up to size 4."""
-
-    def cofactor_det(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = Polynomial.zero(rows[0][0].ambient)
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * cofactor_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
     rng = random.Random(13)
     for n in (1, 2, 3, 4):
         for _ in range(3):
@@ -209,17 +213,67 @@ def test_determinant_golden():
     assert determinant_fraction_free([[x, y], [one, x]]) == x * x - y
 
 
+def test_maximal_minors_match_cofactor_expansion():
+    """Every k x k minor of seeded k x m matrices (k <= m <= 6), in
+    column-subset order, equals its cofactor expansion; zero entries are
+    frequent, and zero and all-zero-column minors come back as zero."""
+    rng = random.Random(29)
+    zero = Polynomial.zero(("x", "y"))
+    saw_zero_minor = False
+    for m in range(1, 7):
+        for k in range(1, m + 1):
+            for _ in range(2):
+                rows = [[random_polynomial(rng, ("x", "y"), max_terms=2, max_exp=1)
+                         for _ in range(m)] for _ in range(k)]
+                if rng.random() < 0.3:
+                    dead = rng.randrange(m)
+                    for row in rows:
+                        row[dead] = zero
+                got = maximal_minors(rows)
+                assert got == cofactor_minors(rows)
+                saw_zero_minor = saw_zero_minor or any(not g for g in got)
+    assert saw_zero_minor
+    # rows [x, 0, y] and [1, x, 0]: minors on columns (0,1), (0,2), (1,2)
+    x, y = variables(("x", "y"))
+    one = Polynomial.constant(("x", "y"), 1)
+    assert maximal_minors([[x, zero, y], [one, x, zero]]) == [x * x, -y, -x * y]
+
+
+def test_determinant_never_divides(monkeypatch):
+    """Determinants take no polynomial division: with `exact_divide` made to
+    raise, 3 x 3 and 4 x 4 determinants still match cofactor expansion."""
+    import vancyc.poly as poly
+
+    def refuse(p, q):
+        raise AssertionError("determinant divided")
+
+    monkeypatch.setattr(poly, "exact_divide", refuse)
+    rng = random.Random(41)
+    for n in (3, 4):
+        rows = [[random_polynomial(rng, ("x", "y"), max_terms=3, max_exp=2, nonzero=True)
+                 for _ in range(n)] for _ in range(n)]
+        assert determinant_fraction_free(rows) == cofactor_det(rows)
+
+
 def test_determinant_rejects_malformed_matrices():
-    """An empty, ragged or non-square matrix is a PolyError, and entries over
-    different ambients are an AmbientMismatchError."""
+    """An empty, ragged or non-square matrix is a PolyError, so is a matrix
+    with more rows than columns for its minors, and entries over different
+    ambients are an AmbientMismatchError, for the determinant and the
+    maximal minors alike."""
     x, y = variables(("x", "y"))
     z = Polynomial.variable(("z",), "z")
     for bad in ([], [[]], [[x, y], [x]], [[x, y]], [[x], [y]]):
         with pytest.raises(PolyError):
             determinant_fraction_free(bad)
+    for bad in ([], [[]], [[x, y], [x]], [[x], [y]], [[x, y], [y, x], [x, x]]):
+        with pytest.raises(PolyError):
+            maximal_minors(bad)
     for mixed in ([[x, y], [z, x]], [[z, x], [y, x]]):
-        with pytest.raises(AmbientMismatchError):
-            determinant_fraction_free(mixed)
+        for call in (determinant_fraction_free, maximal_minors):
+            with pytest.raises(AmbientMismatchError):
+                call(mixed)
+    with pytest.raises(AmbientMismatchError):
+        maximal_minors([[x, y, x], [x, y, z]])
 
 
 def test_exact_divide():

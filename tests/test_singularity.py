@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from minors import cofactor_minors
 from vancyc.germfile import load_germ_file
 from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import (
@@ -28,6 +29,7 @@ from vancyc.singularity import (
     multiplicity_at_origin,
 )
 from vancyc.groebner import radical_membership
+from vancyc.steinberg import _ar_unfolding
 from vancyc.suite import AL_MATRICES, basic_germ, henon_heiles_germ
 from vancyc.symplectic import MapGerm
 
@@ -197,14 +199,36 @@ def test_milnor_numbers():
 
 
 def test_critical_ideal_shape():
-    """The critical ideal couples source minors with target graph equations."""
+    """The critical ideal couples source minors with target graph equations,
+    over the source variables then the targets."""
     germ = basic_germ()
     crit = critical_ideal(germ)
-    assert crit.source_vars == germ.ambient
-    assert crit.target_vars == ("s1", "s2")
     assert crit.ambient == germ.ambient + ("s1", "s2")
     jac = jacobian(germ)
     assert len(jac) == 2 and all(len(row) == 4 for row in jac)
+
+
+@pytest.mark.parametrize("germ", [
+    action_coordinates_germ(4, 3, AL_MATRICES[(4, 3)]),
+    henon_heiles_germ(),
+    _ar_unfolding(3),
+], ids=["al-4-3", "henon-heiles", "a3-unfolding"])
+def test_critical_ideal_generators_are_the_cofactor_minors(germ):
+    """The generators are the fibre equations f_i - s_i, then the nonzero
+    cofactor-expanded Jacobian minors in column-subset order, each kept
+    unless an earlier one is a scalar multiple of it.  The (4, 3) germ is
+    the one case with 3 x 3 minors."""
+    crit = critical_ideal(germ)
+    targets = crit.ambient[germ.m:]
+    fibres = [c.over(crit.ambient) - parse_polynomial(s, crit.ambient)
+              for c, s in zip(germ.components, targets)]
+    minors, seen = [], set()
+    for minor in cofactor_minors(jacobian(germ)):
+        if minor and normalized(minor) not in seen:
+            seen.add(normalized(minor))
+            minors.append(minor.over(crit.ambient))
+    assert list(crit.generators) == fibres + minors
+    assert minors
 
 
 def test_discriminant_pair_cap_reaches_every_buchberger_run(monkeypatch, germs_dir):
