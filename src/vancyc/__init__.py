@@ -10,7 +10,7 @@ suite (`vancyc paper-suite`).
 from .germfile import GermFile, GermFileError, load_germ_file, parse_germ_text
 from .groebner import (DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealBasis,
                        ResourceLimitExceeded, buchberger, eliminate,
-                       normal_form, quotient_dimension, radical_membership)
+                       quotient_dimension, radical_membership)
 from .monodromy import (CoxeterDatum, FoldingDatum, FoldingError,
                         IntersectionLattice, LatticeError, braid_relation_check,
                         cartan_matrix, coxeter_element_order, fold,

@@ -165,7 +165,15 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
 
 
 def load_germ_file(path) -> GermFile:
-    """Read and parse a germ file from disk."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """Read and parse a UTF-8 germ file from disk; a byte that is not
+    valid UTF-8 is an error at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; one more character stands for it
+        lines = (data[:exc.start].decode("utf-8") + "\ufffd").splitlines()
+        raise GermFileError(f"byte {data[exc.start]:#04x} is not valid UTF-8",
+                            len(lines), len(lines[-1])) from None
     return parse_germ_text(text, source_name=str(path))

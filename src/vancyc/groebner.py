@@ -1,4 +1,4 @@
-"""Buchberger Groebner bases, normal forms, elimination and quotient dimension.
+"""Buchberger Groebner bases, elimination and quotient dimension.
 
 Pair selection uses the normal strategy (smallest lcm degree first).  When
 an element t joins the basis, the Gebauer-Moeller update prunes five kinds
@@ -21,28 +21,28 @@ A Buchberger run keeps one divisor index of its basis (`poly._DivisorIndex`),
 appending each new element, so each normal form finds its reducers with
 one AND per variable.  The index holds each element once, as a primitive
 integer polynomial with a positive lead coefficient, and the run works on
-those integer forms: each S-polynomial is built from two of them in one
-pass, with int coefficients, and `normal_form` reduces it with the
-fraction-free heap division of `poly._reduce`.  A nonzero remainder joins
-the index, which takes its content out.  The same index finds the
-minimal elements of the final basis, whose leads are the leads of the
-reduced basis, and the `GroebnerBasis` a run returns keeps both.  It
-inter-reduces only where it is read: its `elements`, the reduced basis,
+those integer forms alone: each S-polynomial is built from two of them in
+one pass, `normal_form` reduces it with the fraction-free heap division of
+`poly._reduce` to a positive multiple of its remainder, and a nonzero
+remainder joins the index, which takes its content out.  The same index
+finds the minimal elements of the final basis, whose leads are the leads
+of the reduced basis, and the `GroebnerBasis` a run returns keeps both.
+It inter-reduces only where it is read: its `elements`, the reduced basis,
 are built on first read, and each divides a minimal element by the index
-narrowed to the other minimal ones.  `quotient_dimension` reads only the
-leads (Macaulay's basis theorem) and counts standard monomials through the
-run's own index, so a Milnor number reduces no basis element.  `eliminate`
-reduces only the elements free of the eliminated block, which form the
-reduced basis of the elimination ideal.  Besides these entry points,
-`buchberger` serves `poly.gcd_polynomials`, which reads lcm(p, q) off the
-basis of (t*p, (1 - t)*q) under `elimination_key(1)`, the same way.
+narrowed to the other minimal ones and is made monic, the only Fractions
+built.  `quotient_dimension` reads only the leads (Macaulay's basis
+theorem) and counts standard monomials through the run's own index, so a
+Milnor number reduces no basis element.  `eliminate` reduces only the
+elements free of the eliminated block, which form the reduced basis of the
+elimination ideal.  Besides these entry points, `buchberger` serves
+`poly.gcd_polynomials`, which reads lcm(p, q) off the basis of
+(t*p, (1 - t)*q) under `elimination_key(1)`, the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -153,16 +153,11 @@ class GroebnerBasis:
                 f"elements={self.elements!r}, pairs_processed={self.pairs_processed!r})")
 
 
-def normal_form(p: Polynomial, basis: GroebnerBasis | _DivisorIndex) -> Polynomial:
-    """Remainder of p modulo a GroebnerBasis or the divisor index of a
-    Buchberger run, under the order key each carries.  p may have int
-    coefficients, as the S-polynomials of `buchberger` do; the reduction
-    runs on integers (`poly._reduce`), and only the remainder is turned
-    into exact Fractions."""
-    index = (basis if isinstance(basis, _DivisorIndex)
-             else _DivisorIndex(p.ambient, basis.key, basis.elements))
-    remainder, den = _reduce(p, index)
-    return _divided(p.ambient, remainder, den)
+def normal_form(p: Polynomial, index: _DivisorIndex) -> Polynomial:
+    """D * r for the remainder r of p modulo the live divisors of a
+    Buchberger run's index and some D > 0, with int coefficients: the
+    integer remainder of `poly._reduce`, zero exactly when r is."""
+    return Polynomial._trusted(p.ambient, _reduce(p, index)[0])
 
 
 def _spoly(index: _DivisorIndex, i: int, j: int, lcm: tuple[int, ...]) -> Polynomial:
@@ -315,11 +310,11 @@ def _interreduce(index: _DivisorIndex, minimal: list[int], ids: list[int]) -> li
     out = []
     for i in ids:
         index.live = keep ^ 1 << i
-        a = index.coeffs[i]
+        lead = index.leads[i]
         terms = dict(index.tails[i])
-        terms[index.leads[i]] = a
+        terms[lead] = index.coeffs[i]
         r = normal_form(Polynomial._trusted(index.ambient, terms), index)
-        out.append(r if a == 1 else r.scale(Fraction(1, a)))
+        out.append(_divided(index.ambient, r.terms, r.terms[lead]))
     index.live = live
     return out
 
@@ -332,9 +327,9 @@ def buchberger(ideal: IdealBasis, key,
     survive the pair criteria and are taken from the queue; a pruned pair is
     never queued, so it counts against neither.  The run holds each element
     once, as the primitive integer form of its divisor index, and its
-    S-polynomials have int coefficients; Fractions appear only in the
-    generators, in each remainder as `normal_form` returns it, and in the
-    monic reduced basis.
+    S-polynomials and their remainders have int coefficients; Fractions
+    appear only in the generators and in the monic reduced basis, built
+    when it is read.
     """
     gens = sorted(ideal.generators, key=lambda g: key(g.lead(key)[0]))
     index = _DivisorIndex(ideal.ambient, key)

@@ -25,8 +25,9 @@ are cleared once, and each divisor is held as a primitive integer
 polynomial with a positive lead coefficient a.  When a does not divide the
 coefficient c of the term being reduced, the work, the remainder and the
 quotients are scaled by a / gcd(a, c), as Bareiss's fraction-free
-elimination scales its rows, so every step stays exact.  Only the results
-become Fractions again.
+elimination scales its rows, so every step stays exact.  The quotients
+and remainder of `divmod_polynomials` become Fractions again; the integer
+remainder that `groebner.normal_form` returns stays in ints.
 
 The reducer of each term comes from a divisor index (`_DivisorIndex`): for
 each variable v and exponent k, a bitset (a Python int) of the divisors
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm, log2
@@ -131,8 +133,8 @@ class Polynomial:
         duplicates, exponent tuples of its length with non-negative ints, and
         nonzero Fraction coefficients.  The dict is taken over, not copied.
         A Buchberger run also wraps nonzero int coefficients, for the
-        integer forms it hands to `groebner.normal_form`; no such
-        Polynomial leaves the run."""
+        integer forms it hands to `groebner.normal_form` and the integer
+        remainders it gets back; no such Polynomial leaves the run."""
         p = object.__new__(cls)
         object.__setattr__(p, "ambient", ambient)
         object.__setattr__(p, "terms", terms)
@@ -507,6 +509,16 @@ def _check_expansion(terms: int, bits: float, op: str, at: int) -> None:
             f"expanding '{op}' may exceed {MAX_COEFFICIENT_BITS}-bit coefficients", at)
 
 
+def _integer(digits: str, at: int) -> int:
+    """The int of a digit token, or a positioned error past Python's limit
+    on the digits of an int converted from a string."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"integer longer than {sys.get_int_max_str_digits()} digits",
+                             at) from None
+
+
 class _Parser:
     def __init__(self, tokens, ambient):
         self.tokens = tokens
@@ -568,7 +580,7 @@ class _Parser:
             if kind != "int":
                 raise PolyParseError("exponent must be a non-negative integer", at_exp)
             self.pos += 1
-            n = int(val)
+            n = _integer(val, at_exp)
             # a product of n terms from t has at most C(t + n - 1, n) monomials
             _check_expansion(comb(len(p.terms) + n - 1, n) if n else 1,
                              n * _height(p), "^", at)
@@ -578,14 +590,14 @@ class _Parser:
     def parse_base(self) -> Polynomial:
         kind, val, at = self.take()
         if kind == "int":
-            num = int(val)
+            num = _integer(val, at)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.pos += 1
                 k3, v3, at3 = self.take()
                 if k3 != "int":
                     raise PolyParseError("denominator must be an integer", at3)
-                den = int(v3)
+                den = _integer(v3, at3)
                 if den <= 0:
                     raise PolyParseError("denominator must be positive", at3)
                 return Polynomial.constant(self.ambient, Fraction(num, den))

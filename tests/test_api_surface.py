@@ -6,11 +6,15 @@ read, as a name or as an attribute, by some module of the package other
 than `__init__`, so exporting a name does not count as using it.  The
 allowlist holds the names that only the benchmark still reads, each with
 the `perfbench/workloads.py` line that pins it; once that line goes, so
-does the entry.
+does the entry.  No function exported from `vancyc` takes a parameter of a
+private type, which a caller outside the package could not build.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import vancyc
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vancyc"
@@ -72,3 +76,28 @@ def test_every_allowlisted_name_is_still_pinned():
         assert name in _public(), name
         assert name not in _read_names(), f"{name} has a reader now; drop its entry"
         assert line in workloads, f"{name}'s pin is gone; drop its entry"
+
+
+def _annotation_names(annotation) -> set[str]:
+    """Names and attribute names in a parameter annotation, a string under
+    `from __future__ import annotations`."""
+    if not isinstance(annotation, str):
+        annotation = inspect.formatannotation(annotation)
+    tree = ast.parse(annotation, mode="eval")
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_exported_function_takes_a_private_type():
+    private = {}
+    for name in dir(vancyc):
+        fn = getattr(vancyc, name)
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if param.annotation is inspect.Parameter.empty:
+                continue
+            hidden = sorted(n for n in _annotation_names(param.annotation) if n.startswith("_"))
+            if hidden:
+                private[f"{name}({param.name})"] = hidden
+    assert not private, f"exported functions with private parameter types: {private}"

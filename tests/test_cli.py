@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: output lines and the exit-code contract."""
 
+import sys
+
 import pytest
 
 from vancyc import suite
@@ -181,6 +183,35 @@ def test_deep_parentheses_are_a_positioned_error(capsys, tmp_path):
     assert code == 2
     assert err == [f"error: more than {MAX_NESTING} nested parentheses "
                    f"(at position {MAX_NESTING})"]
+
+
+def test_invalid_utf8_germ_file_is_a_positioned_error(capsys, tmp_path):
+    """A germ file with a byte that is not UTF-8 exits 2 with one
+    positioned error line from discriminant and bracket, not a traceback."""
+    bad = tmp_path / "bad.germ"
+    bad.write_bytes(b"vars: x y\ncomponent: x\xff\n")
+    for argv in (["discriminant", str(bad)], ["bracket", str(bad), "1", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, [])
+        assert err == ["error: line 2, column 13: byte 0xff is not valid UTF-8"]
+
+
+def test_overlong_integer_is_a_positioned_error(capsys, tmp_path):
+    """An integer token past Python's int-string limit exits 2 with its
+    position, as a literal, an exponent or a denominator, in --given and in
+    a germ file."""
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    message = f"integer longer than {limit} digits"
+    for given, pos in [(f"{long}*s1", 0), (f"s1^{long}", 3), (f"s2 - 1/{long}*s1", 7)]:
+        code, out, err = run(capsys, "discriminant", "--given", given)
+        assert (code, out) == (2, [])
+        assert err == [f"error: {message} (at position {pos})"]
+    bad = tmp_path / "long.germ"
+    bad.write_text(f"vars: x\ncomponent: x^{long}\n", encoding="utf-8")
+    code, out, err = run(capsys, "discriminant", str(bad))
+    assert (code, out) == (2, [])
+    assert err == [f"error: line 2, column 14: {message} (at position 2)"]
 
 
 def test_coxeter_full_run(capsys):

@@ -96,3 +96,25 @@ def test_missing_file_is_oserror(germs_dir):
     """A nonexistent path surfaces as OSError for the CLI to map to exit 2."""
     with pytest.raises(OSError):
         load_germ_file(germs_dir / "no_such.germ")
+
+
+def test_invalid_utf8_is_a_positioned_error(tmp_path):
+    """A byte that is not valid UTF-8 is a GermFileError at its 1-based line
+    and column, counted in the characters decoded before it, whatever the
+    line ends; valid multi-byte characters still load."""
+    cases = [
+        (b"vars: x y\ncomponent: x\xff\n", 2, 13, 0xff),
+        (b"vars: x y\r\ncomponent: x\r\n\xc3(\n", 3, 1, 0xc3),
+        (b"vars: x y\ncomponent: \xc3\xa9x\xe2\x82\n", 2, 14, 0xe2),
+        (b"\x80", 1, 1, 0x80),
+    ]
+    path = tmp_path / "bad.germ"
+    for data, line, column, byte in cases:
+        path.write_bytes(data)
+        with pytest.raises(GermFileError) as exc:
+            load_germ_file(path)
+        assert (exc.value.line, exc.value.column) == (line, column), data
+        assert str(exc.value) == (f"line {line}, column {column}: "
+                                  f"byte {byte:#04x} is not valid UTF-8")
+    path.write_bytes("# déjà vu\r\nvars: x y\r\ncomponent: x*y\r\n".encode())
+    assert load_germ_file(path).variables == ("x", "y")

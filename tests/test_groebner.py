@@ -40,16 +40,34 @@ def _ideal(*texts, amb=AMB):
     return IdealBasis(amb, [parse_polynomial(t, amb) for t in texts])
 
 
+def _remainder(p, gb):
+    """The remainder of p modulo a Groebner basis, unique whatever the
+    order of division."""
+    return divmod_polynomials(p, gb.elements, gb.key)[1]
+
+
 def _member(p, ideal):
-    return normal_form(p, buchberger(ideal, grevlex_key)).is_zero()
+    return _remainder(p, buchberger(ideal, grevlex_key)).is_zero()
+
+
+def _assert_integer_multiple(got, want):
+    """`got`, an integer remainder as `normal_form` returns it, has int
+    coefficients and `want`'s monomials in `want`'s term order, and is
+    `want` times one positive rational."""
+    assert all(type(c) is int for c in got.terms.values())
+    assert list(got.terms) == list(want.terms)
+    if want:
+        e = next(iter(want.terms))
+        ratio = Fraction(got.terms[e]) / want.terms[e]
+        assert ratio > 0 and got == want.scale(ratio)
 
 
 def test_generators_reduce_to_zero():
-    """Every input generator has normal form zero against its own basis."""
+    """Every input generator has remainder zero modulo its own basis."""
     ideal = _ideal("x^2 - y", "x^3 - z", "x*y - z")
     gb = buchberger(ideal, lex)
     for g in ideal.generators:
-        assert normal_form(g, gb).is_zero()
+        assert _remainder(g, gb).is_zero()
 
 
 def test_reduced_basis_is_canonical():
@@ -161,8 +179,8 @@ def test_divisor_index_without_variables():
 
 def test_divisor_index_live_set_narrows_division():
     """Clearing a divisor's bit in `live` removes it from every lookup, and
-    a normal form on the index then has the remainder of the division by
-    the list without that divisor."""
+    a normal form on the index is then a positive multiple of the remainder
+    of the division by the list without that divisor."""
     divisors = _ideal("x^2 - y", "x*y - z", "y^2 - x").generators
     index = _DivisorIndex(AMB, grevlex_key, divisors)
     p = parse_polynomial("x^3*y + x^2*y^2 - z^2 + x", AMB)
@@ -170,15 +188,16 @@ def test_divisor_index_live_set_narrows_division():
         index.live = 0b111 ^ 1 << i
         assert not index.dividing(divisors[i].lead(grevlex_key)[0]) >> i & 1
         rest = divisors[:i] + divisors[i + 1:]
-        assert normal_form(p, index) == divmod_polynomials(p, rest, grevlex_key)[1]
+        _assert_integer_multiple(normal_form(p, index),
+                                 divmod_polynomials(p, rest, grevlex_key)[1])
 
 
 @pytest.mark.parametrize("name", ORDERS)
 def test_division_by_index_equals_division_by_list(name):
-    """A normal form on a prepared index gives the remainder of the
-    division by the plain list, term for term and in the same term order;
-    the quotient list has one entry per divisor, and every unused entry is
-    one shared zero."""
+    """A normal form on a prepared index gives a positive integer multiple
+    of the remainder of the division by the plain list, with the same
+    monomials in the same term order; the quotient list has one entry per
+    divisor, and every unused entry is one shared zero."""
     key = ORDERS[name]
     rng = random.Random(f"index-{seed_tag(name)}")
     for _ in range(25):
@@ -187,8 +206,7 @@ def test_division_by_index_equals_division_by_list(name):
         p = random_polynomial(rng, AMB, max_terms=8, max_exp=4)
         quotients, r = divmod_polynomials(p, divisors, key)
         assert len(quotients) == len(divisors)
-        remainder = normal_form(p, _DivisorIndex(AMB, key, divisors))
-        assert list(remainder.terms.items()) == list(r.terms.items())
+        _assert_integer_multiple(normal_form(p, _DivisorIndex(AMB, key, divisors)), r)
         unused = [q for q in quotients if not q]
         assert all(q is unused[0] for q in unused)
 
@@ -256,8 +274,7 @@ def _assert_same_division(p, divisors, key):
         [list(q.terms.items()) for q in want_q]
     assert list(got_r.terms.items()) == list(want_r.terms.items())
     assert all(type(c) is Fraction for q in got_q + [got_r] for c in q.terms.values())
-    remainder = normal_form(p, _DivisorIndex(p.ambient, key, divisors))
-    assert list(remainder.terms.items()) == list(want_r.terms.items())
+    _assert_integer_multiple(normal_form(p, _DivisorIndex(p.ambient, key, divisors)), want_r)
 
 
 def _integer_form(index, i):
@@ -269,10 +286,11 @@ def _integer_form(index, i):
 @pytest.mark.parametrize("name", ORDERS)
 def test_integer_division_matches_fraction_division(name):
     """divmod_polynomials gives the Fraction loop's quotients and remainder,
-    coefficient for coefficient and in the same term order, and the
-    remainder of normal_form is the same; on seeded non-monic divisors with
-    non-integral coefficients and negative leads, and again with every
-    coefficient scaled by a rational of up to 256 bits (the parser's cap)."""
+    coefficient for coefficient and in the same term order, and normal_form
+    gives a positive integer multiple of that remainder; on seeded non-monic
+    divisors with non-integral coefficients and negative leads, and again
+    with every coefficient scaled by a rational of up to 256 bits (the
+    parser's cap)."""
     key = ORDERS[name]
     rng = random.Random(f"integer-division-{seed_tag(name)}")
     negative = 0
@@ -348,6 +366,48 @@ def test_buchberger_reduces_through_normal_form(monkeypatch):
     assert len(calls) == got.pairs_processed + len(got.elements) == 8 + 6
 
 
+def test_only_reading_the_reduced_basis_builds_fractions(monkeypatch):
+    """A run stays in integer forms: every normal form it takes has int
+    coefficients, and `_divided`, which builds the Fraction polynomials, is
+    not called while `buchberger` runs.  It is called once per element
+    when `free_of(front)` is read and once per element when `elements` is
+    read, and not again on a second read of `elements`.  Seeded ideals
+    under the block orders, with rational generators."""
+    divided, forms = [], []
+    real_divided, real_nf = groebner._divided, groebner.normal_form
+
+    def counted(*args):
+        divided.append(args)
+        return real_divided(*args)
+
+    def recorded(p, index):
+        r = real_nf(p, index)
+        forms.append(r)
+        return r
+
+    monkeypatch.setattr(groebner, "_divided", counted)
+    monkeypatch.setattr(groebner, "normal_form", recorded)
+    rng = random.Random(61)
+    for name in ("block1", "block2"):
+        key, f = ORDERS[name], front(name)
+        for _ in range(10):
+            ideal = IdealBasis(AMB, [random_polynomial(rng, AMB, max_terms=3, max_exp=2,
+                                                       nonzero=True)
+                                     for _ in range(rng.randint(2, 3))])
+            gb = buchberger(ideal, key)
+            assert not divided
+            assert all(type(c) is int for r in forms for c in r.terms.values())
+            part = gb.free_of(f)
+            assert len(divided) == len(part) == sum(1 for e in gb.leads if not any(e[:f]))
+            divided.clear()
+            elements = gb.elements
+            assert len(divided) == len(elements) == len(gb.leads)
+            divided.clear()
+            gb.elements
+            assert not divided
+            forms.clear()
+
+
 def test_minimalize_keeps_first_of_equal_leads():
     """Of equal leads the first is kept, and a lead with a proper divisor
     anywhere in the list is dropped; against the all-pairs rule on seeded
@@ -365,13 +425,14 @@ def test_minimalize_keeps_first_of_equal_leads():
 
 
 def test_normal_form_is_idempotent():
-    """Reducing twice gives the same remainder as reducing once."""
+    """Reducing twice modulo a basis gives the same remainder as reducing
+    once."""
     rng = random.Random(17)
     gb = buchberger(_ideal("x^2 - y", "y^2 - z"), grevlex_key)
     for _ in range(10):
         p = random_polynomial(rng, AMB)
-        r = normal_form(p, gb)
-        assert normal_form(r, gb) == r
+        r = _remainder(p, gb)
+        assert _remainder(r, gb) == r
 
 
 def test_membership():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -131,6 +132,19 @@ def test_parse_caps_the_nesting_depth():
     with pytest.raises(PolyParseError) as exc:
         parse_polynomial("(" * 1000 + "x" + ")" * 1000, AMB)
     assert exc.value.position == MAX_NESTING
+
+
+def test_parse_refuses_integers_past_the_digit_limit():
+    """An integer token longer than Python converts from a string, as a
+    literal, an exponent or a denominator, is refused at the token's own
+    position; one at the limit still parses."""
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text, pos in [(f"{long}*x", 0), (f"x^{long}", 2), (f"y + 1/{long}", 6)]:
+        with pytest.raises(PolyParseError, match=f"longer than {limit} digits") as exc:
+            parse_polynomial(text, AMB)
+        assert exc.value.position == pos
+    assert parse_polynomial("9" * limit, AMB) == Polynomial.constant(AMB, int("9" * limit))
 
 
 def test_parse_caps_the_coefficient_height():
