@@ -15,6 +15,7 @@ carry 1-based line and column numbers.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 
@@ -165,10 +166,11 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
 
 
 def load_germ_file(path) -> GermFile:
-    """Read and parse a UTF-8 germ file from disk; a byte that is not
-    valid UTF-8 is an error at its line and column."""
+    """Read and parse a UTF-8 germ file from disk, after one leading
+    byte-order mark if it has one; a byte that is not valid UTF-8 is an
+    error at its line and column."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -2,16 +2,16 @@
 
 Every matrix is a list of rows of Python ints: Cartan and Coxeter data,
 intersection forms, reflections, variation matrices and foldings.  Inputs
-(nested lists or integer numpy arrays) go through `_int_rows`, and `_matmul`
-is the one product, so no entry can wrap.  The only numpy array is the return
-value of `cartan_matrix`, the one place that imports numpy.  The reflection
-in the i-th vanishing class delta_i of an even lattice with self-intersection
--2 is a |-> a + (a . delta_i) delta_i; on the root-lattice model (S = -Cartan
-for simply-laced types) these coincide with the Weyl generators
-s_i(e_j) = e_j - C_ji e_i.
+(nested lists or integer numpy arrays) go through `_int_rows`, and every
+product is a sum of Python ints, so no entry can wrap.  The only numpy array
+is the return value of `cartan_matrix`, the one place that imports numpy.
+The reflection in the i-th vanishing class delta_i of an even lattice with
+self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
+model (S = -Cartan for simply-laced types) these coincide with the Weyl
+generators s_i(e_j) = e_j - C_ji e_i.
 
-Two independent group orders: `group_order_bfs` closes a matrix group element
-by element, each element a byte string of interned column ids, and
+Two independent group orders: `group_order_bfs` closes the unit columns
+under the generators, then the elements as byte strings of column ids, and
 `weyl_group_order` counts a Weyl group by orbit-stabilizer on fundamental
 weights without listing its elements.
 """
@@ -42,10 +42,10 @@ _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
 # The types whose groups the breadth-first closure can count: the benchmark's
 # `reflection` workload builds its type list from this tuple.  Their roots,
-# the columns of their elements, fit group_order_bfs's 256 column ids (E6
-# has 72); E7 and E8 (126 and 240 roots) stay out because their groups pass
-# its 10**6-element cap.  `vancyc coxeter` accepts every type up to rank 8,
-# E7 and E8 included.
+# the columns group_order_bfs lists before any element, fit its 256 column
+# ids (E6 has 72); E7 and E8 (126 and 240 roots) stay out because their
+# groups pass its 10**6-element cap.  `vancyc coxeter` accepts every type up
+# to rank 8, E7 and E8 included.
 SUPPORTED_TYPES = tuple(
     [f"A{r}" for r in range(1, 9)] + ["B2", "B3", "B4", "C3", "D4", "E6", "F4", "G2"])
 
@@ -312,43 +312,39 @@ def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
     generated; None when it has more than `cap` elements or when its
     elements have more than 256 distinct columns between them.
 
-    Level-synchronous breadth-first closure, deterministic, in Python ints.
-    Every distinct column vector gets a one-byte id and an element is the
-    byte string of its column ids.  Column a of g.m is g.(column a of m), so
-    one 256-byte table per generator, mapping a column id to the id of
-    g.column, turns a product into one `bytes.translate`.  Each table starts
-    as its generator's own columns, the images of the unit columns, and is
-    extended at the start of each level for the columns that exist then,
-    never to closure: an infinite group has infinitely many columns, so it
-    always passes the column budget.  Every column interned is a column of
-    some element, so a group whose elements have at most 256 distinct
-    columns (the roots, in the reflection representation of `weyl_generators`
-    of every finite type up to rank 8) never meets that budget.
+    Two phases, deterministic, in Python ints.  Column a of g.m is
+    g.(column a of m), so the columns of the elements are the closure of the
+    unit columns under the generators (the roots, for `weyl_generators`).
+    The first phase lists that closure, giving each column a one-byte id and
+    each generator a table from a column id to the id of g.column; it stops
+    at a 257th column, so an infinite group ends before any element is
+    listed.  The second is a level-synchronous breadth-first closure of the
+    elements, each the byte string of its column ids, in which a product is
+    one `bytes.translate` by a generator's table.
     """
     mats = _int_generators(generators)
     if not mats:
         return 1
     n = len(mats[0])
-    if n > _COLUMN_IDS:
-        return None
-    col_ids: dict[tuple[int, ...], int] = {}
-
-    def intern(col: tuple[int, ...]) -> int:
-        return col_ids.setdefault(col, len(col_ids))
-
-    identity = bytes(map(intern, map(tuple, _identity(n))))
-    # g maps the unit columns to its own columns
-    tables = [list(map(intern, zip(*g))) for g in mats]
+    cols = list(map(tuple, _identity(n)))
+    col_ids = {col: k for k, col in enumerate(cols)}
+    tables: list[list[int]] = [[] for _ in mats]
+    for k, col in enumerate(cols):  # the list grows while it is read
+        if len(cols) > _COLUMN_IDS:
+            return None
+        for table, g in zip(tables, mats):
+            # g.e_k is g's own column k: reading it skips n^3 multiply-adds
+            image = tuple([row[k] for row in g] if k < n else
+                          [sum(map(operator.mul, row, col)) for row in g])
+            if image not in col_ids:
+                col_ids[image] = len(cols)
+                cols.append(image)
+            table.append(col_ids[image])
+    translations = [bytes(table).ljust(_COLUMN_IDS, b"\0") for table in tables]
+    identity = bytes(range(n))
     seen = {identity}
     frontier = [identity]
     while frontier:
-        # the columns interned since the last fill, as the columns of one matrix
-        fresh = list(zip(*list(col_ids)[len(tables[0]):]))
-        for table, g in zip(tables, mats):
-            table.extend(map(intern, zip(*_matmul(g, fresh))))
-        if len(col_ids) > _COLUMN_IDS:
-            return None
-        translations = [bytes(table).ljust(_COLUMN_IDS, b"\0") for table in tables]
         next_frontier = []
         for m in frontier:
             for table in translations:
@@ -411,7 +407,7 @@ def _fundamental_orbit_size(rows: list[list[int]], i: int, cap: int) -> int | No
         for lam in frontier:
             for j, lam_j in enumerate(lam):
                 if lam_j > 0:
-                    mu = tuple(a - lam_j * b for a, b in zip(lam, rows[j]))
+                    mu = tuple([a - lam_j * b for a, b in zip(lam, rows[j])])
                     if mu not in seen:
                         if len(seen) >= cap:
                             return None
@@ -483,23 +479,20 @@ def _validate_automorphism(cartan: list[list[int]], perm: Sequence[int]) -> tupl
 
 
 def _orbits(r: int, perms: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    parent = list(range(r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(r):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    buckets: dict[int, list[int]] = {}
+    """Orbits of the group the permutations generate on 0..r-1, each sorted,
+    in the order of their smallest node."""
+    placed: set[int] = set()
+    orbits = []
     for i in range(r):
-        buckets.setdefault(find(i), []).append(i)
-    return [tuple(sorted(v)) for _, v in sorted(buckets.items())]
+        if i not in placed:
+            orbit = [i]
+            for a in orbit:  # the list grows while it is read
+                for p in perms:
+                    if p[a] not in orbit:
+                        orbit.append(p[a])
+            placed.update(orbit)
+            orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 @dataclass(frozen=True)

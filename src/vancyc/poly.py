@@ -47,7 +47,7 @@ import heapq
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd, lcm, log2
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
@@ -488,6 +488,10 @@ MAX_COEFFICIENT_BITS = 256
 # Cap on nested parentheses: each costs the parser four stack frames, and
 # about 250 overflowed Python's default stack.
 MAX_NESTING = 100
+# Cap on the exponent of a variable that one '^' or '*' may produce: the
+# division index keeps one list entry per exponent up to a divisor's largest,
+# and 10**6 entries take 8 MB per column.
+MAX_EXPONENT = 10 ** 6
 
 
 def _height(p: Polynomial) -> float:
@@ -498,6 +502,15 @@ def _height(p: Polynomial) -> float:
     d = lcm(*(c.denominator for c in p.terms.values()))
     n = sum(abs(c.numerator) * (d // c.denominator) for c in p.terms.values())
     return log2(n * d) if n else 0.0
+
+
+def _max_exponent(p: Polynomial) -> int:
+    return max(chain.from_iterable(p.terms), default=0)
+
+
+def _check_exponent(exponent: int, op: str, at: int) -> None:
+    if exponent > MAX_EXPONENT:
+        raise PolyParseError(f"expanding '{op}' may exceed exponent {MAX_EXPONENT}", at)
 
 
 def _check_expansion(terms: int, bits: float, op: str, at: int) -> None:
@@ -568,6 +581,7 @@ class _Parser:
             if not self.accept_op("*"):
                 return p
             q = self.parse_factor()
+            _check_exponent(_max_exponent(p) + _max_exponent(q), "*", at)
             _check_expansion(len(p.terms) * len(q.terms), _height(p) + _height(q),
                              "*", at)
             p = p * q
@@ -581,6 +595,9 @@ class _Parser:
                 raise PolyParseError("exponent must be a non-negative integer", at_exp)
             self.pos += 1
             n = _integer(val, at_exp)
+            # n itself is bounded too, first: it keeps comb() fast and
+            # n * _height(p) a finite float, for a constant p as well
+            _check_exponent(n * max(_max_exponent(p), 1), "^", at)
             # a product of n terms from t has at most C(t + n - 1, n) monomials
             _check_expansion(comb(len(p.terms) + n - 1, n) if n else 1,
                              n * _height(p), "^", at)

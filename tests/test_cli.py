@@ -6,7 +6,7 @@ import pytest
 
 from vancyc import suite
 from vancyc.cli import main
-from vancyc.poly import MAX_NESTING
+from vancyc.poly import MAX_EXPONENT, MAX_NESTING
 from vancyc.report import FAIL
 
 
@@ -212,6 +212,41 @@ def test_overlong_integer_is_a_positioned_error(capsys, tmp_path):
     code, out, err = run(capsys, "discriminant", str(bad))
     assert (code, out) == (2, [])
     assert err == [f"error: line 2, column 14: {message} (at position 2)"]
+
+
+def test_exponent_past_the_cap_is_a_positioned_error(capsys, tmp_path):
+    """A power whose exponent passes MAX_EXPONENT exits 2 with the position
+    of its '^', in a germ file and in --given, before the rest of the line
+    is read and before any division index is built; so does a power of a
+    constant whose exponent is too large for a float."""
+    message = f"expanding '^' may exceed exponent {MAX_EXPONENT}"
+    bad = tmp_path / "power.germ"
+    bad.write_text(f"vars: q p\nsymplectic: (q,p)\ncomponent: q^{MAX_EXPONENT + 1}\n"
+                   "component: p\n", encoding="utf-8")
+    code, out, err = run(capsys, "bracket", str(bad), "1", "2")
+    assert (code, out) == (2, [])
+    assert err == [f"error: line 3, column 13: {message} (at position 1)"]
+    for given, pos in [(f"s1^{MAX_EXPONENT + 1} + 1/0", 2), ("s2 - 2^" + "9" * 400, 6)]:
+        code, out, err = run(capsys, "discriminant", "--given", given)
+        assert (code, out) == (2, [])
+        assert err == [f"error: {message} (at position {pos})"]
+
+
+def test_germ_file_with_a_byte_order_mark(capsys, tmp_path):
+    """One leading UTF-8 byte-order mark is skipped: the file gives the
+    output of the same file without it, and positions on its first line are
+    counted from the first character after it."""
+    path = tmp_path / "bom.germ"
+    text = b"vars: x y\ncomponent: x^2+y^3\n"
+    path.write_bytes(text)
+    want = run(capsys, "discriminant", str(path))
+    assert want[0] == 0
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run(capsys, "discriminant", str(path)) == want
+    path.write_bytes(b"\xef\xbb\xbfvars: x\xff y\ncomponent: x\n")
+    code, out, err = run(capsys, "discriminant", str(path))
+    assert (code, out) == (2, [])
+    assert err == ["error: line 1, column 8: byte 0xff is not valid UTF-8"]
 
 
 def test_coxeter_full_run(capsys):

@@ -118,3 +118,24 @@ def test_invalid_utf8_is_a_positioned_error(tmp_path):
                                   f"byte {byte:#04x} is not valid UTF-8")
     path.write_bytes("# déjà vu\r\nvars: x y\r\ncomponent: x*y\r\n".encode())
     assert load_germ_file(path).variables == ("x", "y")
+
+
+def test_one_leading_byte_order_mark_is_skipped(tmp_path):
+    """A file saved with a UTF-8 byte-order mark loads as its text without
+    the mark, and a bad byte's column on the first line is counted from the
+    first character after it; a second mark is text, refused at column 1."""
+    bom = b"\xef\xbb\xbf"
+    text = "vars: x y\nsymplectic: (x,y)\ncomponent: x^2+y^3\n"
+    path = tmp_path / "bom.germ"
+    path.write_bytes(bom + text.encode())
+    assert load_germ_file(path) == parse_germ_text(text, source_name=str(path))
+    for data, line, column in [(bom + b"vars: x\xff\n", 1, 8),
+                               (bom + b"vars: x y\ncomponent: x\xff\n", 2, 13)]:
+        path.write_bytes(data)
+        with pytest.raises(GermFileError, match="byte 0xff is not valid UTF-8") as exc:
+            load_germ_file(path)
+        assert (exc.value.line, exc.value.column) == (line, column), data
+    path.write_bytes(bom + bom + text.encode())
+    with pytest.raises(GermFileError, match="expected '<key>: <payload>'") as exc:
+        load_germ_file(path)
+    assert (exc.value.line, exc.value.column) == (1, 1)

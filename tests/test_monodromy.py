@@ -34,6 +34,7 @@ from vancyc.monodromy import (
     weyl_generators,
     weyl_group_order,
 )
+from vancyc.monodromy import _orbits
 from vancyc.suite import invariant_degrees
 
 ORDER_GOLDEN = {
@@ -515,6 +516,31 @@ def test_fold_identity_is_trivial():
     assert folding.folded.label == "A2"
     assert folding.group_order == 1
     assert folding.group_name == "trivial"
+
+
+def _reachable(i, perms):
+    """Every node some word in the permutations sends i to, by brute force."""
+    reached = {i}
+    while True:
+        more = {p[a] for a in reached for p in perms} - reached
+        if not more:
+            return tuple(sorted(reached))
+        reached |= more
+
+
+def test_fold_orbits_are_the_reachability_classes():
+    """On seeded random sets of permutations of 1 to 8 points, with the
+    empty set and the identity among them, the fold's orbits are the classes
+    of nodes reachable from one another, each sorted, in the order of their
+    smallest node."""
+    rng = random.Random(29)
+    for r in range(1, 9):
+        sets = [[], [tuple(range(r))]] + [
+            [tuple(rng.sample(range(r), r)) for _ in range(rng.randint(1, 3))]
+            for _ in range(25)]
+        for perms in sets:
+            classes = {_reachable(i, perms) for i in range(r)}
+            assert _orbits(r, perms) == sorted(classes, key=min), (r, perms)
 
 
 def test_fold_validates_automorphisms():

@@ -12,6 +12,7 @@ import pytest
 from minors import cofactor_det, cofactor_minors
 from randpoly import random_polynomial
 from vancyc.poly import (
+    MAX_EXPONENT,
     MAX_NESTING,
     AmbientMismatchError,
     PolyError,
@@ -119,6 +120,34 @@ def test_parse_caps_the_expanded_size():
     assert len(parse_polynomial("(x+y+z)^12", AMB).terms) == 91
     assert parse_polynomial("x^100000*y^3", AMB).terms == {(100000, 3, 0): 1}
     assert len(parse_polynomial("(x+y+z)^4 * (x+y)^9", AMB).terms) == 60  # bound 150
+
+
+def test_parse_caps_the_exponents():
+    """An operator whose bound on a variable's exponent passes MAX_EXPONENT,
+    n * e for '^' and e_p + e_q for '*', fails at its own position before
+    expanding; a result at the cap still parses.  A power's n is bounded
+    too, on a constant as well, and first, so a far larger exponent is
+    refused at once, not after a slow term bound or a float overflow."""
+    huge = "9" * 400  # past the largest float
+    cases = [
+        (f"x^{MAX_EXPONENT + 1}", 1),
+        (f"x^{MAX_EXPONENT * 10 ** 5}", 1),
+        (f"1^{MAX_EXPONENT + 1}", 1),
+        (f"y + 2^{huge}", 5),
+        (f"((x+y+z)^5)^{huge}", 11),
+        (f"y + (x^2*z)^{MAX_EXPONENT // 2 + 1}", 11),
+        (f"x^{MAX_EXPONENT // 2}*y*x^{MAX_EXPONENT // 2 + 1}", 10),
+        (f"(x + 1)^2 * x^{MAX_EXPONENT - 1}", 10),
+    ]
+    for text, pos in cases:
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match=f"exceed exponent {MAX_EXPONENT}") as exc:
+            parse_polynomial(text, AMB)
+        assert time.perf_counter() - start < 0.05, text
+        assert exc.value.position == pos, text
+    assert parse_polynomial(f"x^{MAX_EXPONENT // 2}*x^{MAX_EXPONENT // 2}", AMB).terms == {
+        (MAX_EXPONENT, 0, 0): 1}
+    assert parse_polynomial(f"(-1)^{MAX_EXPONENT}", AMB) == Polynomial.constant(AMB, 1)
 
 
 def test_parse_caps_the_nesting_depth():
