@@ -26,7 +26,8 @@ from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
 from .monodromy import CoxeterDatum, FoldingError, LatticeError
 from .poly import PolyError, format_polynomial, parse_polynomial, squarefree_part_bivariate
 from .report import FAIL, PASS, SKIPPED_BUDGET, Report
-from .singularity import _reduced_multiplicity, discriminant, multiplicity_at_origin
+from .singularity import (OFF_ORIGIN, _reduced_multiplicity, discriminant,
+                          multiplicity_at_origin)
 from .suite import (COXETER_CHECKS, STEINBERG_CHECKS, coxeter_results, fold_results,
                     run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
@@ -70,6 +71,10 @@ def _given_multiplicity(expr: str, budget: int) -> int:
         if m.group(0) not in names:
             names.append(m.group(0))
     given = parse_polynomial(expr, tuple(sorted(names)))
+    # The squarefree part vanishes at the origin exactly where `given` does,
+    # so a nonzero constant term is refused before its Buchberger run.
+    if given.terms.get((0,) * len(given.ambient)):
+        raise PolyError(OFF_ORIGIN)
     reduced = squarefree_part_bivariate(given, budget)
     mult = _reduced_multiplicity(reduced)
     print(f"given: {format_polynomial(given)}")

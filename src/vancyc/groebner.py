@@ -416,7 +416,10 @@ def _standard_monomial_count(gb: GroebnerBasis) -> int | None:
     variable has no pure-power lead (the count is infinite).  Only the
     leads are read (Macaulay's basis theorem; Cox, Little and O'Shea, 5.3),
     and the monomials are tested through the run's own divisor index, whose
-    live leads all have a minimal lead among their divisors."""
+    live leads all have a minimal lead among their divisors.  A multiple of a
+    divisible monomial is divisible, so the standard monomials are a
+    staircase: below the pure-power bounds of the other variables, the last
+    exponent is walked up to its first divisible value only."""
     leads = gb.leads
     if not leads:
         return None if gb.ambient else 1
@@ -432,5 +435,10 @@ def _standard_monomial_count(gb: GroebnerBasis) -> int | None:
     if any(b is None for b in bounds):
         return None
     dividing = gb._index.dividing
-    return sum(1 for exps in product(*(range(b) for b in bounds))
-               if not dividing(exps))
+    count = 0
+    for head in product(*(range(b) for b in bounds[:-1])):
+        exps = [*head, 0]
+        while exps[-1] < bounds[-1] and not dividing(exps):
+            exps[-1] += 1
+        count += exps[-1]
+    return count

@@ -10,10 +10,11 @@ self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
 model (S = -Cartan for simply-laced types) these coincide with the Weyl
 generators s_i(e_j) = e_j - C_ji e_i.
 
-Two independent group orders: `group_order_bfs` closes the unit columns
-under the generators, then the elements as byte strings of column ids, and
-`weyl_group_order` counts a Weyl group by orbit-stabilizer on fundamental
-weights without listing its elements.
+Two independent group orders, neither of which lists the elements:
+`group_order_bfs` closes the unit columns under the generators (the roots,
+for a Weyl group), then counts the permutation group they induce on the
+column ids by a Schreier-Sims stabilizer chain, and `weyl_group_order`
+counts a Weyl group by orbit-stabilizer on fundamental weights.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ class FoldingError(ValueError):
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
-# The types whose groups the breadth-first closure can count: the benchmark's
-# `reflection` workload builds its type list from this tuple.  Their roots,
-# the columns group_order_bfs lists before any element, fit its 256 column
-# ids (E6 has 72); E7 and E8 (126 and 240 roots) stay out because their
-# groups pass its 10**6-element cap.  `vancyc coxeter` accepts every type up
-# to rank 8, E7 and E8 included.
+# The types whose groups group_order_bfs counts at its default cap: the
+# benchmark's `reflection` workload builds its type list from this tuple.
+# Their roots, the columns it closes first, fit its 256 column ids (E6 has
+# 72).  E7 and E8 (126 and 240 roots) fit too and cost milliseconds; they stay
+# out only because their orders pass the default 10**6-element cap.
+# `vancyc coxeter` accepts every type up to rank 8, E7 and E8 included.
 SUPPORTED_TYPES = tuple(
     [f"A{r}" for r in range(1, 9)] + ["B2", "B3", "B4", "C3", "D4", "E6", "F4", "G2"])
 
@@ -305,57 +306,174 @@ def braid_relation_check(generators: Sequence,
 
 
 _COLUMN_IDS = 256  # one byte per column id
+_IDENTITY_PERM = bytes(range(_COLUMN_IDS))
+
+
+def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
+    """The closure of the unit columns under the matrices, as one table per
+    matrix from a column id to the id of g.column; None at a 257th column.
+
+    Column a of g.m is g.(column a of m), so these are the columns of every
+    element of the monoid the matrices generate (the roots, for
+    `weyl_generators`).  Ids follow the order of discovery, e_k first as id k,
+    so a matrix of size past 256 is None too.
+    """
+    n = len(mats[0])
+    if n > _COLUMN_IDS:
+        return None
+    units = _identity(n)
+    cols = list(map(tuple, units))
+    col_ids = {col: k for k, col in enumerate(cols)}
+    tables: list[list[int]] = [[] for _ in mats]
+    # g.e_k is g's own column k; a later column is changed only by the rows
+    # of g that differ from the identity's, one row for a reflection.
+    per_matrix = [(table, list(zip(*g)),
+                   [(i, row) for i, (row, unit) in enumerate(zip(g, units)) if row != unit])
+                  for table, g in zip(tables, mats)]
+    mul = operator.mul
+    for k, col in enumerate(cols):  # the list grows while it is read
+        for table, g_cols, rows in per_matrix:
+            if k < n:
+                image = g_cols[k]
+            else:
+                image = list(col)
+                for i, row in rows:
+                    image[i] = sum(map(mul, row, col))
+                image = tuple(image)
+            k_image = col_ids.setdefault(image, len(cols))
+            if k_image == len(cols):
+                if k_image == _COLUMN_IDS:
+                    return None
+                cols.append(image)
+            table.append(k_image)
+    return tables
 
 
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
-    """Order of the matrix group (the monoid, for singular generators)
-    generated; None when it has more than `cap` elements or when its
-    elements have more than 256 distinct columns between them.
+    """Order of the matrix group generated; None when it has more than `cap`
+    elements or when its elements have more than 256 distinct columns between
+    them; LatticeError for a singular generator whose columns fit.
 
-    Two phases, deterministic, in Python ints.  Column a of g.m is
-    g.(column a of m), so the columns of the elements are the closure of the
-    unit columns under the generators (the roots, for `weyl_generators`).
-    The first phase lists that closure, giving each column a one-byte id and
-    each generator a table from a column id to the id of g.column; it stops
-    at a 257th column, so an infinite group ends before any element is
-    listed.  The second is a level-synchronous breadth-first closure of the
-    elements, each the byte string of its column ids, in which a product is
-    one `bytes.translate` by a generator's table.
+    Two phases, deterministic, exact in Python ints; no element is listed.
+    The first is `_column_tables`, which ends an infinite group at its 257th
+    column.  An element is fixed by the ids of its images of the unit
+    columns, so the group acts faithfully on the column ids, each generator
+    as its table.  A table that is not a permutation of the ids is a singular
+    generator, since the columns span Q^n.  The second phase counts the
+    permutation group by `_stabilizer_chain_order`.
     """
     mats = _int_generators(generators)
     if not mats:
         return 1
-    n = len(mats[0])
-    cols = list(map(tuple, _identity(n)))
-    col_ids = {col: k for k, col in enumerate(cols)}
-    tables: list[list[int]] = [[] for _ in mats]
-    for k, col in enumerate(cols):  # the list grows while it is read
-        if len(cols) > _COLUMN_IDS:
-            return None
-        for table, g in zip(tables, mats):
-            # g.e_k is g's own column k: reading it skips n^3 multiply-adds
-            image = tuple([row[k] for row in g] if k < n else
-                          [sum(map(operator.mul, row, col)) for row in g])
-            if image not in col_ids:
-                col_ids[image] = len(cols)
-                cols.append(image)
-            table.append(col_ids[image])
-    translations = [bytes(table).ljust(_COLUMN_IDS, b"\0") for table in tables]
-    identity = bytes(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for m in frontier:
-            for table in translations:
-                prod = m.translate(table)
-                if prod not in seen:
-                    if len(seen) >= cap:
+    tables = _column_tables(mats)
+    if tables is None:
+        return None
+    m = len(tables[0])
+    fixed = _IDENTITY_PERM[m:]
+    translations = []
+    for k, table in enumerate(tables):
+        if len(set(table)) < m:
+            raise LatticeError(
+                f"singular generator {k}: it maps two columns to one column")
+        translations.append(bytes(table) + fixed)
+    return _stabilizer_chain_order(translations, m, cap)
+
+
+def _stabilizer_chain_order(translations: list[bytes], m: int,
+                            cap: int) -> int | None:
+    """Order of the group that permutations of 0..m-1 generate, each given as
+    its 256-byte `bytes.translate` table; None once it passes `cap` elements.
+
+    A deterministic incremental Schreier-Sims chain (Sims, 1970; Seress,
+    Permutation Group Algorithms, 2003, ch. 4).  Level i has a base point b_i,
+    generators S_i that fix b_0..b_{i-1}, the orbit of b_i under them and,
+    for each orbit point a, u_a with u_a(b_i) = a, as the m bytes of its
+    images; q.p (p first) is `p.translate(q)`.  The pairs (orbit point a,
+    s in S_i) are tested once each, counted off per orbit point.  s.u_a
+    either reaches a new orbit point or gives the Schreier generator
+    u_{s(a)}^-1.s.u_a, sifted through the deeper levels.  A residue other
+    than the identity joins S_{i+1}..S_j, j its drop level (a new level at
+    its least moved point when j is past the last), and the walk goes on at
+    level j, then back up.  Once every pair of every level is tested, |G| is
+    the product of the orbit lengths.  Each orbit lies in the orbit of b_i
+    under the stabilizer of b_0..b_{i-1}, so at every step the product is a
+    lower bound on |G|: passing `cap` means |G| > cap.
+    """
+    ident = _IDENTITY_PERM[:m]
+    gens = [t for t in translations if t != _IDENTITY_PERM]
+    if not gens:
+        return 1
+    levels = [_chain_level(gens[0], gens, ident)]
+    order = 1
+    i = 0
+    while i >= 0:
+        base, gens, orbit, tested, u, u_inv = levels[i]
+        others = order // len(orbit)
+        limit = cap // others  # the longest orbit that keeps the product within cap
+        ng = len(gens)
+        drop = None
+        for a, point in enumerate(orbit):  # the orbit grows while it is read
+            if tested[a] == ng:
+                continue
+            u_a = u[point]
+            for k in range(tested[a], ng):
+                su = u_a.translate(gens[k])
+                y = su[base]
+                u_y = u[y]
+                if u_y is None:
+                    u[y] = su
+                    orbit.append(y)
+                    tested.append(0)
+                    if len(orbit) > limit:
                         return None
-                    seen.add(prod)
-                    next_frontier.append(prod)
-        frontier = next_frontier
-    return len(seen)
+                elif su != u_y:
+                    drop, h = _sift(levels, i, su, ident)
+                    if drop is not None:
+                        tested[a] = k + 1
+                        break
+            else:
+                tested[a] = ng
+                continue
+            break
+        order = others * len(orbit)
+        if drop is None:
+            i -= 1
+        else:
+            if drop == len(levels):
+                levels.append(_chain_level(h, [], ident))
+            h += _IDENTITY_PERM[m:]
+            for level in levels[i + 1:drop + 1]:
+                level[1].append(h)
+            i = drop
+    return order
+
+
+def _chain_level(h: bytes, gens: list[bytes], ident: bytes) -> tuple:
+    """A level based at the least point h moves: (b, S, orbit [b], pairs
+    tested per orbit point, u_a by point a, the table of u_a^-1 by point a,
+    filled when first read); ident is the identity on the m points."""
+    base = 0
+    while h[base] == base:
+        base += 1
+    u: list[bytes | None] = [None] * len(ident)
+    u[base] = ident
+    return base, gens, [base], [0], u, [None] * len(ident)
+
+
+def _sift(levels: list[tuple], i: int, h: bytes,
+          ident: bytes) -> tuple[int | None, bytes]:
+    """Strip h through levels i.. of the chain: (None, h) when it sifts to
+    the identity, else (its drop level, the residue)."""
+    for j in range(i, len(levels)):
+        base, _, _, _, u, u_inv = levels[j]
+        a = h[base]
+        t = u_inv[a]
+        if t is None:
+            if u[a] is None:
+                return j, h
+            t = u_inv[a] = bytes.maketrans(u[a], ident)
+        h = h.translate(t)
+    return (None, h) if h == ident else (len(levels), h)
 
 
 def _generalized_cartan_rows(cartan) -> list[list[int]]:

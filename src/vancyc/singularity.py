@@ -118,10 +118,13 @@ def discriminant(germ: MapGerm,
     return DiscriminantDescription(germ.k, eliminated.ambient, eliminated, reduced, note)
 
 
+OFF_ORIGIN = "discriminant does not pass through the origin"
+
+
 def _reduced_multiplicity(reduced: Polynomial) -> int:
     order = reduced.order_at_origin()
     if order == 0:
-        raise PolyError("discriminant does not pass through the origin")
+        raise PolyError(OFF_ORIGIN)
     return order
 
 

@@ -303,13 +303,14 @@ def check_braid_relations() -> CheckResult:
 
 
 _ORDER_TYPES = ("A2", "B2", "G2", "A3", "D4", "F4", "E6", "E7", "E8")
-# Closed element by element as well; at most 1,152 elements each.
+# Counted by group_order_bfs as well; at most 1,152 elements each.
 _BFS_TYPES = _ORDER_TYPES[:6]
 
 
 def check_weyl_orders() -> CheckResult:
-    """Orbit-stabilizer orders match prod d_i, and the BFS closure agrees on
-    the small types; a disagreement shows as `order/bfs` in the got list."""
+    """Orbit-stabilizer orders match prod d_i, and the stabilizer chain of
+    group_order_bfs agrees on the small types; a disagreement shows as
+    `order/bfs` in the got list."""
     results = [r for label in _ORDER_TYPES for r in coxeter_results(label, ("order",))]
     got: list[object] = [r.got for r in results]
     for k, label in enumerate(_BFS_TYPES):
@@ -317,8 +318,8 @@ def check_weyl_orders() -> CheckResult:
         if bfs != got[k]:
             got[k] = f"{format_value(got[k])}/{format_value(bfs)}"
     return check("weyl-orders", [r.expected for r in results], got,
-                 note="orbit-stabilizer on fundamental weights; BFS closure "
-                      f"cross-checks {','.join(_BFS_TYPES)}")
+                 note="orbit-stabilizer on fundamental weights; stabilizer chain "
+                      f"on the roots cross-checks {','.join(_BFS_TYPES)}")
 
 
 _LATTICE_TYPES = ("A2", "A3", "D4")

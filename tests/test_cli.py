@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from vancyc import suite
+from vancyc import cli, suite
 from vancyc.cli import main
 from vancyc.poly import MAX_EXPONENT, MAX_NESTING
 from vancyc.report import FAIL
@@ -101,6 +101,19 @@ def test_discriminant_given_curve_off_origin(capsys):
         assert code == 2
         assert out == []
         assert err == ["error: discriminant does not pass through the origin"]
+
+
+def test_discriminant_given_off_origin_is_refused_before_its_squarefree_part(
+        capsys, monkeypatch):
+    """The origin is read off the given curve's constant term: a huge curve
+    off the origin exits 2 without a Buchberger run."""
+    def no_squarefree_part(*args):
+        raise AssertionError("squarefree part computed")
+    monkeypatch.setattr(cli, "squarefree_part_bivariate", no_squarefree_part)
+    code, out, err = run(capsys, "discriminant", "--given", "s1^999999 + 1")
+    assert code == 2
+    assert out == []
+    assert err == ["error: discriminant does not pass through the origin"]
 
 
 def test_discriminant_without_divisorial_part(capsys, tmp_path):

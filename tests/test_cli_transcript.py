@@ -30,7 +30,7 @@ CHECK folding-groups pass expected=D4>G2:6:S3;E6>F4:2;A3>C2:2;id:trivial;rank:ok
 CHECK steinberg-suite pass expected=ranks=1,2;mults=1,2;casimirs=true;slice=true got=ranks=1,2;mults=1,2;casimirs=true;slice=true
 NOTE arnold-liouville-binomial k=2 cases eliminated; k=3 value is C(4,2) by construction
 NOTE henon-heiles eliminated discriminant s1^4*s2+16/27*s2^4; the literature prints the same line-plus-cusp curve as s2*(s2^3-s1^4)
-NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
+NOTE weyl-orders orbit-stabilizer on fundamental weights; stabilizer chain on the roots cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
 NOTE folding-groups abelian flags: D4-full=nonabelian
@@ -53,7 +53,7 @@ NOTE discriminant-basic elimination stopped after 0 S-pairs
 NOTE discriminant-al6 elimination stopped after 0 S-pairs; mult is C(3,1) by construction
 NOTE arnold-liouville-binomial elimination budget exhausted; every value is C(n,k-1) by construction
 NOTE henon-heiles elimination stopped after 0 S-pairs
-NOTE weyl-orders orbit-stabilizer on fundamental weights; BFS closure cross-checks A2,B2,G2,A3,D4,F4
+NOTE weyl-orders orbit-stabilizer on fundamental weights; stabilizer chain on the roots cross-checks A2,B2,G2,A3,D4,F4
 NOTE picard-lefschetz types A2,A3,D4
 NOTE variation-matrix diagonals -1; dets 1,-1,1
 NOTE folding-groups abelian flags: D4-full=nonabelian

@@ -2,11 +2,15 @@
 
 import copy
 import heapq
+import importlib.util
+import itertools
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 
@@ -507,6 +511,60 @@ def test_quotient_dimension_is_order_independent():
         ideal = _ideal(*texts, amb=("x", "y"))
         lex_count = _standard_monomial_count(buchberger(ideal, lex))
         assert lex_count == quotient_dimension(ideal) == expected
+
+
+def _box_count(gb):
+    """Standard monomials counted over the whole box below the pure-power
+    bounds, each tested against every lead."""
+    if not all(map(any, gb.leads)):
+        return 0  # the unit ideal
+    bounds = [min(lead[i] for lead in gb.leads if sum(lead) == lead[i] > 0)
+              for i in range(len(gb.ambient))]
+    return sum(1 for exps in itertools.product(*(range(b) for b in bounds))
+               if not any(_divides(lead, exps) for lead in gb.leads))
+
+
+def _milnor_workload_forms(monkeypatch):
+    """The Jacobian ideals of the benchmark's `milnor` forms, as written and
+    under its seed-3 linear changes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("milnor_forms_source", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    changes = iter(workloads.linear_changes(3))
+    for _name, text, ambient, _mu in workloads.MILNOR_FORMS:
+        for h in [parse_polynomial(text, ambient)] + [
+                workloads._changed(text, ambient, next(changes))
+                for _ in range(workloads.CHANGES_PER_FORM)]:
+            yield IdealBasis(ambient, [h.partial_derivative(v) for v in ambient])
+
+
+def test_standard_monomials_walk_the_staircase(monkeypatch):
+    """The staircase walk counts what the whole box counts, on every `milnor`
+    workload form and on seeded random monomial ideals, finite or not."""
+    ideals = list(_milnor_workload_forms(monkeypatch))
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        amb = AMB + ("w",)
+        monomials = [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        for i in range(n):
+            if rng.random() < 0.9:
+                monomials.append([rng.randint(1, 6) if j == i else 0 for j in range(n)])
+        ideals.append(IdealBasis(amb[:n], [
+            Polynomial(amb[:n], {tuple(e): rng.randint(1, 3)}) for e in monomials]))
+    finite = 0
+    for ideal in ideals:
+        gb = buchberger(ideal, grevlex_key)
+        count = _standard_monomial_count(gb)
+        if count is None:
+            assert any(all(sum(lead) != lead[i] for lead in gb.leads)
+                       for i in range(len(gb.ambient)))
+        else:
+            finite += 1
+            assert count == _box_count(gb), ideal
+    assert finite > 100
 
 
 def test_quotient_dimension_infinite_is_none():

@@ -199,7 +199,7 @@ def test_invariant_degrees_give_orders_and_coxeter_numbers():
 
 
 def test_group_orders_match_goldens():
-    """Breadth-first closure reproduces the classical reflection-group orders."""
+    """The stabilizer chain reproduces the classical reflection-group orders."""
     for label, expected in ORDER_GOLDEN.items():
         gens = weyl_generators(CoxeterDatum.for_type(label))
         assert group_order_bfs(gens) == expected
@@ -233,14 +233,12 @@ def test_group_order_bfs_is_exact_past_int64():
 
 
 def test_group_order_bfs_small_cases():
-    """Diagram-automorphism groups as permutation matrices; the monoid of a
-    singular generator; no generators; lists and numpy arrays alike."""
+    """Diagram-automorphism groups as permutation matrices; no generators;
+    lists and numpy arrays alike."""
     for label, name, order in (("A3", "flip", 2), ("E6", "flip", 2),
                                ("D4", "triality", 3), ("D4", "full", 6)):
         mats = [permutation_matrix(p) for p in standard_automorphisms(label, name)]
         assert group_order_bfs(mats) == order
-    assert group_order_bfs([[[0]]]) == 2
-    assert group_order_bfs([np.array([[0]])]) == 2
     assert group_order_bfs([]) == 1
     gens = weyl_generators(CoxeterDatum.for_type("B3"))
     assert group_order_bfs([np.array(g) for g in gens]) == group_order_bfs(gens) == 48
@@ -248,11 +246,18 @@ def test_group_order_bfs_small_cases():
 
 def test_group_order_bfs_rejects_bad_generators():
     """Ragged, non-square, non-integer and mixed-size generators are a
-    LatticeError, not a count."""
+    LatticeError, not a count; so is a singular generator, whose table maps
+    two columns to one, at any cap."""
     for bad in ([[[1, 0], [0]]], [[[1, 0]]], [[[1.0]]], [np.eye(2)],
                 [[[1]], [[1, 0], [0, 1]]], [[1, 0]]):
         with pytest.raises(LatticeError):
             group_order_bfs(bad)
+    b3 = weyl_generators(CoxeterDatum.for_type("B3"))
+    for bad in ([[[0]]], [np.array([[0]])], [[[1, 0], [0, 0]]], [[[0, 1], [0, 0]]],
+                b3 + [[[0, 0, 0]] * 3]):
+        for cap in (10 ** 6, 2, 1):
+            with pytest.raises(LatticeError, match="singular generator"):
+                group_order_bfs(bad, cap=cap)
 
 
 def _row_closure_order(mats, cap):
@@ -295,9 +300,9 @@ def _row_closure_order(mats, cap):
 
 
 def test_group_order_bfs_agrees_with_the_row_closure():
-    """Column byte strings and row-id tuples give the same value on every
-    supported type but A8, under seeded relabellings, at cap = |W| and
-    cap = |W| - 1; likewise on the folding groups and the monoid of [[0]]."""
+    """The stabilizer chain and the row-id closure give the same value on
+    every supported type but A8, under seeded relabellings, at cap = |W| and
+    cap = |W| - 1; likewise on the folding groups."""
     rng = random.Random(19)
     for label in SUPPORTED_TYPES:
         if label == "A8":
@@ -319,8 +324,69 @@ def test_group_order_bfs_agrees_with_the_row_closure():
         order = _row_closure_order(mats, 10 ** 6)
         for cap in (order, order - 1):
             assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap)
-    for cap in (2, 1):
-        assert group_order_bfs([[[0]]], cap=cap) == _row_closure_order([[[0]]], cap)
+
+
+def _signed_permutation_matrix(perm, signs) -> list[list[int]]:
+    """The matrix sending e_i to signs[i] * e_perm[i]."""
+    return [[s * int(p == a) for p, s in zip(perm, signs)] for a in range(len(perm))]
+
+
+def test_group_order_bfs_agrees_with_the_row_closure_off_weyl_groups():
+    """On groups generated by seeded random permutation matrices of 3-8
+    points and signed-permutation matrices of 2-5 points, not by simple
+    reflections, the chain equals the row-id closure at cap = |G| and
+    cap = |G| - 1."""
+    rng = random.Random(29)
+    groups = []
+    for n in range(3, 9):
+        for k in (1, 2, 2, 3):
+            groups.append([permutation_matrix(rng.sample(range(n), n)) for _ in range(k)])
+    for n in range(2, 6):
+        for k in (1, 2, 3):
+            groups.append([_signed_permutation_matrix(
+                rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)])
+                for _ in range(k)])
+    orders = set()
+    for mats in groups:
+        order = _row_closure_order(mats, 10 ** 5)
+        orders.add(order)
+        for cap in (order, order - 1):
+            assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap), (mats, cap)
+    assert len(orders) > 10 and 40320 in orders  # S_8 among them
+
+
+def test_group_order_bfs_of_e7_and_e8():
+    """Past the default cap the chain still counts E7 and E8 exactly, and at
+    cap = |W| - 1 it reports None."""
+    for label in ("E7", "E8"):
+        gens = weyl_generators(CoxeterDatum.for_type(label))
+        order = prod(invariant_degrees(label))
+        assert group_order_bfs(gens) is None
+        assert group_order_bfs(gens, cap=10 ** 9) == order
+        assert group_order_bfs(gens, cap=order) == order
+        assert group_order_bfs(gens, cap=order - 1) is None
+
+
+def test_group_order_bfs_of_the_full_symmetric_group_on_256_points():
+    """A 256-cycle and a transposition generate S_256, whose 256 columns fit
+    the column ids but whose order passes the default cap: None."""
+    cycle = permutation_matrix([(i + 1) % 256 for i in range(256)])
+    swap = permutation_matrix([1, 0] + list(range(2, 256)))
+    assert group_order_bfs([cycle, swap]) is None
+
+
+def test_group_order_bfs_equals_orbit_stabilizer_on_every_supported_type():
+    """The chain and orbit-stabilizer give the same order on every supported
+    type, A8 included, under seeded node relabellings."""
+    rng = random.Random(31)
+    for label in SUPPORTED_TYPES:
+        c = cartan_matrix(label).tolist()
+        want = weyl_group_order(c)
+        for _ in range(3):
+            p = rng.sample(range(len(c)), len(c))
+            relabelled = [[c[i][j] for j in p] for i in p]
+            datum = CoxeterDatum(label, relabelled, coxeter_matrix_from_cartan(relabelled))
+            assert group_order_bfs(weyl_generators(datum)) == want, (label, p)
 
 
 def test_group_order_bfs_of_transposed_generators():
