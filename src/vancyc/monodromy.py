@@ -22,9 +22,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations
 from typing import Sequence
+
+from .poly import rational_rank
 
 
 class LatticeError(ValueError):
@@ -281,9 +282,16 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def braid_relation_check(generators: Sequence,
                          coxeter) -> tuple[bool, tuple[int, int] | None]:
-    """Check each generator is an involution and the alternating products of
-    length m_ij agree for every pair; a generator i that does not square to
-    the identity is reported as the witness (i, i).  Exact in Python ints."""
+    """Check each generator is an involution and each product s_i s_j has
+    order exactly m_ij; the first failing generator i is reported as the
+    witness (i, i), and the first failing pair as (i, j).  LatticeError for
+    an m_ij below 1.  Exact in Python ints.
+
+    For involutions, the alternating words s_i s_j s_i ... and s_j s_i s_j
+    ... of length k agree exactly when (s_i s_j)^k = 1.  So both words grow
+    one factor at a time: a pair fails when they agree at some k < m_ij, or
+    still differ at k = m_ij.  That takes 2(m_ij - 1) products per pair.
+    """
     mats = _int_generators(generators)
     if not mats:
         return True, None
@@ -291,16 +299,19 @@ def braid_relation_check(generators: Sequence,
     for i, g in enumerate(mats):
         if _matmul(g, g) != identity:
             return False, (i, i)
-
-    def alternating(a, b, length):
-        factors = [(a, b)[k % 2] for k in range(length)]
-        return reduce(_matmul, factors) if factors else identity
-
     n = len(mats)
     for i in range(n):
         for j in range(i + 1, n):
             m = int(coxeter[i][j])
-            if alternating(mats[i], mats[j], m) != alternating(mats[j], mats[i], m):
+            if m < 1:
+                raise LatticeError(f"coxeter[{i}][{j}] = {m} is not a positive order")
+            a, b = mats[i], mats[j]
+            u, v = a, b  # the words of length k = 1
+            for k in range(1, m):
+                if u == v:
+                    return False, (i, j)
+                u, v = _matmul(u, (a, b)[k % 2]), _matmul(v, (b, a)[k % 2])
+            if u != v:
                 return False, (i, j)
     return True, None
 
@@ -352,14 +363,16 @@ def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
     """Order of the matrix group generated; None when it has more than `cap`
     elements or when its elements have more than 256 distinct columns between
-    them; LatticeError for a singular generator whose columns fit.
+    them; LatticeError for a singular generator, whatever its entries.
 
     Two phases, deterministic, exact in Python ints; no element is listed.
     The first is `_column_tables`, which ends an infinite group at its 257th
     column.  An element is fixed by the ids of its images of the unit
     columns, so the group acts faithfully on the column ids, each generator
     as its table.  A table that is not a permutation of the ids is a singular
-    generator, since the columns span Q^n.  The second phase counts the
+    generator, since the columns span Q^n.  When the columns do not fit, so
+    that no table is read, each generator's rank is found instead by exact
+    elimination (`poly.rational_rank`).  The second phase counts the
     permutation group by `_stabilizer_chain_order`.
     """
     mats = _int_generators(generators)
@@ -367,6 +380,11 @@ def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
         return 1
     tables = _column_tables(mats)
     if tables is None:
+        n = len(mats[0])
+        for k, g in enumerate(mats):
+            rank = rational_rank(g)
+            if rank < n:
+                raise LatticeError(f"singular generator {k}: its rank is {rank} < {n}")
         return None
     m = len(tables[0])
     fixed = _IDENTITY_PERM[m:]

@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials over Q with exact arithmetic.
 
-Coefficients are `fractions.Fraction`; a polynomial is a dict from exponent
-tuples (one slot per ambient variable) to nonzero coefficients.  The module
+A polynomial is a dict from exponent tuples (one slot per ambient variable)
+to nonzero coefficients, each in one canonical form: an int when its value
+is an integer, a `fractions.Fraction` with denominator > 1 otherwise.  So
+int sums and products never build a Fraction; every true division of a
+coefficient goes through `Fraction`, and a float is refused.  The module
 also carries the exact linear algebra used elsewhere in the package: the
 maximal minors of a polynomial matrix (one Laplace expansion over column
 subsets, with no division) and so its determinant, gcds (through an lcm
@@ -26,8 +29,9 @@ polynomial with a positive lead coefficient a.  When a does not divide the
 coefficient c of the term being reduced, the work, the remainder and the
 quotients are scaled by a / gcd(a, c), as Bareiss's fraction-free
 elimination scales its rows, so every step stays exact.  The quotients
-and remainder of `divmod_polynomials` become Fractions again; the integer
-remainder that `groebner.normal_form` returns stays in ints.
+and remainder of `divmod_polynomials` are divided back into canonical
+coefficients; the integer remainder that `groebner.normal_form` returns
+stays in ints.
 
 The reducer of each term comes from a divisor index (`_DivisorIndex`): for
 each variable v and exponent k, a bitset (a Python int) of the divisors
@@ -93,12 +97,25 @@ def grevlex_key(exponents: Sequence[int]) -> tuple[int, ...]:
     return (sum(exponents), *map(neg, reversed(exponents)))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _as_coefficient(value) -> int | Fraction:
+    """A rational value in canonical form: its int when it is an integer,
+    otherwise a Fraction (with denominator > 1)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator if value.denominator == 1 else value
     raise PolyError(f"coefficient must be rational, got {type(value).__name__}")
+
+
+def _integral(terms: dict) -> dict:
+    """The terms with each Fraction coefficient of denominator 1 replaced by
+    its int, in place: canonical again after arithmetic that met a Fraction."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _has_fraction(terms: Mapping) -> bool:
+    return Fraction in set(map(type, terms.values()))
 
 
 class Polynomial:
@@ -111,16 +128,16 @@ class Polynomial:
         ambient = tuple(ambient)
         if len(set(ambient)) != len(ambient):
             raise PolyError(f"duplicate variable in ambient {ambient}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             n = len(ambient)
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != n or any((not isinstance(e, int)) or e < 0 for e in exps):
                     raise PolyError(f"bad exponent tuple {exps} for ambient of size {n}")
-                c = _as_fraction(coeff)
+                c = _as_coefficient(coeff)
                 if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
+                    clean[exps] = _as_coefficient(clean.get(exps, 0) + c)
                     if not clean[exps]:
                         del clean[exps]
         object.__setattr__(self, "ambient", ambient)
@@ -131,10 +148,8 @@ class Polynomial:
     def _trusted(cls, ambient: tuple[str, ...], terms: dict) -> "Polynomial":
         """Wrap terms that are already canonical: an ambient tuple without
         duplicates, exponent tuples of its length with non-negative ints, and
-        nonzero Fraction coefficients.  The dict is taken over, not copied.
-        A Buchberger run also wraps nonzero int coefficients, for the
-        integer forms it hands to `groebner.normal_form` and the integer
-        remainders it gets back; no such Polynomial leaves the run."""
+        nonzero coefficients, each an int or a Fraction with denominator > 1.
+        The dict is taken over, not copied."""
         p = object.__new__(cls)
         object.__setattr__(p, "ambient", ambient)
         object.__setattr__(p, "terms", terms)
@@ -157,7 +172,7 @@ class Polynomial:
     @classmethod
     def constant(cls, ambient, value) -> "Polynomial":
         ambient = tuple(ambient)
-        return cls(ambient, {(0,) * len(ambient): _as_fraction(value)})
+        return cls(ambient, {(0,) * len(ambient): value})
 
     @classmethod
     def variable(cls, ambient, name: str) -> "Polynomial":
@@ -165,7 +180,7 @@ class Polynomial:
         if name not in ambient:
             raise PolyError(f"variable '{name}' not in ambient {ambient}")
         exps = tuple(1 if v == name else 0 for v in ambient)
-        return cls(ambient, {exps: Fraction(1)})
+        return cls(ambient, {exps: 1})
 
     # ---- basic queries -------------------------------------------------
 
@@ -178,8 +193,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ambient), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.ambient), 0)
 
     def order_at_origin(self) -> int:
         """Minimal total degree of a term (the multiplicity of 0 as a point of the zero set)."""
@@ -201,7 +216,7 @@ class Polynomial:
         except ValueError:
             raise PolyError(f"variable '{var}' not in ambient {self.ambient}") from None
 
-    def lead(self, key=grevlex_key) -> tuple[tuple[int, ...], Fraction]:
+    def lead(self, key=grevlex_key) -> tuple[tuple[int, ...], int | Fraction]:
         """(exponent tuple, coefficient) of the largest term under `key`.
 
         The result is memoized for the last key function asked for, so
@@ -242,11 +257,13 @@ class Polynomial:
         self._check_ambient(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
+            s = out.get(exps, 0) + c
+            if not s:
                 out.pop(exps, None)
+            elif type(s) is Fraction and s.denominator == 1:
+                out[exps] = s.numerator
+            else:
+                out[exps] = s
         return Polynomial._trusted(self.ambient, out)
 
     __radd__ = __add__
@@ -270,24 +287,29 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
+                key = tuple(map(add, e1, e2))
+                s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
+        # ints add and multiply to ints: only a Fraction operand can leave
+        # an integral Fraction behind
+        if _has_fraction(self.terms) or _has_fraction(other.terms):
+            _integral(out)
         return Polynomial._trusted(self.ambient, out)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Polynomial":
-        c = _as_fraction(value)
+        c = _as_coefficient(value)
         if not c:
             return Polynomial.zero(self.ambient)
-        return Polynomial._trusted(self.ambient, {e: k * c for e, k in self.terms.items()})
+        return Polynomial._trusted(self.ambient,
+                                   _integral({e: k * c for e, k in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -305,7 +327,7 @@ class Polynomial:
 
     def partial_derivative(self, var: str) -> "Polynomial":
         i = self._index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             if exps[i]:
                 e = list(exps)
@@ -314,13 +336,13 @@ class Polynomial:
                 # e -> e - 1_i is injective on exponents with e_i >= 1, and
                 # c * e_i is nonzero, so no two terms meet and none cancels
                 out[tuple(e)] = c * k
-        return Polynomial._trusted(self.ambient, out)
+        return Polynomial._trusted(self.ambient, _integral(out))
 
-    def evaluate(self, point: Mapping[str, object]) -> Fraction:
-        vals: list[Fraction | None] = []
+    def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
+        vals: list[int | Fraction | None] = []
         for v in self.ambient:
-            vals.append(_as_fraction(point[v]) if v in point else None)
-        total = Fraction(0)
+            vals.append(_as_coefficient(point[v]) if v in point else None)
+        total = 0
         for exps, c in self.terms.items():
             term = c
             for i, e in enumerate(exps):
@@ -330,7 +352,7 @@ class Polynomial:
                             f"no value for variable '{self.ambient[i]}'")
                     term *= vals[i] ** e
             total += term
-        return total
+        return _as_coefficient(total)
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables; unmapped variables persist."""
@@ -713,8 +735,11 @@ class _DivisorIndex:
 
 
 def _clear_denominators(terms: Mapping[tuple, Fraction | int]) -> tuple[dict, int]:
-    """(D * terms as a dict of ints, D) for D the lcm of the denominators."""
+    """(D * terms as a new dict of ints, D) for D the lcm of the denominators;
+    D is 1 exactly when every coefficient is already an int."""
     den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return dict(terms), 1
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
@@ -783,11 +808,17 @@ def _reduce(p: Polynomial, index: _DivisorIndex,
     return remainder, den
 
 
+def _quotient(a: int, b: int) -> int | Fraction:
+    """a / b in canonical form: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def _divided(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Polynomial:
     """The Polynomial with coefficients c / divisor for the int coefficients
-    c of `terms`, each an exact Fraction, in the same term order."""
+    c of `terms`, each exact and canonical, in the same term order."""
     num, den = divisor.denominator, divisor.numerator
-    return Polynomial._trusted(ambient, {e: Fraction(c * num, den) for e, c in terms.items()})
+    return Polynomial._trusted(ambient, {e: _quotient(c * num, den) for e, c in terms.items()})
 
 
 def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
@@ -807,7 +838,8 @@ def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
     quotients: dict[int, dict] = {}
     remainder, den = _reduce(p, index, quotients)
     zero = Polynomial._trusted(p.ambient, {})  # shared by every empty quotient
-    return ([_divided(p.ambient, quotients[i], divisors[i].lead(key)[1] / index.coeffs[i] * den)
+    return ([_divided(p.ambient, quotients[i],
+                      Fraction(divisors[i].lead(key)[1], index.coeffs[i]) * den)
              if i in quotients else zero for i in range(len(divisors))],
             _divided(p.ambient, remainder, den))
 
@@ -828,7 +860,7 @@ def normalized(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     _, c = p.lead()
-    return p.scale(1 / c)
+    return p.scale(Fraction(1, c))
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +961,10 @@ def squarefree_part_bivariate(p: Polynomial,
 # Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
-def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot columns)."""
-    m = [[_as_fraction(x) for x in row] for row in rows]
+def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[int | Fraction]], list[int]]:
+    """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot
+    columns), each entry an int or a Fraction in canonical form."""
+    m = [[_as_coefficient(x) for x in row] for row in rows]
     pivots: list[int] = []
     for col in range(len(m[0]) if m else 0):
         rank = len(pivots)
@@ -941,12 +974,13 @@ def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[Fraction]], list[i
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
+        lead = m[rank][col]
+        if lead != 1:
+            m[rank] = [_as_coefficient(Fraction(x, lead)) for x in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = [_as_coefficient(a - f * b) for a, b in zip(m[r], m[rank])]
         pivots.append(col)
     return m, pivots
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from canonical import assert_canonical
 from orders import ORDERS, front, lex, seed_tag
 from packing import check_packed_kernel, reference_pack
 from randpoly import random_polynomial
@@ -248,7 +249,7 @@ def _fraction_division(p, divisors, key):
             remainder[e] = c
             continue
         me = tuple(map(sub, e, leads[i][0]))
-        mc = c / leads[i][1]
+        mc = Fraction(c) / leads[i][1]
         quotients[i][me] = mc
         for fe, fc in tails[i]:
             k = tuple(map(add, me, fe))
@@ -277,7 +278,8 @@ def _assert_same_division(p, divisors, key):
     assert [list(q.terms.items()) for q in got_q] == \
         [list(q.terms.items()) for q in want_q]
     assert list(got_r.terms.items()) == list(want_r.terms.items())
-    assert all(type(c) is Fraction for q in got_q + [got_r] for c in q.terms.values())
+    for q in got_q + [got_r]:
+        assert_canonical(q)
     _assert_integer_multiple(normal_form(p, _DivisorIndex(p.ambient, key, divisors)), want_r)
 
 
@@ -341,7 +343,7 @@ def test_divisor_index_holds_primitive_integer_forms():
             assert all(type(c) is int for c in coeffs)
             assert math.gcd(*coeffs) == 1 and coeffs[0] > 0
             assert exps[0] == d.lead(key)[0]
-            factor = d.lead(key)[1] / coeffs[0]
+            factor = Fraction(d.lead(key)[1]) / coeffs[0]
             assert Polynomial(AMB, dict(zip(exps, coeffs))).scale(factor) == d
 
 
@@ -725,7 +727,7 @@ def test_non_monic_generators_match_monic_scalings(name, pairs):
     pairs, without which it is 12."""
     key = ORDERS[name]
     gens = _ideal("3*x^2 - y", "2/5*y^2 - z", "-4*x*z + 2/3*y*z^2 - 1").generators
-    monic = [g.scale(1 / g.lead(key)[1]) for g in gens]
+    monic = [g.scale(Fraction(1) / g.lead(key)[1]) for g in gens]
     assert any(g != m for g, m in zip(gens, monic))
     got = buchberger(IdealBasis(AMB, gens), key)
     want = buchberger(IdealBasis(AMB, monic), key)
@@ -743,7 +745,7 @@ def test_spoly_of_integer_forms():
             f, g = (random_polynomial(rng, AMB, max_terms=4, max_exp=3, nonzero=True)
                     for _ in range(2))
             index = _DivisorIndex(AMB, key, [f, g])
-            f, g = (p.scale(1 / p.lead(key)[1]) for p in (f, g))
+            f, g = (p.scale(Fraction(1) / p.lead(key)[1]) for p in (f, g))
             fe, ge = f.lead(key)[0], g.lead(key)[0]
             lcm = tuple(map(max, fe, ge))
             want = (Polynomial(AMB, {tuple(map(sub, lcm, fe)): 1}) * f

@@ -37,7 +37,7 @@ def _to_sympy(p: Polynomial):
 
 
 def _monic(p: Polynomial, key) -> Polynomial:
-    return p.scale(1 / p.lead(key)[1])
+    return p.scale(Fraction(1) / p.lead(key)[1])
 
 
 def _sympy_basis(ideal: IdealBasis, name: str) -> set[Polynomial]:

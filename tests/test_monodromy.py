@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from math import prod
 from operator import mul
 from pathlib import Path
@@ -184,6 +185,39 @@ def test_braid_check_names_the_failing_generator_or_pair():
     assert braid_relation_check(swapped, datum.coxeter) == (False, (0, 1))
 
 
+def _with_order(coxeter, i, j, m):
+    c = [list(row) for row in coxeter]
+    c[i][j] = c[j][i] = m
+    return c
+
+
+def test_braid_check_requires_the_exact_order():
+    """s_i s_j must have order exactly m_ij.  On A3 the multiples m_01 = 6
+    and m_02 = 4 of the true orders 3 and 2 fail at their pair; on every
+    type, each wrong order from 1 to 12 fails at its pair, found as the
+    first k at which the two alternating words agree, while the true one
+    passes.  An order below 1 is refused."""
+    datum = CoxeterDatum.for_type("A3")
+    gens = weyl_generators(datum)
+    assert braid_relation_check(gens, _with_order(datum.coxeter, 0, 1, 6)) == (False, (0, 1))
+    assert braid_relation_check(gens, _with_order(datum.coxeter, 0, 2, 4)) == (False, (0, 2))
+    for label in ("A2", "B2", "G2", "A3", "B3", "F4"):
+        datum = CoxeterDatum.for_type(label)
+        gens = weyl_generators(datum)
+        identity = np.eye(datum.rank, dtype=np.int64)
+        for i, j in combinations(range(datum.rank), 2):
+            product = np.array(gens[i]) @ np.array(gens[j])
+            power, order = product, 1
+            while not np.array_equal(power, identity):
+                power, order = power @ product, order + 1
+            assert order == datum.coxeter[i][j], (label, i, j)
+            for m in range(1, 13):
+                got = braid_relation_check(gens, _with_order(datum.coxeter, i, j, m))
+                assert got == ((True, None) if m == order else (False, (i, j))), (label, i, j, m)
+    with pytest.raises(LatticeError, match="positive order"):
+        braid_relation_check(gens, _with_order(datum.coxeter, 0, 1, 0))
+
+
 def test_invariant_degrees_give_orders_and_coxeter_numbers():
     """The degree table satisfies rank = #degrees and N = sum(d - 1) = r h / 2,
     and its products and maxima are the tabled orders and Coxeter numbers."""
@@ -297,6 +331,20 @@ def _row_closure_order(mats, cap):
                     next_frontier.append(prod)
         frontier = next_frontier
     return len(seen)
+
+
+def test_group_order_bfs_refuses_singular_generators_past_the_column_budget():
+    """A singular generator is a LatticeError even when its columns pass 256
+    ids, so that no table is read: 2^k e_0 never repeats.  Its exact rank is
+    named.  Nonsingular generators of infinite groups are still None."""
+    for bad, k in (([[[2, 0], [0, 0]]], 0), ([HYPERBOLIC[0], [[2, 0], [0, 0]]], 1),
+                   (HYPERBOLIC + [[[3, 6], [1, 2]]], 2)):
+        for cap in (10 ** 6, 1):
+            with pytest.raises(LatticeError, match=f"singular generator {k}: its rank is 1 < 2"):
+                group_order_bfs(bad, cap=cap)
+    assert group_order_bfs([[[1, 1], [0, 1]]]) is None
+    assert group_order_bfs(HYPERBOLIC) is None
+    assert group_order_bfs([permutation_matrix(range(257))]) is None
 
 
 def test_group_order_bfs_agrees_with_the_row_closure():

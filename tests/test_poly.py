@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from canonical import assert_canonical
 from minors import cofactor_det, cofactor_minors
 from randpoly import random_polynomial
 from vancyc.poly import (
@@ -389,7 +390,7 @@ def test_over_reorders_extends_and_restricts():
     assert q.ambient == ("z", "w", "x")
     assert q == parse_polynomial("3*x^2*z - x*z^3 - z + 1/2", ("z", "w", "x"))
     assert sorted(q.terms) == [(0, 0, 0), (1, 0, 0), (1, 0, 2), (3, 0, 1)]
-    assert all(type(c) is Fraction for c in q.terms.values())
+    assert_canonical(q)
     assert q.over(AMB) == p
     with pytest.raises(PolyError, match="lacks variables in use"):
         p.over(("x", "y", "w"))

@@ -1,7 +1,6 @@
 """Property tests: arithmetic results stay canonical and memoized leads agree
 with a fresh maximum.  Skipped when hypothesis is not installed."""
 
-from fractions import Fraction
 from operator import le
 
 import pytest
@@ -10,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from canonical import assert_canonical  # noqa: E402
 from orders import ORDERS  # noqa: E402
 from packing import check_packed_kernel  # noqa: E402
 from vancyc.poly import Polynomial, _DivisorIndex, grevlex_key  # noqa: E402
@@ -27,18 +27,14 @@ scalars = st.one_of(st.integers(-3, 3), coefficients)
 
 def _assert_canonical(p: Polynomial):
     assert p.ambient == AMB
-    for exps, c in p.terms.items():
-        assert type(exps) is tuple and len(exps) == len(AMB)
-        assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
-    assert Polynomial(p.ambient, p.terms) == p
+    assert_canonical(p)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(polynomials, polynomials, scalars)
 def test_arithmetic_results_are_canonical(a, b, c):
-    """+, -, *, negation and scale never leave a zero, a non-Fraction
-    coefficient or a malformed exponent tuple behind."""
+    """+, -, *, negation and scale never leave a zero, a coefficient out
+    of canonical form or a malformed exponent tuple behind."""
     for result in (a + b, a - b, a * b, -a, a + c, a - c, a.scale(c), a * c):
         _assert_canonical(result)
 
