@@ -10,11 +10,12 @@ self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
 model (S = -Cartan for simply-laced types) these coincide with the Weyl
 generators s_i(e_j) = e_j - C_ji e_i.
 
-Two independent group orders, neither of which lists the elements:
-`group_order_bfs` closes the unit columns under the generators (the roots,
-for a Weyl group), then counts the permutation group they induce on the
-column ids by a Schreier-Sims stabilizer chain, and `weyl_group_order`
-counts a Weyl group by orbit-stabilizer on fundamental weights.
+One table layer answers every question about a matrix group: the unit
+columns close under the generators (the roots, for a Weyl group) into at most
+256 ids, on which `_root_permutations` reads each generator as a permutation.
+`group_order_bfs` counts that permutation group by a Schreier-Sims chain;
+`braid_relation_check` and `coxeter_element_order` read element orders off
+cycle lengths.  `weyl_group_order` counts a Weyl group by orbit-stabilizer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations, product
+from math import lcm
 from typing import Sequence
 
 from .poly import rational_rank
@@ -42,12 +45,9 @@ class FoldingError(ValueError):
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
-# The types whose groups group_order_bfs counts at its default cap: the
-# benchmark's `reflection` workload builds its type list from this tuple.
-# Their roots, the columns it closes first, fit its 256 column ids (E6 has
-# 72).  E7 and E8 (126 and 240 roots) fit too and cost milliseconds; they stay
-# out only because their orders pass the default 10**6-element cap.
-# `vancyc coxeter` accepts every type up to rank 8, E7 and E8 included.
+# The types whose groups group_order_bfs counts at its default 10**6-element
+# cap, which E7 and E8 pass: the benchmark's `reflection` workload builds its
+# type list from this tuple.  `vancyc coxeter` accepts every type up to rank 8.
 SUPPORTED_TYPES = tuple(
     [f"A{r}" for r in range(1, 9)] + ["B2", "B3", "B4", "C3", "D4", "E6", "F4", "G2"])
 
@@ -280,42 +280,6 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def braid_relation_check(generators: Sequence,
-                         coxeter) -> tuple[bool, tuple[int, int] | None]:
-    """Check each generator is an involution and each product s_i s_j has
-    order exactly m_ij; the first failing generator i is reported as the
-    witness (i, i), and the first failing pair as (i, j).  LatticeError for
-    an m_ij below 1.  Exact in Python ints.
-
-    For involutions, the alternating words s_i s_j s_i ... and s_j s_i s_j
-    ... of length k agree exactly when (s_i s_j)^k = 1.  So both words grow
-    one factor at a time: a pair fails when they agree at some k < m_ij, or
-    still differ at k = m_ij.  That takes 2(m_ij - 1) products per pair.
-    """
-    mats = _int_generators(generators)
-    if not mats:
-        return True, None
-    identity = _identity(len(mats[0]))
-    for i, g in enumerate(mats):
-        if _matmul(g, g) != identity:
-            return False, (i, i)
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = int(coxeter[i][j])
-            if m < 1:
-                raise LatticeError(f"coxeter[{i}][{j}] = {m} is not a positive order")
-            a, b = mats[i], mats[j]
-            u, v = a, b  # the words of length k = 1
-            for k in range(1, m):
-                if u == v:
-                    return False, (i, j)
-                u, v = _matmul(u, (a, b)[k % 2]), _matmul(v, (b, a)[k % 2])
-            if u != v:
-                return False, (i, j)
-    return True, None
-
-
 _COLUMN_IDS = 256  # one byte per column id
 _IDENTITY_PERM = bytes(range(_COLUMN_IDS))
 
@@ -360,24 +324,17 @@ def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
     return tables
 
 
-def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
-    """Order of the matrix group generated; None when it has more than `cap`
-    elements or when its elements have more than 256 distinct columns between
-    them; LatticeError for a singular generator, whatever its entries.
-
-    Two phases, deterministic, exact in Python ints; no element is listed.
-    The first is `_column_tables`, which ends an infinite group at its 257th
-    column.  An element is fixed by the ids of its images of the unit
-    columns, so the group acts faithfully on the column ids, each generator
-    as its table.  A table that is not a permutation of the ids is a singular
-    generator, since the columns span Q^n.  When the columns do not fit, so
-    that no table is read, each generator's rank is found instead by exact
-    elimination (`poly.rational_rank`).  The second phase counts the
-    permutation group by `_stabilizer_chain_order`.
-    """
+def _root_permutations(generators: Sequence) -> tuple[list[bytes], int] | None:
+    """The generators (through `_int_generators`) as permutations of the m ids
+    of `_column_tables`, each its 256-byte `bytes.translate` table; None past
+    256 ids; LatticeError for a singular generator, whatever its entries.
+    An element is fixed by its images of the unit columns, so the group acts
+    faithfully on the ids: its elements and their orders are those of their
+    tables.  A table that is not a permutation is a singular generator, since
+    the columns span Q^n; past 256 ids, `poly.rational_rank` finds it."""
     mats = _int_generators(generators)
     if not mats:
-        return 1
+        return [], 0
     tables = _column_tables(mats)
     if tables is None:
         n = len(mats[0])
@@ -387,14 +344,75 @@ def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
                 raise LatticeError(f"singular generator {k}: its rank is {rank} < {n}")
         return None
     m = len(tables[0])
-    fixed = _IDENTITY_PERM[m:]
-    translations = []
     for k, table in enumerate(tables):
         if len(set(table)) < m:
             raise LatticeError(
                 f"singular generator {k}: it maps two columns to one column")
-        translations.append(bytes(table) + fixed)
-    return _stabilizer_chain_order(translations, m, cap)
+    return [bytes(table) + _IDENTITY_PERM[m:] for table in tables], m
+
+
+def _faithful_permutations(generators: Sequence) -> tuple[list[bytes], int]:
+    """`_root_permutations`, with LatticeError in place of None."""
+    perms = _root_permutations(generators)
+    if perms is None:
+        raise LatticeError(f"the unit columns close into more than {_COLUMN_IDS} ids")
+    return perms
+
+
+def _cycle_lengths(t: bytes, m: int) -> list[int]:
+    """The cycle lengths of a permutation of 0..m-1; their lcm is its order."""
+    seen = bytearray(m)
+    lengths = []
+    for start in range(m):
+        a, length = start, 0
+        while not seen[a]:
+            seen[a] = 1
+            a, length = t[a], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
+    """Order of the matrix group generated; None when it has more than `cap`
+    elements or when its elements have more than 256 distinct columns between
+    them; LatticeError for a singular generator, whatever its entries.  No
+    element is listed: `_stabilizer_chain_order` counts `_root_permutations`."""
+    perms = _root_permutations(generators)
+    return None if perms is None else _stabilizer_chain_order(*perms, cap)
+
+
+def braid_relation_check(generators: Sequence,
+                         coxeter) -> tuple[bool, tuple[int, int] | None]:
+    """Check each generator is an involution and each product s_i s_j has
+    order exactly m_ij, read on `_faithful_permutations` (whose LatticeErrors
+    it raises) as the lcm of the cycle lengths of s_i s_j.  The first failing
+    generator i is reported as the witness (i, i), the first failing pair as
+    (i, j).  LatticeError for a bad Coxeter matrix (`_coxeter_rows`).
+    """
+    tables, m = _faithful_permutations(generators)
+    orders = _coxeter_rows(coxeter, len(tables))
+    for i, t in enumerate(tables):
+        if t.translate(t) != _IDENTITY_PERM:
+            return False, (i, i)
+    for i, j in combinations(range(len(tables)), 2):
+        if lcm(*_cycle_lengths(tables[j].translate(tables[i]), m)) != orders[i][j]:
+            return False, (i, j)
+    return True, None
+
+
+def _coxeter_rows(coxeter, n: int) -> list[list[int]]:
+    """The Coxeter matrix of n generators as int rows; LatticeError unless it
+    is n x n and symmetric, with ones on the diagonal and entries >= 1."""
+    rows = _int_rows(coxeter)
+    if len(rows) != n:
+        raise LatticeError(f"the Coxeter matrix has {len(rows)} rows for {n} generators")
+    for i, j in product(range(n), repeat=2):
+        if rows[i][j] < 1:
+            raise LatticeError(f"coxeter[{i}][{j}] = {rows[i][j]} is not a positive order")
+        if rows[i][j] != (1 if i == j else rows[j][i]):
+            raise LatticeError(f"not a Coxeter matrix at ({i},{j})")
+    return rows
 
 
 def _stabilizer_chain_order(translations: list[bytes], m: int,
@@ -579,22 +597,12 @@ def weyl_group_order(cartan, cap: int = 10 ** 6) -> int | None:
     return order
 
 
-def coxeter_element_order(generators: Sequence, cap: int = 10 ** 4) -> int:
-    """Order of the product of all generators in the listed order, in
-    Python ints; LatticeError once it passes `cap`."""
-    mats = _int_generators(generators)
-    if not mats:
-        return 1
-    c = mats[0]
-    for g in mats[1:]:
-        c = _matmul(c, g)
-    identity = _identity(len(c))
-    power = c
-    for k in range(1, cap + 1):
-        if power == identity:
-            return k
-        power = _matmul(power, c)
-    raise LatticeError("element order exceeds the iteration cap")
+def coxeter_element_order(generators: Sequence) -> int:
+    """Order of the product of all generators in the listed order: the lcm of
+    the cycle lengths of its table, composed rightmost generator first from
+    `_faithful_permutations`, whose LatticeErrors it raises."""
+    tables, m = _faithful_permutations(generators)
+    return lcm(*_cycle_lengths(reduce(bytes.translate, reversed(tables), _IDENTITY_PERM), m))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +611,10 @@ def coxeter_element_order(generators: Sequence, cap: int = 10 ** 4) -> int:
 
 def _validate_automorphism(cartan: list[list[int]], perm: Sequence[int]) -> tuple[int, ...]:
     r = len(cartan)
-    p = tuple(int(x) for x in perm)
+    try:
+        p = tuple(map(operator.index, perm))
+    except TypeError:
+        raise FoldingError(f"{perm!r} is not a permutation of 0..{r - 1}") from None
     if sorted(p) != list(range(r)):
         raise FoldingError(f"{p} is not a permutation of 0..{r - 1}")
     for i in range(r):
@@ -667,25 +678,18 @@ def fold(source: CoxeterDatum | str,
     perms = tuple(_validate_automorphism(c, p) for p in automorphisms)
     orbits = tuple(_orbits(datum.rank, perms))
     for orbit in orbits:
-        for i in orbit:
-            for j in orbit:
-                if i != j and c[i][j] != 0:
-                    raise FoldingError(
-                        f"orbit {orbit} contains adjacent nodes {i}, {j}")
-    k = len(orbits)
-    folded = [[0] * k for _ in range(k)]
-    for a, oa in enumerate(orbits):
-        for b, ob in enumerate(orbits):
-            folded[a][b] = sum(c[i][ob[0]] for i in oa)
+        for i, j in permutations(orbit, 2):
+            if c[i][j] != 0:
+                raise FoldingError(f"orbit {orbit} contains adjacent nodes {i}, {j}")
+    folded = [[sum(c[i][ob[0]] for i in oa) for ob in orbits] for oa in orbits]
     label = identify_type(folded)
     if label is None:
         raise FoldingError("folded Cartan matrix is not of finite type")
     folded_datum = CoxeterDatum(label, folded, coxeter_matrix_from_cartan(folded))
-    mats = [permutation_matrix(p) for p in perms] or [_identity(datum.rank)]
-    order = group_order_bfs(mats, cap=10 ** 5)
+    order = group_order_bfs([permutation_matrix(p) for p in perms])
     if order is None:
         raise FoldingError("automorphism group is unexpectedly large")
-    abelian = all(_matmul(x, y) == _matmul(y, x) for x in mats for y in mats)
+    abelian = all(x[y[i]] == y[x[i]] for x in perms for y in perms for i in range(len(x)))
     return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian,
                         group_name(order, abelian))
 
@@ -699,15 +703,11 @@ def group_name(order: int, abelian: bool) -> str:
 
 
 def quotient_rank_check(folding: FoldingDatum) -> bool:
-    """Folded rank equals the orbit count and the group preserves S = -Cartan."""
-    if folding.folded.rank != len(folding.orbits):
-        return False
-    s = [[-a for a in row] for row in folding.source.cartan]
-    for p in folding.automorphisms:
-        mat = permutation_matrix(p)
-        if _matmul(_matmul(_transpose(mat), s), mat) != s:
-            return False
-    return True
+    """Folded rank equals the orbit count and the group preserves S = -Cartan:
+    P^T S P = S for each permutation matrix P, that is S[p_i][p_j] = S[i][j]."""
+    c = folding.source.cartan
+    return folding.folded.rank == len(folding.orbits) and all(
+        c[p[i]][p[j]] == c[i][j] for p in folding.automorphisms for i, j in product(p, p))
 
 
 def standard_automorphisms(label: str, name: str) -> list[tuple[int, ...]]:

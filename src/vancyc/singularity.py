@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, IdealBasis, eliminate, quotient_dimension
-from .poly import (PolyError, Polynomial, gcd_polynomials, maximal_minors,
+from .poly import (PolyError, Polynomial, _as_coefficient, gcd_polynomials, maximal_minors,
                    normalized, rational_rank, squarefree_part_bivariate,
                    variables)
 from .symplectic import MapGerm
@@ -153,7 +153,7 @@ def milnor_number(h: Polynomial,
 # ---------------------------------------------------------------------------
 
 def _check_generic(R: Sequence[Sequence[Fraction]], n: int, k: int):
-    rows = [[Fraction(x) for x in row] for row in R]
+    rows = [[_as_coefficient(x) for x in row] for row in R]
     if len(rows) != k or any(len(r) != n for r in rows):
         raise PolyError(f"coefficient matrix must be {k} x {n}")
     for cols in combinations(range(n), k):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT
-from .poly import (PolyError, Polynomial, determinant_fraction_free,
+from .poly import (PolyError, Polynomial, _as_coefficient, determinant_fraction_free,
                    rational_rank, variables)
 from .singularity import discriminant, multiplicity_at_origin
 from .symplectic import MapGerm, PoissonStructure, casimir_check, jacobi_check
@@ -158,7 +158,7 @@ def jacobian_rank_at(s: SteinbergMap,
                      point_matrix: Sequence[Sequence[Fraction]]) -> int:
     """Rank of the differential of the coefficient map at a traceless matrix."""
     n = s.rank + 1
-    rows = [[Fraction(x) for x in row] for row in point_matrix]
+    rows = [[_as_coefficient(x) for x in row] for row in point_matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise PolyError(f"point must be a {n} x {n} matrix")
     if sum(rows[i][i] for i in range(n)):

@@ -2,7 +2,8 @@
 commands.
 
 Every CHECK and NOTE line of `paper-suite` (default and zero budget),
-`coxeter` on A1-A8, B2-B4, C3, D4, E6-E8, F4 and G2, `steinberg` on each rank and check, and
+`coxeter` on every type it accepts (A1-A8, B2-B8, C2-C8, D4-D8,
+E6-E8, F4 and G2), `steinberg` on each rank and check, and
 `fold` on each tabled folding and the identity is compared byte for byte,
 and so are the empty output and exit 2 of an unsupported type, rank or
 folding.
@@ -120,15 +121,85 @@ CHECK braid-B4 pass expected=true got=true
 CHECK order-B4 pass expected=384 got=384
 CHECK coxeter-element-B4 pass expected=8 got=8
 """),
+    'coxeter B5 --notes': (0, """\
+CHECK braid-B5 pass expected=true got=true
+CHECK order-B5 pass expected=3840 got=3840
+CHECK coxeter-element-B5 pass expected=10 got=10
+"""),
+    'coxeter B6 --notes': (0, """\
+CHECK braid-B6 pass expected=true got=true
+CHECK order-B6 pass expected=46080 got=46080
+CHECK coxeter-element-B6 pass expected=12 got=12
+"""),
+    'coxeter B7 --notes': (0, """\
+CHECK braid-B7 pass expected=true got=true
+CHECK order-B7 pass expected=645120 got=645120
+CHECK coxeter-element-B7 pass expected=14 got=14
+"""),
+    'coxeter B8 --notes': (0, """\
+CHECK braid-B8 pass expected=true got=true
+CHECK order-B8 pass expected=10321920 got=10321920
+CHECK coxeter-element-B8 pass expected=16 got=16
+"""),
+    'coxeter C2 --notes': (0, """\
+CHECK braid-C2 pass expected=true got=true
+CHECK order-C2 pass expected=8 got=8
+CHECK coxeter-element-C2 pass expected=4 got=4
+"""),
     'coxeter C3 --notes': (0, """\
 CHECK braid-C3 pass expected=true got=true
 CHECK order-C3 pass expected=48 got=48
 CHECK coxeter-element-C3 pass expected=6 got=6
 """),
+    'coxeter C4 --notes': (0, """\
+CHECK braid-C4 pass expected=true got=true
+CHECK order-C4 pass expected=384 got=384
+CHECK coxeter-element-C4 pass expected=8 got=8
+"""),
+    'coxeter C5 --notes': (0, """\
+CHECK braid-C5 pass expected=true got=true
+CHECK order-C5 pass expected=3840 got=3840
+CHECK coxeter-element-C5 pass expected=10 got=10
+"""),
+    'coxeter C6 --notes': (0, """\
+CHECK braid-C6 pass expected=true got=true
+CHECK order-C6 pass expected=46080 got=46080
+CHECK coxeter-element-C6 pass expected=12 got=12
+"""),
+    'coxeter C7 --notes': (0, """\
+CHECK braid-C7 pass expected=true got=true
+CHECK order-C7 pass expected=645120 got=645120
+CHECK coxeter-element-C7 pass expected=14 got=14
+"""),
+    'coxeter C8 --notes': (0, """\
+CHECK braid-C8 pass expected=true got=true
+CHECK order-C8 pass expected=10321920 got=10321920
+CHECK coxeter-element-C8 pass expected=16 got=16
+"""),
     'coxeter D4 --notes': (0, """\
 CHECK braid-D4 pass expected=true got=true
 CHECK order-D4 pass expected=192 got=192
 CHECK coxeter-element-D4 pass expected=6 got=6
+"""),
+    'coxeter D5 --notes': (0, """\
+CHECK braid-D5 pass expected=true got=true
+CHECK order-D5 pass expected=1920 got=1920
+CHECK coxeter-element-D5 pass expected=8 got=8
+"""),
+    'coxeter D6 --notes': (0, """\
+CHECK braid-D6 pass expected=true got=true
+CHECK order-D6 pass expected=23040 got=23040
+CHECK coxeter-element-D6 pass expected=10 got=10
+"""),
+    'coxeter D7 --notes': (0, """\
+CHECK braid-D7 pass expected=true got=true
+CHECK order-D7 pass expected=322560 got=322560
+CHECK coxeter-element-D7 pass expected=12 got=12
+"""),
+    'coxeter D8 --notes': (0, """\
+CHECK braid-D8 pass expected=true got=true
+CHECK order-D8 pass expected=5160960 got=5160960
+CHECK coxeter-element-D8 pass expected=14 got=14
 """),
     'coxeter E6 --notes': (0, """\
 CHECK braid-E6 pass expected=true got=true

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
 from math import prod
 from operator import mul
@@ -35,7 +36,9 @@ from vancyc.monodromy import (
     weyl_generators,
     weyl_group_order,
 )
-from vancyc.monodromy import _orbits
+from vancyc.cli import _coxeter_types
+from vancyc.monodromy import (_IDENTITY_PERM, _cycle_lengths, _faithful_permutations, _matmul,
+                              _orbits)
 from vancyc.suite import invariant_degrees
 
 ORDER_GOLDEN = {
@@ -176,13 +179,33 @@ def test_generators_are_involutions_and_braid_relations_hold():
 
 
 def test_braid_check_names_the_failing_generator_or_pair():
-    """A non-involution is witnessed as (i, i), a broken relation as (i, j)."""
+    """A non-involution is witnessed as (i, i), a broken relation as (i, j).
+    2 s_1 has infinite order, its columns 2^k s_1 e_j never repeat, so it is
+    refused like every group whose unit columns pass 256 ids."""
     datum = CoxeterDatum.for_type("A3")
     gens = weyl_generators(datum)
+    rotation = gens[:1] + [_matmul(gens[0], gens[1])] + gens[2:]
+    assert braid_relation_check(rotation, datum.coxeter) == (False, (1, 1))
     doubled = gens[:1] + [[[2 * a for a in row] for row in gens[1]]] + gens[2:]
-    assert braid_relation_check(doubled, datum.coxeter) == (False, (1, 1))
+    with pytest.raises(LatticeError, match="more than 256 ids"):
+        braid_relation_check(doubled, datum.coxeter)
     swapped = [gens[0], gens[2], gens[1]]
     assert braid_relation_check(swapped, datum.coxeter) == (False, (0, 1))
+
+
+def test_braid_check_validates_the_coxeter_matrix():
+    """A Coxeter matrix must be an integer matrix with one row per generator,
+    symmetric, with ones on the diagonal and entries at least 1.  A non-integer
+    order (3.7 was truncated to 3), a lower triangle that disagrees (it was
+    never read), a string order and a matrix with too few rows (an IndexError)
+    are each a LatticeError, not a pass; a numpy array still passes."""
+    datum = CoxeterDatum.for_type("A2")
+    gens = weyl_generators(datum)
+    for bad in ([[1, 3.7], [3.7, 1]], [[1, 3], [2, 1]], [[1, "3"], ["3", 1]], [[1]],
+                [[2, 3], [3, 1]], [[1, 3], [3, 1], [1, 1]], "3"):
+        with pytest.raises(LatticeError):
+            braid_relation_check(gens, bad)
+    assert braid_relation_check(gens, np.array(datum.coxeter)) == (True, None)
 
 
 def _with_order(coxeter, i, j, m):
@@ -194,9 +217,8 @@ def _with_order(coxeter, i, j, m):
 def test_braid_check_requires_the_exact_order():
     """s_i s_j must have order exactly m_ij.  On A3 the multiples m_01 = 6
     and m_02 = 4 of the true orders 3 and 2 fail at their pair; on every
-    type, each wrong order from 1 to 12 fails at its pair, found as the
-    first k at which the two alternating words agree, while the true one
-    passes.  An order below 1 is refused."""
+    type, each wrong order from 1 to 12 fails at its pair, while the true
+    one passes.  An order below 1 is refused."""
     datum = CoxeterDatum.for_type("A3")
     gens = weyl_generators(datum)
     assert braid_relation_check(gens, _with_order(datum.coxeter, 0, 1, 6)) == (False, (0, 1))
@@ -525,18 +547,103 @@ def test_coxeter_element_order_is_order_independent():
 
 
 def test_braid_and_coxeter_element_are_exact():
-    """The hyperbolic pair is two involutions with no braid relation, and its
-    Coxeter element has infinite order.  An int64 product would find
-    (2^63 - 1)^2 = 1 and ([[1, 2^62], [0, 1]])^4 = 1 modulo 2^64."""
-    assert braid_relation_check(HYPERBOLIC, [[1, 3], [3, 1]]) == (False, (0, 1))
-    with pytest.raises(LatticeError, match="cap"):
-        coxeter_element_order(HYPERBOLIC, cap=50)
-    assert braid_relation_check([[[2 ** 63 - 1, 0], [0, 1]]], [[1]]) == (False, (0, 0))
-    with pytest.raises(LatticeError, match="cap"):
-        coxeter_element_order([[[1, 2 ** 62], [0, 1]]], cap=10)
+    """The hyperbolic pair (two involutions with no braid relation and a
+    Coxeter element of infinite order), [[1, 2^62], [0, 1]] and
+    [[2^63 - 1, 0], [0, 1]] generate infinite groups, whose unit columns
+    pass 256 ids: both questions are refused, not answered modulo 2^64,
+    where (2^63 - 1)^2 = 1 and ([[1, 2^62], [0, 1]])^4 = 1."""
+    for gens, coxeter in ((HYPERBOLIC, [[1, 3], [3, 1]]), ([[[1, 2 ** 62], [0, 1]]], [[1]]),
+                          ([[[2 ** 63 - 1, 0], [0, 1]]], [[1]])):
+        with pytest.raises(LatticeError, match="more than 256 ids"):
+            braid_relation_check(gens, coxeter)
+        with pytest.raises(LatticeError, match="more than 256 ids"):
+            coxeter_element_order(gens)
     assert coxeter_element_order([]) == 1
     with pytest.raises(LatticeError):
         braid_relation_check([[[1]], [[1, 0], [0, 1]]], [[1, 2], [2, 1]])
+
+
+def test_coxeter_element_permutes_the_roots_in_rank_cycles_of_length_h():
+    """Kostant (Amer. J. Math. 81, 1959): a Coxeter element permutes the
+    roots in r cycles of length h, the Coxeter number.  On every type the
+    CLI accepts, c's table has exactly r cycles of length h = max degree, on
+    the m = r h column ids; E8's 240 roots fit the 256 ids."""
+    labels = _coxeter_types()
+    assert len(labels) == 32 and "E8" in labels
+    for label in labels:
+        datum = CoxeterDatum.for_type(label)
+        tables, m = _faithful_permutations(weyl_generators(datum))
+        c = reduce(bytes.translate, reversed(tables), _IDENTITY_PERM)
+        h = max(invariant_degrees(label))
+        assert m == datum.rank * h, label
+        assert _cycle_lengths(c, m) == [h] * datum.rank, label
+
+
+def _alternating_word_check(mats, coxeter):
+    """Reference braid check on matrix products, with no column budget: a
+    non-involution fails as (i, i); for involutions the words s_i s_j s_i ...
+    and s_j s_i s_j ... of length k agree exactly when (s_i s_j)^k = 1, so a
+    pair fails when they agree at some k < m_ij or still differ at k = m_ij."""
+    n = len(mats[0])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, g in enumerate(mats):
+        if _matmul(g, g) != identity:
+            return False, (i, i)
+    for i, j in combinations(range(len(mats)), 2):
+        a, b = mats[i], mats[j]
+        u, v = a, b
+        for k in range(1, coxeter[i][j]):
+            if u == v:
+                return False, (i, j)
+            u, v = _matmul(u, (a, b)[k % 2]), _matmul(v, (b, a)[k % 2])
+        if u != v:
+            return False, (i, j)
+    return True, None
+
+
+def _power_loop_order(mats, cap=10 ** 4):
+    """Reference Coxeter-element order: the least k <= cap with c^k = 1 for
+    the matrix product c of mats in their order; None past cap."""
+    c = reduce(_matmul, mats)
+    identity = [[int(i == j) for j in range(len(c))] for i in range(len(c))]
+    power = c
+    for k in range(1, cap + 1):
+        if power == identity:
+            return k
+        power = _matmul(power, c)
+    return None
+
+
+def test_braid_and_coxeter_element_agree_with_matrix_products():
+    """The tables give the matrix algorithms' answers: on every type the CLI
+    accepts, under two seeded relabellings each, for the Weyl generators in a
+    shuffled order, for each wrong order from 1 to 12 at a seeded pair, and
+    with a seeded generator replaced by a product s_a s_b, a finite
+    non-involution (or, for a = b, the identity)."""
+    rng = random.Random(37)
+    outcomes = set()
+    for label in _coxeter_types():
+        c = cartan_matrix(label).tolist()
+        r = len(c)
+        for _ in range(2):
+            p = rng.sample(range(r), r)
+            relabelled = [[c[i][j] for j in p] for i in p]
+            coxeter = coxeter_matrix_from_cartan(relabelled)
+            gens = weyl_generators(CoxeterDatum(label, relabelled, coxeter))
+            k = rng.randrange(r)
+            product = _matmul(gens[rng.randrange(r)], gens[rng.randrange(r)])
+            generator_lists = [gens, rng.sample(gens, r), gens[:k] + [product] + gens[k + 1:]]
+            cases = [(mats, coxeter) for mats in generator_lists]
+            if r > 1:
+                i, j = sorted(rng.sample(range(r), 2))
+                cases += [(gens, _with_order(coxeter, i, j, m)) for m in range(1, 13)]
+            for mats, orders in cases:
+                want = _alternating_word_check(mats, orders)
+                outcomes.add(want[0])
+                assert braid_relation_check(mats, orders) == want, (label, p, mats, orders)
+            for mats in generator_lists:
+                assert coxeter_element_order(mats) == _power_loop_order(mats), (label, p, mats)
+    assert outcomes == {True, False}
 
 
 def test_root_lattice_and_reflections():
@@ -658,7 +765,13 @@ def test_fold_orbits_are_the_reachability_classes():
 
 
 def test_fold_validates_automorphisms():
-    """Permutations that break the Cartan matrix or bonds are rejected."""
+    """Permutations that break the Cartan matrix or bonds are rejected, and so
+    are non-integer entries: (0, 1, 3.5, 2) was read as (0, 1, 3, 2).  numpy
+    integer entries pass."""
+    for bad in ([(0, 1, 3.5, 2)], [(0, 1, "3", 2)], [3]):
+        with pytest.raises(FoldingError, match="not a permutation"):
+            fold("D4", bad)
+    assert fold("D4", [np.array([0, 1, 3, 2])]).group_order == 2
     with pytest.raises(FoldingError):
         fold("A3", [(1, 0, 2)])
     with pytest.raises(FoldingError):

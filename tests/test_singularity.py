@@ -132,6 +132,16 @@ def test_counting_rejects_non_generic_matrix():
         al_multiplicity_by_counting(3, 2, [[1, 0, 0], [0, 1, 0]])
 
 
+def test_germ_and_count_refuse_float_matrix_entries():
+    """A float entry is a PolyError, not its binary fraction (0.1 would be
+    3602879701896397/36028797018963968); integer entries stay ints."""
+    for call in (action_coordinates_germ, al_multiplicity_by_counting):
+        with pytest.raises(PolyError, match="got float"):
+            call(3, 2, [[0.1, 1, 0], [0, 1, 1]])
+    germ = action_coordinates_germ(3, 2, [[1, 1, 0], [0, 1, 1]])
+    assert {type(c) for p in germ.components for c in p.terms.values()} == {int}
+
+
 def test_generic_matrices_span_distinct_hyperplanes():
     """The argument behind the count: on seeded random matrices that pass the
     genericity test, no two (k-1)-column subsets span the same hyperplane."""

@@ -189,7 +189,8 @@ def test_casimir_check_refuses_a_foreign_structure():
 
 
 def test_jacobian_ranks():
-    """Rank r at regular points, r - 1 on the subregular stratum, 0 at zero."""
+    """Rank r at regular points, r - 1 on the subregular stratum, 0 at zero;
+    a float entry is a PolyError, a Fraction is read exactly."""
     s1 = steinberg_map(1)
     assert jacobian_rank_at(s1, [[0, 0], [0, 0]]) == 0
     assert jacobian_rank_at(s1, [[1, 0], [0, -1]]) == 1
@@ -200,6 +201,9 @@ def test_jacobian_ranks():
     assert jacobian_rank_at(s2, [[1, 0, 0], [0, 2, 0], [0, 0, -3]]) == 2
     with pytest.raises(PolyError):
         jacobian_rank_at(s2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(PolyError, match="got float"):
+        jacobian_rank_at(s2, [[0.5, 0, 0], [0, 0.5, 0], [0, 0, -1.0]])
+    assert jacobian_rank_at(s2, [[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0], [0, 0, -1]]) == 1
 
 
 def test_jacobian_rank_never_exceeds_rank():
