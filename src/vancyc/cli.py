@@ -24,10 +24,10 @@ import sys
 from .germfile import GermFileError, load_germ_file
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
 from .monodromy import CoxeterDatum, FoldingError, LatticeError
-from .poly import PolyError, format_polynomial, parse_polynomial, squarefree_part_bivariate
+from .poly import (IDENTIFIER, PolyError, format_polynomial, parse_polynomial,
+                   squarefree_part_bivariate)
 from .report import FAIL, PASS, SKIPPED_BUDGET, Report
-from .singularity import (OFF_ORIGIN, _reduced_multiplicity, discriminant,
-                          multiplicity_at_origin)
+from .singularity import OFF_ORIGIN, discriminant, multiplicity_at_origin
 from .suite import (COXETER_CHECKS, STEINBERG_CHECKS, coxeter_results, fold_results,
                     run_paper_suite, steinberg_results)
 from .symplectic import poisson_bracket
@@ -66,20 +66,15 @@ def cmd_bracket(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _given_multiplicity(expr: str, budget: int) -> int:
-    names: list[str] = []
-    for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", expr):
-        if m.group(0) not in names:
-            names.append(m.group(0))
-    given = parse_polynomial(expr, tuple(sorted(names)))
+    given = parse_polynomial(expr, sorted(set(re.findall(IDENTIFIER, expr))))
     # The squarefree part vanishes at the origin exactly where `given` does,
     # so a nonzero constant term is refused before its Buchberger run.
-    if given.terms.get((0,) * len(given.ambient)):
+    if given.constant_term():
         raise PolyError(OFF_ORIGIN)
     reduced = squarefree_part_bivariate(given, budget)
-    mult = _reduced_multiplicity(reduced)
     print(f"given: {format_polynomial(given)}")
     print(f"reduced: {format_polynomial(reduced)}")
-    print(f"multiplicity: {mult}")
+    print(f"multiplicity: {reduced.order_at_origin()}")
     return 0
 
 

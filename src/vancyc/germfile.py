@@ -19,12 +19,12 @@ import codecs
 import re
 from dataclasses import dataclass
 
-from .poly import PolyParseError, Polynomial, parse_polynomial
+from .poly import IDENTIFIER, PolyParseError, Polynomial, parse_polynomial
 from .symplectic import MapGerm, PoissonStructure
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_IDENT = re.compile(IDENTIFIER)
 _KEY = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_-]*)\s*:")
-_PAIR = re.compile(r"\(([A-Za-z][A-Za-z0-9_]*),([A-Za-z][A-Za-z0-9_]*)\)")
+_PAIR = re.compile(rf"\(({IDENTIFIER}),({IDENTIFIER})\)")
 
 
 class GermFileError(ValueError):
@@ -69,21 +69,19 @@ def _fields(line: str, lineno: int) -> tuple[str, int, str, int] | None:
     return m.group(1), m.start(1) + 1, stripped[m.end():], m.end() + 1
 
 
-def _names(payload: str, lineno: int, base_col: int) -> list[tuple[str, int]]:
-    """Whitespace-separated identifiers with their columns."""
-    out = []
+def _items(payload: str, pattern: re.Pattern, error: str, lineno: int, base_col: int):
+    """Yield each whitespace-separated match of pattern with its column; at
+    any other text, raise error, formatted with the character found there."""
     pos = 0
     while pos < len(payload):
         if payload[pos].isspace():
             pos += 1
             continue
-        m = _IDENT.match(payload, pos)
+        m = pattern.match(payload, pos)
         if not m:
-            raise GermFileError(f"invalid name at {payload[pos]!r}",
-                                lineno, base_col + pos)
-        out.append((m.group(0), base_col + pos))
+            raise GermFileError(error.format(payload[pos]), lineno, base_col + pos)
+        yield m, base_col + pos
         pos = m.end()
-    return out
 
 
 def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
@@ -99,7 +97,8 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
         if key == "vars":
             if variables is not None:
                 raise GermFileError("duplicate vars line", lineno, key_col)
-            names = _names(payload, lineno, col)
+            names = [(m.group(0), ncol) for m, ncol in
+                     _items(payload, _IDENT, "invalid name at {!r}", lineno, col)]
             if not names:
                 raise GermFileError("vars line declares no variables", lineno, col)
             seen = set()
@@ -116,26 +115,15 @@ def parse_germ_text(text: str, source_name: str = "<germ>") -> GermFile:
                 raise GermFileError("duplicate symplectic line", lineno, key_col)
             pairs = []
             used = set()
-            pos = 0
-            while pos < len(payload):
-                if payload[pos].isspace():
-                    pos += 1
-                    continue
-                m = _PAIR.match(payload, pos)
-                if not m:
-                    raise GermFileError("expected a pair of the form (q,p)",
-                                        lineno, col + pos)
-                q, p = m.group(1), m.group(2)
-                for name in (q, p):
+            for m, pcol in _items(payload, _PAIR, "expected a pair of the form (q,p)",
+                                  lineno, col):
+                for name in m.groups():
                     if name not in variables:
-                        raise GermFileError(f"undeclared variable {name}",
-                                            lineno, col + pos)
+                        raise GermFileError(f"undeclared variable {name}", lineno, pcol)
                     if name in used:
-                        raise GermFileError(f"variable {name} paired twice",
-                                            lineno, col + pos)
+                        raise GermFileError(f"variable {name} paired twice", lineno, pcol)
                     used.add(name)
-                pairs.append((q, p))
-                pos = m.end()
+                pairs.append(m.groups())
             if not pairs:
                 raise GermFileError("symplectic line declares no pairs",
                                     lineno, col)

@@ -214,6 +214,10 @@ def pl_reflection(lattice: IntersectionLattice, i: int) -> list[list[int]]:
     """
     s = lattice.form
     r = lattice.rank
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise LatticeError(f"reflection index {i!r} is not an integer") from None
     if not 0 <= i < r:
         raise LatticeError(f"reflection index {i} out of range 0..{r - 1}")
     if s[i][i] != -2:

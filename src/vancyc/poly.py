@@ -11,7 +11,9 @@ subsets, with no division) and so its determinant, gcds (through an lcm
 from the Buchberger algorithm of `groebner`) and squarefree parts in any
 number of variables, and Gauss-Jordan elimination (reduced row echelon form
 and rank) over Q.  A matrix, of polynomials or of numbers, is a list
-(or tuple) of rows, as everywhere in the package.
+(or tuple) of rows, as everywhere in the package; `rational_rows` is the one
+reader of a matrix of numbers.  `IDENTIFIER` is the one syntax of a variable
+name, shared by the parser, germ files and `vancyc discriminant --given`.
 
 An order key maps an exponent tuple to a flat tuple of ints, so that plain
 tuple comparison is the monomial order.  `_reduce` is the one multivariate
@@ -355,9 +357,14 @@ class Polynomial:
         return _as_coefficient(total)
 
     def substitute(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute polynomials for variables; unmapped variables persist."""
+        """Substitute polynomials for ambient variables; unmapped variables
+        persist.  PolyError for any other key or for an image that is not a
+        Polynomial."""
         ambient = None
-        for repl in mapping.values():
+        for v, repl in mapping.items():
+            if v not in self.ambient or not isinstance(repl, Polynomial):
+                raise PolyError(f"cannot substitute {type(repl).__name__} for '{v}' "
+                                f"in ambient {self.ambient}")
             if ambient is None:
                 ambient = repl.ambient
             elif repl.ambient != ambient:
@@ -478,7 +485,8 @@ def format_polynomial(p: Polynomial, compact: bool = False) -> str:
 # base   := identifier | integer | integer '/' positive-integer | '(' expr ')'
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])")
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(?P<int>\d+)|(?P<ident>{IDENTIFIER})|(?P<op>[-+*^()/])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -961,10 +969,20 @@ def squarefree_part_bivariate(p: Polynomial,
 # Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
+def rational_rows(rows: Sequence[Sequence[object]]) -> list[list[int | Fraction]]:
+    """New rows of the entries in canonical form; PolyError for an entry that
+    is not rational or for a ragged matrix."""
+    m = [[_as_coefficient(x) for x in row] for row in rows]
+    for row in m:
+        if len(row) != len(m[0]):
+            raise PolyError(f"ragged matrix: rows of {len(m[0])} and of {len(row)} entries")
+    return m
+
+
 def rref(rows: Sequence[Sequence[object]]) -> tuple[list[list[int | Fraction]], list[int]]:
     """Gauss-Jordan elimination over Q: (reduced row echelon form, pivot
     columns), each entry an int or a Fraction in canonical form."""
-    m = [[_as_coefficient(x) for x in row] for row in rows]
+    m = rational_rows(rows)
     pivots: list[int] = []
     for col in range(len(m[0]) if m else 0):
         rank = len(pivots)

@@ -17,9 +17,8 @@ from math import comb
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, IdealBasis, eliminate, quotient_dimension
-from .poly import (PolyError, Polynomial, _as_coefficient, gcd_polynomials, maximal_minors,
-                   normalized, rational_rank, squarefree_part_bivariate,
-                   variables)
+from .poly import (PolyError, Polynomial, gcd_polynomials, maximal_minors, normalized,
+                   rational_rank, rational_rows, squarefree_part_bivariate, variables)
 from .symplectic import MapGerm
 
 
@@ -121,19 +120,15 @@ def discriminant(germ: MapGerm,
 OFF_ORIGIN = "discriminant does not pass through the origin"
 
 
-def _reduced_multiplicity(reduced: Polynomial) -> int:
-    order = reduced.order_at_origin()
-    if order == 0:
-        raise PolyError(OFF_ORIGIN)
-    return order
-
-
 def multiplicity_at_origin(d: DiscriminantDescription) -> int:
     """Multiplicity at the origin of the discriminant, for any k; its
     reduced generator already is the squarefree part."""
     if d.reduced_generator is None:
         raise PolyError("no reduced principal generator available")
-    return _reduced_multiplicity(d.reduced_generator)
+    order = d.reduced_generator.order_at_origin()
+    if order == 0:
+        raise PolyError(OFF_ORIGIN)
+    return order
 
 
 def milnor_number(h: Polynomial,
@@ -153,19 +148,17 @@ def milnor_number(h: Polynomial,
 # ---------------------------------------------------------------------------
 
 def _check_generic(R: Sequence[Sequence[Fraction]], n: int, k: int):
-    rows = [[_as_coefficient(x) for x in row] for row in R]
-    if len(rows) != k or any(len(r) != n for r in rows):
+    """R as rows, once every k columns have rank k and every k - 1 columns
+    rank k - 1; for n >= k the first implies the second, so one size is read."""
+    if k < 1:
+        raise PolyError(f"a germ needs at least one component, not k = {k}")
+    rows = rational_rows(R)
+    if len(rows) != k or len(rows[0]) != n:
         raise PolyError(f"coefficient matrix must be {k} x {n}")
-    for cols in combinations(range(n), k):
-        sub = [[rows[i][j] for j in cols] for i in range(k)]
-        if rational_rank(sub) < k:
-            raise NonGenericMatrixError(
-                f"non-generic matrix: columns {cols} are rank-deficient", cols)
-    for cols in combinations(range(n), k - 1):
-        sub = [[rows[i][j] for j in cols] for i in range(k)]
-        if rational_rank(sub) < k - 1:
-            raise NonGenericMatrixError(
-                f"non-generic matrix: columns {cols} do not span a hyperplane", cols)
+    size, fault = (k, "are rank-deficient") if n >= k else (k - 1, "do not span a hyperplane")
+    for cols in combinations(range(n), size):
+        if rational_rank([[row[j] for j in cols] for row in rows]) < size:
+            raise NonGenericMatrixError(f"non-generic matrix: columns {cols} {fault}", cols)
     return rows
 
 

@@ -94,6 +94,19 @@ def test_discriminant_given_mode(capsys):
                    "multiplicity: 4"]
 
 
+def test_discriminant_given_names_and_syntax_errors(capsys):
+    """--given reads every identifier as a variable, in sorted order, and a
+    syntax error is a positioned error with exit 2."""
+    code, out, err = run(capsys, "discriminant", "--given", "x_1^2*y2+x_1*y2^2")
+    assert (code, err) == (0, [])
+    assert out == ["given: x_1^2*y2 + x_1*y2^2",
+                   "reduced: x_1^2*y2 + x_1*y2^2",
+                   "multiplicity: 3"]
+    code, out, err = run(capsys, "discriminant", "--given", "2x")
+    assert (code, out) == (2, [])
+    assert err == ["error: trailing input 'x' (at position 1)"]
+
+
 def test_discriminant_given_curve_off_origin(capsys):
     """A given curve that misses the origin is an error, as on the elimination path."""
     for curve in ("1", "s1+1"):

@@ -62,6 +62,38 @@ def test_error_positions_are_one_based():
         assert (exc.value.line, exc.value.column) == (line, column)
 
 
+def test_name_and_pair_errors_are_pinned():
+    """The messages and columns of the vars and symplectic scanners: a bad
+    name, a repeated name, a repeated pair member, a malformed pair and an
+    empty line each name the spot, whatever else the line holds."""
+    cases = [
+        ("vars: x 1y\ncomponent: x\n",
+         "line 1, column 9: invalid name at '1'"),
+        ("vars: x y x\ncomponent: x\n",
+         "line 1, column 11: variable x declared twice"),
+        ("vars: x y z w\nsymplectic: (x,y)  (y,z)\ncomponent: x\n",
+         "line 2, column 20: variable y paired twice"),
+        ("vars: x y\nsymplectic: (x,y) [x]\ncomponent: x\n",
+         "line 2, column 19: expected a pair of the form (q,p)"),
+        ("vars:\ncomponent: x\n",
+         "line 1, column 6: vars line declares no variables"),
+        ("vars: x y\nsymplectic:   \ncomponent: x\n",
+         "line 2, column 12: symplectic line declares no pairs"),
+        # every name is read before any repeat is sought; each pair is
+        # checked before the next one is read
+        ("vars: x x 1\ncomponent: x\n",
+         "line 1, column 11: invalid name at '1'"),
+        ("vars: x y\nsymplectic: (x,y) (y,x) [\ncomponent: x\n",
+         "line 2, column 19: variable y paired twice"),
+        ("vars: x y\nsymplectic: (x,z)(y\ncomponent: x\n",
+         "line 2, column 13: undeclared variable z"),
+    ]
+    for text, message in cases:
+        with pytest.raises(GermFileError) as exc:
+            parse_germ_text(text)
+        assert str(exc.value) == message, text
+
+
 def test_comments_and_blank_lines_are_ignored():
     """'#' comments and empty lines never affect the parse."""
     text = "\n# leading comment\nvars: x  # trailing\n\ncomponent: x^2\n# done\n"

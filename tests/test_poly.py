@@ -28,6 +28,7 @@ from vancyc.poly import (
     normalized,
     parse_polynomial,
     rational_rank,
+    rational_rows,
     rref,
     squarefree_part_bivariate,
     variables,
@@ -219,6 +220,19 @@ def test_substitute_keeps_unmapped_variables():
     assert p.substitute({}) == p
 
 
+def test_substitute_refuses_other_images_and_variables():
+    """An image that is not a Polynomial, and a key that is not an ambient
+    variable, are each a PolyError: neither is dropped nor an AttributeError."""
+    x, y, z = variables(AMB)
+    p = x * y
+    with pytest.raises(PolyError, match="int for 'x'"):
+        p.substitute({"x": 1})
+    with pytest.raises(PolyError, match="for 'w'"):
+        p.substitute({"w": x + y})
+    with pytest.raises(PolyError, match="'x'"):
+        p.substitute({"y": z, "x": Fraction(1, 2)})
+
+
 def test_evaluate_agrees_with_substitution():
     """Full-point evaluation matches substituting constants throughout."""
     rng = random.Random(7)
@@ -362,6 +376,27 @@ def test_rational_linear_algebra():
     assert rational_rank([[1, 2], [3, 4]]) == 2
     with pytest.raises(PolyError, match="rational"):
         rational_rank([[1.5]])
+
+
+def test_ragged_matrices_are_refused():
+    """A ragged matrix is a PolyError for the rank and the row echelon form,
+    whichever row is short: [[1, 2], [3]] was an IndexError and [[1], [2, 3]]
+    had rank 1."""
+    for bad in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]):
+        for call in (rational_rows, rref, rational_rank):
+            with pytest.raises(PolyError, match="ragged"):
+                call(bad)
+
+
+def test_rational_rows_are_new_canonical_rows():
+    """rational_rows copies its input into lists of canonical coefficients:
+    an integral Fraction becomes its int, and the input is left alone."""
+    given = ((Fraction(4, 2), 3), [Fraction(1, 3), True])
+    rows = rational_rows(given)
+    assert rows == [[2, 3], [Fraction(1, 3), 1]]
+    assert [type(a) for row in rows for a in row] == [int, int, Fraction, int]
+    assert type(given[0][0]) is Fraction
+    assert rational_rows([]) == [] and rational_rows([[]]) == [[]]
 
 
 def test_rref_is_reduced_and_respects_the_pivot_block():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from minors import cofactor_minors
+from vancyc import singularity
 from vancyc.germfile import load_germ_file
 from vancyc.groebner import ResourceLimitExceeded
 from vancyc.poly import (
@@ -140,6 +141,51 @@ def test_germ_and_count_refuse_float_matrix_entries():
             call(3, 2, [[0.1, 1, 0], [0, 1, 1]])
     germ = action_coordinates_germ(3, 2, [[1, 1, 0], [0, 1, 1]])
     assert {type(c) for p in germ.components for c in p.terms.values()} == {int}
+
+
+def test_germ_and_count_refuse_no_components():
+    """k = 0 is a PolyError, not itertools' bare ValueError from the
+    (k - 1)-column subsets."""
+    for call in (action_coordinates_germ, al_multiplicity_by_counting):
+        for k in (0, -1):
+            with pytest.raises(PolyError, match="at least one component"):
+                call(3, k, [])
+
+
+def _two_loop_verdict(R, n, k):
+    """The genericity test written out in full: every k columns of rank k,
+    then every k - 1 columns of rank k - 1; the first failure, or None."""
+    for size, fault in ((k, "are rank-deficient"), (k - 1, "do not span a hyperplane")):
+        for cols in combinations(range(n), size):
+            if rational_rank([[row[j] for j in cols] for row in R]) < size:
+                return f"non-generic matrix: columns {cols} {fault}", cols
+    return None
+
+
+def test_genericity_reads_one_subset_size(monkeypatch):
+    """On seeded small matrices, n from 1 to 5 and k from 1 to 4, the count
+    refuses exactly what the full two-size test refuses, with the same
+    message and columns.  The (4, 3) matrix takes 4 ranks, not 4 + 6."""
+    rng = random.Random(5)
+    refused = passed = 0
+    for _ in range(300):
+        n, k = rng.randint(1, 5), rng.randint(1, 4)
+        R = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+        want = _two_loop_verdict(R, n, k)
+        try:
+            al_multiplicity_by_counting(n, k, R)
+            got = None
+            passed += 1
+        except NonGenericMatrixError as exc:
+            got = str(exc), exc.columns
+            refused += 1
+        assert got == want, (n, k, R)
+    assert refused > 50 and passed > 50
+    calls = []
+    monkeypatch.setattr(singularity, "rational_rank",
+                        lambda rows: calls.append(rows) or rational_rank(rows))
+    al_multiplicity_by_counting(4, 3, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    assert len(calls) == 4
 
 
 def test_generic_matrices_span_distinct_hyperplanes():
