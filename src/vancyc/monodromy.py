@@ -5,10 +5,10 @@ intersection forms, reflections, variation matrices and foldings.  Inputs
 (nested lists or integer numpy arrays) go through `_int_rows`, and every
 product is a sum of Python ints, so no entry can wrap.  The only numpy array
 is the return value of `cartan_matrix`, the one place that imports numpy.
-The reflection in the i-th vanishing class delta_i of an even lattice with
-self-intersection -2 is a |-> a + (a . delta_i) delta_i; on the root-lattice
-model (S = -Cartan for simply-laced types) these coincide with the Weyl
-generators s_i(e_j) = e_j - C_ji e_i.
+Every reflection is `_reflection`, the identity with row i replaced:
+e_j |-> e_j + P_ij e_i, with P_ij = -C_ji for the Weyl generators and S_ij for
+the Picard-Lefschetz reflection a |-> a + (a . delta_i) delta_i in a class of
+square -2, as in Pham's vanishing-cycle lattices (`pham_seifert_matrix`).
 
 One table layer answers every question about a matrix group: the unit
 columns close under the generators (the roots, for a Weyl group) into at most
@@ -197,35 +197,35 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.form)
 
-    @classmethod
-    def root_lattice(cls, label: str) -> "IntersectionLattice":
-        """Vanishing-cycle lattice of a simply-laced type: S = -Cartan."""
-        datum = CoxeterDatum.for_type(label)
-        if not datum.is_simply_laced():
-            raise LatticeError(f"root lattice model needs a simply-laced type, not {label}")
-        return cls([[-a for a in row] for row in datum.cartan])
+
+def pham_seifert_matrix(exponents: Sequence[int]) -> list[list[int]]:
+    """V_a (x) V_b (x) ..., V_a with 1 on the diagonal and -1 just above it: the
+    Seifert matrix of Pham's basis of x^a + y^b + ..., of form -(V + V^T) (Sebastiani
+    and Thom, Bull. SMF 99, 1971; Gabrielov, Funct. Anal. Appl. 7, 1973)."""
+    if not (isinstance(exponents, (list, tuple)) and exponents
+            and all(isinstance(a, int) and a >= 2 for a in exponents)):
+        raise LatticeError(f"Pham exponents {exponents!r} must be integers >= 2")
+    v = [[1]]
+    for a in exponents:
+        v = [[x * ((k == l) - (l == k + 1)) for x in row for l in range(a - 1)]
+             for row in v for k in range(a - 1)]
+    return v
 
 
 def pl_reflection(lattice: IntersectionLattice, i: int) -> list[list[int]]:
-    """Matrix of a |-> a + (a . delta_i) delta_i in the basis delta_1..delta_r.
-
-    Requires (delta_i . delta_i) = -2; the map is then an involution
-    preserving the form.
-    """
+    """Matrix of a |-> a + (a . delta_i) delta_i in the basis delta_1..delta_r,
+    `_reflection` with row S_i; requires (delta_i . delta_i) = -2, and is then
+    an involution preserving the form."""
     s = lattice.form
-    r = lattice.rank
     try:
         i = operator.index(i)
     except TypeError:
         raise LatticeError(f"reflection index {i!r} is not an integer") from None
-    if not 0 <= i < r:
-        raise LatticeError(f"reflection index {i} out of range 0..{r - 1}")
+    if not 0 <= i < len(s):
+        raise LatticeError(f"reflection index {i} out of range 0..{len(s) - 1}")
     if s[i][i] != -2:
-        raise LatticeError(
-            f"self-intersection {s[i][i]} != -2: reflection formula not applicable")
-    h = _identity(r)
-    h[i] = [a + b for a, b in zip(h[i], s[i])]
-    return h
+        raise LatticeError(f"self-intersection {s[i][i]} != -2: reflection formula not applicable")
+    return _reflection(i, s[i])
 
 
 def variation_matrix(lattice: IntersectionLattice) -> list[list[int]]:
@@ -239,14 +239,14 @@ def variation_matrix(lattice: IntersectionLattice) -> list[list[int]]:
 
 def weyl_generators(datum: CoxeterDatum) -> list[list[list[int]]]:
     """Reflection representation on the root lattice: s_i(e_j) = e_j - C_ji e_i."""
-    c = datum.cartan
-    r = datum.rank
-    gens = []
-    for i in range(r):
-        m = _identity(r)
-        m[i] = [a - row[i] for a, row in zip(m[i], c)]
-        gens.append(m)
-    return gens
+    return [_reflection(i, [-row[i] for row in datum.cartan]) for i in range(datum.rank)]
+
+
+def _reflection(i: int, row: list[int]) -> list[list[int]]:
+    """The identity with row i replaced by e_i + row: e_j |-> e_j + row[j] e_i."""
+    m = _identity(len(row))
+    m[i] = [a + b for a, b in zip(m[i], row)]
+    return m
 
 
 def _int_rows(matrix) -> list[list[int]]:

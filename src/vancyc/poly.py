@@ -970,8 +970,12 @@ def squarefree_part_bivariate(p: Polynomial,
 # ---------------------------------------------------------------------------
 
 def rational_rows(rows: Sequence[Sequence[object]]) -> list[list[int | Fraction]]:
-    """New rows of the entries in canonical form; PolyError for an entry that
-    is not rational or for a ragged matrix."""
+    """New rows of the entries in canonical form; PolyError for an input that
+    is not a sequence of rows, an entry that is not rational or a ragged matrix."""
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise PolyError("expected a matrix as a sequence of rows") from None
     m = [[_as_coefficient(x) for x in row] for row in rows]
     for row in m:
         if len(row) != len(m[0]):

@@ -3,10 +3,10 @@
 Twelve named checks cover the worked examples end to end: involutivity of
 the model germs, discriminant generators and multiplicities, the binomial
 law for action-coordinate germs, Milnor-number baselines, braid relations
-and Weyl-group orders, reflection and variation properties of root
-lattices, diagram foldings with their automorphism groups, and the
-adjoint-quotient suite for sl_2 and sl_3.  The lattice checks work on the
-Python-int rows that `monodromy` returns, with its one exact product.
+and Weyl-group orders, Picard-Lefschetz reflections and variation matrices
+on Pham's lattices, diagram foldings with their automorphism groups, and
+the adjoint-quotient suite for sl_2 and sl_3.  The lattice checks work on
+the Python-int rows `monodromy` returns, with its one exact product.
 
 Each check of the `coxeter`, `fold` and `steinberg` subcommands is built
 once here, by `coxeter_results`, `fold_results` and `steinberg_results`,
@@ -30,11 +30,11 @@ from math import prod
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
-from .monodromy import (CoxeterDatum, FoldingError, IntersectionLattice, _identity,
-                        _matmul, _transpose, braid_relation_check,
-                        coxeter_element_order, fold, group_name, group_order_bfs,
-                        pl_reflection, quotient_rank_check, standard_automorphisms,
-                        variation_matrix, weyl_generators, weyl_group_order)
+from .monodromy import (CoxeterDatum, FoldingError, IntersectionLattice, _identity, _matmul,
+                        _transpose, braid_relation_check, coxeter_element_order, fold,
+                        group_name, group_order_bfs, pham_seifert_matrix, pl_reflection,
+                        quotient_rank_check, standard_automorphisms, variation_matrix,
+                        weyl_generators, weyl_group_order)
 from .poly import parse_polynomial
 from .report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, Report, check, format_value
 from .singularity import (NonIsolatedSingularityError, action_coordinates_germ,
@@ -86,6 +86,8 @@ _EXCEPTIONAL_DEGREES = {
     "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
     "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
 }
+# (a, b, c) -> the type of the lattice of x^a + y^b + z^c (Gabrielov, 1973)
+_PHAM_TYPES = {(2, 2, 3): "A2", (2, 2, 4): "A3", (2, 3, 3): "D4"}
 
 
 def invariant_degrees(label: str) -> tuple[int, ...]:
@@ -322,46 +324,40 @@ def check_weyl_orders() -> CheckResult:
                       f"on the roots cross-checks {','.join(_BFS_TYPES)}")
 
 
-_LATTICE_TYPES = ("A2", "A3", "D4")
+def _pham_lattices():
+    """(type, Seifert matrix V, lattice S = -(V + V^T), T_1..T_mu) per Pham form."""
+    for exponents, label in _PHAM_TYPES.items():
+        v = pham_seifert_matrix(exponents)
+        lattice = IntersectionLattice([[-a - b for a, b in zip(*rows)]
+                                       for rows in zip(v, zip(*v))])
+        yield label, v, lattice, [pl_reflection(lattice, i) for i in range(lattice.rank)]
 
 
 def check_picard_lefschetz() -> CheckResult:
-    """Reflections preserve the form, square to one, and equal the Weyl action."""
+    """On Pham's lattices the reflections preserve the form and square to one,
+    and the monodromy T_1...T_mu has the tabled type's Coxeter number as order."""
     ok = True
-    for label in _LATTICE_TYPES:
-        lattice = IntersectionLattice.root_lattice(label)
-        datum = CoxeterDatum.for_type(label)
-        gens = weyl_generators(datum)
-        identity = _identity(lattice.rank)
+    for label, _, lattice, reflections in _pham_lattices():
         s = lattice.form
-        for i in range(lattice.rank):
-            h = pl_reflection(lattice, i)
-            ok = ok and _matmul(_matmul(_transpose(h), s), h) == s
-            ok = ok and _matmul(h, h) == identity
-            ok = ok and h == gens[i]
+        ok = ok and all(_matmul(_matmul(_transpose(t), s), t) == s
+                        and _matmul(t, t) == _identity(len(s)) for t in reflections)
+        # read only once they keep the definite form, which bounds the column closure
+        ok = ok and coxeter_element_order(reflections) == max(invariant_degrees(label))
     return check("picard-lefschetz", True, ok,
-                 note="types " + ",".join(_LATTICE_TYPES))
+                 note="types " + ",".join(_PHAM_TYPES.values()))
 
 
 def check_variation_matrix() -> CheckResult:
-    """W is triangular with -1 diagonal, det +-1, S = W + W^T, and the
-    monodromy T_1...T_r of the Picard-Lefschetz reflections is -W^(-T) W,
-    checked without an inverse as W^T T_1...T_r = -W."""
+    """On Pham's lattices W = -V^T and V T_1...T_mu = -V^T, with no inverse, for
+    the Seifert matrix V: so W is triangular with diagonal -1, S = W + W^T,
+    det W = (-1)^mu, and W^T T_1...T_mu = -W."""
     ok = True
     dets = []
-    for label in _LATTICE_TYPES:
-        lattice = IntersectionLattice.root_lattice(label)
+    for _, v, lattice, reflections in _pham_lattices():
         w = variation_matrix(lattice)
-        s = lattice.form
-        r = lattice.rank
-        ok = ok and all(w[i][j] == 0 for i in range(r) for j in range(i + 1, r))
-        ok = ok and all(abs(w[i][i]) == 1 for i in range(r))
-        det = prod(w[i][i] for i in range(r))
-        dets.append(det)
-        ok = ok and det in (-1, 1)
-        ok = ok and all(w[i][j] + w[j][i] == s[i][j] for i in range(r) for j in range(r))
-        monodromy = reduce(_matmul, (pl_reflection(lattice, i) for i in range(r)))
-        ok = ok and _matmul(_transpose(w), monodromy) == [[-x for x in row] for row in w]
+        minus_vt = [[-x for x in col] for col in zip(*v)]
+        ok = ok and w == minus_vt and _matmul(v, reduce(_matmul, reflections)) == minus_vt
+        dets.append(prod(w[i][i] for i in range(len(w))))
     return check("variation-matrix", True, ok,
                  note="diagonals -1; dets " + ",".join(str(d) for d in dets))
 

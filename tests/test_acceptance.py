@@ -11,8 +11,8 @@ from vancyc import groebner
 from vancyc import suite as suite_module
 from vancyc.groebner import DEFAULT_PAIR_LIMIT
 from vancyc.report import FAIL, PASS, SKIPPED_BUDGET, format_value
-from vancyc.suite import (basic_germ, check_henon_heiles, check_variation_matrix,
-                          check_weyl_orders, run_paper_suite)
+from vancyc.suite import (basic_germ, check_henon_heiles, check_picard_lefschetz,
+                          check_variation_matrix, check_weyl_orders, run_paper_suite)
 
 EXPECTED_NAMES = [
     "involutivity",
@@ -148,14 +148,38 @@ def test_weyl_orders_gate_can_fail(monkeypatch, name, order, shown):
 
 
 def test_acceptance_picard_lefschetz(suite):
-    """Reflections are involutions, preserve the form, and match the group."""
+    """On Pham's lattices of A2, A3 and D4 the reflections are involutions,
+    preserve the form, and their product has the Coxeter number as order."""
     _verdict(suite, "picard-lefschetz")
 
 
 def test_acceptance_variation_matrix(suite):
-    """Unipotent-triangular variation matrices with S = W + W^T, and the
-    monodromy of the reflections is -W^(-T) W."""
+    """On Pham's lattices the variation matrix is -V^T for the Seifert
+    matrix V, and V T_1...T_mu = -V^T for the reflections."""
     _verdict(suite, "variation-matrix")
+
+
+def _wrong_sign(real):
+    """x |-> x - (x . delta) delta: 2I - T, since T is I plus one row."""
+    def reflection(lattice, i):
+        return [[2 * (j == k) - x for k, x in enumerate(row)]
+                for j, row in enumerate(real(lattice, i))]
+    return reflection
+
+
+def _transposed(real):
+    def reflection(lattice, i):
+        return [list(col) for col in zip(*real(lattice, i))]
+    return reflection
+
+
+@pytest.mark.parametrize("mutation", [_wrong_sign, _transposed])
+def test_lattice_gates_read_the_reflections(monkeypatch, mutation):
+    """Both gates multiply the Picard-Lefschetz reflections: with each given
+    the wrong sign, or replaced by its transpose, both fail."""
+    monkeypatch.setattr(suite_module, "pl_reflection", mutation(suite_module.pl_reflection))
+    assert check_picard_lefschetz().status == FAIL
+    assert check_variation_matrix().status == FAIL
 
 
 def test_variation_gate_reads_the_reflections(monkeypatch):
@@ -168,6 +192,21 @@ def test_variation_gate_reads_the_reflections(monkeypatch):
         return [list(col) for col in zip(*real(lattice, i))]
 
     monkeypatch.setattr(suite_module, "pl_reflection", transposed)
+    assert check_variation_matrix().status == FAIL
+
+
+def test_picard_lefschetz_gate_reads_the_type_table(monkeypatch):
+    """With (2,3,3) tabled as A4, the monodromy's order 6 is not A4's
+    Coxeter number 5 and the gate fails."""
+    monkeypatch.setitem(suite_module._PHAM_TYPES, (2, 3, 3), "A4")
+    assert check_picard_lefschetz().status == FAIL
+
+
+def test_variation_gate_reads_the_variation_matrix(monkeypatch):
+    """A transposed variation matrix is not -V^T and fails the gate."""
+    real = suite_module.variation_matrix
+    monkeypatch.setattr(suite_module, "variation_matrix",
+                        lambda lattice: [list(col) for col in zip(*real(lattice))])
     assert check_variation_matrix().status == FAIL
 
 

@@ -7,7 +7,9 @@ than `__init__`, so exporting a name does not count as using it.  The
 allowlist holds the names that only the benchmark still reads, each with
 the `perfbench/workloads.py` line that pins it; once that line goes, so
 does the entry.  No function exported from `vancyc` takes a parameter of a
-private type, which a caller outside the package could not build.
+private type, which a caller outside the package could not build.  The
+imports of another module's private names are listed, so a new one cannot
+appear unnoticed and an entry goes when its import goes.
 """
 
 import ast
@@ -27,6 +29,14 @@ BENCHMARK_PINS = {
     "SUPPORTED_TYPES":
         'REFLECTION_TYPES = tuple(t for t in monodromy.SUPPORTED_TYPES if t != "A8")',
     "is_empty": "if d.is_empty():",
+}
+
+
+# (importing module, module imported from) -> the private names it imports
+PRIVATE_IMPORTS = {
+    ("groebner", "poly"): {"_DivisorIndex", "_divided", "_reduce"},
+    ("poly", "groebner"): {"_fresh_name"},
+    ("suite", "monodromy"): {"_identity", "_matmul", "_transpose"},
 }
 
 
@@ -76,6 +86,23 @@ def test_every_allowlisted_name_is_still_pinned():
         assert name in _public(), name
         assert name not in _read_names(), f"{name} has a reader now; drop its entry"
         assert line in workloads, f"{name}'s pin is gone; drop its entry"
+
+
+def test_private_imports_across_modules_are_listed():
+    """Every import of a private name from a module of the package, relative
+    or through `vancyc.`, at any depth, is in PRIVATE_IMPORTS, and every
+    entry is still imported."""
+    found: dict[tuple[str, str], set[str]] = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module):
+                continue
+            if node.level or node.module.startswith("vancyc."):
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                if private:
+                    key = (path.stem, node.module.rsplit(".", 1)[-1])
+                    found.setdefault(key, set()).update(private)
+    assert found == PRIVATE_IMPORTS
 
 
 def _annotation_names(annotation) -> set[str]:

@@ -105,7 +105,7 @@ def test_matrices_are_python_int_rows():
     assert datum == CoxeterDatum.for_type("D4")
     lattice = IntersectionLattice(-c)
     assert _is_int_rows(lattice.form)
-    assert lattice == IntersectionLattice.root_lattice("D4")
+    assert lattice == _minus_cartan_lattice("D4")
     mats = [pl_reflection(lattice, 0), variation_matrix(lattice),
             permutation_matrix((2, 1, 3, 0)), *weyl_generators(datum)]
     folding = fold("D4", standard_automorphisms("D4", "full"))
@@ -644,10 +644,15 @@ def test_braid_and_coxeter_element_agree_with_matrix_products():
     assert outcomes == {True, False}
 
 
-def test_root_lattice_and_reflections():
+def _minus_cartan_lattice(label):
+    """The lattice S = -Cartan of a simply-laced type, from Python-int rows."""
+    return IntersectionLattice([[-a for a in row] for row in CoxeterDatum.for_type(label).cartan])
+
+
+def test_minus_cartan_lattices_and_reflections():
     """Simply-laced lattices give involutive reflections preserving the form."""
     for label in ("A2", "A3", "D4"):
-        lattice = IntersectionLattice.root_lattice(label)
+        lattice = _minus_cartan_lattice(label)
         s = lattice.form
         assert s == _transpose(s)
         assert all(s[i][i] == -2 for i in range(lattice.rank))
@@ -664,7 +669,7 @@ def test_root_lattice_and_reflections():
 def test_reflection_index_must_be_an_integer():
     """The index is read with operator.index: a float or a string is a
     LatticeError, not a TypeError, and a numpy integer is an index."""
-    lattice = IntersectionLattice.root_lattice("A2")
+    lattice = _minus_cartan_lattice("A2")
     for bad in (1.0, "1", None):
         with pytest.raises(LatticeError, match="not an integer"):
             pl_reflection(lattice, bad)
@@ -674,19 +679,24 @@ def test_reflection_index_must_be_an_integer():
 
 
 def test_reflections_match_weyl_generators():
-    """On a simply-laced root lattice both reflection models coincide."""
+    """On S = -Cartan of a simply-laced type both reflection models coincide:
+    `pl_reflection` passes `_reflection` the row S_i and `weyl_generators`
+    minus column i of the Cartan matrix, which are equal here."""
     for label in ("A2", "A3", "D4"):
         datum = CoxeterDatum.for_type(label)
-        lattice = IntersectionLattice.root_lattice(label)
+        lattice = _minus_cartan_lattice(label)
         gens = weyl_generators(datum)
         for i in range(datum.rank):
             assert pl_reflection(lattice, i) == gens[i]
 
 
-def test_root_lattice_rejects_non_simply_laced():
-    """Multiple bonds have no even vanishing-cycle model here."""
-    with pytest.raises(LatticeError):
-        IntersectionLattice.root_lattice("B2")
+def test_weyl_generators_read_the_cartan_columns():
+    """s_i(e_j) = e_j - C_ji e_i: row i of s_i is e_i minus column i of the
+    Cartan matrix, which B2 and G2 tell apart from row i."""
+    assert weyl_generators(CoxeterDatum.for_type("B2")) == [[[-1, 2], [0, 1]],
+                                                          [[1, 0], [1, -1]]]
+    assert weyl_generators(CoxeterDatum.for_type("G2")) == [[[-1, 3], [0, 1]],
+                                                          [[1, 0], [1, -1]]]
 
 
 def test_intersection_form_must_be_symmetric():
@@ -699,7 +709,7 @@ def test_variation_matrix_properties():
     """W is lower triangular with diagonal -1, S = W + W^T, and det W, the
     product of the diagonal of a triangular matrix, is (-1)^r."""
     for label in ("A2", "A3", "D4"):
-        lattice = IntersectionLattice.root_lattice(label)
+        lattice = _minus_cartan_lattice(label)
         w = variation_matrix(lattice)
         r = lattice.rank
         for i in range(r):

@@ -7,24 +7,30 @@ and intersection form S = -(V + V^T) (Sebastiani and Thom, Bull. SMF 99,
 library's Picard-Lefschetz reflections T_i = `pl_reflection(S, i)` must give
 the values the paper's isolated-singularity baseline predicts: rank S = mu,
 the variation matrix -V^T, the integer identity V T_1...T_mu = -V^T in the
-column convention of `pl_reflection`, and for the simple singularities the
-root count, Coxeter number, group order and ADE type of the form.
+column convention of `pl_reflection`, the monodromy's eigenvalues as power
+traces (Milnor and Orlik, Topology 9, 1970), and for the simple
+singularities the root count, Coxeter number, group order and ADE type of
+the form.  `_seifert` is written here once more, as the oracle of the
+library's `pham_seifert_matrix` and of the Pham forms the suite gates on.
 """
 
 from functools import reduce
+from math import lcm, prod
 
 import pytest
 
 from vancyc.monodromy import (IntersectionLattice, LatticeError, coxeter_element_order,
-                              group_order_bfs, identify_type, pl_reflection,
-                              variation_matrix)
-from vancyc.monodromy import _matmul, _root_permutations, _transpose
+                              group_order_bfs, identify_type, pham_seifert_matrix,
+                              pl_reflection, variation_matrix)
+from vancyc.monodromy import _identity, _matmul, _root_permutations, _transpose
 from vancyc.poly import parse_polynomial, rational_rank
 from vancyc.singularity import milnor_number
+from vancyc.suite import _PHAM_TYPES
 
 # (a, b, c) -> type, roots, Coxeter number, group order (None past 10**6), det(-S)
 SIMPLE = {
     (2, 2, 2): ("A1", 2, 2, 2, 2),
+    (2, 2, 3): ("A2", 6, 3, 6, 3),
     (2, 2, 4): ("A3", 12, 4, 24, 4),
     (2, 2, 5): ("A4", 20, 5, 120, 5),
     (2, 2, 6): ("A5", 30, 6, 720, 6),
@@ -90,6 +96,33 @@ def _simple_root_cartan(s, roots):
     assert len(simple) == len(s)
     return [[-sum(a[i] * s[i][j] * b[j] for i in range(len(s)) for j in range(len(s)))
              for b in simple] for a in simple]
+
+
+@pytest.mark.parametrize("exponents", [*SIMPLE, *PARABOLIC], ids=_name)
+def test_library_seifert_matrix_is_pham_s(exponents):
+    """`pham_seifert_matrix` is the Kronecker product written out above."""
+    assert pham_seifert_matrix(exponents) == _seifert(exponents)
+
+
+def test_suite_forms_carry_their_types():
+    """Each Pham form the suite gates on is tabled with the type given here."""
+    assert _PHAM_TYPES and all(SIMPLE[e][0] == label for e, label in _PHAM_TYPES.items())
+
+
+@pytest.mark.parametrize("exponents", [*SIMPLE, *PARABOLIC], ids=_name)
+def test_monodromy_eigenvalues_by_power_traces(exponents):
+    """The monodromy h = T_1...T_mu has the eigenvalues of Milnor and Orlik:
+    the products of nontrivial x-th roots of unity over x in (a, b, c).  So
+    tr(h^m) is the product over x of x - 1 when x divides m and -1
+    otherwise, for m = 1..lcm(a, b, c), and h^lcm(a, b, c) = I."""
+    _, _, reflections = _pham(exponents)
+    h = reduce(_matmul, reflections)
+    power = _identity(len(h))
+    for m in range(1, lcm(*exponents) + 1):
+        power = _matmul(power, h)
+        expected = prod(x - 1 if m % x == 0 else -1 for x in exponents)
+        assert sum(power[i][i] for i in range(len(h))) == expected, m
+    assert power == _identity(len(h))
 
 
 @pytest.mark.parametrize("exponents", [*SIMPLE, *PARABOLIC], ids=_name)

@@ -388,6 +388,19 @@ def test_ragged_matrices_are_refused():
                 call(bad)
 
 
+def test_input_that_is_not_rows_is_refused():
+    """A matrix that is not a sequence of rows is a PolyError wherever
+    `rational_rows` reads it, not a TypeError from iterating it."""
+    from vancyc.singularity import action_coordinates_germ
+    from vancyc.steinberg import jacobian_rank_at, steinberg_map
+    calls = (lambda: rational_rank([1, 2]), lambda: rational_rank(5),
+             lambda: jacobian_rank_at(steinberg_map(1), [1, 2]),
+             lambda: action_coordinates_germ(3, 2, 5))
+    for call in calls:
+        with pytest.raises(PolyError, match="sequence of rows"):
+            call()
+
+
 def test_rational_rows_are_new_canonical_rows():
     """rational_rows copies its input into lists of canonical coefficients:
     an integral Fraction becomes its int, and the input is left alone."""
