@@ -43,7 +43,7 @@ class FoldingError(ValueError):
 # Cartan and Coxeter data
 # ---------------------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+_TYPE_RE = re.compile(r"^([A-G])([1-9]\d*)$")
 
 # The types whose groups group_order_bfs counts at its default 10**6-element
 # cap, which E7 and E8 pass: the benchmark's `reflection` workload builds its
@@ -72,6 +72,9 @@ def _cartan_rows(label: str) -> list[list[int]]:
     if not m:
         raise LatticeError(f"unrecognized type label '{label}'")
     letter, rank = m.group(1), int(m.group(2))
+    if rank > _COLUMN_IDS:  # refused before the rank^2 rows
+        raise LatticeError(f"type label '{label}' has rank above {_COLUMN_IDS}, "
+                           "the column ids of a reflection group")
     edges: list[tuple[int, int, int, int]] = []  # (i, j, a_ij, a_ji)
 
     def simple(pairs):

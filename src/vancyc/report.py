@@ -11,7 +11,6 @@ contain spaces (polynomials are printed in their compact form).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .poly import Polynomial, format_polynomial
 
@@ -30,8 +29,6 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Polynomial):
         return format_polynomial(value, compact=True)
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     if isinstance(value, str):
         return value.replace(" ", "")
     if isinstance(value, (tuple, list)):

@@ -12,21 +12,23 @@ Each check of the `coxeter`, `fold` and `steinberg` subcommands is built
 once here, by `coxeter_results`, `fold_results` and `steinberg_results`,
 from the golden values tabled beside them (invariant degrees, fold
 expectations).  The subcommands print those results; `braid-relations`,
-`weyl-orders`, `folding-groups` and `steinberg-suite` summarise them.
+`weyl-orders`, `folding-groups` and `steinberg-suite` summarise them, as
+`arnold-liouville-binomial` does `discriminant-al6`'s, so no germ is
+eliminated twice.  Record values are dicts and lists for `format_value`.
 
 Budget semantics: `budget` caps the Groebner S-pairs of every Buchberger
 run of the battery (an elimination, a gcd or a Jacobian basis); no other
 cap applies to them.  When a budget runs out, a check reports
 skipped-budget instead of failing and the rest of the battery still runs.
-The Arnold-Liouville checks then show the hyperplane count C(n, k-1),
-which holds for every matrix that passes the genericity test, not an
-independent value.
+An Arnold-Liouville value whose elimination stopped is then the hyperplane
+count C(n, k-1), which holds for every matrix that passes the genericity
+test, not an independent value; the notes name those values.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_LIMIT, ResourceLimitExceeded
@@ -196,7 +198,7 @@ def check_involutivity() -> CheckResult:
     return check("involutivity", "0;0", got)
 
 
-def _budget_skip(name: str, expected: str, exc: ResourceLimitExceeded,
+def _budget_skip(name: str, expected: object, exc: ResourceLimitExceeded,
                  run: str = "elimination") -> CheckResult:
     return CheckResult(name, SKIPPED_BUDGET, expected, None,
                        note=f"{run} stopped after {exc.pairs_processed} S-pairs")
@@ -204,10 +206,10 @@ def _budget_skip(name: str, expected: str, exc: ResourceLimitExceeded,
 
 def check_discriminant_basic(budget: int) -> CheckResult:
     """Elimination for (p1 q1, p2) gives the line s1 = 0 with multiplicity 1."""
-    expected = "gen=s1;mult=1"
+    expected = {"gen": "s1", "mult": 1}
     try:
         d = discriminant(basic_germ(), max_pairs=budget)
-        got = f"gen={format_value(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
+        got = {"gen": d.reduced_generator, "mult": multiplicity_at_origin(d)}
         return check("discriminant-basic", expected, got)
     except ResourceLimitExceeded as exc:
         return _budget_skip("discriminant-basic", expected, exc)
@@ -215,44 +217,40 @@ def check_discriminant_basic(budget: int) -> CheckResult:
 
 def check_discriminant_al6(budget: int) -> CheckResult:
     """Elimination for the C^6 action-coordinate germ gives three lines."""
-    expected = "gen=s1^2*s2-s1*s2^2;mult=3"
+    expected = {"gen": "s1^2*s2-s1*s2^2", "mult": 3}
     R = AL_MATRICES[(3, 2)]
     try:
         d = discriminant(action_coordinates_germ(3, 2, R), max_pairs=budget)
-        got = f"gen={format_value(d.reduced_generator)};mult={multiplicity_at_origin(d)}"
+        got = {"gen": d.reduced_generator, "mult": multiplicity_at_origin(d)}
         return check("discriminant-al6", expected, got)
     except ResourceLimitExceeded as exc:
-        return CheckResult("discriminant-al6", SKIPPED_BUDGET, "mult=3",
-                           f"mult={al_multiplicity_by_counting(3, 2, R)}",
-                           note=("elimination stopped after "
-                                 f"{exc.pairs_processed} S-pairs; "
-                                 "mult is C(3,1) by construction"))
+        return CheckResult("discriminant-al6", SKIPPED_BUDGET, {"mult": 3},
+                           {"mult": al_multiplicity_by_counting(3, 2, R)},
+                           note=f"elimination stopped after {exc.pairs_processed} "
+                                "S-pairs; mult is C(3,1) by construction")
 
 
-def check_al_binomial(budget: int) -> CheckResult:
-    """Multiplicities follow the binomial law C(n, k-1) for fixed generic R."""
-    cases = (((3, 2), 3), ((4, 2), 4), ((4, 3), 6))
-    values: list[int] = []
-    exhausted = False
-    for (n, k), _want in cases:
-        R = AL_MATRICES[(n, k)]
-        if k == 2:
-            try:
-                d = discriminant(action_coordinates_germ(n, k, R), max_pairs=budget)
-                values.append(multiplicity_at_origin(d))
-                continue
-            except ResourceLimitExceeded:
-                exhausted = True
-        values.append(al_multiplicity_by_counting(n, k, R))
-    expected = [want for _case, want in cases]
-    if values != expected:
-        status = FAIL
-    elif exhausted:
-        status = SKIPPED_BUDGET
+def check_al_binomial(budget: int, al6: CheckResult) -> CheckResult:
+    """Multiplicities follow the binomial law C(n, k-1) for fixed generic R:
+    (3,2) is the mult of `al6`, discriminant-al6's result, (4,2) is eliminated
+    here and (4,3) is the hyperplane count.  The note names the counts."""
+    values = [al6.got["mult"]]
+    counted = ["(3,2)"] if al6.status == SKIPPED_BUDGET else []
+    R = AL_MATRICES[(4, 2)]
+    try:
+        d = discriminant(action_coordinates_germ(4, 2, R), max_pairs=budget)
+        values.append(multiplicity_at_origin(d))
+    except ResourceLimitExceeded:
+        values.append(al_multiplicity_by_counting(4, 2, R))
+        counted.append("(4,2)")
+    values.append(al_multiplicity_by_counting(4, 3, AL_MATRICES[(4, 3)]))
+    expected = [comb(n, k - 1) for n, k in AL_MATRICES]
+    status = FAIL if values != expected else SKIPPED_BUDGET if counted else PASS
+    if not counted:
+        note = "k=2 cases eliminated; k=3 value is C(4,2) by construction"
     else:
-        status = PASS
-    note = "k=2 cases eliminated; k=3 value is C(4,2) by construction" if not exhausted \
-        else "elimination budget exhausted; every value is C(n,k-1) by construction"
+        which = "every value is" if len(counted) == 2 else f"the {counted[0]},(4,3) values are"
+        note = f"elimination budget exhausted; {which} C(n,k-1) by construction"
     return CheckResult("arnold-liouville-binomial", status, expected, values, note=note)
 
 
@@ -263,12 +261,12 @@ def check_henon_heiles(budget: int) -> CheckResult:
     The literature prints the curve as s2 (s2^3 - s1^4), equal to this one
     after rescaling s2 by a real cube root; the note quotes it as text.
     """
-    expected = "mult=4"
+    expected = {"mult": 4}
     try:
         d = discriminant(henon_heiles_germ(), max_pairs=budget)
     except ResourceLimitExceeded as exc:
         return _budget_skip("henon-heiles", expected, exc)
-    return check("henon-heiles", expected, f"mult={multiplicity_at_origin(d)}",
+    return check("henon-heiles", expected, {"mult": multiplicity_at_origin(d)},
                  note=f"eliminated discriminant {format_value(d.reduced_generator)}; "
                       "the literature prints the same line-plus-cusp curve as "
                       "s2*(s2^3-s1^4)")
@@ -277,19 +275,19 @@ def check_henon_heiles(budget: int) -> CheckResult:
 def check_milnor_baseline(budget: int) -> CheckResult:
     """mu(x^2 + y^2) = 1, mu(x^3 + y^2) = 2, x^2 y rejected as non-isolated;
     each Jacobian basis runs under `budget` S-pairs."""
-    expected = "1,2,non-isolated"
+    expected = [1, 2, "non-isolated"]
     xy = ("x", "y")
     try:
         got = [milnor_number(parse_polynomial("x^2+y^2", xy), budget),
                milnor_number(parse_polynomial("x^3+y^2", xy), budget)]
         try:
             milnor_number(parse_polynomial("x^2*y", xy), budget)
-            third = "isolated"
+            got.append("isolated")
         except NonIsolatedSingularityError:
-            third = "non-isolated"
+            got.append("non-isolated")
     except ResourceLimitExceeded as exc:
         return _budget_skip("milnor-baseline", expected, exc, "Jacobian basis")
-    return check("milnor-baseline", expected, f"{got[0]},{got[1]},{third}")
+    return check("milnor-baseline", expected, got)
 
 
 _BRAID_TYPES = ("A2", "A3", "B2", "B3", "D4", "F4", "G2", "E6")
@@ -352,14 +350,16 @@ def check_variation_matrix() -> CheckResult:
     the Seifert matrix V: so W is triangular with diagonal -1, S = W + W^T,
     det W = (-1)^mu, and W^T T_1...T_mu = -W."""
     ok = True
-    dets = []
+    diagonals, dets = set(), []
     for _, v, lattice, reflections in _pham_lattices():
         w = variation_matrix(lattice)
         minus_vt = [[-x for x in col] for col in zip(*v)]
         ok = ok and w == minus_vt and _matmul(v, reduce(_matmul, reflections)) == minus_vt
-        dets.append(prod(w[i][i] for i in range(len(w))))
+        diagonal = [w[i][i] for i in range(len(w))]
+        diagonals.update(diagonal)
+        dets.append(prod(diagonal))
     return check("variation-matrix", True, ok,
-                 note="diagonals -1; dets " + ",".join(str(d) for d in dets))
+                 note=f"diagonals {format_value(sorted(diagonals))}; dets {format_value(dets)}")
 
 
 _SUITE_FOLDS = (("D4", "full"), ("E6", "flip"), ("A3", "flip"))
@@ -431,7 +431,7 @@ def steinberg_results(rank: int, checks: Sequence[str] = STEINBERG_CHECKS,
 
 def check_steinberg_suite(budget: int) -> CheckResult:
     """Rank drops, discriminant multiplicities, Casimirs and the A_1 slice."""
-    expected = "ranks=1,2;mults=1,2;casimirs=true;slice=true"
+    expected = {"ranks": [1, 2], "mults": [1, 2], "casimirs": True, "slice": True}
     try:
         rank1, _ = steinberg_results(1, ("casimir", "discriminant"), budget)
         rank2, slice_report = steinberg_results(2, max_pairs=budget)
@@ -439,11 +439,10 @@ def check_steinberg_suite(budget: int) -> CheckResult:
         return _budget_skip("steinberg-suite", expected, exc)
     one = {c.name: c.got for c in rank1}
     two = {c.name: c.got for c in rank2}
-    casimirs = one["steinberg-casimir"] and two["steinberg-casimir"]
-    got = (f"ranks={two['steinberg-rank-subregular']},{two['steinberg-rank-regular']};"
-           f"mults={one['steinberg-discriminant']},{two['steinberg-discriminant']};"
-           f"casimirs={format_value(casimirs)};"
-           f"slice={format_value(two['steinberg-slice'])}")
+    got = {"ranks": [two["steinberg-rank-subregular"], two["steinberg-rank-regular"]],
+           "mults": [one["steinberg-discriminant"], two["steinberg-discriminant"]],
+           "casimirs": one["steinberg-casimir"] and two["steinberg-casimir"],
+           "slice": two["steinberg-slice"]}
     return check("steinberg-suite", expected, got,
                  note=f"slice quadratic block rank {slice_report.block_hessian_rank}")
 
@@ -457,8 +456,8 @@ def run_paper_suite(budget: int = DEFAULT_PAIR_LIMIT) -> Report:
     report = Report()
     report.add(check_involutivity())
     report.add(check_discriminant_basic(budget))
-    report.add(check_discriminant_al6(budget))
-    report.add(check_al_binomial(budget))
+    al6 = report.add(check_discriminant_al6(budget))
+    report.add(check_al_binomial(budget, al6))
     report.add(check_henon_heiles(budget))
     report.add(check_milnor_baseline(budget))
     report.add(check_braid_relations())

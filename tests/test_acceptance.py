@@ -7,11 +7,12 @@ and asserts the recorded status.
 
 import pytest
 
-from vancyc import groebner
+from vancyc import groebner, steinberg
 from vancyc import suite as suite_module
 from vancyc.groebner import DEFAULT_PAIR_LIMIT
-from vancyc.report import FAIL, PASS, SKIPPED_BUDGET, format_value
-from vancyc.suite import (basic_germ, check_henon_heiles, check_picard_lefschetz,
+from vancyc.report import FAIL, PASS, SKIPPED_BUDGET, CheckResult, format_value
+from vancyc.suite import (basic_germ, check_al_binomial, check_discriminant_al6,
+                          check_henon_heiles, check_picard_lefschetz,
                           check_variation_matrix, check_weyl_orders, run_paper_suite)
 
 EXPECTED_NAMES = [
@@ -69,6 +70,56 @@ def test_acceptance_discriminant_al6(suite):
 def test_acceptance_arnold_liouville_binomial(suite):
     """Counted multiplicities follow C(n, k-1) for (3,2), (4,2), (4,3)."""
     _verdict(suite, "arnold-liouville-binomial")
+
+
+def test_each_germ_is_eliminated_once(monkeypatch):
+    """One run calls `discriminant` once per germ, six in all: the binomial
+    check reads the (3,2) value off discriminant-al6 instead of eliminating
+    that germ again."""
+    germs = []
+    for module in (suite_module, steinberg):
+        def recording(germ, max_pairs=DEFAULT_PAIR_LIMIT, real=module.discriminant):
+            germs.append((germ.ambient, germ.components))
+            return real(germ, max_pairs)
+        monkeypatch.setattr(module, "discriminant", recording)
+    run_paper_suite()
+    assert len(germs) == len(set(germs)) == 6
+
+
+def test_binomial_reads_the_al6_multiplicity():
+    """A discriminant-al6 result of mult 2 fails the binomial law as 2,4,6."""
+    al6 = CheckResult("discriminant-al6", FAIL, {"mult": 3}, {"mult": 2})
+    result = check_al_binomial(DEFAULT_PAIR_LIMIT, al6)
+    assert result.status == FAIL
+    assert format_value(result.got) == "2,4,6"
+
+
+def test_binomial_skips_with_a_skipped_al6():
+    """A discriminant-al6 that ran out of S-pairs makes the binomial check
+    skipped-budget, with its count named in the note."""
+    result = check_al_binomial(DEFAULT_PAIR_LIMIT, check_discriminant_al6(0))
+    assert result.status == SKIPPED_BUDGET
+    assert result.note == ("elimination budget exhausted; the (3,2),(4,3) values "
+                           "are C(n,k-1) by construction")
+
+
+def test_binomial_note_names_only_the_counts(monkeypatch):
+    """With (3,2) eliminated and the (4,2) elimination stopped, the note
+    names (4,2) and (4,3) as counts, not every value."""
+    real = suite_module.discriminant
+
+    def stop_on_c8(germ, max_pairs):
+        if len(germ.ambient) == 8:  # the (4,2) germ on C^8
+            raise groebner.ResourceLimitExceeded(0, max_pairs)
+        return real(germ, max_pairs)
+
+    monkeypatch.setattr(suite_module, "discriminant", stop_on_c8)
+    al6 = check_discriminant_al6(DEFAULT_PAIR_LIMIT)
+    assert al6.status == PASS
+    result = check_al_binomial(DEFAULT_PAIR_LIMIT, al6)
+    assert (result.status, result.got) == (SKIPPED_BUDGET, [3, 4, 6])
+    assert result.note == ("elimination budget exhausted; the (4,2),(4,3) values "
+                           "are C(n,k-1) by construction")
 
 
 def test_acceptance_henon_heiles(suite):
@@ -208,6 +259,17 @@ def test_variation_gate_reads_the_variation_matrix(monkeypatch):
     monkeypatch.setattr(suite_module, "variation_matrix",
                         lambda lattice: [list(col) for col in zip(*real(lattice))])
     assert check_variation_matrix().status == FAIL
+
+
+def test_variation_note_reads_the_diagonal(monkeypatch):
+    """With -W in place of the variation matrix the gate fails, and its note
+    shows the diagonal entries 1 that it read."""
+    real = suite_module.variation_matrix
+    monkeypatch.setattr(suite_module, "variation_matrix",
+                        lambda lattice: [[-x for x in row] for row in real(lattice)])
+    result = check_variation_matrix()
+    assert result.status == FAIL
+    assert result.note == "diagonals 1; dets 1,1,1"
 
 
 def test_acceptance_folding_groups(suite):

@@ -6,7 +6,9 @@ Every CHECK and NOTE line of `paper-suite` (default and zero budget),
 E6-E8, F4 and G2), `steinberg` on each rank and check, and
 `fold` on each tabled folding and the identity is compared byte for byte,
 and so are the empty output and exit 2 of an unsupported type, rank or
-folding.
+folding, each with one `error:` line on stderr.  `fold` refuses a label with
+a leading zero and a rank above 256; A20000 is refused before its
+rank^2 Cartan rows are built.
 A8 also runs the braid and Coxeter-element checks one at a time, to pin the
 `--check` selection.
 """
@@ -369,6 +371,9 @@ NOTE fold-group-order group trivial
 """),
     'fold A1 flip --notes': (2, ""),
     'fold A2 flip --notes': (2, ""),
+    'fold A07 flip': (2, ""),
+    'fold A300 identity': (2, ""),
+    'fold A20000 identity': (2, ""),
 }
 
 
@@ -377,3 +382,11 @@ def test_transcript(capsys, command):
     """stdout and the exit code match the pinned transcript exactly."""
     code = main(command.split())
     assert (code, capsys.readouterr().out) == TRANSCRIPTS[command]
+
+
+@pytest.mark.parametrize("command", [c for c, (code, _) in TRANSCRIPTS.items() if code == 2])
+def test_refusal_prints_one_error_line(capsys, command):
+    """Every refused command explains itself in one error line on stderr."""
+    main(command.split())
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -60,6 +60,19 @@ def test_cartan_matrix_goldens():
         cartan_matrix("D3")
 
 
+@pytest.mark.parametrize("label, message", [
+    ("A07", "unrecognized type label 'A07'"),
+    ("A0", "unrecognized type label 'A0'"),
+    ("A300", "type label 'A300' has rank above 256"),
+])
+def test_type_labels_refuse_leading_zeros_and_ranks_past_256(label, message):
+    """One label rule for every type: no leading zero, and no rank past the
+    256 column ids a reflection group's tables allow, refused before the
+    rank^2 Cartan rows are built."""
+    with pytest.raises(LatticeError, match=message):
+        CoxeterDatum.for_type(label)
+
+
 def test_cartan_matrices_are_well_formed():
     """Diagonal 2, non-positive off-diagonal, zeros matched symmetrically."""
     for label in SUPPORTED_TYPES:
