@@ -15,7 +15,9 @@ columns close under the generators (the roots, for a Weyl group) into at most
 256 ids, on which `_root_permutations` reads each generator as a permutation.
 `group_order_bfs` counts that permutation group by a Schreier-Sims chain;
 `braid_relation_check` and `coxeter_element_order` read element orders off
-cycle lengths.  `weyl_group_order` counts a Weyl group by orbit-stabilizer.
+cycle lengths; all three raise one LatticeError past 256 ids, as for an
+infinite group.  `weyl_group_order` counts a Weyl group by orbit-stabilizer,
+and `identify_type` names a Cartan matrix by matching nodes of equal degree.
 """
 
 from __future__ import annotations
@@ -165,12 +167,18 @@ def identify_type(cartan) -> str | None:
 def _match_nodes(c: list[list[int]], target: list[list[int]], p: list[int]) -> bool:
     """Extend p, where node m of target is node p[m] of c, one node at a
     time, backtracking at the first entry that disagrees; True once every
-    node is matched."""
+    node is matched, p then being the node order that relabels c as target.
+    A candidate needs the target node's degree (its count of zero entries).
+    Each target's node 0 is an end node, and for A-D each later node but the
+    last neighbours the one placed before it; in a tree the path from a seed
+    to a node is unique, so a seed costs at most about r calls, not a
+    backtracking search."""
     k = len(p)
     if k == len(c):
         return True
+    degree = target[k].count(0)
     for i in range(len(c)):
-        if i not in p and c[i][i] == target[k][k] and all(
+        if i not in p and c[i][i] == target[k][k] and c[i].count(0) == degree and all(
                 c[i][pm] == target[k][m] and c[pm][i] == target[m][k]
                 for m, pm in enumerate(p)):
             p.append(i)
@@ -331,14 +339,15 @@ def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
     return tables
 
 
-def _root_permutations(generators: Sequence) -> tuple[list[bytes], int] | None:
+def _root_permutations(generators: Sequence) -> tuple[list[bytes], int]:
     """The generators (through `_int_generators`) as permutations of the m ids
-    of `_column_tables`, each its 256-byte `bytes.translate` table; None past
-    256 ids; LatticeError for a singular generator, whatever its entries.
-    An element is fixed by its images of the unit columns, so the group acts
-    faithfully on the ids: its elements and their orders are those of their
-    tables.  A table that is not a permutation is a singular generator, since
-    the columns span Q^n; past 256 ids, `poly.rational_rank` finds it."""
+    of `_column_tables`, each its 256-byte `bytes.translate` table.
+    LatticeError for a singular generator, whatever its entries, and past 256
+    ids, the one refusal of every group question.  An element is fixed by its
+    images of the unit columns, so the group acts faithfully on the ids: its
+    elements and their orders are those of their tables.  A table that is not
+    a permutation is a singular generator, since the columns span Q^n; past
+    256 ids, `poly.rational_rank` finds it."""
     mats = _int_generators(generators)
     if not mats:
         return [], 0
@@ -349,21 +358,13 @@ def _root_permutations(generators: Sequence) -> tuple[list[bytes], int] | None:
             rank = rational_rank(g)
             if rank < n:
                 raise LatticeError(f"singular generator {k}: its rank is {rank} < {n}")
-        return None
+        raise LatticeError(f"the unit columns close into more than {_COLUMN_IDS} ids")
     m = len(tables[0])
     for k, table in enumerate(tables):
         if len(set(table)) < m:
             raise LatticeError(
                 f"singular generator {k}: it maps two columns to one column")
     return [bytes(table) + _IDENTITY_PERM[m:] for table in tables], m
-
-
-def _faithful_permutations(generators: Sequence) -> tuple[list[bytes], int]:
-    """`_root_permutations`, with LatticeError in place of None."""
-    perms = _root_permutations(generators)
-    if perms is None:
-        raise LatticeError(f"the unit columns close into more than {_COLUMN_IDS} ids")
-    return perms
 
 
 def _cycle_lengths(t: bytes, m: int) -> list[int]:
@@ -381,23 +382,21 @@ def _cycle_lengths(t: bytes, m: int) -> list[int]:
 
 
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
-    """Order of the matrix group generated; None when it has more than `cap`
-    elements or when its elements have more than 256 distinct columns between
-    them; LatticeError for a singular generator, whatever its entries.  No
-    element is listed: `_stabilizer_chain_order` counts `_root_permutations`."""
-    perms = _root_permutations(generators)
-    return None if perms is None else _stabilizer_chain_order(*perms, cap)
+    """Order of the matrix group generated; None exactly when it has more than
+    `cap` elements.  No element is listed: `_stabilizer_chain_order` counts
+    `_root_permutations`, whose LatticeErrors it raises."""
+    return _stabilizer_chain_order(*_root_permutations(generators), cap)
 
 
 def braid_relation_check(generators: Sequence,
                          coxeter) -> tuple[bool, tuple[int, int] | None]:
     """Check each generator is an involution and each product s_i s_j has
-    order exactly m_ij, read on `_faithful_permutations` (whose LatticeErrors
+    order exactly m_ij, read on `_root_permutations` (whose LatticeErrors
     it raises) as the lcm of the cycle lengths of s_i s_j.  The first failing
     generator i is reported as the witness (i, i), the first failing pair as
     (i, j).  LatticeError for a bad Coxeter matrix (`_coxeter_rows`).
     """
-    tables, m = _faithful_permutations(generators)
+    tables, m = _root_permutations(generators)
     orders = _coxeter_rows(coxeter, len(tables))
     for i, t in enumerate(tables):
         if t.translate(t) != _IDENTITY_PERM:
@@ -607,8 +606,8 @@ def weyl_group_order(cartan, cap: int = 10 ** 6) -> int | None:
 def coxeter_element_order(generators: Sequence) -> int:
     """Order of the product of all generators in the listed order: the lcm of
     the cycle lengths of its table, composed rightmost generator first from
-    `_faithful_permutations`, whose LatticeErrors it raises."""
-    tables, m = _faithful_permutations(generators)
+    `_root_permutations`, whose LatticeErrors it raises."""
+    tables, m = _root_permutations(generators)
     return lcm(*_cycle_lengths(reduce(bytes.translate, reversed(tables), _IDENTITY_PERM), m))
 
 

@@ -708,9 +708,6 @@ class _DivisorIndex:
         for d in divisors:
             self.append(d)
 
-    def __bool__(self) -> bool:
-        return bool(self.live)
-
     def append(self, d: Polynomial) -> None:
         """Index a nonzero divisor, taking its content out once."""
         if d.ambient != self.ambient:

@@ -8,7 +8,8 @@ E6-E8, F4 and G2), `steinberg` on each rank and check, and
 and so are the empty output and exit 2 of an unsupported type, rank or
 folding, each with one `error:` line on stderr.  `fold` refuses a label with
 a leading zero and a rank above 256; A20000 is refused before its
-rank^2 Cartan rows are built.
+rank^2 Cartan rows are built.  The largest folds within that bound,
+`fold A255 flip` (C128) and `fold D256 identity`, are pinned too.
 A8 also runs the braid and Coxeter-element checks one at a time, to pin the
 `--check` selection.
 """
@@ -368,6 +369,18 @@ CHECK fold-group-abelian pass expected=true got=true
 CHECK fold-quotient-rank pass expected=true got=true
 NOTE fold-type orbits {0};{1};{2};{3};{4};{5}
 NOTE fold-group-order group trivial
+"""),
+    'fold A255 flip': (0, """\
+CHECK fold-type pass expected=C128 got=C128
+CHECK fold-group-order pass expected=2 got=2
+CHECK fold-group-abelian pass expected=true got=true
+CHECK fold-quotient-rank pass expected=true got=true
+"""),
+    'fold D256 identity': (0, """\
+CHECK fold-type pass expected=D256 got=D256
+CHECK fold-group-order pass expected=1 got=1
+CHECK fold-group-abelian pass expected=true got=true
+CHECK fold-quotient-rank pass expected=true got=true
 """),
     'fold A1 flip --notes': (2, ""),
     'fold A2 flip --notes': (2, ""),

@@ -170,7 +170,7 @@ def test_divisor_index_without_variables():
     the one monomial; division is division of rationals."""
     key = lex
     index = _DivisorIndex((), key)
-    assert not index
+    assert not index.live
     assert index.dividing(()) == 0
     divisors = [Polynomial.constant((), 3), Polynomial.constant((), 5)]
     for d in divisors:

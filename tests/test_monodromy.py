@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import vancyc
+from vancyc import monodromy
 from vancyc.monodromy import (
     SUPPORTED_TYPES,
     CoxeterDatum,
@@ -37,8 +38,8 @@ from vancyc.monodromy import (
     weyl_group_order,
 )
 from vancyc.cli import _coxeter_types
-from vancyc.monodromy import (_IDENTITY_PERM, _cycle_lengths, _faithful_permutations, _identity,
-                              _matmul, _orbits, _transpose)
+from vancyc.monodromy import (_IDENTITY_PERM, _cycle_lengths, _identity, _matmul, _orbits,
+                              _root_permutations, _transpose)
 from vancyc.suite import invariant_degrees
 
 ORDER_GOLDEN = {
@@ -179,6 +180,35 @@ def test_identify_type_round_trip():
     assert identify_type(np.array([[2, -1], [-4, 2]])) is None
 
 
+def test_identify_type_walks_from_end_nodes(monkeypatch):
+    """A matched node has the target node's degree, so naming a rank-r
+    diagram takes at most 5 (r + 1) `_match_nodes` calls: on the folds of
+    A65 by its flip (C33) and of D65 by the identity, and on seeded
+    relabellings of A-D at ranks up to 40.  A node-by-node backtrack with no
+    degree test makes 2,086 and 4,292 calls on the two folds."""
+    calls = []
+    match_nodes = monodromy._match_nodes
+
+    def counted(c, target, p):
+        calls.append(len(p))
+        return match_nodes(c, target, p)
+
+    monkeypatch.setattr(monodromy, "_match_nodes", counted)
+    for label, name, want in (("A65", "flip", "C33"), ("D65", "identity", "D65")):
+        calls.clear()
+        folded = fold(label, standard_automorphisms(label, name)).folded
+        assert folded.label == want
+        assert len(calls) <= 5 * (folded.rank + 1), (label, len(calls))
+    rng = random.Random(37)
+    for r in (5, 12, 27, 40):
+        for letter in "ABCD":
+            c = cartan_matrix(f"{letter}{r}").tolist()
+            p = rng.sample(range(r), r)
+            calls.clear()
+            assert identify_type([[c[i][j] for j in p] for i in p]) == f"{letter}{r}"
+            assert len(calls) <= 5 * (r + 1), (letter, r, len(calls))
+
+
 def test_generators_are_involutions_and_braid_relations_hold():
     """Reflection generators square to one and satisfy all braid relations."""
     for label in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "F4", "G2", "E6"):
@@ -290,12 +320,12 @@ HYPERBOLIC = [[[-1, 3], [0, 1]], [[1, 0], [3, -1]]]
 
 
 def test_group_order_bfs_is_exact_past_int64():
-    """Infinite groups hit the cap, or at the default cap the 256-column
-    budget.  [[1, 2^62], [0, 1]] has infinite order, but its fourth power is
+    """Infinite groups pass the 256-column budget, whatever the cap, and are
+    refused.  [[1, 2^62], [0, 1]] has infinite order, but its fourth power is
     the identity modulo 2^64, so a closure in int64 would report 4."""
-    assert group_order_bfs(HYPERBOLIC, cap=100) is None
-    assert group_order_bfs(HYPERBOLIC) is None
-    assert group_order_bfs([[[1, 2 ** 62], [0, 1]]], cap=100) is None
+    for gens, cap in ((HYPERBOLIC, 100), (HYPERBOLIC, 10 ** 6), ([[[1, 2 ** 62], [0, 1]]], 100)):
+        with pytest.raises(LatticeError, match="more than 256 ids"):
+            group_order_bfs(gens, cap=cap)
     assert group_order_bfs([[[1, 2 ** 62], [0, -1]]]) == 2
 
 
@@ -369,15 +399,15 @@ def _row_closure_order(mats, cap):
 def test_group_order_bfs_refuses_singular_generators_past_the_column_budget():
     """A singular generator is a LatticeError even when its columns pass 256
     ids, so that no table is read: 2^k e_0 never repeats.  Its exact rank is
-    named.  Nonsingular generators of infinite groups are still None."""
+    named.  Nonsingular generators past the budget are refused by that rule."""
     for bad, k in (([[[2, 0], [0, 0]]], 0), ([HYPERBOLIC[0], [[2, 0], [0, 0]]], 1),
                    (HYPERBOLIC + [[[3, 6], [1, 2]]], 2)):
         for cap in (10 ** 6, 1):
             with pytest.raises(LatticeError, match=f"singular generator {k}: its rank is 1 < 2"):
                 group_order_bfs(bad, cap=cap)
-    assert group_order_bfs([[[1, 1], [0, 1]]]) is None
-    assert group_order_bfs(HYPERBOLIC) is None
-    assert group_order_bfs([permutation_matrix(range(257))]) is None
+    for gens in ([[[1, 1], [0, 1]]], HYPERBOLIC, [permutation_matrix(range(257))]):
+        with pytest.raises(LatticeError, match="more than 256 ids"):
+            group_order_bfs(gens)
 
 
 def test_group_order_bfs_agrees_with_the_row_closure():
@@ -473,7 +503,8 @@ def test_group_order_bfs_equals_orbit_stabilizer_on_every_supported_type():
 def test_group_order_bfs_of_transposed_generators():
     """The transposes generate a group of the same order (w -> w^T reverses
     products); their columns are the orbits of the fundamental weights, which
-    for E6 number 27 + 27 + 72 + 216 + 216 + 720, past the column budget."""
+    for E6 number 27 + 27 + 72 + 216 + 216 + 720, past the column budget, so
+    the finite transposed E6 is refused."""
     for label in SUPPORTED_TYPES:
         if label in ("A8", "E6"):
             continue
@@ -481,16 +512,19 @@ def test_group_order_bfs_of_transposed_generators():
         transposed = [[list(col) for col in zip(*g)] for g in gens]
         assert group_order_bfs(transposed) == group_order_bfs(gens), label
     e6 = weyl_generators(CoxeterDatum.for_type("E6"))
-    assert group_order_bfs([[list(col) for col in zip(*g)] for g in e6]) is None
+    with pytest.raises(LatticeError, match="more than 256 ids"):
+        group_order_bfs([[list(col) for col in zip(*g)] for g in e6])
 
 
 def test_group_order_bfs_column_budget():
     """256 distinct columns fit one byte each; a 257th ends the closure with
-    None, as the element cap does, and so does a generator of size 257."""
-    for n, want in ((256, 256), (257, None)):
-        cycle = permutation_matrix([(i + 1) % n for i in range(n)])
-        assert group_order_bfs([cycle]) == want
-    assert group_order_bfs([permutation_matrix(range(257))]) is None
+    a LatticeError, unlike the element cap's None, and so does a generator
+    of size 257."""
+    assert group_order_bfs([permutation_matrix([(i + 1) % 256 for i in range(256)])]) == 256
+    for mats in ([permutation_matrix([(i + 1) % 257 for i in range(257)])],
+                 [permutation_matrix(range(257))]):
+        with pytest.raises(LatticeError, match="more than 256 ids"):
+            group_order_bfs(mats)
 
 
 def test_weyl_group_order_is_the_degree_product():
@@ -583,7 +617,7 @@ def test_coxeter_element_permutes_the_roots_in_rank_cycles_of_length_h():
     assert len(labels) == 32 and "E8" in labels
     for label in labels:
         datum = CoxeterDatum.for_type(label)
-        tables, m = _faithful_permutations(weyl_generators(datum))
+        tables, m = _root_permutations(weyl_generators(datum))
         c = reduce(bytes.translate, reversed(tables), _IDENTITY_PERM)
         h = max(invariant_degrees(label))
         assert m == datum.rank * h, label
