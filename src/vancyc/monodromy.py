@@ -16,8 +16,9 @@ columns close under the generators (the roots, for a Weyl group) into at most
 `group_order_bfs` counts that permutation group by a Schreier-Sims chain;
 `braid_relation_check` and `coxeter_element_order` read element orders off
 cycle lengths; all three raise one LatticeError past 256 ids, as for an
-infinite group.  `weyl_group_order` counts a Weyl group by orbit-stabilizer,
-and `identify_type` names a Cartan matrix by matching nodes of equal degree.
+infinite group.  `weyl_group_order` counts a Weyl group by orbit-stabilizer.
+`fold` builds its source diagram once, from a type label, and `identify_type`
+names the folded Cartan matrix by matching nodes of equal degree.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def cartan_matrix(label: str):
 
 
 def _cartan_rows(label: str) -> list[list[int]]:
-    m = _TYPE_RE.match(label)
+    m = _TYPE_RE.match(label) if isinstance(label, str) else None
     if not m:
         raise LatticeError(f"unrecognized type label '{label}'")
     letter, rank = m.group(1), int(m.group(2))
@@ -168,19 +169,19 @@ def _match_nodes(c: list[list[int]], target: list[list[int]], p: list[int]) -> b
     """Extend p, where node m of target is node p[m] of c, one node at a
     time, backtracking at the first entry that disagrees; True once every
     node is matched, p then being the node order that relabels c as target.
-    A candidate needs the target node's degree (its count of zero entries).
-    Each target's node 0 is an end node, and for A-D each later node but the
-    last neighbours the one placed before it; in a tree the path from a seed
-    to a node is unique, so a seed costs at most about r calls, not a
-    backtracking search."""
+    A candidate needs the target node's degree (its count of zero entries)
+    and is compared with the placed nodes newest first: each target's node 0
+    is an end node, and for A-D each later node but the last neighbours the
+    one placed before it, so along a chain a wrong candidate fails at once.
+    In a tree the path from a seed is unique, so a seed costs about r calls."""
     k = len(p)
     if k == len(c):
         return True
     degree = target[k].count(0)
     for i in range(len(c)):
         if i not in p and c[i][i] == target[k][k] and c[i].count(0) == degree and all(
-                c[i][pm] == target[k][m] and c[pm][i] == target[m][k]
-                for m, pm in enumerate(p)):
+                c[i][p[m]] == target[k][m] and c[p[m]][i] == target[m][k]
+                for m in range(k - 1, -1, -1)):
             p.append(i)
             if _match_nodes(c, target, p):
                 return True
@@ -382,9 +383,11 @@ def _cycle_lengths(t: bytes, m: int) -> list[int]:
 
 
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
-    """Order of the matrix group generated; None exactly when it has more than
-    `cap` elements.  No element is listed: `_stabilizer_chain_order` counts
-    `_root_permutations`, whose LatticeErrors it raises."""
+    """Order of the matrix group generated, listing no element; None exactly
+    when it has more than `cap` >= 1 elements.  `_stabilizer_chain_order`
+    counts `_root_permutations`, whose LatticeErrors it raises."""
+    if cap < 1:
+        raise LatticeError(f"cap {cap} is below 1, the order of the trivial group")
     return _stabilizer_chain_order(*_root_permutations(generators), cap)
 
 
@@ -658,7 +661,6 @@ class FoldingDatum:
     folded: CoxeterDatum
     group_order: int
     group_abelian: bool
-    group_name: str
 
 
 def permutation_matrix(perm: Sequence[int]) -> list[list[int]]:
@@ -666,9 +668,8 @@ def permutation_matrix(perm: Sequence[int]) -> list[list[int]]:
     return [[int(p == a) for p in perm] for a in range(len(perm))]
 
 
-def fold(source: CoxeterDatum | str,
-         automorphisms: Sequence[Sequence[int]]) -> FoldingDatum:
-    """Fold a simply-laced diagram by the group its automorphisms generate.
+def fold(label: str, automorphisms: Sequence[Sequence[int]]) -> FoldingDatum:
+    """Fold the simply-laced type `label` by the group the automorphisms generate.
 
     Folded Cartan entry for orbits O, O': sum over i in O of C[i, j] for any
     fixed j in O' (the orbit-sum coroot pairing), and orbits containing
@@ -677,7 +678,7 @@ def fold(source: CoxeterDatum | str,
     element g of it fixes C and maps O onto itself, so the sum at g(j) is
     the sum at j.
     """
-    datum = CoxeterDatum.for_type(source) if isinstance(source, str) else source
+    datum = CoxeterDatum.for_type(label)
     if not datum.is_simply_laced():
         raise FoldingError(f"can only fold simply-laced types, not {datum.label}")
     c = datum.cartan
@@ -688,16 +689,15 @@ def fold(source: CoxeterDatum | str,
             if c[i][j] != 0:
                 raise FoldingError(f"orbit {orbit} contains adjacent nodes {i}, {j}")
     folded = [[sum(c[i][ob[0]] for i in oa) for ob in orbits] for oa in orbits]
-    label = identify_type(folded)
-    if label is None:
+    target = identify_type(folded)
+    if target is None:
         raise FoldingError("folded Cartan matrix is not of finite type")
-    folded_datum = CoxeterDatum(label, folded, coxeter_matrix_from_cartan(folded))
+    folded_datum = CoxeterDatum(target, folded, coxeter_matrix_from_cartan(folded))
     order = group_order_bfs([permutation_matrix(p) for p in perms])
     if order is None:
         raise FoldingError("automorphism group is unexpectedly large")
     abelian = all(x[y[i]] == y[x[i]] for x in perms for y in perms for i in range(len(x)))
-    return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian,
-                        group_name(order, abelian))
+    return FoldingDatum(datum, perms, orbits, folded_datum, order, abelian)
 
 
 def group_name(order: int, abelian: bool) -> str:
@@ -717,9 +717,9 @@ def quotient_rank_check(folding: FoldingDatum) -> bool:
 
 
 def standard_automorphisms(label: str, name: str) -> list[tuple[int, ...]]:
-    """Named automorphism generators: 'identity', 'flip', 'triality', 'full'."""
-    datum = CoxeterDatum.for_type(label)
-    r = datum.rank
+    """Named automorphism generators: 'identity', 'flip', 'triality', 'full'.
+    The rank is read off the label's Cartan rows, which refuse a bad label."""
+    r = len(_cartan_rows(label))
     if name == "identity":
         return [tuple(range(r))]
     if name == "flip":

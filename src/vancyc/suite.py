@@ -180,7 +180,7 @@ def fold_results(label: str, name: str) -> list[CheckResult]:
         "{" + ",".join(str(i) for i in orbit) + "}" for orbit in folding.orbits)
     return [check("fold-type", want_type, folding.folded.label, note=orbit_note),
             check("fold-group-order", want_order, folding.group_order,
-                  note=f"group {folding.group_name}"),
+                  note=f"group {group_name(folding.group_order, folding.group_abelian)}"),
             check("fold-group-abelian", want_abelian, folding.group_abelian),
             check("fold-quotient-rank", True, quotient_rank_check(folding))]
 

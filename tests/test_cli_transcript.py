@@ -10,6 +10,10 @@ folding, each with one `error:` line on stderr.  `fold` refuses a label with
 a leading zero and a rank above 256; A20000 is refused before its
 rank^2 Cartan rows are built.  The largest folds within that bound,
 `fold A255 flip` (C128) and `fold D256 identity`, are pinned too.
+The stderr line of four fold refusals is pinned as well: a source that is
+not simply laced (`fold B3 identity`), a flip with no name (`fold D5 flip`),
+an unsupported type (`fold E9 identity`) and an orbit of adjacent nodes
+(`fold A4 flip`).
 A8 also runs the braid and Coxeter-element checks one at a time, to pin the
 `--check` selection.
 """
@@ -390,6 +394,14 @@ CHECK fold-quotient-rank pass expected=true got=true
 }
 
 
+REFUSALS = {
+    'fold B3 identity': "error: can only fold simply-laced types, not B3\n",
+    'fold D5 flip': "error: no named flip for D5\n",
+    'fold E9 identity': "error: unsupported type label 'E9'\n",
+    'fold A4 flip': "error: orbit (1, 2) contains adjacent nodes 1, 2\n",
+}
+
+
 @pytest.mark.parametrize("command", list(TRANSCRIPTS))
 def test_transcript(capsys, command):
     """stdout and the exit code match the pinned transcript exactly."""
@@ -403,3 +415,10 @@ def test_refusal_prints_one_error_line(capsys, command):
     main(command.split())
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("command", list(REFUSALS))
+def test_fold_refusal_stderr(capsys, command):
+    """A refused fold exits 2 with no stdout and the pinned error line."""
+    code = main(command.split())
+    assert (code, *capsys.readouterr()) == (2, "", REFUSALS[command])

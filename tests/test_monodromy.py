@@ -27,6 +27,7 @@ from vancyc.monodromy import (
     coxeter_element_order,
     coxeter_matrix_from_cartan,
     fold,
+    group_name,
     group_order_bfs,
     identify_type,
     permutation_matrix,
@@ -40,7 +41,7 @@ from vancyc.monodromy import (
 from vancyc.cli import _coxeter_types
 from vancyc.monodromy import (_IDENTITY_PERM, _cycle_lengths, _identity, _matmul, _orbits,
                               _root_permutations, _transpose)
-from vancyc.suite import invariant_degrees
+from vancyc.suite import fold_results, invariant_degrees
 
 ORDER_GOLDEN = {
     "A2": 6, "B2": 8, "G2": 12, "A3": 24, "D4": 192, "F4": 1152, "E6": 51840,
@@ -72,6 +73,18 @@ def test_type_labels_refuse_leading_zeros_and_ranks_past_256(label, message):
     rank^2 Cartan rows are built."""
     with pytest.raises(LatticeError, match=message):
         CoxeterDatum.for_type(label)
+
+
+def test_type_labels_that_are_not_strings_are_refused():
+    """A label that is not a str is refused like a misspelt one, not with the
+    TypeError or AttributeError of reading it as text; a CoxeterDatum is not
+    a label either."""
+    for call in (lambda: CoxeterDatum.for_type(3),
+                 lambda: standard_automorphisms(None, "identity"),
+                 lambda: fold(4, []),
+                 lambda: fold(CoxeterDatum.for_type("A3"), [])):
+        with pytest.raises(LatticeError, match="unrecognized type label"):
+            call()
 
 
 def test_cartan_matrices_are_well_formed():
@@ -314,6 +327,18 @@ def test_group_order_cap_returns_none():
         assert group_order_bfs(gens, cap=order - 1) is None
 
 
+def test_group_order_cap_below_one_is_refused():
+    """No group has fewer than one element, so a cap below 1 could never be
+    met; it is refused, for the trivial group too, instead of returning 1.
+    A cap of 1 still counts the trivial group."""
+    a2 = weyl_generators(CoxeterDatum.for_type("A2"))
+    for gens, at_cap_one in (([], 1), ([[[1, 0], [0, 1]]], 1), (a2, None)):
+        for cap in (0, -1):
+            with pytest.raises(LatticeError, match=f"cap {cap} is below 1"):
+                group_order_bfs(gens, cap=cap)
+        assert group_order_bfs(gens, cap=1) == at_cap_one
+
+
 # Reflections of the rank-2 hyperbolic Cartan matrix [[2, -3], [-3, 2]]: an
 # infinite group whose entries grow by a factor of about 6.85 per letter pair.
 HYPERBOLIC = [[[-1, 3], [0, 1]], [[1, 0], [3, -1]]]
@@ -413,7 +438,8 @@ def test_group_order_bfs_refuses_singular_generators_past_the_column_budget():
 def test_group_order_bfs_agrees_with_the_row_closure():
     """The stabilizer chain and the row-id closure give the same value on
     every supported type but A8, under seeded relabellings, at cap = |W| and
-    cap = |W| - 1; likewise on the folding groups."""
+    cap = |W| - 1; likewise on the folding groups, where the identity's
+    cap of 0 is refused."""
     rng = random.Random(19)
     for label in SUPPORTED_TYPES:
         if label == "A8":
@@ -434,7 +460,11 @@ def test_group_order_bfs_agrees_with_the_row_closure():
         mats = [permutation_matrix(p) for p in standard_automorphisms(label, name)]
         order = _row_closure_order(mats, 10 ** 6)
         for cap in (order, order - 1):
-            assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap)
+            if cap < 1:  # the identity folding: no group fits a cap of 0
+                with pytest.raises(LatticeError, match="cap 0 is below 1"):
+                    group_order_bfs(mats, cap=cap)
+            else:
+                assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap)
 
 
 def _signed_permutation_matrix(perm, signs) -> list[list[int]]:
@@ -446,7 +476,7 @@ def test_group_order_bfs_agrees_with_the_row_closure_off_weyl_groups():
     """On groups generated by seeded random permutation matrices of 3-8
     points and signed-permutation matrices of 2-5 points, not by simple
     reflections, the chain equals the row-id closure at cap = |G| and
-    cap = |G| - 1."""
+    cap = |G| - 1; one trivial group is drawn, and its cap of 0 is refused."""
     rng = random.Random(29)
     groups = []
     for n in range(3, 9):
@@ -462,7 +492,11 @@ def test_group_order_bfs_agrees_with_the_row_closure_off_weyl_groups():
         order = _row_closure_order(mats, 10 ** 5)
         orders.add(order)
         for cap in (order, order - 1):
-            assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap), (mats, cap)
+            if cap < 1:  # a trivial group drawn: no group fits a cap of 0
+                with pytest.raises(LatticeError, match="cap 0 is below 1"):
+                    group_order_bfs(mats, cap=cap)
+            else:
+                assert group_order_bfs(mats, cap=cap) == _row_closure_order(mats, cap), (mats, cap)
     assert len(orders) > 10 and 40320 in orders  # S_8 among them
 
 
@@ -773,7 +807,7 @@ def test_fold_d4_by_full_automorphism_group():
     assert folding.folded.label == "G2"
     assert folding.group_order == 6
     assert not folding.group_abelian
-    assert folding.group_name == "S3"
+    assert group_name(folding.group_order, folding.group_abelian) == "S3"
     assert quotient_rank_check(folding)
 
 
@@ -783,7 +817,7 @@ def test_fold_d4_by_rotation():
     assert folding.folded.label == "G2"
     assert folding.group_order == 3
     assert folding.group_abelian
-    assert folding.group_name == "Z/3"
+    assert group_name(folding.group_order, folding.group_abelian) == "Z/3"
 
 
 def test_fold_flips():
@@ -793,7 +827,7 @@ def test_fold_flips():
         folding = fold(source, standard_automorphisms(source, "flip"))
         assert folding.folded.label == target
         assert folding.group_order == 2
-        assert folding.group_name == "Z/2"
+        assert group_name(folding.group_order, folding.group_abelian) == "Z/2"
         assert quotient_rank_check(folding)
 
 
@@ -802,7 +836,7 @@ def test_fold_identity_is_trivial():
     folding = fold("A2", standard_automorphisms("A2", "identity"))
     assert folding.folded.label == "A2"
     assert folding.group_order == 1
-    assert folding.group_name == "trivial"
+    assert group_name(folding.group_order, folding.group_abelian) == "trivial"
 
 
 def _reachable(i, perms):
@@ -813,6 +847,30 @@ def _reachable(i, perms):
         if not more:
             return tuple(sorted(reached))
         reached |= more
+
+
+@pytest.mark.parametrize("label, name", [
+    ("D4", "full"), ("E6", "flip"), ("A7", "flip"), ("A255", "flip")])
+def test_a_fold_reads_its_source_once(monkeypatch, label, name):
+    """`fold_results` builds the source `CoxeterDatum` once and computes two
+    Coxeter matrices, the source's and the folded type's:
+    `standard_automorphisms` reads only the rank off the Cartan rows."""
+    calls = []
+    coxeter_matrix = monodromy.coxeter_matrix_from_cartan
+    for_type = CoxeterDatum.for_type.__func__
+
+    def counted_coxeter_matrix(cartan):
+        calls.append("coxeter")
+        return coxeter_matrix(cartan)
+
+    def counted_for_type(cls, type_label):
+        calls.append("for_type")
+        return for_type(cls, type_label)
+
+    monkeypatch.setattr(monodromy, "coxeter_matrix_from_cartan", counted_coxeter_matrix)
+    monkeypatch.setattr(CoxeterDatum, "for_type", classmethod(counted_for_type))
+    assert all(r.status == "pass" for r in fold_results(label, name))
+    assert (calls.count("for_type"), calls.count("coxeter")) == (1, 2)
 
 
 def test_fold_orbits_are_the_reachability_classes():
