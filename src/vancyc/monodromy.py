@@ -10,15 +10,16 @@ e_j |-> e_j + P_ij e_i, with P_ij = -C_ji for the Weyl generators and S_ij for
 the Picard-Lefschetz reflection a |-> a + (a . delta_i) delta_i in a class of
 square -2, as in Pham's vanishing-cycle lattices (`pham_seifert_matrix`).
 
-One table layer answers every question about a matrix group: the unit
-columns close under the generators (the roots, for a Weyl group) into at most
-256 ids, on which `_root_permutations` reads each generator as a permutation.
-`group_order_bfs` counts that permutation group by a Schreier-Sims chain;
-`braid_relation_check` and `coxeter_element_order` read element orders off
-cycle lengths; all three raise one LatticeError past 256 ids, as for an
-infinite group.  `weyl_group_order` counts a Weyl group by orbit-stabilizer.
-`fold` builds its source diagram once, from a type label, and `identify_type`
-names the folded Cartan matrix by matching nodes of equal degree.
+One function answers every question about a matrix group: in one pass
+`_root_permutations` reads the generators, closes the unit columns under them
+(the roots, for a Weyl group) into at most 256 ids, reads each generator as a
+permutation of the ids and refuses.  `group_order_bfs` counts that
+permutation group by a Schreier-Sims chain; `braid_relation_check` and
+`coxeter_element_order` read element orders off cycle lengths; all three
+raise its LatticeErrors, one of them past 256 ids, as for an infinite group.
+`weyl_group_order` counts a Weyl group by orbit-stabilizer.  `fold` builds
+its source diagram once, from a type label, and `identify_type` names the
+folded Cartan matrix by matching nodes of equal degree.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ def cartan_matrix(label: str):
 
 
 def _cartan_rows(label: str) -> list[list[int]]:
-    m = _TYPE_RE.match(label) if isinstance(label, str) else None
+    if not isinstance(label, str):
+        raise LatticeError(f"unrecognized type label of type {type(label).__name__}")
+    m = _TYPE_RE.match(label)
     if not m:
         raise LatticeError(f"unrecognized type label '{label}'")
     letter, rank = m.group(1), int(m.group(2))
@@ -229,10 +232,7 @@ def pl_reflection(lattice: IntersectionLattice, i: int) -> list[list[int]]:
     `_reflection` with row S_i; requires (delta_i . delta_i) = -2, and is then
     an involution preserving the form."""
     s = lattice.form
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise LatticeError(f"reflection index {i!r} is not an integer") from None
+    i = _integer(i, "reflection index")
     if not 0 <= i < len(s):
         raise LatticeError(f"reflection index {i} out of range 0..{len(s) - 1}")
     if s[i][i] != -2:
@@ -274,12 +274,12 @@ def _int_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def _int_generators(generators) -> list[list[list[int]]]:
-    """Each generator through `_int_rows`; LatticeError unless all have one size."""
-    mats = [_int_rows(g) for g in generators]
-    if len({len(m) for m in mats}) > 1:
-        raise LatticeError("generators must be square matrices of one common size")
-    return mats
+def _integer(x, name: str) -> int:
+    """x through `operator.index`; LatticeError naming it otherwise."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise LatticeError(f"{name} {x!r} is not an integer") from None
 
 
 def _identity(n: int, diagonal: int = 1) -> list[list[int]]:
@@ -300,18 +300,27 @@ _COLUMN_IDS = 256  # one byte per column id
 _IDENTITY_PERM = bytes(range(_COLUMN_IDS))
 
 
-def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
-    """The closure of the unit columns under the matrices, as one table per
-    matrix from a column id to the id of g.column; None at a 257th column.
+def _root_permutations(generators: Sequence) -> tuple[list[bytes], int]:
+    """The generators as permutations of the m <= 256 ids of the unit
+    columns' closure under them, each its 256-byte `bytes.translate` table;
+    its LatticeErrors are the one refusal of every group question.
 
-    Column a of g.m is g.(column a of m), so these are the columns of every
-    element of the monoid the matrices generate (the roots, for
-    `weyl_generators`).  Ids follow the order of discovery, e_k first as id k,
-    so a matrix of size past 256 is None too.
+    Each generator goes through `_int_rows`; all must have one size.  Column a
+    of g.h is g.(column a of h), so the ids are the columns of every element
+    of the monoid the generators generate (the roots, for `weyl_generators`),
+    in the order of discovery, e_k first as id k.  An element is fixed by its
+    images of the unit columns, so the group acts faithfully on the ids: its
+    elements and their orders are those of their tables.  LatticeError past
+    256 ids (a size past 256 included), naming the first singular generator
+    `poly.rational_rank` finds, if any; within 256 ids, for a table that is
+    not a permutation, a singular generator since the columns span Q^n.
     """
+    mats = [_int_rows(g) for g in generators]
+    if len({len(g) for g in mats}) > 1:
+        raise LatticeError("generators must be square matrices of one common size")
+    if not mats:
+        return [], 0
     n = len(mats[0])
-    if n > _COLUMN_IDS:
-        return None
     units = _identity(n)
     cols = list(map(tuple, units))
     col_ids = {col: k for k, col in enumerate(cols)}
@@ -323,6 +332,8 @@ def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
                   for table, g in zip(tables, mats)]
     mul = operator.mul
     for k, col in enumerate(cols):  # the list grows while it is read
+        if len(cols) > _COLUMN_IDS:
+            break
         for table, g_cols, rows in per_matrix:
             if k < n:
                 image = g_cols[k]
@@ -333,34 +344,15 @@ def _column_tables(mats: list[list[list[int]]]) -> list[list[int]] | None:
                 image = tuple(image)
             k_image = col_ids.setdefault(image, len(cols))
             if k_image == len(cols):
-                if k_image == _COLUMN_IDS:
-                    return None
                 cols.append(image)
             table.append(k_image)
-    return tables
-
-
-def _root_permutations(generators: Sequence) -> tuple[list[bytes], int]:
-    """The generators (through `_int_generators`) as permutations of the m ids
-    of `_column_tables`, each its 256-byte `bytes.translate` table.
-    LatticeError for a singular generator, whatever its entries, and past 256
-    ids, the one refusal of every group question.  An element is fixed by its
-    images of the unit columns, so the group acts faithfully on the ids: its
-    elements and their orders are those of their tables.  A table that is not
-    a permutation is a singular generator, since the columns span Q^n; past
-    256 ids, `poly.rational_rank` finds it."""
-    mats = _int_generators(generators)
-    if not mats:
-        return [], 0
-    tables = _column_tables(mats)
-    if tables is None:
-        n = len(mats[0])
+    m = len(cols)
+    if m > _COLUMN_IDS:
         for k, g in enumerate(mats):
             rank = rational_rank(g)
             if rank < n:
                 raise LatticeError(f"singular generator {k}: its rank is {rank} < {n}")
         raise LatticeError(f"the unit columns close into more than {_COLUMN_IDS} ids")
-    m = len(tables[0])
     for k, table in enumerate(tables):
         if len(set(table)) < m:
             raise LatticeError(
@@ -384,8 +376,10 @@ def _cycle_lengths(t: bytes, m: int) -> list[int]:
 
 def group_order_bfs(generators: Sequence, cap: int = 10 ** 6) -> int | None:
     """Order of the matrix group generated, listing no element; None exactly
-    when it has more than `cap` >= 1 elements.  `_stabilizer_chain_order`
-    counts `_root_permutations`, whose LatticeErrors it raises."""
+    when it has more than `cap` >= 1 elements, an integer.
+    `_stabilizer_chain_order` counts `_root_permutations`, whose
+    LatticeErrors it raises."""
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise LatticeError(f"cap {cap} is below 1, the order of the trivial group")
     return _stabilizer_chain_order(*_root_permutations(generators), cap)
@@ -592,8 +586,9 @@ def weyl_group_order(cartan, cap: int = 10 ** 6) -> int | None:
     keeps the orbits small whatever the node labels: E8 counts 240 roots first
     instead of up to 483,840 weights from its branch node.  Plain Python ints,
     so no entry wraps; LatticeError on a matrix that is not a generalized
-    Cartan matrix.
+    Cartan matrix or a cap that is not an integer.
     """
+    cap = _integer(cap, "cap")
     rows = _generalized_cartan_rows(cartan)
     order = 1
     while rows:

@@ -103,8 +103,6 @@ def discriminant(germ: MapGerm,
     note = ""
     if any(g.is_constant() for g in gens):
         note = "empty discriminant (critical ideal eliminates to the unit ideal)"
-    elif len(gens) == 1:
-        reduced = squarefree_part_bivariate(gens[0], max_pairs)
     else:
         divisor = gens[0]
         for g in gens[1:]:
@@ -113,7 +111,8 @@ def discriminant(germ: MapGerm,
             note = "eliminated ideal has no divisorial part"
         else:
             reduced = squarefree_part_bivariate(divisor, max_pairs)
-            note = f"reduced generator from gcd of {len(gens)} generators"
+            if len(gens) > 1:
+                note = f"reduced generator from gcd of {len(gens)} generators"
     return DiscriminantDescription(germ.k, eliminated.ambient, eliminated, reduced, note)
 
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from vancyc import suite
 from vancyc.germfile import GermFileError, load_germ_file, parse_germ_text
 from vancyc.poly import format_polynomial
+from vancyc.singularity import action_coordinates_germ
 from vancyc.symplectic import poisson_bracket
 
 GOOD = """\
@@ -171,3 +173,17 @@ def test_one_leading_byte_order_mark_is_skipped(tmp_path):
     with pytest.raises(GermFileError, match="expected '<key>: <payload>'") as exc:
         load_germ_file(path)
     assert (exc.value.line, exc.value.column) == (1, 1)
+
+
+@pytest.mark.parametrize("name, germ", [
+    ("basic", suite.basic_germ()),
+    ("henon_heiles", suite.henon_heiles_germ()),
+    ("al6", action_coordinates_germ(3, 2, suite.AL_MATRICES[(3, 2)])),
+])
+def test_worked_example_files_match_the_suite_germs(germs_dir, name, germ):
+    """Each worked example exists twice, as a germ file and as the germ the
+    paper suite builds; both load to one MapGerm with the canonical pairing
+    (q_i, p_i) of its ambient."""
+    gf = load_germ_file(germs_dir / f"{name}.germ")
+    assert gf.to_map_germ() == germ
+    assert gf.symplectic_pairs == tuple(zip(germ.ambient[::2], germ.ambient[1::2]))

@@ -3,6 +3,7 @@
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -85,6 +86,15 @@ def test_type_labels_that_are_not_strings_are_refused():
                  lambda: fold(CoxeterDatum.for_type("A3"), [])):
         with pytest.raises(LatticeError, match="unrecognized type label"):
             call()
+
+
+def test_a_label_that_is_not_a_string_is_named_by_its_type():
+    """The refusal names the label's type, not its repr: a D256 datum's repr
+    runs to hundreds of thousands of characters."""
+    with pytest.raises(LatticeError) as exc:
+        fold(CoxeterDatum.for_type("D256"), [])
+    assert str(exc.value) == "unrecognized type label of type CoxeterDatum"
+    assert len(str(exc.value)) < 100
 
 
 def test_cartan_matrices_are_well_formed():
@@ -337,6 +347,17 @@ def test_group_order_cap_below_one_is_refused():
             with pytest.raises(LatticeError, match=f"cap {cap} is below 1"):
                 group_order_bfs(gens, cap=cap)
         assert group_order_bfs(gens, cap=1) == at_cap_one
+
+
+def test_caps_must_be_integers():
+    """A cap is read as an integer, numpy ints included; anything else is a
+    LatticeError, not a TypeError or a float cap that rounds down."""
+    a2 = weyl_generators(CoxeterDatum.for_type("A2"))
+    for count, arg in ((group_order_bfs, a2), (weyl_group_order, cartan_matrix("A2"))):
+        for cap in (None, "7", 6.5, 6.0, [6]):
+            with pytest.raises(LatticeError, match=f"cap {re.escape(repr(cap))} is not an integer"):
+                count(arg, cap=cap)
+        assert count(arg, cap=np.int64(6)) == 6
 
 
 # Reflections of the rank-2 hyperbolic Cartan matrix [[2, -3], [-3, 2]]: an
