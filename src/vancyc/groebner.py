@@ -1,4 +1,25 @@
-"""Buchberger Groebner bases, elimination and quotient dimension.
+"""Multivariate division, Buchberger Groebner bases, elimination and
+quotient dimension.
+
+Division runs on a divisor index (`_DivisorIndex`).  It holds each divisor
+once, as a primitive integer polynomial with a positive lead coefficient,
+and, for each variable v and exponent k, a bitset (a Python int) of the
+divisors whose lead has e_v <= k.  The AND of one such bitset per variable
+is the set of leads dividing a monomial, and its lowest bit is the first
+divisor, the one a linear scan would pick.  `_reduce` is the one division
+loop, and `divmod_polynomials` and `normal_form` both run it.  It keeps the
+terms still to be reduced in a heap ordered by the negated key, so each
+monomial's key is computed once, when it enters the work set, and the next
+term to reduce is a heap pop rather than a rescan (after Monagan and
+Pearce, "Sparse polynomial division using a heap", JSC 2011).  The loop
+runs on Python ints, not Fractions.  The dividend's denominators are
+cleared once.  When a divisor's lead coefficient a does not divide the
+coefficient c of the term being reduced, the work, the remainder and the
+quotients are scaled by a / gcd(a, c), as Bareiss's fraction-free
+elimination scales its rows, so every step stays exact.
+`divmod_polynomials` indexes its list of divisors on entry and divides its
+quotients and remainder back into canonical coefficients; the integer
+remainder that `normal_form` returns stays in ints.
 
 Pair selection uses the normal strategy (smallest lcm degree first).  When
 an element t joins the basis, the Gebauer-Moeller update prunes five kinds
@@ -17,16 +38,14 @@ ResourceLimitExceeded so callers can degrade instead of hanging.  A
 monomial order is its key function: `poly.grevlex_key` for degrevlex,
 `elimination_key(front)` for the block elimination order.
 
-A Buchberger run keeps one divisor index of its basis (`poly._DivisorIndex`),
-appending each new element, so each normal form finds its reducers with
-one AND per variable.  The index holds each element once, as a primitive
-integer polynomial with a positive lead coefficient, and the run works on
-those integer forms alone: each S-polynomial is built from two of them in
-one pass, `normal_form` reduces it with the fraction-free heap division of
-`poly._reduce` to a positive multiple of its remainder, and a nonzero
-remainder joins the index, which takes its content out.  The same index
-finds the minimal elements of the final basis, whose leads are the leads
-of the reduced basis, and the `GroebnerBasis` a run returns keeps both.
+A Buchberger run keeps one divisor index of its basis, appending each new
+element, so each normal form finds its reducers with one AND per variable.
+The run works on the index's integer forms alone: each S-polynomial is
+built from two of them in one pass, `normal_form` reduces it to a positive
+multiple of its remainder, and a nonzero remainder joins the index, which
+takes its content out.  The same index finds the minimal elements of the
+final basis, whose leads are the leads of the reduced basis, and the
+`GroebnerBasis` a run returns keeps both.
 It inter-reduces only where it is read: its `elements`, the reduced basis,
 are built on first read, and each divides a minimal element by the index
 narrowed to the other minimal ones and is made monic, the only Fractions
@@ -43,16 +62,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd
-from operator import add, itemgetter, sub
-from typing import Callable, Sequence
+from math import gcd, lcm
+from operator import add, itemgetter, neg, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import (DEFAULT_PAIR_LIMIT, AmbientMismatchError, PolyError, Polynomial,
-                   _DivisorIndex, _divided, _reduce, grevlex_key)
-# not called here: perfbench/tracer.py times division under this module's name
-from .poly import divmod_polynomials  # noqa: F401
+                   grevlex_key)
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -76,6 +94,178 @@ def elimination_key(front: int):
     def key(exps: Sequence[int]) -> tuple[int, ...]:
         return grevlex_key(exps[:front]) + grevlex_key(exps[front:])
     return key
+
+
+class _DivisorIndex:
+    """Divisors prepared once for repeated division under one order key.
+
+    Each divisor d is held as a primitive integer polynomial g, a rational
+    multiple of d with integer coefficients whose gcd is 1 and a positive
+    lead coefficient; d is g times the ratio of their lead coefficients.
+    g's lead exponents, lead coefficient and tail (a list of (exponents,
+    int) pairs) are taken once.  For each variable v, `below[v][k]` is the
+    bitset (a Python int, bit i for divisor i) of the divisors whose lead
+    has e_v <= k; a column ends at the largest e_v of any lead, and past its
+    end every divisor qualifies.  The leads dividing a monomial e are then
+    the AND over v of `below[v][e_v]`, and the lowest set bit is the first
+    of them in divisor order.  `live` is the bitset of the divisors a
+    division may use: every divisor appended, unless a caller narrows it.
+    """
+
+    __slots__ = ("ambient", "key", "leads", "coeffs", "tails", "below", "live")
+
+    def __init__(self, ambient: tuple[str, ...], key,
+                 divisors: Iterable[Polynomial] = ()):
+        self.ambient = ambient
+        self.key = key
+        self.leads: list[tuple[int, ...]] = []
+        self.coeffs: list[int] = []
+        self.tails: list[list[tuple[tuple[int, ...], int]]] = []
+        self.below: list[list[int]] = [[] for _ in ambient]
+        self.live = 0
+        for d in divisors:
+            self.append(d)
+
+    def append(self, d: Polynomial) -> None:
+        """Index a nonzero divisor, taking its content out once."""
+        if d.ambient != self.ambient:
+            raise AmbientMismatchError(
+                f"divisor ambient {d.ambient} != dividend ambient {self.ambient}")
+        de, dc = d.lead(self.key)
+        ints, _ = _clear_denominators(d.terms)
+        content = gcd(*ints.values())
+        if dc < 0:
+            content = -content
+        bit = 1 << len(self.leads)
+        self.leads.append(de)
+        self.coeffs.append(ints.pop(de) // content)
+        self.tails.append([(fe, fc // content) for fe, fc in ints.items()])
+        for col, e in zip(self.below, de):
+            if e >= len(col):
+                # the new entries cover every divisor so far, as past the end
+                col.extend([col[-1] if col else 0] * (e + 1 - len(col)))
+            for k in range(e, len(col)):
+                col[k] |= bit
+        self.live |= bit
+
+    def dividing(self, exps: Sequence[int]) -> int:
+        """Bitset of the live divisors whose lead divides the monomial."""
+        m = self.live
+        for col, k in zip(self.below, exps):
+            if k < len(col):
+                m &= col[k]
+        return m
+
+
+def _clear_denominators(terms: Mapping[tuple, Fraction | int]) -> tuple[dict, int]:
+    """(D * terms as a new dict of ints, D) for D the lcm of the denominators;
+    D is 1 exactly when every coefficient is already an int."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return dict(terms), 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _reduce(p: Polynomial, index: _DivisorIndex,
+            quotients: dict[int, dict] | None = None) -> tuple[dict, int]:
+    """Fraction-free heap division of p by the integer forms g_i of the index.
+
+    Returns (R, D): D * p = sum(Q_i * g_i) + R with integer Q_i and R, and no
+    term of R divisible by a live lead.  When `quotients` is a dict, Q_i is
+    filled in as its entry i, for the divisors used only.  p's denominators
+    are cleared first.  Each term c * x^e is reduced by the first divisor
+    whose lead a * x^l divides it, found through the index: when a divides
+    c the multiplier is c / a; otherwise the work, R and every Q_i are first
+    scaled by a / gcd(a, c), D with them, and the multiplier is
+    c / gcd(a, c) (after Bareiss's fraction-free elimination).  The largest
+    remaining term is taken from a heap of (negated order key, monomial)
+    entries.  A monomial gets its one entry when it enters `work`; a
+    coefficient that cancels stays in `work` as zero until its entry is
+    popped, so no monomial is ever queued twice.  Every new monomial is
+    smaller than the one being reduced, so a popped monomial never returns.
+    """
+    if index.ambient != p.ambient:
+        raise AmbientMismatchError(
+            f"divisor ambient {index.ambient} != dividend ambient {p.ambient}")
+    key = index.key
+    leads, coeffs, tails, dividing = index.leads, index.coeffs, index.tails, index.dividing
+    work, den = _clear_denominators(p.terms)
+    remainder: dict = {}
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        e = pop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
+        m = dividing(e)
+        if not m:
+            remainder[e] = c
+            continue
+        i = (m & -m).bit_length() - 1
+        a = coeffs[i]
+        mc, rest = divmod(c, a)
+        if rest:
+            g = gcd(a, c)
+            s = a // g
+            mc = c // g
+            den *= s
+            for scaled in (work, remainder, *(quotients.values() if quotients else ())):
+                for k in scaled:
+                    scaled[k] *= s
+        me = tuple(map(sub, e, leads[i]))
+        if quotients is not None:
+            q = quotients.get(i)
+            if q is None:
+                q = quotients[i] = {}
+            q[me] = mc
+        for fe, fc in tails[i]:
+            k = tuple(map(add, me, fe))
+            old = work.get(k)
+            if old is None:
+                work[k] = -mc * fc
+                push(heap, (tuple(map(neg, key(k))), k))
+            else:
+                work[k] = old - mc * fc
+    return remainder, den
+
+
+def _quotient(a: int, b: int) -> int | Fraction:
+    """a / b in canonical form: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _divided(ambient: tuple[str, ...], terms: dict, divisor: Fraction | int) -> Polynomial:
+    """The Polynomial with coefficients c / divisor for the int coefficients
+    c of `terms`, each exact and canonical, in the same term order."""
+    num, den = divisor.denominator, divisor.numerator
+    return Polynomial._trusted(ambient, {e: _quotient(c * num, den) for e, c in terms.items()})
+
+
+def divmod_polynomials(p: Polynomial, divisors: Sequence[Polynomial],
+                       key=grevlex_key) -> tuple[list[Polynomial], Polynomial]:
+    """Multivariate division under the order of `key`: p = sum(q_i *
+    divisors_i) + r, no term of r divisible by any divisor lead monomial.
+
+    The divisors are indexed on entry.  Each term is reduced by the first
+    divisor whose lead divides it, so the result is that of the division
+    over Q; the work runs on integers in `_reduce`, against the primitive
+    integer form g_i of each divisor, and only the quotients and the
+    remainder are turned back into exact Fractions.  The integer quotient
+    of g_i becomes that of divisors_i through the ratio of their lead
+    coefficients.
+    """
+    index = _DivisorIndex(p.ambient, key, divisors)
+    quotients: dict[int, dict] = {}
+    remainder, den = _reduce(p, index, quotients)
+    zero = Polynomial._trusted(p.ambient, {})  # shared by every empty quotient
+    return ([_divided(p.ambient, quotients[i],
+                      Fraction(divisors[i].lead(key)[1], index.coeffs[i]) * den)
+             if i in quotients else zero for i in range(len(divisors))],
+            _divided(p.ambient, remainder, den))
+
 
 
 @dataclass(frozen=True)
@@ -156,7 +346,7 @@ class GroebnerBasis:
 def normal_form(p: Polynomial, index: _DivisorIndex) -> Polynomial:
     """D * r for the remainder r of p modulo the live divisors of a
     Buchberger run's index and some D > 0, with int coefficients: the
-    integer remainder of `poly._reduce`, zero exactly when r is."""
+    integer remainder of `_reduce`, zero exactly when r is."""
     return Polynomial._trusted(p.ambient, _reduce(p, index)[0])
 
 

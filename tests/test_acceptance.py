@@ -169,6 +169,18 @@ def test_acceptance_milnor_baseline(suite):
     _verdict(suite, "milnor-baseline")
 
 
+def test_milnor_baseline_gate_can_fail(monkeypatch):
+    """A Milnor number that x^2 y returns instead of refusing fails the gate."""
+    real = suite_module.milnor_number
+
+    def isolated(h, max_pairs):
+        return 1 if str(h) == "x^2*y" else real(h, max_pairs)
+
+    monkeypatch.setattr(suite_module, "milnor_number", isolated)
+    result = suite_module.check_milnor_baseline(DEFAULT_PAIR_LIMIT)
+    assert result.line() == "CHECK milnor-baseline fail expected=1,2,non-isolated got=1,2,isolated"
+
+
 def test_acceptance_braid_relations(suite):
     """All eight tabulated reflection groups satisfy their braid relations."""
     _verdict(suite, "braid-relations")
@@ -230,19 +242,6 @@ def test_lattice_gates_read_the_reflections(monkeypatch, mutation):
     the wrong sign, or replaced by its transpose, both fail."""
     monkeypatch.setattr(suite_module, "pl_reflection", mutation(suite_module.pl_reflection))
     assert check_picard_lefschetz().status == FAIL
-    assert check_variation_matrix().status == FAIL
-
-
-def test_variation_gate_reads_the_reflections(monkeypatch):
-    """The gate multiplies the Picard-Lefschetz reflections: with each
-    replaced by its transpose, W^T T_1...T_r = -W fails and so does the
-    check."""
-    real = suite_module.pl_reflection
-
-    def transposed(lattice, i):
-        return [list(col) for col in zip(*real(lattice, i))]
-
-    monkeypatch.setattr(suite_module, "pl_reflection", transposed)
     assert check_variation_matrix().status == FAIL
 
 

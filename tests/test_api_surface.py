@@ -34,7 +34,6 @@ BENCHMARK_PINS = {
 
 # (importing module, module imported from) -> the private names it imports
 PRIVATE_IMPORTS = {
-    ("groebner", "poly"): {"_DivisorIndex", "_divided", "_reduce"},
     ("poly", "groebner"): {"_fresh_name"},
     ("suite", "monodromy"): {"_identity", "_matmul", "_transpose"},
 }

@@ -129,6 +129,22 @@ def test_discriminant_given_off_origin_is_refused_before_its_squarefree_part(
     assert err == ["error: discriminant does not pass through the origin"]
 
 
+@pytest.mark.parametrize("text, code, out, err", [
+    ("vars: x y\ncomponent: x\ncomponent: y^2+y\n", 2,
+     ["target: s1 s2", "generator: s2 + 1/4", "reduced: s2 + 1/4"],
+     ["error: discriminant does not pass through the origin"]),
+    ("vars: x\ncomponent: x^2+x\n", 0,
+     ["target: s1", "generator: s1 + 1/4", "reduced: s1 + 1/4"], []),
+], ids=["k2", "k1"])
+def test_discriminant_file_mode_off_origin(capsys, tmp_path, text, code, out, err):
+    """A germ whose discriminant misses the origin prints its generators and
+    reduced form, then refuses the multiplicity with exit 2; a germ to C^1
+    prints no multiplicity, so it exits 0."""
+    germ = tmp_path / "off.germ"
+    germ.write_text(text, encoding="utf-8")
+    assert run(capsys, "discriminant", str(germ)) == (code, out, err)
+
+
 def test_discriminant_without_divisorial_part(capsys, tmp_path):
     """(x z, y z) eliminates to the origin alone: its generators and the note,
     with no reduced generator and no multiplicity."""

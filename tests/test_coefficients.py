@@ -14,11 +14,10 @@ from canonical import assert_canonical, is_canonical_coefficient
 from orders import ORDERS
 from randpoly import random_polynomial
 from vancyc.germfile import load_germ_file
-from vancyc.groebner import IdealBasis, buchberger
+from vancyc.groebner import IdealBasis, buchberger, divmod_polynomials
 from vancyc.poly import (
     PolyError,
     Polynomial,
-    divmod_polynomials,
     exact_divide,
     gcd_polynomials,
     normalized,

@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from operator import add, sub
@@ -31,10 +32,10 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
-from vancyc.groebner import (_minimalize, _pack_newest, _spoly, _standard_monomial_count,
-                             _update_pairs)
-from vancyc.poly import (AmbientMismatchError, Polynomial, _DivisorIndex,
-                         format_polynomial, grevlex_key, parse_polynomial)
+from vancyc.groebner import (_DivisorIndex, _minimalize, _pack_newest, _spoly,
+                             _standard_monomial_count, _update_pairs)
+from vancyc.poly import (AmbientMismatchError, PolyError, Polynomial, format_polynomial,
+                         grevlex_key, parse_polynomial)
 from vancyc.singularity import action_coordinates_germ, critical_ideal, milnor_number
 from vancyc.suite import AL_MATRICES
 
@@ -574,6 +575,13 @@ def test_quotient_dimension_infinite_is_none():
     assert quotient_dimension(_ideal("x*y", amb=("x", "y"))) is None
 
 
+def test_quotient_dimension_of_the_zero_ideal():
+    """With no generators the quotient is the whole ring: infinite over x
+    and y, the field Q itself over no variables."""
+    assert quotient_dimension(IdealBasis(("x", "y"), [])) is None
+    assert quotient_dimension(IdealBasis((), [])) == 1
+
+
 def test_quotient_dimension_reads_only_the_leads(monkeypatch):
     """A quotient dimension, and so a Milnor number, reduces each S-polynomial
     that is not zero before reduction and nothing else: no basis element is
@@ -667,6 +675,22 @@ def test_radical_membership():
     corner = _ideal("x^2*y", "x*y^2", amb=amb)
     assert radical_membership(x * y, corner)
     assert not radical_membership(x, corner)
+
+
+def test_entry_points_refuse_another_ambient():
+    """A generator, a radical-membership candidate or an eliminated
+    variable outside the ideal's ambient is refused; zero is in every
+    radical."""
+    amb = ("x", "y")
+    x = Polynomial.variable(("x",), "x")
+    with pytest.raises(AmbientMismatchError, match="generator ambient"):
+        IdealBasis(amb, [x])
+    ideal = _ideal("x", amb=amb)
+    with pytest.raises(AmbientMismatchError):
+        radical_membership(x, ideal)
+    assert radical_membership(Polynomial.zero(amb), ideal) is True
+    with pytest.raises(PolyError, match=re.escape("cannot eliminate unknown variables ['z']")):
+        eliminate(ideal, ["z"])
 
 
 AL6_BLOCK_BASIS = [

@@ -16,6 +16,7 @@ from vancyc.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
     AmbientMismatchError,
+    MissingAssignmentError,
     PolyError,
     PolyParseError,
     Polynomial,
@@ -243,6 +244,13 @@ def test_evaluate_agrees_with_substitution():
         assert p.substitute(images).constant_term() == p.evaluate(point)
 
 
+def test_evaluate_refuses_a_point_missing_a_variable():
+    """A point with no value for a variable of the ambient is refused by name."""
+    x, y = variables(("x", "y"))
+    with pytest.raises(MissingAssignmentError, match=r"^no value for variable 'y'$"):
+        (x + y).evaluate({"x": 1})
+
+
 def test_order_at_origin_is_additive():
     """order(p*q) = order(p) + order(q) for random nonzero factors."""
     rng = random.Random(31)
@@ -368,6 +376,11 @@ def test_gcd_and_squarefree():
     assert gcd_polynomials(zero, -2 * t * x) == t * x
     assert gcd_polynomials(Polynomial.constant(t.ambient, 3), t) == \
         Polynomial.constant(t.ambient, 1)
+
+
+def test_squarefree_part_of_zero_is_refused():
+    with pytest.raises(PolyError, match="zero polynomial"):
+        squarefree_part_bivariate(Polynomial.zero(("x", "y")))
 
 
 def test_rational_linear_algebra():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 from canonical import assert_canonical  # noqa: E402
 from orders import ORDERS  # noqa: E402
 from packing import check_packed_kernel  # noqa: E402
-from vancyc.poly import Polynomial, _DivisorIndex, grevlex_key  # noqa: E402
+from vancyc.groebner import _DivisorIndex  # noqa: E402
+from vancyc.poly import Polynomial, grevlex_key  # noqa: E402
 
 AMB = ("x", "y", "z")
 KEYS = list(ORDERS.values())
