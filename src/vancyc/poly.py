@@ -319,6 +319,13 @@ class Polynomial:
         return Polynomial._trusted(self.ambient, _integral(out))
 
     def evaluate(self, point: Mapping[str, object]) -> int | Fraction:
+        """The value at a point; PolyError for a point entry outside the
+        ambient, MissingAssignmentError for a variable the terms need and
+        the point leaves out."""
+        for v in point:
+            if v not in self.ambient:
+                raise PolyError(f"cannot evaluate at a value for '{v}' "
+                                f"in ambient {self.ambient}")
         vals: list[int | Fraction | None] = []
         for v in self.ambient:
             vals.append(_as_coefficient(point[v]) if v in point else None)

@@ -10,14 +10,15 @@ import random
 import re
 import sys
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
 
 from canonical import assert_canonical
 from orders import ORDERS, front, lex, seed_tag
-from packing import check_packed_kernel, reference_pack
+from packing import (append_polynomial, check_encoding, check_packed_kernel, packed,
+                     reference_pack)
 from randpoly import random_polynomial
 from vancyc import groebner
 from vancyc.groebner import (
@@ -32,7 +33,7 @@ from vancyc.groebner import (
     quotient_dimension,
     radical_membership,
 )
-from vancyc.groebner import (_DivisorIndex, _minimalize, _pack_newest, _spoly,
+from vancyc.groebner import (_DivisorIndex, _Form, _minimalize, _spoly,
                              _standard_monomial_count, _update_pairs)
 from vancyc.poly import (AmbientMismatchError, PolyError, Polynomial, format_polynomial,
                          grevlex_key, parse_polynomial)
@@ -54,6 +55,14 @@ def _remainder(p, gb):
 
 def _member(p, ideal):
     return _remainder(p, buchberger(ideal, grevlex_key)).is_zero()
+
+
+def _nf(p, index):
+    """`normal_form` of p packed through the index, unpacked into a
+    Polynomial that keeps its int coefficients and term order."""
+    ((form, _),) = index.forms([p])
+    r = normal_form(form, index)
+    return Polynomial._trusted(index.ambient, {index.exponents(x): c for x, c in r.items()})
 
 
 def _assert_integer_multiple(got, want):
@@ -156,14 +165,14 @@ def test_divisor_index_matches_linear_scan_seeded():
         index = _DivisorIndex(amb, grevlex_key)
         leads = []
         for lead in [rng.choice(pool[:k + 1]) for k in range(len(pool))] + pool:
-            index.append(Polynomial(amb, {lead: rng.choice((1, -2, Fraction(3, 4)))}))
+            append_polynomial(index, Polynomial(amb, {lead: rng.choice((1, -2, Fraction(3, 4)))}))
             leads.append(lead)
             queries = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(5)]
             queries += [tuple(map(add, lead, q)) for q in queries[:3]]
             queries.append(lead)
             for e in queries:
-                assert _bits(index.dividing(e)) == _scan(leads, e)
-        assert index.leads == leads
+                assert _bits(index.dividing(packed(index, e))) == _scan(leads, e)
+        assert [index.exponents(x) for x in index.leads] == leads
 
 
 def test_divisor_index_without_variables():
@@ -172,11 +181,11 @@ def test_divisor_index_without_variables():
     key = lex
     index = _DivisorIndex((), key)
     assert not index.live
-    assert index.dividing(()) == 0
+    assert index.dividing(0) == 0
     divisors = [Polynomial.constant((), 3), Polynomial.constant((), 5)]
     for d in divisors:
-        index.append(d)
-    assert index.dividing(()) == 0b11
+        append_polynomial(index, d)
+    assert index.dividing(packed(index, ())) == 0b11
     p = Polynomial.constant((), Fraction(7, 2))
     quotients, r = divmod_polynomials(p, divisors, key)
     assert quotients[0] == Polynomial.constant((), Fraction(7, 6))
@@ -192,9 +201,9 @@ def test_divisor_index_live_set_narrows_division():
     p = parse_polynomial("x^3*y + x^2*y^2 - z^2 + x", AMB)
     for i in range(3):
         index.live = 0b111 ^ 1 << i
-        assert not index.dividing(divisors[i].lead(grevlex_key)[0]) >> i & 1
+        assert not index.dividing(packed(index, divisors[i].lead(grevlex_key)[0])) >> i & 1
         rest = divisors[:i] + divisors[i + 1:]
-        _assert_integer_multiple(normal_form(p, index),
+        _assert_integer_multiple(_nf(p, index),
                                  divmod_polynomials(p, rest, grevlex_key)[1])
 
 
@@ -212,19 +221,20 @@ def test_division_by_index_equals_division_by_list(name):
         p = random_polynomial(rng, AMB, max_terms=8, max_exp=4)
         quotients, r = divmod_polynomials(p, divisors, key)
         assert len(quotients) == len(divisors)
-        _assert_integer_multiple(normal_form(p, _DivisorIndex(AMB, key, divisors)), r)
+        _assert_integer_multiple(_nf(p, _DivisorIndex(AMB, key, divisors)), r)
         unused = [q for q in quotients if not q]
         assert all(q is unused[0] for q in unused)
 
 
 def test_divisor_index_rejects_foreign_ambient():
-    """A dividend over another ambient and a divisor appended over another
-    ambient are errors."""
+    """A dividend over another ambient and a divisor over another ambient
+    are errors when they are packed, before any division or append."""
     index = _DivisorIndex(("x", "y"), lex, [parse_polynomial("x", ("x", "y"))])
     with pytest.raises(AmbientMismatchError):
-        normal_form(parse_polynomial("x^2 + y", AMB), index)
+        index.forms([parse_polynomial("x^2 + y", AMB)])
     with pytest.raises(AmbientMismatchError):
-        index.append(parse_polynomial("x", AMB))
+        _DivisorIndex(("x", "y"), lex, [parse_polynomial("x", AMB)])
+    assert len(index.leads) == 1
 
 
 def _fraction_division(p, divisors, key):
@@ -281,13 +291,13 @@ def _assert_same_division(p, divisors, key):
     assert list(got_r.terms.items()) == list(want_r.terms.items())
     for q in got_q + [got_r]:
         assert_canonical(q)
-    _assert_integer_multiple(normal_form(p, _DivisorIndex(p.ambient, key, divisors)), want_r)
+    _assert_integer_multiple(_nf(p, _DivisorIndex(p.ambient, key, divisors)), want_r)
 
 
 def _integer_form(index, i):
     """(exponents, coefficients) of divisor i's integer form, lead first."""
     terms = [(index.leads[i], index.coeffs[i])] + index.tails[i]
-    return [e for e, _ in terms], [c for _, c in terms]
+    return [index.exponents(x) for x, _ in terms], [c for _, c in terms]
 
 
 @pytest.mark.parametrize("name", ORDERS)
@@ -374,8 +384,8 @@ def test_buchberger_reduces_through_normal_form(monkeypatch):
 
 
 def test_only_reading_the_reduced_basis_builds_fractions(monkeypatch):
-    """A run stays in integer forms: every normal form it takes has int
-    coefficients, and `_divided`, which builds the Fraction polynomials, is
+    """A run stays in packed integer forms: every normal form it takes is
+    a `_Form` of int monomials and int coefficients, and `_divided`, which builds the Fraction polynomials, is
     not called while `buchberger` runs.  It is called once per element
     when `free_of(front)` is read and once per element when `elements` is
     read, and not again on a second read of `elements`.  Seeded ideals
@@ -403,7 +413,8 @@ def test_only_reading_the_reduced_basis_builds_fractions(monkeypatch):
                                      for _ in range(rng.randint(2, 3))])
             gb = buchberger(ideal, key)
             assert not divided
-            assert all(type(c) is int for r in forms for c in r.terms.values())
+            assert all(type(r) is _Form and all(type(x) is int and type(c) is int
+                                                for x, c in r.items()) for r in forms)
             part = gb.free_of(f)
             assert len(divided) == len(part) == sum(1 for e in gb.leads if not any(e[:f]))
             divided.clear()
@@ -487,6 +498,28 @@ def test_order_keys_look_up_grevlex_key_at_call_time(monkeypatch):
     calls.clear()
     eliminate(_ideal("x - t^2", "y - t^3", amb=("t", "x", "y")), ("t",))
     assert calls
+
+
+def test_grevlex_key_calls_are_pinned(monkeypatch):
+    """The order key is read once per unit vector and per zero vector when
+    an index is made, and once per generator term when it is packed,
+    never per term a reduction makes: x^3 + y^4 takes 3 probes and its 2
+    partials' 2 terms; eliminating t from (x - t^2, y - t^3) takes 4
+    probes and 4 terms, two `grevlex_key` calls each under the block
+    order.  The parent of the packed monomials made 6 and 66 calls."""
+    calls = []
+    real = groebner.grevlex_key
+
+    def counted(exps):
+        calls.append(exps)
+        return real(exps)
+
+    monkeypatch.setattr(groebner, "grevlex_key", counted)
+    assert milnor_number(parse_polynomial("x^3 + y^4", ("x", "y"))) == 6
+    assert len(calls) == 5
+    calls.clear()
+    eliminate(_ideal("x - t^2", "y - t^3", amb=("t", "x", "y")), ("t",))
+    assert len(calls) == 16
 
 
 def test_eliminate_parametrized_curve():
@@ -760,9 +793,10 @@ def test_non_monic_generators_match_monic_scalings(name, pairs):
 
 
 def test_spoly_of_integer_forms():
-    """The S-polynomial of two indexed divisors has int coefficients, and it
-    is x^a*f - x^b*g for the monic f and g times lcm(a_f, a_g), the lcm of
-    the lead coefficients of their integer forms, under every order."""
+    """The S-polynomial of two indexed divisors, given their packed lcm, is
+    a `_Form` of packed monomials with int coefficients, and unpacked it is
+    x^a*f - x^b*g for the monic f and g times lcm(a_f, a_g), the lcm of the
+    lead coefficients of their integer forms, under every order."""
     rng = random.Random(29)
     for key in ORDERS.values():
         for _ in range(20):
@@ -774,9 +808,11 @@ def test_spoly_of_integer_forms():
             lcm = tuple(map(max, fe, ge))
             want = (Polynomial(AMB, {tuple(map(sub, lcm, fe)): 1}) * f
                     - Polynomial(AMB, {tuple(map(sub, lcm, ge)): 1}) * g)
-            got = _spoly(index, 0, 1, lcm)
-            assert all(type(c) is int for c in got.terms.values())
-            assert got == want.scale(math.lcm(*index.coeffs))
+            got = _spoly(index, 0, 1, packed(index, lcm))
+            assert type(got) is _Form
+            assert all(type(c) is int for c in got.values())
+            unpacked = Polynomial(AMB, {index.exponents(x): c for x, c in got.items()})
+            assert unpacked == want.scale(math.lcm(*index.coeffs))
 
 
 def test_packed_kernel_matches_tuple_arithmetic_seeded():
@@ -798,6 +834,45 @@ def test_packed_kernel_matches_tuple_arithmetic_seeded():
         check_packed_kernel(b, a, width)
 
 
+@pytest.mark.parametrize("name", ORDERS)
+def test_packed_encoding_matches_the_order_key_seeded(name):
+    """Under each order, in 0-18 variables with exponents up to 2**k for k
+    up to 9, X is additive, ordered as the key orders, divisible exactly
+    when the exponents are, and unpacks to its exponents
+    (`check_encoding`); a third of the pairs are built so that a divides b
+    and a third so that a equals b."""
+    key = ORDERS[name]
+    rng = random.Random(f"encoding-{seed_tag(name)}")
+    for run in range(400):
+        n = rng.randint(0, 18)
+        top = 1 << rng.randint(0, 9)
+        a, b = (tuple(rng.choice((0, 0, 1, top, rng.randint(0, top))) for _ in range(n))
+                for _ in range(2))
+        if run % 3 == 1:
+            b = tuple(x + rng.randint(0, top) for x in a)
+        elif run % 3 == 2:
+            b = a
+        check_encoding(key, a, b)
+        check_encoding(key, b, a)
+
+
+def test_non_linear_key_is_refused():
+    """A key that is not integer-linear is a PolyError: at the unit probes
+    when key(0) is not zero or the unit keys differ in length, and at the
+    first packed term whose key is not the sum of the unit keys."""
+    square = lambda e: (e[0] ** 2, *e)  # noqa: E731
+    ideal = _ideal("x^2 + y", "y^2 - z")
+    with pytest.raises(PolyError, match="not integer-linear at"):
+        buchberger(ideal, square)
+    with pytest.raises(PolyError, match="not integer-linear at"):
+        divmod_polynomials(parse_polynomial("x^3", AMB), ideal.generators, square)
+    for key in (lambda e: (1, *e), lambda e: tuple(x for x in e if x)):
+        with pytest.raises(PolyError, match="not integer-linear"):
+            buchberger(ideal, key)
+    # linear on the unit vectors but not beyond them
+    assert buchberger(_ideal("x + y", "y - z"), square).pairs_processed == 0
+
+
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -806,9 +881,9 @@ def _reference_update(pairs, leads, key, width):
     """The Gebauer-Moeller update without the monomial-pair rule, by brute
     force: lcms by tuple(map(max, ...)), the chain test against every other
     new lcm, and coprimality read off the exponents.  New pairs are
-    appended by degree, then by i, as `_update_pairs` appends them; every
-    entry ends in its lcm packed at `width`, so queued pairs are packed
-    again when the width grows."""
+    appended by degree, then by i, as `_update_pairs` appends them; an
+    entry is (degree, key, i, j, lcm, lcm packed at `width`), so queued
+    pairs are packed again when the width grows."""
     t = len(leads) - 1
     lt = leads[t]
     lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
@@ -826,39 +901,51 @@ def _reference_update(pairs, leads, key, width):
 
 def test_update_pairs_matches_reference_seeded():
     """After every append, in 0-18 variables (18 is the ambient of
-    `al-n8`), the queue equals the one the brute-force reference update
-    builds: entry for entry when no element is a monomial, and otherwise
-    the reference queue minus exactly the pairs of two monomials.  Leads
-    come from a small pool so that repeated lcms and chain-criterion hits
-    are common.  In half of the runs the later leads raise the pool's
-    exponent 3 to 127, then 128, then 300, so the width grows mid-run, up
-    to three times, and queued pairs are packed again."""
+    `al-n8`), the index's queue, each entry (degree, X, i, j, P) read back
+    as (degree, key, i, j, lcm, P) with X checked to be the lcm packed,
+    equals the one the brute-force reference update builds: entry for entry
+    when no element is a monomial, and otherwise the reference queue minus
+    exactly the pairs of two monomials.  An element that is not a monomial
+    has the constant 1 as its tail.  Leads come from a small pool so that
+    repeated lcms and chain-criterion hits are common.  In half of the runs
+    the later leads raise the pool's exponent 3 to 127, then 128, then
+    300, so the width grows mid-run, up to three times, and queued pairs
+    are packed again."""
     rng = random.Random(43)
     keys = list(ORDERS.values())
     skipped = repacked = 0
     for run in range(300):
         n = rng.randint(0, 18)
+        amb = tuple(f"v{i}" for i in range(n))
         key = rng.choice(keys)
         pool = [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(8)]
         with_monomials = run % 2 == 1
         crossing = run % 4 >= 2
         size = rng.randint(2, 16)
-        leads, packed, monomial, width = [], [], [], 1
-        ours, ref = [], []
+        index = _DivisorIndex(amb, key)
+        leads, monomial, ref = [], [], []
         for step in range(size):
             lead = rng.choice(pool)
             if crossing and 2 * step >= size:
                 big = (127, 128, 300)[3 * (2 * step - size) // size]
                 lead = tuple(big if e == 3 else e for e in lead)
             leads.append(lead)
-            queued, old_width = len(ours), width
-            width = _pack_newest(ours, leads, packed, width)
+            monomial.append(not any(lead) or with_monomials and rng.random() < 0.6)
+            terms = {lead: 1} if monomial[-1] else {lead: 1, (0,) * n: 1}
+            queued, old_width = len(index.pairs), index.width
+            append_polynomial(index, Polynomial(amb, terms))
+            width = index.width
             repacked += queued > 0 and width > old_width
             assert max((e for lead in leads for e in lead), default=0) < 1 << width - 1
-            assert packed == [reference_pack(e, width) for e in leads]
-            monomial.append(with_monomials and rng.random() < 0.6)
-            _update_pairs(ours, leads, packed, monomial, key, width)
+            assert [x & index.pmask for x in index.leads] == [reference_pack(e, width)
+                                                              for e in leads]
+            _update_pairs(index)
             _reference_update(ref, leads, key, width)
+            ours = []
+            for d, x, i, j, p in index.pairs:
+                lcm = index.exponents(x)
+                assert x == index.pack(lcm)
+                ours.append((d, key(lcm), i, j, lcm, p))
             if not with_monomials:
                 assert ours == ref
             else:
@@ -904,14 +991,14 @@ def test_large_exponent_bases_are_pinned(monkeypatch):
     ideals with exponents 127-300 are the pinned ones, and some runs widen
     the packing while pairs are queued."""
     repacks = []
+    real = _DivisorIndex.widen
 
-    def pack_newest(pairs, leads, packed, width):
-        new_width = _pack_newest(pairs, leads, packed, width)
-        if new_width > width and pairs:
-            repacks.append(new_width)
-        return new_width
+    def widen(index, top):
+        if index.pairs:
+            repacks.append(top)
+        return real(index, top)
 
-    monkeypatch.setattr(groebner, "_pack_newest", pack_newest)
+    monkeypatch.setattr(_DivisorIndex, "widen", widen)
     for gens, by_order in LARGE_EXPONENT_BASES.items():
         for name, (pairs, basis) in by_order.items():
             gb = buchberger(_ideal(*gens), ORDERS[name])

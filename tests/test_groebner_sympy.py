@@ -14,8 +14,9 @@ from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 from orders import ORDERS, front  # noqa: E402
 from randpoly import random_polynomial  # noqa: E402
-from vancyc.groebner import IdealBasis, buchberger  # noqa: E402
-from vancyc.poly import Polynomial  # noqa: E402
+from vancyc.groebner import (IdealBasis, _DivisorIndex, buchberger,  # noqa: E402
+                             divmod_polynomials)
+from vancyc.poly import Polynomial, parse_polynomial  # noqa: E402
 
 AMB = ("x", "y", "z")
 SYMBOLS = sympy.symbols(AMB)
@@ -87,3 +88,52 @@ def test_monomial_heavy_basis_matches_sympy(name):
     key = ORDERS[name]
     for ideal in _monomial_heavy_ideals(seed=59 + front(name), count=10):
         assert set(buchberger(ideal, key).elements) == _sympy_basis(ideal, name)
+
+
+def _from_sympy(expr) -> Polynomial:
+    poly = sympy.Poly(expr, *SYMBOLS)
+    return Polynomial(AMB, {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms()})
+
+
+@pytest.fixture
+def widenings(monkeypatch):
+    """(elements indexed, pairs queued, width before) of every widening."""
+    log = []
+    real = _DivisorIndex.widen
+
+    def widen(index, top):
+        log.append((len(index.leads), len(index.pairs), index.width))
+        return real(index, top)
+
+    monkeypatch.setattr(_DivisorIndex, "widen", widen)
+    return log
+
+
+def test_widening_mid_run_matches_sympy(widenings):
+    """The generators' exponents fit the starting width, and reductions
+    pass it: under lex and both block orders the index widens after
+    elements have joined, under block2 with pairs queued, and the reduced
+    basis is still sympy's under all four orders."""
+    ideal = IdealBasis(AMB, [parse_polynomial(t, AMB)
+                             for t in ("x^3 - y^2", "y^3 - z^2 - x", "x*z - 1")])
+    mid_run = {}
+    for name, key in ORDERS.items():
+        widenings.clear()
+        assert set(buchberger(ideal, key).elements) == _sympy_basis(ideal, name)
+        mid_run[name] = [w for w in widenings if w[0]]
+    assert all(mid_run[name] for name in ("lex0", "block1", "block2"))
+    assert any(queued for _, queued, _ in mid_run["block2"])
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_dividend_past_the_divisors_width_matches_sympy(name, widenings):
+    """A dividend whose exponents pass the width of the indexed divisors
+    widens the index, and its quotients and remainder are sympy's."""
+    divisors = [parse_polynomial(t, AMB) for t in ("x^2 - 3*y", "y*z - 1/2", "z^2 + x")]
+    p = parse_polynomial("x^40*z^3 + 2/3*y^17*z - x*z^9 + 5", AMB)
+    quotients, r = divmod_polynomials(p, divisors, ORDERS[name])
+    assert [w[0] for w in widenings] == [0, 3]
+    want_q, want_r = sympy.reduced(_to_sympy(p), [_to_sympy(d) for d in divisors],
+                                   *SYMBOLS, order=_sympy_order(name))
+    assert quotients == [_from_sympy(q) for q in want_q]
+    assert r == _from_sympy(want_r)

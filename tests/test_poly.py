@@ -251,6 +251,22 @@ def test_evaluate_refuses_a_point_missing_a_variable():
         (x + y).evaluate({"x": 1})
 
 
+def test_evaluate_refuses_a_variable_outside_the_ambient():
+    """A point entry for a variable outside the ambient is a PolyError that
+    names it, as `substitute` refuses one, whether or not the point holds
+    every ambient variable and whether or not the polynomial is constant."""
+    x, y = variables(("x", "y"))
+    for p, point in [(x + y, {"x": 1, "y": 2, "z": 5}), (x + y, {"z": 5}),
+                     (Polynomial.constant(("x", "y"), 3), {"w": 0})]:
+        name = next(v for v in point if v not in ("x", "y"))
+        with pytest.raises(PolyError, match=f"for '{name}'") as refused:
+            p.evaluate(point)
+        assert type(refused.value) is PolyError
+    with pytest.raises(PolyError, match="for 'z'"):
+        (x + y).substitute({"z": x})
+    assert (x + y).evaluate({"x": 1, "y": 2}) == 3
+
+
 def test_order_at_origin_is_additive():
     """order(p*q) = order(p) + order(q) for random nonzero factors."""
     rng = random.Random(31)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from canonical import assert_canonical  # noqa: E402
 from orders import ORDERS  # noqa: E402
-from packing import check_packed_kernel  # noqa: E402
+from packing import (append_polynomial, check_encoding, check_packed_kernel,  # noqa: E402
+                     packed)
 from vancyc.groebner import _DivisorIndex  # noqa: E402
 from vancyc.poly import Polynomial, grevlex_key  # noqa: E402
 
@@ -69,6 +70,20 @@ def test_packed_kernel_matches_tuple_arithmetic(n, width, data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ORDERS)), st.integers(0, 18), st.data())
+def test_packed_encoding_matches_the_order_key(name, n, data):
+    """Under each of the four orders in 0-18 variables, the packed monomial
+    X is additive, ordered as the key orders, divisible exactly when the
+    exponents are, and unpacks to its exponents (`check_encoding`); b is
+    drawn both freely and as a multiple of a, exponents up to 300."""
+    exponents = st.tuples(*(st.integers(0, 300) | st.integers(0, 3) for _ in range(n)))
+    a, free = data.draw(exponents), data.draw(exponents)
+    for b in (free, tuple(map(max, a, free))):
+        check_encoding(ORDERS[name], a, b)
+        check_encoding(ORDERS[name], b, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 18).flatmap(lambda n: st.tuples(
     st.lists(st.tuples(*(st.integers(0, 4) for _ in range(n))), min_size=1, max_size=12),
     st.lists(st.tuples(*(st.integers(0, 6) for _ in range(n))), max_size=6))))
@@ -82,9 +97,9 @@ def test_divisor_index_first_divisor_matches_scan(case):
     amb = tuple(f"v{i}" for i in range(n))
     index = _DivisorIndex(amb, grevlex_key)
     for k, lead in enumerate(leads):
-        index.append(Polynomial(amb, {lead: 1}))
+        append_polynomial(index, Polynomial(amb, {lead: 1}))
         for e in queries + leads:
-            m = index.dividing(e)
+            m = index.dividing(packed(index, e))
             first = next((i for i, de in enumerate(leads[:k + 1])
                           if all(map(le, de, e))), None)
             assert (m & -m).bit_length() - 1 == (-1 if first is None else first)
