@@ -39,13 +39,10 @@ def check_encoding(key, a, b):
     widened to fit a + b: X(a) + X(b) is X(a + b), X(a) - X(b) has the sign
     of the comparison of key(a) with key(b), the guard test on X(a) and
     X(b) holds exactly when a divides b, and X(a) unpacks to a."""
-    total = tuple(map(add, a, b))
     index = _DivisorIndex(tuple(f"v{i}" for i in range(len(a))), key)
-    top = max(total, default=0)
-    if top >> index.width - 1:
-        index.widen(top)
+    total = packed(index, tuple(map(add, a, b)))
     xa, xb = index.pack(a), index.pack(b)
-    assert xa + xb == index.pack(total)
+    assert xa + xb == total
     ka, kb = key(a), key(b)
     assert (xa > xb) - (xa < xb) == (ka > kb) - (ka < kb)
     guard = index.guard

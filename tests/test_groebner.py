@@ -10,7 +10,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -385,10 +385,11 @@ def test_buchberger_reduces_through_normal_form(monkeypatch):
 
 def test_only_reading_the_reduced_basis_builds_fractions(monkeypatch):
     """A run stays in packed integer forms: every normal form it takes is
-    a `_Form` of int monomials and int coefficients, and `_divided`, which builds the Fraction polynomials, is
-    not called while `buchberger` runs.  It is called once per element
-    when `free_of(front)` is read and once per element when `elements` is
-    read, and not again on a second read of `elements`.  Seeded ideals
+    a `_Form` of int monomials and int coefficients, and `_divided`, which
+    builds the Fraction polynomials, is not called while `buchberger` runs.
+    It is called once per element when `free_of(front)` is read and once
+    per element when `elements` is read, and not again on a second read of
+    `elements`.  Seeded ideals
     under the block orders, with rational generators."""
     divided, forms = [], []
     real_divided, real_nf = groebner._divided, groebner.normal_form

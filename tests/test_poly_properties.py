@@ -1,5 +1,6 @@
-"""Property tests: arithmetic results stay canonical and memoized leads agree
-with a fresh maximum.  Skipped when hypothesis is not installed."""
+"""Property tests: arithmetic results stay canonical, memoized leads agree
+with a fresh maximum, and a run's packed monomials follow the exponents and
+the order key.  Skipped when hypothesis is not installed."""
 
 from operator import le
 
